@@ -2,9 +2,10 @@
 
 Exit codes for decisions: 0 compatible/feasible, 1 incompatible, 2
 inconclusive; 64 for unparseable input files, 65 for dimension
-mismatches.  Sweeps write deterministic CSV (row-major grid, then a
-boundary section with the first feasible step per column).  All
-configuration is via flags; nothing reads the environment.
+mismatches, 66 for problems above the solver's size cap.  Sweeps write
+deterministic CSV (row-major grid, then a boundary section with the
+first feasible step per column).  All configuration is via flags;
+nothing reads the environment.
 """
 
 from __future__ import annotations
@@ -18,13 +19,21 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import sdp, verify
-from .channels import Channel, channel_from_json, partial_depolarizing_channel, xi_channel
+from .channels import (
+    Channel,
+    _matrix_to_json,
+    channel_from_json,
+    partial_depolarizing_channel,
+    validate,
+    xi_channel,
+)
 from .jordan import jordan_channel
 from .sdp.decide import decide
 from .witness import JordanWitness, Witness, certificate_from_json, certificate_to_json, verify_jordan_witness, verify_witness
 
 EXIT_PARSE = 64
 EXIT_DIMENSION = 65
+EXIT_SIZE_CAP = 66
 
 
 def _load_channel(path: str) -> Channel:
@@ -47,6 +56,9 @@ def cmd_check(args) -> int:
     mode = args.mode.replace("-", "_")
     try:
         dec = decide(a, b, mode, decision_tol=args.tol)
+    except sdp.SizeCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -70,8 +82,6 @@ def cmd_check(args) -> int:
             # at the certificate tolerance, which is looser than the Channel
             # constructor's
             factors = dec.compatibilizer.shape.factors
-            from .channels import _matrix_to_json
-
             payload["compatibilizer"] = {
                 "d_in": factors[0],
                 "d_out": int(np.prod(factors[1:])),
@@ -90,6 +100,9 @@ def cmd_self_compat(args) -> int:
     try:
         problem = sdp.build_k_extension(c, args.k)
         out = sdp.solve(problem, mode=mode, decision_tol=args.tol)
+    except sdp.SizeCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
@@ -119,8 +132,6 @@ def _point_xi_jordan_vs_self(task):
     out = sdp.solve(sdp.build_compat(xi, xi))
     self_v = _verdict_char(out.status)
     jstd = "1" if np.linalg.eigvalsh(jordan_channel(xi.rep, xi.rep).choi.array).min() >= -1e-10 else "0"
-    from .channels import validate
-
     mp = "1" if validate(xi.rep).eb_2x2 else "0"
     return (self_v, jstd, mp)
 

@@ -15,19 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Channel, LinearMapRep, apply_to_factor, invert_map
+from .channels import Channel, LinearMapRep, _choi_identity, apply_to_factor, invert_map
 from .linalg import HermitianMatrix, TensorShape, ptrace_array
 
 GEN_JORDAN_TOL = 1e-8
 GEN_JORDAN_SDP_TOL = 1e-7
-
-
-def _choi_identity(d: int) -> np.ndarray:
-    j = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            j[i * d + i, k * d + k] = 1.0
-    return j
 
 
 @dataclass(frozen=True)

@@ -105,32 +105,40 @@ class HermitianMatrix:
 
 
 def ptrace_array(arr: np.ndarray, dims: Sequence[int], traced: Iterable[int]) -> np.ndarray:
-    """Partial trace over the listed factor positions of a dense matrix."""
+    """Partial trace over the listed factor positions of a dense matrix.
+
+    Leading axes of ``arr`` are batch axes: a stack of matrices is traced
+    matrix by matrix.
+    """
     dims = list(dims)
     n = len(dims)
     traced = sorted(set(traced))
     for t in traced:
         if not 0 <= t < n:
             raise IndexError(f"factor index {t} out of range for {dims}")
-    tens = arr.reshape(*dims, *dims)
+    batch = arr.shape[:-2]
+    tens = arr.reshape(*batch, *dims, *dims)
     labels = list(range(2 * n))
     for t in traced:
         labels[n + t] = labels[t]
     kept = [i for i in range(n) if i not in traced]
     out_labels = kept + [n + k for k in kept]
     d_out = int(np.prod([dims[k] for k in kept])) if kept else 1
-    return np.einsum(tens, labels, out_labels).reshape(d_out, d_out)
+    out = np.einsum(tens, [Ellipsis] + labels, [Ellipsis] + out_labels)
+    return out.reshape(*batch, d_out, d_out)
 
 
 def ptranspose_array(arr: np.ndarray, dims: Sequence[int], factor: int) -> np.ndarray:
-    """Transpose a single tensor factor of a dense matrix."""
+    """Transpose a single tensor factor of a dense matrix (or a stack of them)."""
     dims = list(dims)
     n = len(dims)
     if not 0 <= factor < n:
         raise IndexError(f"factor index {factor} out of range for {dims}")
-    tens = arr.reshape(*dims, *dims)
-    perm = list(range(2 * n))
-    perm[factor], perm[n + factor] = perm[n + factor], perm[factor]
+    batch = arr.shape[:-2]
+    nb = len(batch)
+    tens = arr.reshape(*batch, *dims, *dims)
+    perm = list(range(nb + 2 * n))
+    perm[nb + factor], perm[nb + n + factor] = perm[nb + n + factor], perm[nb + factor]
     return np.ascontiguousarray(tens.transpose(perm)).reshape(arr.shape)
 
 
@@ -191,27 +199,31 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 
 def herm_to_vec(arr: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the ``hermitian_basis`` order."""
-    n = arr.shape[0]
-    out = np.empty(n * n)
-    out[:n] = np.diagonal(arr).real
+    """Real coordinates of a Hermitian matrix in the ``hermitian_basis`` order.
+
+    Leading axes are batch axes: (..., n, n) -> (..., n^2).
+    """
+    n = arr.shape[-1]
+    out = np.empty(arr.shape[:-2] + (n * n,))
+    out[..., :n] = np.diagonal(arr, axis1=-2, axis2=-1).real
     iu = np.triu_indices(n, k=1)
-    upper = arr[iu]
+    upper = arr[..., iu[0], iu[1]]
     sqrt2 = np.sqrt(2.0)
-    out[n::2] = upper.real * sqrt2
-    out[n + 1 :: 2] = upper.imag * sqrt2
+    out[..., n::2] = upper.real * sqrt2
+    out[..., n + 1 :: 2] = upper.imag * sqrt2
     return out
 
 
 def vec_to_herm(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_vec`."""
-    arr = np.zeros((n, n), dtype=np.complex128)
-    arr[np.diag_indices(n)] = vec[:n]
+    """Inverse of :func:`herm_to_vec`: (..., n^2) -> (..., n, n)."""
+    arr = np.zeros(vec.shape[:-1] + (n, n), dtype=np.complex128)
+    idx = np.arange(n)
+    arr[..., idx, idx] = vec[..., :n]
     iu = np.triu_indices(n, k=1)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    upper = (vec[n::2] + 1j * vec[n + 1 :: 2]) * inv_sqrt2
-    arr[iu] = upper
-    arr[(iu[1], iu[0])] = upper.conj()
+    upper = (vec[..., n::2] + 1j * vec[..., n + 1 :: 2]) * inv_sqrt2
+    arr[..., iu[0], iu[1]] = upper
+    arr[..., iu[1], iu[0]] = upper.conj()
     return arr
 
 

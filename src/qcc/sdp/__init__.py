@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..linalg import vec_to_herm
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -11,12 +12,23 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import SdpOutcome, SdpProblem, compile_ipm, vec_to_herm_many
+from .problem import SdpOutcome, SdpProblem, compile_ipm
 from .projection import solve_dykstra
 
 DECISION_TOL = 1e-7
-IPM_EMBEDDED_CAP = 512
-PROJECTION_EMBEDDED_CAP = 2048
+# caps on the summed side of the complex variables, checked before compiling
+IPM_SIDE_CAP = 256
+PROJECTION_SIDE_CAP = 1024
+
+
+class SizeCapError(ValueError):
+    """The problem is larger than the solver's dense-size cap."""
+
+
+def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
+    side = sum(v.side for v in problem.variables)
+    if side > cap:
+        raise SizeCapError(f"{solver} cap is a total variable side of {cap}, got {side}")
 
 
 def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float = DECISION_TOL,
@@ -29,11 +41,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
     projections and reports Feasible with a primal point or Inconclusive.
     """
     if mode == "interior_point":
-        embedded = sum(2 * v.side for v in problem.variables)
-        if embedded > IPM_EMBEDDED_CAP:
-            raise ValueError(
-                f"interior-point cap is {IPM_EMBEDDED_CAP} embedded, got {embedded}"
-            )
+        _check_cap(problem, IPM_SIDE_CAP, "interior-point")
         comp = compile_ipm(problem)
         res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b,
                         max_iter=max_iter or 200, tol=tol)
@@ -62,20 +70,15 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
                               iterations=res.iterations, decision_tol=decision_tol,
                               note=note or "solver did not converge")
         primal = comp.vars_of(comp.params_of(res.y))
-        dual = comp.dual_to_complex(res.Z_blocks)
         alpha = res.pobj
         if abs(alpha) < decision_tol:
             note = (note + "; " if note else "") + "optimum inside the decision band"
         status = "Feasible" if alpha >= -decision_tol else "Infeasible"
-        return SdpOutcome(status, alpha, primal=primal, dual=dual, residuals=residuals,
+        return SdpOutcome(status, alpha, primal=primal, dual=res.Z_blocks, residuals=residuals,
                           iterations=res.iterations, decision_tol=decision_tol, note=note)
 
     if mode == "projection":
-        embedded = sum(2 * v.side for v in problem.variables)
-        if embedded > PROJECTION_EMBEDDED_CAP:
-            raise ValueError(
-                f"projection cap is {PROJECTION_EMBEDDED_CAP} embedded, got {embedded}"
-            )
+        _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
         res = solve_dykstra(problem, max_iter=max_iter or 50000)
         residuals = {"psd_violation": res.violation}
         if not res.feasible:
@@ -85,7 +88,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
         primal = {}
         off = 0
         for v in problem.variables:
-            primal[v.name] = vec_to_herm_many(res.params[off : off + v.nparams][None, :], v.side)[0]
+            primal[v.name] = vec_to_herm(res.params[off : off + v.nparams], v.side)
             off += v.nparams
         return SdpOutcome("Feasible", 0.0, primal=primal, residuals=residuals,
                           iterations=res.iterations, decision_tol=decision_tol,
@@ -98,6 +101,7 @@ __all__ = [
     "DECISION_TOL",
     "SdpOutcome",
     "SdpProblem",
+    "SizeCapError",
     "build_compat",
     "build_jordan_compat",
     "build_k_extension",

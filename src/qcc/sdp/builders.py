@@ -4,17 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import Channel, Povm
+from ..channels import Channel, Povm, _choi_identity
 from ..linalg import HermitianMatrix
 from .problem import Block, Constraint, ConstraintTerm, SdpProblem, VariableSpec
-
-
-def _choi_identity(d: int) -> np.ndarray:
-    j = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            j[i * d + i, k * d + k] = 1.0
-    return j
 
 
 def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int, int, int],

@@ -17,14 +17,7 @@ import numpy as np
 
 from ..channels import Channel, apply_to_factor
 from ..jordan import GenJordanOperator, gen_jordan
-from ..linalg import (
-    HermitianMatrix,
-    TensorShape,
-    embed_identity_array,
-    hermitian_basis,
-    ptrace_array,
-    ptranspose_array,
-)
+from ..linalg import HermitianMatrix, TensorShape, ptrace_array, ptranspose_array
 from ..witness import (
     JordanWitness,
     Witness,
@@ -34,7 +27,7 @@ from ..witness import (
 )
 from . import DECISION_TOL, solve
 from .builders import build_compat, build_jordan_compat, two_marginal_problem
-from .problem import SdpOutcome, herm_to_vec_many
+from .problem import SdpOutcome
 
 CERT_TOL = 1e-7
 
@@ -58,25 +51,20 @@ class Decision:
         return EXIT_CODES[self.verdict]
 
 
-def _fit_adjoint_pair(zbig: np.ndarray, factors: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares split of an operator in the range of the two adjoint embeddings."""
-    dx, d1, d2 = factors
-    n1, n2 = dx * d1, dx * d2
-    cols = []
-    for basis, occ, pos in (
-        (hermitian_basis(n1), (dx, d1), (0, 1)),
-        (hermitian_basis(n2), (dx, d2), (0, 2)),
-    ):
-        for k in range(basis.shape[0]):
-            big = embed_identity_array(basis[k], occ, factors, pos)
-            cols.append(herm_to_vec_many(big[None, :, :])[0])
-    kmat = np.array(cols).T
-    target = herm_to_vec_many(zbig[None, :, :])[0]
-    coeff, *_ = np.linalg.lstsq(kmat, target, rcond=None)
-    from .problem import vec_to_herm_many
+def _split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Split Z on X (x) Y1 (x) Y2 into (Z1, Z2) whose adjoint sum
+    Tr*_{Y2}(Z1) + Tr*_{Y1}(Z2) is the orthogonal projection of Z onto the
+    range of the two embeddings.
 
-    z1 = vec_to_herm_many(coeff[: n1 * n1][None, :], n1)[0]
-    z2 = vec_to_herm_many(coeff[n1 * n1 :][None, :], n2)[0]
+    The projectors onto the two ranges commute, so the projection onto
+    their sum is P1 + P2 - P1 P2; the shared X part goes to Z1.  Any other
+    split differs by (C (x) I, -C (x) I), which leaves the pairing with
+    trace-preserving Choi matrices unchanged.
+    """
+    dx, d1, d2 = factors
+    z1 = ptrace_array(z, factors, [2]) / d2
+    shared = ptrace_array(z, factors, [1, 2]) / (d1 * d2)
+    z2 = ptrace_array(z, factors, [1]) / d1 - np.kron(shared, np.eye(d2))
     return z1, z2
 
 
@@ -92,7 +80,7 @@ def _extract_witness(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Opti
         return None
     dx, d1, d2 = f.d_in, f.d_out, g.d_out
     zbig = out.dual[0]
-    z1, z2 = _fit_adjoint_pair(zbig, (dx, d1, d2))
+    z1, z2 = _split_adjoint_pair(zbig, (dx, d1, d2))
     min_eig = np.linalg.eigvalsh(adjoint_sum(z1, z2, (dx, d1, d2))).min()
     if min_eig < 0:
         # shifting both parts by eps I moves the adjoint sum by 2 eps I and
@@ -158,7 +146,7 @@ def _decide_jordan(f: Channel, g: Channel, decision_tol: float, **solve_opts) ->
         dims = (d, f.d_out, g.d_out)
         lhs, cur = apply_to_factor(rho_clean, dims, 1, f.rep, adjoint=True)
         lhs, _ = apply_to_factor(lhs, cur, 2, g.rep, adjoint=True)
-        w1, w2 = _fit_jordan_pair(lhs, d)
+        w1, w2 = _split_adjoint_pair(lhs, (d, d, d))
         witness = JordanWitness(
             HermitianMatrix(w1, TensorShape((d, d))),
             HermitianMatrix(w2, TensorShape((d, d))),
@@ -171,24 +159,6 @@ def _decide_jordan(f: Channel, g: Channel, decision_tol: float, **solve_opts) ->
         return Decision("Inconclusive", out.value, outcome=out,
                         note="dual certificate failed verification")
     return Decision("Inconclusive", out.value, outcome=out, note=out.note)
-
-
-def _fit_jordan_pair(target: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    basis = hermitian_basis(d * d)
-    cols = []
-    for pos in ((0, 1), (0, 2)):
-        for k in range(basis.shape[0]):
-            big = embed_identity_array(basis[k], (d, d), (d, d, d), pos)
-            cols.append(herm_to_vec_many(big[None, :, :])[0])
-    kmat = np.array(cols).T
-    tvec = herm_to_vec_many(target[None, :, :])[0]
-    coeff, *_ = np.linalg.lstsq(kmat, tvec, rcond=None)
-    from .problem import vec_to_herm_many
-
-    n = d * d
-    w1 = vec_to_herm_many(coeff[: n * n][None, :], n)[0]
-    w2 = vec_to_herm_many(coeff[n * n :][None, :], n)[0]
-    return w1, w2
 
 
 def _decide_ppt(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> Decision:

@@ -1,4 +1,4 @@
-"""Problem container and vectorization for the embedded SDP engine.
+"""Problem container and compilation for the SDP engine.
 
 A problem has one or more complex Hermitian variables, affine equality
 constraints built from partial traces (with Hermitian right-hand sides),
@@ -11,8 +11,8 @@ Compilation for the interior-point solver eliminates the equality
 constraints exactly: a pivoted orthogonal factorization of the
 vectorized constraint matrix yields a particular solution plus an
 orthonormal null-space basis, and the PSD blocks become affine in the
-remaining free coordinates.  Everything is then embedded into real
-symmetric matrices via H = A + iB  ->  [[A, -B], [B, A]].
+remaining free coordinates.  The blocks stay complex Hermitian; the free
+coordinates are real.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..channels import LinearMapRep
-from ..linalg import hermitian_basis
+from ..linalg import herm_to_vec, hermitian_basis, ptrace_array, ptranspose_array, vec_to_herm
 
 CONSTRAINT_RANK_TOL = 1e-10
 
@@ -122,90 +122,9 @@ def _cached_basis(n: int) -> np.ndarray:
     return b
 
 
-def herm_to_vec_many(arrs: np.ndarray) -> np.ndarray:
-    """Batched real coordinates: (N, n, n) Hermitian -> (N, n^2)."""
-    n = arrs.shape[-1]
-    big = arrs.shape[0]
-    out = np.empty((big, n * n))
-    out[:, :n] = np.einsum("kii->ki", arrs).real
-    iu = np.triu_indices(n, k=1)
-    upper = arrs[:, iu[0], iu[1]]
-    sqrt2 = np.sqrt(2.0)
-    out[:, n::2] = upper.real * sqrt2
-    out[:, n + 1 :: 2] = upper.imag * sqrt2
-    return out
-
-
-def vec_to_herm_many(vecs: np.ndarray, n: int) -> np.ndarray:
-    """Batched inverse of :func:`herm_to_vec_many`."""
-    big = vecs.shape[0]
-    arrs = np.zeros((big, n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    arrs[:, idx, idx] = vecs[:, :n]
-    iu = np.triu_indices(n, k=1)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    upper = (vecs[:, n::2] + 1j * vecs[:, n + 1 :: 2]) * inv_sqrt2
-    arrs[:, iu[0], iu[1]] = upper
-    arrs[:, iu[1], iu[0]] = upper.conj()
-    return arrs
-
-
-def embed_real(h: np.ndarray) -> np.ndarray:
-    """Complex Hermitian -> real symmetric of twice the side (PSD preserved)."""
-    a, b = h.real, h.imag
-    return np.block([[a, -b], [b, a]])
-
-
-def embed_real_many(hs: np.ndarray) -> np.ndarray:
-    n = hs.shape[-1]
-    out = np.empty((hs.shape[0], 2 * n, 2 * n))
-    out[:, :n, :n] = hs.real
-    out[:, n:, n:] = hs.real
-    out[:, :n, n:] = -hs.imag
-    out[:, n:, :n] = hs.imag
-    return out
-
-
-def unembed_complex(z: np.ndarray) -> np.ndarray:
-    """Adjoint-average a real symmetric matrix back to complex Hermitian.
-
-    For Z dual-feasible in the embedded problem, 2 * unembed(Z) is
-    dual-feasible in the complex problem.
-    """
-    n = z.shape[0] // 2
-    h = (z[:n, :n] + z[n:, n:]) / 2 + 1j * (z[n:, :n] - z[:n, n:]) / 2
-    return (h + h.conj().T) / 2
-
-
 # ---------------------------------------------------------------------------
 # structured operator application (batched over a stack of matrices)
 # ---------------------------------------------------------------------------
-
-
-def _ptrace_many(arrs: np.ndarray, dims, traced) -> np.ndarray:
-    big = arrs.shape[0]
-    dims = list(dims)
-    n = len(dims)
-    traced = sorted(set(traced))
-    tens = arrs.reshape(big, *dims, *dims)
-    labels = [2 * n] + list(range(2 * n))
-    for t in traced:
-        labels[1 + n + t] = labels[1 + t]
-    kept = [i for i in range(n) if i not in traced]
-    out_labels = [2 * n] + [i for i in kept] + [n + k for k in kept]
-    d_out = int(np.prod([dims[k] for k in kept])) if kept else 1
-    return np.einsum(tens, labels, out_labels).reshape(big, d_out, d_out)
-
-
-def _ptranspose_many(arrs: np.ndarray, dims, factor: int) -> np.ndarray:
-    big = arrs.shape[0]
-    dims = list(dims)
-    n = len(dims)
-    tens = arrs.reshape(big, *dims, *dims)
-    perm = [0] + [1 + i for i in range(2 * n)]
-    perm[1 + factor], perm[1 + n + factor] = perm[1 + n + factor], perm[1 + factor]
-    side = arrs.shape[-1]
-    return np.ascontiguousarray(tens.transpose(perm)).reshape(big, side, side)
 
 
 def _apply_map_many(arrs: np.ndarray, dims, factor: int, rep: LinearMapRep) -> tuple[np.ndarray, list]:
@@ -230,7 +149,7 @@ def block_image_many(block: Block, var: VariableSpec, arrs: np.ndarray) -> np.nd
     if block.kind == "identity":
         return arrs
     if block.kind == "ptranspose":
-        return _ptranspose_many(arrs, var.factors, block.factor)
+        return ptranspose_array(arrs, var.factors, block.factor)
     if block.kind == "map_image":
         dims = list(var.factors)
         out = arrs
@@ -264,7 +183,7 @@ class CompiledSdp:
     nullbasis: np.ndarray  # (P, m - 1) orthonormal free directions
     b: np.ndarray  # objective: the trailing coordinate is t
     C_blocks: list
-    A_blocks: list  # per block: (m, 2n, 2n), trailing slot is the t column
+    A_blocks: list  # per block: (m, n, n) complex Hermitian, trailing slot is the t column
     block_sides: list
     removed_redundant: int
     dropped_directions: int
@@ -280,11 +199,8 @@ class CompiledSdp:
         out = {}
         for v in self.problem.variables:
             off, n = self.var_offsets[v.name], v.side
-            out[v.name] = vec_to_herm_many(params[off : off + n * n][None, :], n)[0]
+            out[v.name] = vec_to_herm(params[off : off + n * n], n)
         return out
-
-    def dual_to_complex(self, z_blocks: list) -> list:
-        return [2.0 * unembed_complex(z) for z in z_blocks]
 
 
 def _basis_chunks(n: int, chunk: int = 512):
@@ -296,7 +212,7 @@ def _basis_chunks(n: int, chunk: int = 512):
     eye = np.eye(total)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        yield start, vec_to_herm_many(eye[start:stop], n)
+        yield start, vec_to_herm(eye[start:stop], n)
 
 
 def _constraint_matrix(problem: SdpProblem, var_offsets: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -312,20 +228,20 @@ def _constraint_matrix(problem: SdpProblem, var_offsets: dict) -> tuple[np.ndarr
             var = problem.variable(term.var)
             off = var_offsets[term.var]
             for start, stack in _basis_chunks(var.side):
-                imgs = _ptrace_many(stack, var.factors, term.traced) if term.traced else stack
+                imgs = ptrace_array(stack, var.factors, term.traced) if term.traced else stack
                 if imgs.shape[-1] != r_side:
                     raise ValueError(
                         f"constraint term on {term.var} produces side {imgs.shape[-1]}, "
                         f"rhs has side {r_side}"
                     )
-                kmat[:, off + start : off + start + stack.shape[0]] += herm_to_vec_many(imgs).T
+                kmat[:, off + start : off + start + stack.shape[0]] += herm_to_vec(imgs).T
         rows.append(kmat)
-        rhs_parts.append(herm_to_vec_many(con.rhs[None, :, :])[0])
+        rhs_parts.append(herm_to_vec(con.rhs))
     return np.vstack(rows), np.concatenate(rhs_parts)
 
 
 def compile_ipm(problem: SdpProblem) -> CompiledSdp:
-    """Dense real-embedded form for the interior-point solver."""
+    """Dense complex Hermitian form for the interior-point solver."""
     var_offsets = {}
     off = 0
     for v in problem.variables:
@@ -353,9 +269,9 @@ def compile_ipm(problem: SdpProblem) -> CompiledSdp:
         var = problem.variable(block.var)
         o = var_offsets[block.var]
         sl = slice(o, o + var.nparams)
-        const_mat = vec_to_herm_many(x0[sl][None, :], var.side)
+        const_mat = vec_to_herm(x0[sl][None, :], var.side)
         img_consts.append(block_image_many(block, var, const_mat)[0])
-        dir_mats = vec_to_herm_many(nullb[sl].T.copy(), var.side) if m0 else np.zeros(
+        dir_mats = vec_to_herm(nullb[sl].T, var.side) if m0 else np.zeros(
             (0, var.side, var.side), dtype=np.complex128
         )
         img_dirs.append(block_image_many(block, var, dir_mats))
@@ -367,7 +283,7 @@ def compile_ipm(problem: SdpProblem) -> CompiledSdp:
     # conditioned, which is what lets the solver reach 1e-9 residuals
     dropped = 0
     if m0:
-        stacked = np.hstack([herm_to_vec_many(imgs) if imgs.size else
+        stacked = np.hstack([herm_to_vec(imgs) if imgs.size else
                              np.zeros((m0, 0)) for imgs in img_dirs])
         _u2, s2, vh2 = np.linalg.svd(stacked.T, full_matrices=False)
         # the threshold must see the block operator's own scale, or pure
@@ -393,11 +309,11 @@ def compile_ipm(problem: SdpProblem) -> CompiledSdp:
     c_blocks = []
     a_blocks = []
     for const, dirs, side in zip(img_consts, img_dirs, sides):
-        c_blocks.append(embed_real(const))
-        a = np.empty((m, 2 * side, 2 * side))
+        c_blocks.append(const)
+        a = np.empty((m, side, side), dtype=np.complex128)
         if m0:
-            a[:-1] = -embed_real_many(dirs)
-        a[-1] = np.eye(2 * side)
+            a[:-1] = -dirs
+        a[-1] = np.eye(side)
         a_blocks.append(a)
 
     return CompiledSdp(

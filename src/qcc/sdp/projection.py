@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import ptranspose_array
-from .problem import SdpProblem, _constraint_matrix, herm_to_vec_many, vec_to_herm_many
+from ..linalg import herm_to_vec, ptranspose_array, vec_to_herm
+from .problem import SdpProblem, _constraint_matrix
 
 MAX_ITER = 50000
 FEAS_PSD_TOL = 1e-9
@@ -64,7 +64,7 @@ def solve_dykstra(problem: SdpProblem, max_iter: int = MAX_ITER,
     def proj_psd(x, block, var):
         o = var_offsets[var.name]
         sl = slice(o, o + var.nparams)
-        mat = vec_to_herm_many(x[sl][None, :], var.side)[0]
+        mat = vec_to_herm(x[sl], var.side)
         if block.kind == "ptranspose":
             mat = ptranspose_array(mat, var.factors, block.factor)
         w, v = np.linalg.eigh(mat)
@@ -72,14 +72,14 @@ def solve_dykstra(problem: SdpProblem, max_iter: int = MAX_ITER,
         if block.kind == "ptranspose":
             mat = ptranspose_array(mat, var.factors, block.factor)
         out = x.copy()
-        out[sl] = herm_to_vec_many(mat[None, :, :])[0]
+        out[sl] = herm_to_vec(mat)
         return out
 
     def violation_of(x):
         worst = 0.0
         for block, var in psd_sets:
             o = var_offsets[var.name]
-            mat = vec_to_herm_many(x[o : o + var.nparams][None, :], var.side)[0]
+            mat = vec_to_herm(x[o : o + var.nparams], var.side)
             if block.kind == "ptranspose":
                 mat = ptranspose_array(mat, var.factors, block.factor)
             worst = max(worst, -float(np.linalg.eigvalsh(mat).min()))

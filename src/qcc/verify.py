@@ -12,8 +12,9 @@ import numpy as np
 
 from . import analytic, channels, jordan, reference, sdp
 from .linalg import ptrace_array, ptranspose_array
+from .rand import random_channel, random_density
 from .sdp.decide import decide
-from .witness import no_broadcast_witness, verify_witness
+from .witness import adjoint_sum, no_broadcast_witness, verify_witness
 
 Check = tuple[str, bool, str]
 
@@ -168,8 +169,6 @@ def run_checks(fast: bool = False) -> list[Check]:
     out.append(("the two printed inverse formulas agree at p=0", dev <= 1e-12, f"dev {dev:.2e}"))
 
     rng = np.random.default_rng(20240901)
-    from .rand import random_channel, random_density
-
     psi = random_channel(rng, 2)
     rho = random_density(rng, 2)
     cchan = channels.constant_channel(rho, 2)
@@ -195,8 +194,6 @@ def run_checks(fast: bool = False) -> list[Check]:
 
 
 def _nb_adjoint_sum(w, d):
-    from .witness import adjoint_sum
-
     return adjoint_sum(w.z1.array, w.z2.array, (d, d, d))
 
 

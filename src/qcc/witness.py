@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channels import Channel, apply_to_factor
+from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json, apply_to_factor
 from .linalg import HermitianMatrix, TensorShape, embed_identity_array, ptranspose_array
 
 PSD_TOL = 1e-9
@@ -120,11 +120,7 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel,
     rhs = adjoint_sum_jordan(w.w1.array, w.w2.array, d)
     constraint_residual = float(np.linalg.norm(lhs - rhs))
     rho_min = float(np.linalg.eigvalsh(w.rho.array).min())
-    jid = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            jid[i * d + i, k * d + k] = 1.0
-    margin = _hs(w.w1.array + w.w2.array, jid)
+    margin = _hs(w.w1.array + w.w2.array, _choi_identity(d))
     valid = bool(
         constraint_residual <= constraint_tol
         and rho_min >= -psd_tol
@@ -150,11 +146,7 @@ def no_broadcast_witness(d: int) -> Witness:
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    jid = np.zeros((d * d, d * d))
-    for i in range(d):
-        for k in range(d):
-            jid[i * d + i, k * d + k] = 1.0
-    z = np.eye(d * d) - (2.0 / (d + 1)) * jid
+    z = np.eye(d * d) - (2.0 / (d + 1)) * _choi_identity(d)
     shape = TensorShape((d, d))
     return Witness(HermitianMatrix(z, shape), HermitianMatrix(z, shape), mode="plain")
 
@@ -162,17 +154,6 @@ def no_broadcast_witness(d: int) -> Witness:
 # ---------------------------------------------------------------------------
 # certificate JSON (shared matrix encoding with the channel format)
 # ---------------------------------------------------------------------------
-
-
-def _matrix_to_json(arr: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(arr, dtype=complex)]
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    arr = np.array([[complex(re, im) for re, im in row] for row in data])
-    if np.abs(arr - arr.conj().T).max() > 1e-10:
-        raise ValueError("certificate matrix is not Hermitian within 1e-10")
-    return arr
 
 
 def certificate_to_json(w: Union[Witness, JordanWitness], margin: Optional[float] = None) -> dict:

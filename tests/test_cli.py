@@ -1,12 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from qcc import reference
 from qcc.analytic import xi_self_threshold
 from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
 from qcc.cli import main
+from qcc.rand import random_channel
 
 
 @pytest.fixture
@@ -71,6 +73,12 @@ class TestCheck:
         other.write_text(json.dumps(channel_to_json(identity_channel(3))))
         assert main(["check", identity_file, str(other)]) == 65
 
+    def test_size_cap_exit_66(self, tmp_path):
+        # compat of two 7 -> 7 channels has side 343, above the interior-point cap
+        p = tmp_path / "id7.json"
+        p.write_text(json.dumps(channel_to_json(identity_channel(7))))
+        assert main(["check", str(p), str(p)]) == 66
+
 
 class TestSelfCompat:
     def test_dephasing_k4(self, tmp_path):
@@ -87,6 +95,12 @@ class TestSelfCompat:
         p = tmp_path / "o.json"
         p.write_text(json.dumps(channel_to_json(partial_depolarizing_channel(0.5, 2))))
         assert main(["self-compat", str(p), "--k", "2"]) == 0
+
+    def test_size_cap_exit_66(self, tmp_path):
+        # a total variable side of 4 * 4**4 = 1024 is above the interior-point cap
+        p = tmp_path / "c4.json"
+        p.write_text(json.dumps(channel_to_json(random_channel(np.random.default_rng(0), 4, 4))))
+        assert main(["self-compat", str(p), "--k", "4"]) == 66
 
 
 def read_sections(path):

@@ -3,6 +3,7 @@ import pytest
 
 from qcc import reference, sdp
 from qcc.channels import (
+    Channel,
     Povm,
     constant_channel,
     dephasing_channel,
@@ -16,8 +17,8 @@ from qcc.channels import (
 from qcc.jordan import a_jp, gen_jordan, jordan_matrix
 from qcc.linalg import HermitianMatrix, TensorShape, embed_identity_array, ptrace_array
 from qcc.rand import random_channel, random_density, random_invertible_channel
-from qcc.sdp.decide import decide
-from qcc.witness import verify_jordan_witness, verify_witness
+from qcc.sdp.decide import _split_adjoint_pair, decide
+from qcc.witness import adjoint_sum, verify_jordan_witness, verify_witness
 
 from conftest import random_hermitian
 
@@ -263,6 +264,44 @@ class TestDecide:
         dec = decide(ident, ident, "jordan")
         assert dec.verdict == "Incompatible"
         assert verify_jordan_witness(dec.witness, ident, ident).valid
+
+    def test_split_reproduces_adjoint_sum_and_margin(self, rng):
+        # every factor a different size, so a swapped factor order fails
+        factors = (2, 3, 4)
+        z1 = random_hermitian(rng, 6)
+        z2 = random_hermitian(rng, 8)
+        f = random_channel(rng, 2, 3)
+        g = random_channel(rng, 2, 4)
+        big = adjoint_sum(z1, z2, factors)
+        s1, s2 = _split_adjoint_pair(big, factors)
+        assert np.abs(adjoint_sum(s1, s2, factors) - big).max() < 1e-12
+
+        def margin(a, b):
+            return (np.vdot(a, f.choi.array) + np.vdot(b, g.choi.array)).real
+
+        assert abs(margin(s1, s2) - margin(z1, z2)) < 1e-12
+
+    @pytest.mark.parametrize("mode, margin", [("compat", -0.0917517), ("ppt_compat", -0.5)])
+    def test_unequal_output_sizes(self, mode, margin):
+        v = np.zeros((3, 2))
+        v[0, 0] = v[1, 1] = 1.0
+        omega = v.T.reshape(-1)
+        iso = Channel.from_choi(np.outer(omega, omega), 2)
+        ident = identity_channel(2)
+        for f, g in ((ident, iso), (iso, ident)):
+            dec = decide(f, g, mode)
+            assert dec.verdict == "Incompatible"
+            assert abs(dec.witness_margin - margin) < 1e-6
+            report = verify_witness(dec.witness, f, g)
+            assert report.valid and abs(report.margin - dec.witness_margin) < 1e-12
+
+    def test_jordan_witness_qutrit_identity(self):
+        ident = identity_channel(3)
+        dec = decide(ident, ident, "jordan")
+        assert dec.verdict == "Incompatible"
+        assert abs(dec.witness_margin + 1 / 15) < 1e-6
+        report = verify_jordan_witness(dec.witness, ident, ident)
+        assert report.valid and abs(report.margin - dec.witness_margin) < 1e-12
 
 
 class TestConvexityProperties:
