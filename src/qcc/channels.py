@@ -318,7 +318,8 @@ def apply_to_factor(arr: np.ndarray, dims: Sequence[int], factor: int, rep: Line
                     adjoint: bool = False) -> tuple[np.ndarray, list[int]]:
     """Apply a map to one tensor factor of a dense matrix on a product space.
 
-    Returns the new matrix and the updated factor dimension list.
+    Leading axes of ``arr`` are batch axes.  Returns the new matrix (or
+    stack) and the updated factor dimension list.
     """
     dims = list(dims)
     n = len(dims)
@@ -329,17 +330,18 @@ def apply_to_factor(arr: np.ndarray, dims: Sequence[int], factor: int, rep: Line
     t = rep.transfer_tensor()
     if adjoint:
         t = t.conj().transpose(2, 3, 0, 1)
-    tens = arr.reshape(*dims, *dims)
+    batch = arr.shape[:-2]
+    tens = arr.reshape(*batch, *dims, *dims)
     # contract (row, col) indices of the chosen factor against T[m, n, y, w]
     src = list(range(2 * n))
     t_lbl = [factor, n + factor, 2 * n, 2 * n + 1]
     out_lbl = src.copy()
     out_lbl[factor] = 2 * n
     out_lbl[n + factor] = 2 * n + 1
-    res = np.einsum(tens, src, t, t_lbl, out_lbl)
+    res = np.einsum(tens, [Ellipsis] + src, t, t_lbl, [Ellipsis] + out_lbl)
     dims[factor] = d_to
     d_total = int(np.prod(dims))
-    return res.reshape(d_total, d_total), dims
+    return res.reshape(*batch, d_total, d_total), dims
 
 
 def validate(rep: LinearMapRep) -> ValidationReport:

@@ -166,55 +166,56 @@ def _first_flip(col_rows, feasible_index):
     return ""
 
 
+# family -> (grid-point worker, point columns, boundary columns).  The
+# worker is a module attribute looked up when the sweep runs, so a
+# replaced attribute takes effect.  Point columns are the two coordinates
+# and the worker's verdicts; each boundary column after the first holds
+# the first feasible step of one verdict column.
+_SWEEP_FAMILIES = {
+    "xi_self_k": ("_point_xi_self_k", ["p", "q", "verdict"], ["boundary_p", "boundary_q"]),
+    "xi_jordan_vs_self": ("_point_xi_jordan_vs_self", ["p", "q", "self", "jordan_std", "mp"],
+                          ["boundary_p", "q_self", "q_jordan_std", "q_mp"]),
+    "depol_pair": ("_point_depol_pair",
+                   ["q0", "q1", "verdict_compat", "verdict_jordan_std", "in_hull"],
+                   ["boundary_q0", "boundary_q1"]),
+}
+
+
 def cmd_sweep(args) -> int:
     n = args.grid
     if n < 2:
         print("error: grid must be at least 2", file=sys.stderr)
         return EXIT_PARSE
-    axis = [i / (n - 1) for i in range(n)]
-    rows = []
+    if args.family not in _SWEEP_FAMILIES:
+        print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
+        return EXIT_PARSE
+    worker, header, boundary_header = _SWEEP_FAMILIES[args.family]
+    params = ()
+    extra = []
     if args.family == "xi_self_k":
         k = args.k or 2
         if k < 2:
             print("error: k must be at least 2", file=sys.stderr)
             return EXIT_PARSE
-        solver = args.solver or ("ipm" if k <= 3 else "projection")
-        tasks = [(p, q, k, solver) for p in axis for q in axis]
-        verdicts = _run_grid(_point_xi_self_k, tasks, args.jobs)
-        header = ["p", "q", "verdict", "k"]
-        for (p, q, _k, _s), v in zip(tasks, verdicts):
-            rows.append([_fmt(p), _fmt(q), v, str(k)])
-        boundary_header = ["boundary_p", "boundary_q"]
-        boundaries = []
-        for i, p in enumerate(axis):
-            col = rows[i * n : (i + 1) * n]
-            boundaries.append([_fmt(p), _first_flip(col, 2)])
-    elif args.family == "xi_jordan_vs_self":
-        tasks = [(p, q) for p in axis for q in axis]
-        verdicts = _run_grid(_point_xi_jordan_vs_self, tasks, args.jobs)
-        header = ["p", "q", "self", "jordan_std", "mp"]
-        for (p, q), (sv, jv, mv) in zip(tasks, verdicts):
-            rows.append([_fmt(p), _fmt(q), sv, jv, mv])
-        boundary_header = ["boundary_p", "q_self", "q_jordan_std", "q_mp"]
-        boundaries = []
-        for i, p in enumerate(axis):
-            col = rows[i * n : (i + 1) * n]
-            boundaries.append([_fmt(p), _first_flip(col, 2), _first_flip(col, 3),
-                               _first_flip(col, 4)])
-    elif args.family == "depol_pair":
-        tasks = [(q0, q1) for q0 in axis for q1 in axis]
-        verdicts = _run_grid(_point_depol_pair, tasks, args.jobs)
-        header = ["q0", "q1", "verdict_compat", "verdict_jordan_std", "in_hull"]
-        for (q0, q1), (cv, jv, hv) in zip(tasks, verdicts):
-            rows.append([_fmt(q0), _fmt(q1), cv, jv, hv])
-        boundary_header = ["boundary_q0", "boundary_q1"]
-        boundaries = []
-        for i, q0 in enumerate(axis):
-            col = rows[i * n : (i + 1) * n]
-            boundaries.append([_fmt(q0), _first_flip(col, 2)])
-    else:
-        print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
-        return EXIT_PARSE
+        params = (k, args.solver or ("ipm" if k <= 3 else "projection"))
+        header = header + ["k"]
+        extra = [str(k)]
+    axis = [i / (n - 1) for i in range(n)]
+    tasks = [(a, b) + params for a in axis for b in axis]
+    try:
+        verdicts = _run_grid(globals()[worker], tasks, args.jobs)
+    except sdp.SizeCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_CAP
+    rows = []
+    for task, v in zip(tasks, verdicts):
+        cols = [v] if isinstance(v, str) else list(v)
+        rows.append([_fmt(task[0]), _fmt(task[1])] + cols + extra)
+    boundaries = []
+    for i, a in enumerate(axis):
+        col = rows[i * n : (i + 1) * n]
+        boundaries.append([_fmt(a)] + [_first_flip(col, j)
+                                       for j in range(2, 1 + len(boundary_header))])
 
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.set_defaults(func=cmd_self_compat)
 
     p_sweep = sub.add_parser("sweep", help="region sweep emitting CSV curve data")
-    p_sweep.add_argument("family", choices=["xi_self_k", "xi_jordan_vs_self", "depol_pair"])
+    p_sweep.add_argument("family", choices=list(_SWEEP_FAMILIES))
     p_sweep.add_argument("--grid", type=int, default=21)
     p_sweep.add_argument("--k", type=int)
     p_sweep.add_argument("--out", required=True)

@@ -148,7 +148,8 @@ def embed_identity_array(
     """Tensor ``arr`` (on the factors at ``positions``) with identities elsewhere.
 
     This is the adjoint of the partial trace over the complementary
-    factors, with the factor ordering of ``full_dims`` preserved.
+    factors, with the factor ordering of ``full_dims`` preserved.  Leading
+    axes of ``arr`` are batch axes.
     """
     full_dims = list(full_dims)
     positions = list(positions)
@@ -159,20 +160,22 @@ def embed_identity_array(
             raise ValueError("occupied factor dimension mismatch")
     n = len(full_dims)
     free = [i for i in range(n) if i not in positions]
-    tens = arr.reshape(*occ_dims, *occ_dims)
+    batch = arr.shape[:-2]
+    nb = len(batch)
+    tens = arr.reshape(*batch, *occ_dims, *occ_dims)
     for i in free:
         eye = np.eye(full_dims[i])
         tens = np.tensordot(tens, eye, axes=0)
-    # current order: occupied rows, occupied cols, then (row, col) per free factor
+    # current order: batch, occupied rows, occupied cols, then (row, col) per free factor
     k = len(positions)
-    row_axes = {p: i for i, p in enumerate(positions)}
-    col_axes = {p: k + i for i, p in enumerate(positions)}
+    row_axes = {p: nb + i for i, p in enumerate(positions)}
+    col_axes = {p: nb + k + i for i, p in enumerate(positions)}
     for i, f in enumerate(free):
-        row_axes[f] = 2 * k + 2 * i
-        col_axes[f] = 2 * k + 2 * i + 1
-    perm = [row_axes[i] for i in range(n)] + [col_axes[i] for i in range(n)]
+        row_axes[f] = nb + 2 * k + 2 * i
+        col_axes[f] = nb + 2 * k + 2 * i + 1
+    perm = list(range(nb)) + [row_axes[i] for i in range(n)] + [col_axes[i] for i in range(n)]
     d = int(np.prod(full_dims))
-    return np.ascontiguousarray(tens.transpose(perm)).reshape(d, d)
+    return np.ascontiguousarray(tens.transpose(perm)).reshape(*batch, d, d)
 
 
 def hermitian_basis(n: int) -> np.ndarray:

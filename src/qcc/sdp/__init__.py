@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..linalg import vec_to_herm
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -12,7 +11,7 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import SdpOutcome, SdpProblem, compile_ipm
+from .problem import SdpOutcome, SdpProblem, _unpack_vars, compile_ipm
 from .projection import solve_dykstra
 
 DECISION_TOL = 1e-7
@@ -69,7 +68,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
             return SdpOutcome("Inconclusive", res.pobj, residuals=residuals,
                               iterations=res.iterations, decision_tol=decision_tol,
                               note=note or "solver did not converge")
-        primal = comp.vars_of(comp.params_of(res.y))
+        primal = _unpack_vars(problem, comp.params_of(res.y))
         alpha = res.pobj
         if abs(alpha) < decision_tol:
             note = (note + "; " if note else "") + "optimum inside the decision band"
@@ -85,13 +84,8 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
                               iterations=res.iterations, decision_tol=decision_tol,
                               note="projection did not reach feasibility")
-        primal = {}
-        off = 0
-        for v in problem.variables:
-            primal[v.name] = vec_to_herm(res.params[off : off + v.nparams], v.side)
-            off += v.nparams
-        return SdpOutcome("Feasible", 0.0, primal=primal, residuals=residuals,
-                          iterations=res.iterations, decision_tol=decision_tol,
+        return SdpOutcome("Feasible", 0.0, primal=_unpack_vars(problem, res.params),
+                          residuals=residuals, iterations=res.iterations, decision_tol=decision_tol,
                           note="projection mode: feasibility only")
 
     raise ValueError(f"unknown mode {mode!r}")

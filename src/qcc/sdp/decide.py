@@ -68,57 +68,56 @@ def _split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[n
     return z1, z2
 
 
-def _marginal_dev(x: np.ndarray, factors, j1: np.ndarray, j2: np.ndarray) -> float:
-    m1 = ptrace_array(x, factors, [2])
-    m2 = ptrace_array(x, factors, [1])
-    return max(np.abs(m1 - j1).max(), np.abs(m2 - j2).max())
+def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) -> Decision:
+    """Compatible when the solver's X has the two Choi marginals and is PSD
+    (and, with ``ppt``, PSD under the partial transpose on X)."""
+    x = out.primal["X"]
+    factors = (f.d_in, f.d_out, g.d_out)
+    dev = max(np.abs(ptrace_array(x, factors, [2]) - f.choi.array).max(),
+              np.abs(ptrace_array(x, factors, [1]) - g.choi.array).max())
+    min_eig = np.linalg.eigvalsh(x).min()
+    if ppt:
+        min_eig = min(min_eig, np.linalg.eigvalsh(ptranspose_array(x, factors, 0)).min())
+    if dev <= CERT_TOL and min_eig >= -CERT_TOL:
+        cert = HermitianMatrix(x, TensorShape(factors))
+        return Decision("Compatible", out.value, compatibilizer=cert, outcome=out,
+                        diagnostics={"marginal_dev": dev, "min_eig": float(min_eig)})
+    note = "primal certificate failed validation" + ("" if ppt else f" (dev {dev:.2e})")
+    return Decision("Inconclusive", out.value, outcome=out, note=note)
 
 
-def _extract_witness(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Optional[tuple]:
-    """Build a (Z1, Z2) witness from the solver dual, with a PSD clean-up shift."""
-    if not out.dual:
-        return None
-    dx, d1, d2 = f.d_in, f.d_out, g.d_out
-    zbig = out.dual[0]
-    z1, z2 = _split_adjoint_pair(zbig, (dx, d1, d2))
-    min_eig = np.linalg.eigvalsh(adjoint_sum(z1, z2, (dx, d1, d2))).min()
-    if min_eig < 0:
-        # shifting both parts by eps I moves the adjoint sum by 2 eps I and
-        # costs only 2 eps d_x of margin
-        eps = 0.75 * (-min_eig) + 1e-15
-        z1 = z1 + eps * np.eye(dx * d1)
-        z2 = z2 + eps * np.eye(dx * d2)
-    w = Witness(
-        HermitianMatrix(z1, TensorShape((dx, d1))),
-        HermitianMatrix(z2, TensorShape((dx, d2))),
-        mode=mode,
-    )
-    report = verify_witness(w, f, g)
-    return w, report
+def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
+    """Incompatible with a (Z1, Z2) witness split from the solver dual and
+    re-verified, or Inconclusive when the witness fails verification."""
+    if out.dual:
+        dx, d1, d2 = f.d_in, f.d_out, g.d_out
+        z1, z2 = _split_adjoint_pair(out.dual[0], (dx, d1, d2))
+        min_eig = np.linalg.eigvalsh(adjoint_sum(z1, z2, (dx, d1, d2))).min()
+        if min_eig < 0:
+            # shifting both parts by eps I moves the adjoint sum by 2 eps I and
+            # costs only 2 eps d_x of margin
+            eps = 0.75 * (-min_eig) + 1e-15
+            z1 = z1 + eps * np.eye(dx * d1)
+            z2 = z2 + eps * np.eye(dx * d2)
+        w = Witness(
+            HermitianMatrix(z1, TensorShape((dx, d1))),
+            HermitianMatrix(z2, TensorShape((dx, d2))),
+            mode=mode,
+        )
+        report = verify_witness(w, f, g)
+        if report.valid:
+            return Decision("Incompatible", out.value, witness=w,
+                            witness_margin=report.margin, outcome=out)
+    return Decision("Inconclusive", out.value, outcome=out,
+                    note="dual certificate failed verification")
 
 
 def _decide_compat(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> Decision:
     out = solve(build_compat(f, g), decision_tol=decision_tol, **solve_opts)
-    factors = (f.d_in, f.d_out, g.d_out)
     if out.status == "Feasible":
-        x = out.primal["X"]
-        dev = _marginal_dev(x, factors, f.choi.array, g.choi.array)
-        min_eig = np.linalg.eigvalsh(x).min()
-        if dev <= CERT_TOL and min_eig >= -CERT_TOL:
-            cert = HermitianMatrix(x, TensorShape(factors))
-            return Decision("Compatible", out.value, compatibilizer=cert, outcome=out,
-                            diagnostics={"marginal_dev": dev, "min_eig": float(min_eig)})
-        return Decision("Inconclusive", out.value, outcome=out,
-                        note=f"primal certificate failed validation (dev {dev:.2e})")
+        return _certify_compatibilizer(out, f, g, ppt=False)
     if out.status == "Infeasible":
-        got = _extract_witness(out, f, g, "plain")
-        if got is not None:
-            w, report = got
-            if report.valid:
-                return Decision("Incompatible", out.value, witness=w,
-                                witness_margin=report.margin, outcome=out)
-        return Decision("Inconclusive", out.value, outcome=out,
-                        note="dual certificate failed verification")
+        return _refute(out, f, g, "plain")
     return Decision("Inconclusive", out.value, outcome=out, note=out.note)
 
 
@@ -171,32 +170,13 @@ def _decide_ppt(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> De
     relax = two_marginal_problem(j1t, j2t, (dx, d1, d2), name="ppt_relaxation")
     out_a = solve(relax, decision_tol=decision_tol, **solve_opts)
     if out_a.status == "Infeasible":
-        got = _extract_witness(out_a, f, g, "ppt")
-        if got is not None:
-            w, report = got
-            if report.valid:
-                return Decision("Incompatible", out_a.value, witness=w,
-                                witness_margin=report.margin, outcome=out_a)
-        return Decision("Inconclusive", out_a.value, outcome=out_a,
-                        note="dual certificate failed verification")
+        return _refute(out_a, f, g, "ppt")
     if out_a.status != "Feasible":
         return Decision("Inconclusive", out_a.value, outcome=out_a, note=out_a.note)
 
     out_b = solve(build_compat(f, g, ppt=True), decision_tol=decision_tol, **solve_opts)
-    factors = (dx, d1, d2)
     if out_b.status == "Feasible":
-        x = out_b.primal["X"]
-        dev = _marginal_dev(x, factors, f.choi.array, g.choi.array)
-        min_eig = min(
-            np.linalg.eigvalsh(x).min(),
-            np.linalg.eigvalsh(ptranspose_array(x, factors, 0)).min(),
-        )
-        if dev <= CERT_TOL and min_eig >= -CERT_TOL:
-            cert = HermitianMatrix(x, TensorShape(factors))
-            return Decision("Compatible", out_b.value, compatibilizer=cert, outcome=out_b,
-                            diagnostics={"marginal_dev": dev, "min_eig": float(min_eig)})
-        return Decision("Inconclusive", out_b.value, outcome=out_b,
-                        note="primal certificate failed validation")
+        return _certify_compatibilizer(out_b, f, g, ppt=True)
     return Decision(
         "Inconclusive", out_b.value, outcome=out_b,
         note="transposed-marginal relaxation is feasible but no PPT compatibilizer "

@@ -8,9 +8,12 @@ Solves the inequality-form pair
 
 with an infeasible start, Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  Every matrix is dense complex Hermitian and y
-is real, so inner products are Re<A, B> = Re Tr(A^H B).  Sizes up to a
-few hundred are the design point, so the Schur complement is formed
-explicitly as a Gram matrix of scaled constraint blocks.
+is real, so inner products are Re<A, B> = Re Tr(A^H B); A and A^* act
+as real matrix products on (re, im) views of the constraint blocks.
+Sizes up to a few hundred are the design point, so the Schur complement
+is formed explicitly as a Gram matrix of scaled constraint blocks.  The
+NT factors of each iteration also give its step lengths, and every
+Cholesky factorization goes through one jittered helper.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def _chol_pd(x: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky((v * w) @ v.conj().T)
 
 
+def _chol_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs for a real Cholesky factor L."""
+    return np.linalg.solve(l.T, np.linalg.solve(l, rhs))
+
+
 def _nt_scaling(s: np.ndarray, z: np.ndarray):
     """Nesterov-Todd scaling point: returns (R, Rinv, lam) with
     R^H Z R = R^{-1} S R^{-H} = diag(lam) and W^{-1} = Rinv^H Rinv."""
@@ -82,15 +90,42 @@ def _nt_scaling(s: np.ndarray, z: np.ndarray):
     return r, rinv, sig
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha <= 1 with x + alpha dx still PSD (x assumed PD)."""
-    l = _chol_pd(x)
-    g = np.linalg.solve(l, dx)
-    g = np.linalg.solve(l, g.conj().T).conj().T
-    wmin = np.linalg.eigvalsh(_herm(g)).min()
+def _step_to_boundary(lam: np.ndarray, g: np.ndarray) -> float:
+    """Largest alpha <= 1 with diag(lam) + alpha g still PSD.
+
+    With S = R diag(lam) R^H and Z = R^{-H} diag(lam) R^{-1}, a step dS
+    keeps S PSD exactly when g = R^{-1} dS R^{-H} does here, and dZ keeps
+    Z PSD when g = R^H dZ R does, so the NT factors give both step
+    lengths without another factorization.
+    """
+    isq = 1.0 / np.sqrt(lam)
+    wmin = np.linalg.eigvalsh(_herm(g) * np.outer(isq, isq)).min()
     if wmin >= -1e-14:
         return 1.0
     return min(1.0, -1.0 / wmin)
+
+
+def _apply_a(y: np.ndarray, a_flat: list, sides: list) -> list:
+    """A(y) = sum_i y_i A_i, one block per entry."""
+    return [(y @ a).view(np.complex128).reshape(n, n) for a, n in zip(a_flat, sides)]
+
+
+def _apply_adj(blocks: list, a_flat: list) -> np.ndarray:
+    """A^*(Z) = (sum_l Re<A_{l,i}, Z_l>)_i."""
+    return sum(a @ _as_real(z).ravel() for a, z in zip(a_flat, blocks))
+
+
+def _residuals(y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale):
+    """Dual and primal residuals, gap and both objectives at one point."""
+    Rd = [c - ay - s for c, ay, s in zip(C_blocks, _apply_a(y, a_flat, sides), S)]
+    rp = b - _apply_adj(Z, a_flat)
+    gap = sum(_inner(z, s) for z, s in zip(Z, S))
+    pobj = float(b @ y)
+    dobj = float(sum(_inner(c, z) for c, z in zip(C_blocks, Z)))
+    res_d = max(np.abs(r).max() for r in Rd) / c_scale
+    res_p = np.abs(rp).max() / b_scale
+    rel_gap = max(abs(pobj - dobj), abs(gap)) / (1.0 + abs(pobj) + abs(dobj))
+    return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
 
 
 def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL) -> IpmResult:
@@ -113,27 +148,14 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
 
     # Gram factor of the constraint operator, used to restore dual
     # feasibility after each step
-    gram = np.zeros((m, m))
-    for l in range(nblocks):
-        gram += a_flat[l] @ a_flat[l].T
-    gram_chol = np.linalg.cholesky(gram + 1e-14 * np.trace(gram) / m * np.eye(m))
+    gram_chol = _chol_pd(sum(a @ a.T for a in a_flat))
 
     note = ""
     it = 0
     for it in range(1, max_iter + 1):
-        Rd = [C_blocks[l] - np.einsum("i,iab->ab", y, A_blocks[l]) - S[l] for l in range(nblocks)]
-        az = np.zeros(m)
-        for l in range(nblocks):
-            az += a_flat[l] @ _as_real(Z[l]).ravel()
-        rp = b - az
-        gap = sum(_inner(Z[l], S[l]) for l in range(nblocks))
+        Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
+            y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
         mu = gap / ntot
-        pobj = float(b @ y)
-        dobj = float(sum(_inner(C_blocks[l], Z[l]) for l in range(nblocks)))
-
-        res_d = max(np.abs(Rd[l]).max() for l in range(nblocks)) / c_scale
-        res_p = np.abs(rp).max() / b_scale
-        rel_gap = max(abs(pobj - dobj), abs(gap)) / (1.0 + abs(pobj) + abs(dobj))
         if res_d <= tol and res_p <= tol and rel_gap <= tol:
             return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True)
 
@@ -147,50 +169,37 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
             lams.append(lam)
             bf = _as_real(rinv @ A_blocks[l] @ rinv.conj().T).reshape(m, -1)
             schur += bf @ bf.T
-        schur_chol = None
-        jitter = 0.0
-        for _ in range(4):
-            try:
-                schur_chol = np.linalg.cholesky(schur + jitter * np.eye(m))
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(100.0 * jitter, 1e-14 * np.trace(schur) / m)
+        schur_chol = _chol_pd(schur)
 
         def solve_schur(rhs):
-            if schur_chol is None:
-                return np.linalg.lstsq(schur, rhs, rcond=None)[0]
-            u = np.linalg.solve(schur_chol, rhs)
-            x = np.linalg.solve(schur_chol.T, u)
+            x = _chol_solve(schur_chol, rhs)
             # one step of iterative refinement keeps the last digits of the
             # equality residual from stalling on ill-conditioned systems
-            r = rhs - schur @ x
-            u = np.linalg.solve(schur_chol, r)
-            return x + np.linalg.solve(schur_chol.T, u)
+            return x + _chol_solve(schur_chol, rhs - schur @ x)
 
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
         f_blocks = [rinvs[l].conj().T @ (rinvs[l] @ Rd[l] @ rinvs[l].conj().T) @ rinvs[l]
                     for l in range(nblocks)]
-        h1 = np.zeros(m)
-        for l in range(nblocks):
-            h1 += a_flat[l] @ _as_real(f_blocks[l]).ravel()
+        h1 = _apply_adj(f_blocks, a_flat)
 
         def direction(e_blocks):
-            rhs = rp + h1.copy()
+            """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
+            R^H dZ R, and the step lengths to the cone boundary."""
+            dy = solve_schur(rp + h1 - _apply_adj(e_blocks, a_flat))
+            dS = [rd - ady for rd, ady in zip(Rd, _apply_a(dy, a_flat, sides))]
+            dZ, gs, gz = [], [], []
             for l in range(nblocks):
-                rhs -= a_flat[l] @ _as_real(e_blocks[l]).ravel()
-            dy = solve_schur(rhs)
-            dS = [Rd[l] - np.einsum("i,iab->ab", dy, A_blocks[l]) for l in range(nblocks)]
-            dZ = []
-            for l in range(nblocks):
-                wds = rinvs[l].conj().T @ (rinvs[l] @ dS[l] @ rinvs[l].conj().T) @ rinvs[l]
-                dZ.append(_herm(e_blocks[l] - wds))
-            return dy, dS, dZ
+                rinv = rinvs[l]
+                g_s = rinv @ dS[l] @ rinv.conj().T
+                dZ.append(_herm(e_blocks[l] - rinv.conj().T @ g_s @ rinv))
+                gs.append(g_s)
+                gz.append(rs[l].conj().T @ dZ[l] @ rs[l])
+            alpha_s = min(_step_to_boundary(lam, g) for lam, g in zip(lams, gs))
+            alpha_z = min(_step_to_boundary(lam, g) for lam, g in zip(lams, gz))
+            return dy, dS, dZ, gs, gz, alpha_s, alpha_z
 
         # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
-        e_pred = [-Z[l] for l in range(nblocks)]
-        _dy_a, dS_a, dZ_a = direction(e_pred)
-        alpha_s = min(_max_step(S[l], dS_a[l]) for l in range(nblocks))
-        alpha_z = min(_max_step(Z[l], dZ_a[l]) for l in range(nblocks))
+        _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction([-z for z in Z])
         mu_aff = sum(
             _inner(Z[l] + alpha_z * dZ_a[l], S[l] + alpha_s * dS_a[l])
             for l in range(nblocks)
@@ -202,31 +211,22 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
         e_corr = []
         for l in range(nblocks):
             lam = lams[l]
-            rinv = rinvs[l]
-            r = rs[l]
-            dzt = r.conj().T @ dZ_a[l] @ r
-            dst = rinv @ dS_a[l] @ rinv.conj().T
-            h = _herm(dzt @ dst)
+            h = _herm(gz_a[l] @ gs_a[l])
             g = sigma * mu * np.eye(len(lam)) - np.diag(lam * lam) - h
             gamma = 2.0 * g / np.add.outer(lam, lam)
-            e_corr.append(rinv.conj().T @ _herm(gamma) @ rinv)
-        dy, dS, dZ = direction(e_corr)
+            e_corr.append(rinvs[l].conj().T @ _herm(gamma) @ rinvs[l])
+        dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(e_corr)
 
-        alpha_s = min(_max_step(S[l], dS[l]) for l in range(nblocks))
-        alpha_z = min(_max_step(Z[l], dZ[l]) for l in range(nblocks))
         if min(alpha_s, alpha_z) < 1e-8:
             # corrector overshoot at tiny mu; retry with a plain centering
             # direction before giving up
             e_cent = []
             for l in range(nblocks):
                 lam = lams[l]
-                rinv = rinvs[l]
                 gmat = 0.8 * mu * np.eye(len(lam)) - np.diag(lam * lam)
                 gamma = 2.0 * gmat / np.add.outer(lam, lam)
-                e_cent.append(rinv.conj().T @ _herm(gamma) @ rinv)
-            dy, dS, dZ = direction(e_cent)
-            alpha_s = min(_max_step(S[l], dS[l]) for l in range(nblocks))
-            alpha_z = min(_max_step(Z[l], dZ[l]) for l in range(nblocks))
+                e_cent.append(rinvs[l].conj().T @ _herm(gamma) @ rinvs[l])
+            dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(e_cent)
         frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
         step_s = min(1.0, frac * alpha_s)
         step_z = min(1.0, frac * alpha_z)
@@ -241,38 +241,22 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
         # never costs positive definiteness: the equalities are linear, so
         # near the optimum the minimum-norm corrections remove the roundoff
         # the scaled steps leave behind
-        azn = np.zeros(m)
-        for l in range(nblocks):
-            azn += a_flat[l] @ _as_real(Z[l]).ravel()
-        rpn = b - azn
+        rpn = b - _apply_adj(Z, a_flat)
         rp_max = np.abs(rpn).max()
         if 1e-13 * b_scale < rp_max < 1e-7 * b_scale:
-            u = np.linalg.solve(gram_chol, rpn)
-            w = np.linalg.solve(gram_chol.T, u)
-            cand = [_herm(Z[l] + np.einsum("i,iab->ab", w, A_blocks[l])) for l in range(nblocks)]
+            w = _chol_solve(gram_chol, rpn)
+            cand = [_herm(z + aw) for z, aw in zip(Z, _apply_a(w, a_flat, sides))]
             if all(np.linalg.eigvalsh(c).min() > 0 for c in cand):
                 Z = cand
-        rd_max = max(
-            np.abs(C_blocks[l] - np.einsum("i,iab->ab", y, A_blocks[l]) - S[l]).max()
-            for l in range(nblocks)
-        )
+        slack = [c - ay for c, ay in zip(C_blocks, _apply_a(y, a_flat, sides))]
+        rd_max = max(np.abs(sl - s).max() for sl, s in zip(slack, S))
         if 1e-14 * c_scale < rd_max < 1e-7 * c_scale:
-            cand = [_herm(C_blocks[l] - np.einsum("i,iab->ab", y, A_blocks[l]))
-                    for l in range(nblocks)]
+            cand = [_herm(sl) for sl in slack]
             if all(np.linalg.eigvalsh(c).min() > 0 for c in cand):
                 S = cand
 
-    Rd = [C_blocks[l] - np.einsum("i,iab->ab", y, A_blocks[l]) - S[l] for l in range(nblocks)]
-    az = np.zeros(m)
-    for l in range(nblocks):
-        az += a_flat[l] @ _as_real(Z[l]).ravel()
-    rp = b - az
-    gap = sum(_inner(Z[l], S[l]) for l in range(nblocks))
-    pobj = float(b @ y)
-    dobj = float(sum(_inner(C_blocks[l], Z[l]) for l in range(nblocks)))
-    res_d = max(np.abs(Rd[l]).max() for l in range(nblocks)) / c_scale
-    res_p = np.abs(rp).max() / b_scale
-    rel_gap = max(abs(pobj - dobj), abs(gap)) / (1.0 + abs(pobj) + abs(dobj))
+    _Rd, _rp, _gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
+        y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
     converged = res_d <= tol and res_p <= tol and rel_gap <= tol
     if not converged and not note:
         note = "iteration cap exceeded"

@@ -7,24 +7,32 @@ objective is always "maximize t" with t subtracted from every block, so
 the underlying hard feasibility question reads off the sign of the
 optimum.
 
-Compilation for the interior-point solver eliminates the equality
-constraints exactly: a pivoted orthogonal factorization of the
-vectorized constraint matrix yields a particular solution plus an
-orthonormal null-space basis, and the PSD blocks become affine in the
-remaining free coordinates.  The blocks stay complex Hermitian; the free
-coordinates are real.
+The vectorized constraint matrix is built from the adjoints: the rows
+of a partial-trace term are the identity embeddings of the constraint
+space's Hermitian basis, so no variable basis is ever traced.  One SVD
+of it (``_eliminate``) yields a particular solution, an orthonormal
+basis of the constraint rows (which the projection solver uses) and one
+of the free directions.  Compilation for the interior-point solver
+makes the PSD blocks affine in the free coordinates, reparametrized so
+that their block images are orthonormal.  The blocks stay complex
+Hermitian; the free coordinates are real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from ..channels import LinearMapRep
-from ..linalg import herm_to_vec, hermitian_basis, ptrace_array, ptranspose_array, vec_to_herm
+from ..channels import LinearMapRep, apply_to_factor
+from ..linalg import (
+    embed_identity_array,
+    herm_to_vec,
+    hermitian_basis,
+    ptranspose_array,
+    vec_to_herm,
+)
 
 CONSTRAINT_RANK_TOL = 1e-10
 
@@ -111,37 +119,8 @@ class SdpOutcome:
 
 
 # ---------------------------------------------------------------------------
-# vectorization helpers
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _cached_basis(n: int) -> np.ndarray:
-    b = hermitian_basis(n)
-    b.setflags(write=False)
-    return b
-
-
-# ---------------------------------------------------------------------------
 # structured operator application (batched over a stack of matrices)
 # ---------------------------------------------------------------------------
-
-
-def _apply_map_many(arrs: np.ndarray, dims, factor: int, rep: LinearMapRep) -> tuple[np.ndarray, list]:
-    big = arrs.shape[0]
-    dims = list(dims)
-    n = len(dims)
-    t = rep.transfer_tensor()
-    tens = arrs.reshape(big, *dims, *dims)
-    src = [2 * n] + list(range(2 * n))
-    t_lbl = [factor, n + factor, 2 * n + 1, 2 * n + 2]
-    out_lbl = src.copy()
-    out_lbl[1 + factor] = 2 * n + 1
-    out_lbl[1 + n + factor] = 2 * n + 2
-    res = np.einsum(tens, src, t, t_lbl, out_lbl)
-    dims[factor] = rep.d_out
-    d_total = int(np.prod(dims))
-    return res.reshape(big, d_total, d_total), dims
 
 
 def block_image_many(block: Block, var: VariableSpec, arrs: np.ndarray) -> np.ndarray:
@@ -155,19 +134,9 @@ def block_image_many(block: Block, var: VariableSpec, arrs: np.ndarray) -> np.nd
         out = arrs
         for pos, rep in enumerate(block.maps):
             if rep is not None:
-                out, dims = _apply_map_many(out, dims, pos, rep)
+                out, dims = apply_to_factor(out, dims, pos, rep)
         return out
     raise ValueError(f"unknown block kind {block.kind!r}")
-
-
-def block_side(block: Block, var: VariableSpec) -> int:
-    if block.kind == "map_image":
-        side = 1
-        for pos, d in enumerate(var.factors):
-            rep = block.maps[pos]
-            side *= d if rep is None else rep.d_out
-        return side
-    return var.side
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +147,11 @@ def block_side(block: Block, var: VariableSpec) -> int:
 @dataclass
 class CompiledSdp:
     problem: SdpProblem
-    var_offsets: dict
     x0: np.ndarray
-    nullbasis: np.ndarray  # (P, m - 1) orthonormal free directions
+    nullbasis: np.ndarray  # (P, m - 1) free directions with orthonormal block images
     b: np.ndarray  # objective: the trailing coordinate is t
     C_blocks: list
     A_blocks: list  # per block: (m, n, n) complex Hermitian, trailing slot is the t column
-    block_sides: list
     removed_redundant: int
     dropped_directions: int
 
@@ -195,136 +162,130 @@ class CompiledSdp:
     def params_of(self, y: np.ndarray) -> np.ndarray:
         return self.x0 + self.nullbasis @ y[:-1]
 
-    def vars_of(self, params: np.ndarray) -> dict:
-        out = {}
-        for v in self.problem.variables:
-            off, n = self.var_offsets[v.name], v.side
-            out[v.name] = vec_to_herm(params[off : off + n * n], n)
-        return out
+
+def _var_offsets(problem: SdpProblem) -> dict:
+    """Where each variable's coordinates start in the stacked parameter vector."""
+    offsets = {}
+    off = 0
+    for v in problem.variables:
+        offsets[v.name] = off
+        off += v.nparams
+    return offsets
 
 
-def _basis_chunks(n: int, chunk: int = 512):
-    """Yield (start, stack) pieces of the Hermitian basis, bounded memory."""
-    total = n * n
-    if total <= chunk:
-        yield 0, _cached_basis(n)
-        return
-    eye = np.eye(total)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        yield start, vec_to_herm(eye[start:stop], n)
+def _unpack_vars(problem: SdpProblem, params: np.ndarray) -> dict:
+    """The Hermitian variables behind a stacked parameter vector."""
+    return {
+        v.name: vec_to_herm(params[off : off + v.nparams], v.side)
+        for v, off in zip(problem.variables, _var_offsets(problem).values())
+    }
 
 
-def _constraint_matrix(problem: SdpProblem, var_offsets: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized equality constraints: K params = b."""
+def _constraint_matrix(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized equality constraints: K params = b.
+
+    Row j of a term's part of K holds the coordinates of the term's
+    adjoint applied to the j-th Hermitian basis element E_j of the
+    constraint space; the adjoint of a partial trace embeds E_j with
+    identities on the traced factors.
+    """
+    var_offsets = _var_offsets(problem)
     p_total = problem.total_params
     rows = []
     rhs_parts = []
     for con in problem.constraints:
         r_side = con.rhs.shape[0]
-        r_params = r_side * r_side
-        kmat = np.zeros((r_params, p_total))
+        basis = hermitian_basis(r_side)
+        kmat = np.zeros((r_side * r_side, p_total))
         for term in con.terms:
             var = problem.variable(term.var)
             off = var_offsets[term.var]
-            for start, stack in _basis_chunks(var.side):
-                imgs = ptrace_array(stack, var.factors, term.traced) if term.traced else stack
-                if imgs.shape[-1] != r_side:
-                    raise ValueError(
-                        f"constraint term on {term.var} produces side {imgs.shape[-1]}, "
-                        f"rhs has side {r_side}"
-                    )
-                kmat[:, off + start : off + start + stack.shape[0]] += herm_to_vec(imgs).T
+            kept = [i for i in range(len(var.factors)) if i not in term.traced]
+            kept_dims = [var.factors[i] for i in kept]
+            side = int(np.prod(kept_dims))
+            if side != r_side:
+                raise ValueError(
+                    f"constraint term on {term.var} produces side {side}, "
+                    f"rhs has side {r_side}"
+                )
+            adj = embed_identity_array(basis, kept_dims, var.factors, kept)
+            kmat[:, off : off + var.nparams] += herm_to_vec(adj)
         rows.append(kmat)
         rhs_parts.append(herm_to_vec(con.rhs))
     return np.vstack(rows), np.concatenate(rhs_parts)
 
 
-def compile_ipm(problem: SdpProblem) -> CompiledSdp:
-    """Dense complex Hermitian form for the interior-point solver."""
-    var_offsets = {}
-    off = 0
-    for v in problem.variables:
-        var_offsets[v.name] = off
-        off += v.nparams
+def _eliminate(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Solve the equality constraints once, for both solvers.
 
-    kmat, bvec = _constraint_matrix(problem, var_offsets)
+    One SVD of the vectorized constraint matrix gives the minimum-norm
+    particular solution x0 and the right singular vectors vh: vh[:rank]
+    is an orthonormal basis of the constraint rows and vh[rank:] one of
+    the free directions.  Returns (x0, vh, rank, removed), ``removed``
+    counting redundant rows; inconsistent right-hand sides raise.
+    """
+    kmat, bvec = _constraint_matrix(problem)
     u, s, vh = np.linalg.svd(kmat, full_matrices=True)
     rank = int(np.sum(s > CONSTRAINT_RANK_TOL * (s[0] if s.size else 1.0)))
-    removed = kmat.shape[0] - rank
-    # particular solution via the pseudo-inverse; reject inconsistent rhs
     x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
     resid = np.abs(kmat @ x0 - bvec).max() if bvec.size else 0.0
     scale = max(1.0, np.abs(bvec).max() if bvec.size else 1.0)
     if resid > 1e-9 * scale:
         raise ValueError(f"equality constraints are inconsistent (residual {resid:.3e})")
-    nullb = vh[rank:].T  # (P, m0) orthonormal
+    return x0, vh, rank, kmat.shape[0] - rank
 
+
+def compile_ipm(problem: SdpProblem) -> CompiledSdp:
+    """Dense complex Hermitian form for the interior-point solver."""
+    var_offsets = _var_offsets(problem)
+    x0, vh, rank, removed = _eliminate(problem)
+    nullb = vh[rank:].T  # (P, m0) orthonormal
     m0 = nullb.shape[1]
+
     # complex block images of the particular solution and the free directions
     img_consts = []
     img_dirs = []
-    sides = []
     for block in problem.blocks:
         var = problem.variable(block.var)
         o = var_offsets[block.var]
         sl = slice(o, o + var.nparams)
-        const_mat = vec_to_herm(x0[sl][None, :], var.side)
-        img_consts.append(block_image_many(block, var, const_mat)[0])
-        dir_mats = vec_to_herm(nullb[sl].T, var.side) if m0 else np.zeros(
-            (0, var.side, var.side), dtype=np.complex128
-        )
-        img_dirs.append(block_image_many(block, var, dir_mats))
-        sides.append(block_side(block, var))
+        img_consts.append(block_image_many(block, var, vec_to_herm(x0[sl], var.side)))
+        img_dirs.append(block_image_many(block, var, vec_to_herm(nullb[sl].T, var.side)))
 
     # reparametrize the free directions so their stacked block images are
     # orthonormal: this drops directions no block sees (maps with kernels
     # create them) and leaves the constraint operator perfectly
     # conditioned, which is what lets the solver reach 1e-9 residuals
-    dropped = 0
-    if m0:
-        stacked = np.hstack([herm_to_vec(imgs) if imgs.size else
-                             np.zeros((m0, 0)) for imgs in img_dirs])
-        _u2, s2, vh2 = np.linalg.svd(stacked.T, full_matrices=False)
-        # the threshold must see the block operator's own scale, or pure
-        # kernel noise (maps annihilating the whole free space) survives
-        # and gets amplified by the normalization below
-        scale = max(
-            float(s2[0]) if s2.size else 0.0,
-            max((np.linalg.norm(c) for c in img_consts), default=0.0),
-            1e-300,
-        )
-        rank2 = int(np.sum(s2 > CONSTRAINT_RANK_TOL * scale))
-        dropped = m0 - rank2
-        w = vh2[:rank2].T / s2[:rank2][None, :]
-        nullb = nullb @ w
-        img_dirs = [np.einsum("jab,jk->kab", imgs, w) if imgs.size else
-                    imgs[:rank2] for imgs in img_dirs]
-        m0 = rank2
+    stacked = np.hstack([herm_to_vec(imgs) for imgs in img_dirs])
+    u2, s2, vh2 = np.linalg.svd(stacked.T, full_matrices=False)
+    # the threshold must see the block operator's own scale, or pure
+    # kernel noise (maps annihilating the whole free space) survives
+    # and gets amplified by the normalization below
+    scale = max(
+        float(s2[0]) if s2.size else 0.0,
+        max((np.linalg.norm(c) for c in img_consts), default=0.0),
+        1e-300,
+    )
+    rank2 = int(np.sum(s2 > CONSTRAINT_RANK_TOL * scale))
+    nullb = nullb @ (vh2[:rank2].T / s2[:rank2][None, :])
+    # the new directions' stacked images are the left singular vectors
+    sides = [c.shape[0] for c in img_consts]
+    cuts = np.cumsum([n * n for n in sides])[:-1]
+    parts = np.split(u2[:, :rank2].T, cuts, axis=1)
+    img_dirs = [vec_to_herm(part, n) for part, n in zip(parts, sides)]
 
-    m = m0 + 1
+    m = rank2 + 1
     b = np.zeros(m)
     b[-1] = 1.0  # maximize t
-
-    c_blocks = []
-    a_blocks = []
-    for const, dirs, side in zip(img_consts, img_dirs, sides):
-        c_blocks.append(const)
-        a = np.empty((m, side, side), dtype=np.complex128)
-        if m0:
-            a[:-1] = -dirs
-        a[-1] = np.eye(side)
-        a_blocks.append(a)
+    a_blocks = [np.concatenate([-dirs, np.eye(n)[None]]) for dirs, n in zip(img_dirs, sides)]
 
     return CompiledSdp(
         problem=problem,
-        var_offsets=var_offsets,
         x0=x0,
         nullbasis=nullb,
         b=b,
-        C_blocks=c_blocks,
+        C_blocks=img_consts,
         A_blocks=a_blocks,
-        block_sides=sides,
         removed_redundant=removed,
-        dropped_directions=dropped,
+        dropped_directions=m0 - rank2,
     )

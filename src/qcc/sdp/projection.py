@@ -1,13 +1,14 @@
 """Dykstra alternating projections for pure feasibility questions.
 
-Alternates between the affine set of the equality constraints (an
-orthonormalized dense constraint matrix, applied as two matvecs) and the
-PSD cone of each block.  Memory-light compared to the interior-point
-path, which is what makes the larger extension problems tractable, but
-it forfeits dual certificates: the outcome is Feasible with a verified
-point, or Inconclusive.  A stalled violation (typical of infeasible
-instances, where the iterates approach the positive gap between the two
-sets) exits early.
+Alternates between the affine set of the equality constraints and the
+PSD cone of each block.  The affine projection applies the orthonormal
+constraint-row basis from the elimination the interior-point compile
+also runs (``problem._eliminate``) as two matvecs.  There is no
+reparametrized block tensor, which is what makes the larger extension
+problems tractable, but the method forfeits dual certificates: the
+outcome is Feasible with a verified point, or Inconclusive.  A stalled
+violation (typical of infeasible instances, where the iterates approach
+the positive gap between the two sets) exits early.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg import herm_to_vec, ptranspose_array, vec_to_herm
-from .problem import SdpProblem, _constraint_matrix
+from .problem import SdpProblem, _eliminate, _var_offsets
 
 MAX_ITER = 50000
 FEAS_PSD_TOL = 1e-9
@@ -40,20 +41,9 @@ def solve_dykstra(problem: SdpProblem, max_iter: int = MAX_ITER,
         if block.kind not in ("identity", "ptranspose"):
             raise ValueError("projection mode supports PSD blocks on the variables only")
 
-    var_offsets = {}
-    off = 0
-    for v in problem.variables:
-        var_offsets[v.name] = off
-        off += v.nparams
-
-    kmat, bvec = _constraint_matrix(problem, var_offsets)
-    u, s, vh = np.linalg.svd(kmat, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
+    var_offsets = _var_offsets(problem)
+    x0, vh, rank, _removed = _eliminate(problem)
     rows = vh[:rank]  # orthonormal row-space basis, (r, P)
-    x0 = rows.T @ ((u[:, :rank].T @ bvec) / s[:rank])
-    resid = np.abs(kmat @ x0 - bvec).max() if bvec.size else 0.0
-    if resid > 1e-9 * max(1.0, np.abs(bvec).max() if bvec.size else 1.0):
-        raise ValueError(f"equality constraints are inconsistent (residual {resid:.3e})")
     c_rows = rows @ x0
 
     def proj_affine(x):

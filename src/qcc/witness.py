@@ -117,7 +117,7 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel,
     dims = (d, f.d_out, g.d_out)
     lhs, cur = apply_to_factor(w.rho.array, dims, 1, f.rep, adjoint=True)
     lhs, _ = apply_to_factor(lhs, cur, 2, g.rep, adjoint=True)
-    rhs = adjoint_sum_jordan(w.w1.array, w.w2.array, d)
+    rhs = adjoint_sum(w.w1.array, w.w2.array, (d, d, d))
     constraint_residual = float(np.linalg.norm(lhs - rhs))
     rho_min = float(np.linalg.eigvalsh(w.rho.array).min())
     margin = _hs(w.w1.array + w.w2.array, _choi_identity(d))
@@ -127,14 +127,6 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel,
         and margin <= -pairing_tol
     )
     return WitnessReport(valid, margin, rho_min, constraint_residual)
-
-
-def adjoint_sum_jordan(w1: np.ndarray, w2: np.ndarray, d: int) -> np.ndarray:
-    """Tr*_{X2}(W1) + Tr*_{X1}(W2) on X (x) X1 (x) X2 (all factors of size d)."""
-    factors = (d, d, d)
-    big1 = embed_identity_array(w1, (d, d), factors, (0, 1))
-    big2 = embed_identity_array(w2, (d, d), factors, (0, 2))
-    return big1 + big2
 
 
 def no_broadcast_witness(d: int) -> Witness:

@@ -160,6 +160,15 @@ class TestSweep:
         main(["sweep", "depol_pair", "--grid", "4", "--out", out2, "--jobs", "2"])
         assert open(out1).read() == open(out2).read()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_size_cap_exit_66(self, tmp_path, capsys, jobs):
+        # k = 8 has a total variable side of 2 * 2**8 = 512, above the interior-point cap
+        out = str(tmp_path / "cap.csv")
+        argv = ["sweep", "xi_self_k", "--grid", "2", "--k", "8", "--solver", "ipm",
+                "--jobs", jobs, "--out", out]
+        assert main(argv) == 66
+        assert "cap" in capsys.readouterr().err
+
 
 def test_verify_paper_command(capsys):
     assert main(["verify-paper"]) == 0

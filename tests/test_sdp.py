@@ -15,9 +15,25 @@ from qcc.channels import (
     xi_channel,
 )
 from qcc.jordan import a_jp, gen_jordan, jordan_matrix
-from qcc.linalg import HermitianMatrix, TensorShape, embed_identity_array, ptrace_array
+from qcc.linalg import (
+    HermitianMatrix,
+    TensorShape,
+    embed_identity_array,
+    herm_to_vec,
+    hermitian_basis,
+    ptrace_array,
+)
 from qcc.rand import random_channel, random_density, random_invertible_channel
 from qcc.sdp.decide import _split_adjoint_pair, decide
+from qcc.sdp.problem import (
+    Block,
+    Constraint,
+    ConstraintTerm,
+    SdpProblem,
+    VariableSpec,
+    _constraint_matrix,
+    _var_offsets,
+)
 from qcc.witness import adjoint_sum, verify_jordan_witness, verify_witness
 
 from conftest import random_hermitian
@@ -77,6 +93,64 @@ class TestSolveCompat:
         f = depolarizing_channel(2)
         out = sdp.solve(sdp.build_compat(f, f))
         assert out.residuals["removed_redundant_rows"] == 4
+
+
+def brute_force_constraint_matrix(problem):
+    """K column by column: every variable basis element through every
+    term's partial trace, in the coordinates of the constraint space."""
+    offsets = _var_offsets(problem)
+    rows = []
+    for con in problem.constraints:
+        r_side = con.rhs.shape[0]
+        kmat = np.zeros((r_side * r_side, problem.total_params))
+        for term in con.terms:
+            var = problem.variable(term.var)
+            imgs = ptrace_array(hermitian_basis(var.side), var.factors, term.traced)
+            off = offsets[term.var]
+            kmat[:, off : off + var.nparams] += herm_to_vec(imgs).T
+        rows.append(kmat)
+    return np.vstack(rows)
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("kind", ["compat", "ppt", "jordan", "k4", "povm", "state"])
+    def test_adjoint_rows_match_brute_force(self, kind):
+        rng = np.random.default_rng(5)
+        f = random_channel(rng, 2)
+        g = random_channel(rng, 2, 3)
+        if kind == "compat":
+            problem = sdp.build_compat(f, g)
+        elif kind == "ppt":
+            problem = sdp.build_compat(f, g, ppt=True)
+        elif kind == "jordan":
+            problem = sdp.build_jordan_compat(random_channel(rng, 3), random_channel(rng, 3))
+        elif kind == "k4":
+            problem = sdp.build_k_extension(f, 4)
+        elif kind == "povm":
+            z = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+            plus = np.ones((2, 2)) / 2
+            problem = sdp.build_povm_compat(z, Povm((plus, np.eye(2) - plus)))
+        else:
+            rho1 = HermitianMatrix(random_density(rng, 4), TensorShape((2, 2)))
+            rho2 = HermitianMatrix(random_density(rng, 6), TensorShape((2, 3)))
+            problem = sdp.build_state_compat(rho1, rho2)
+        kmat, _rhs = _constraint_matrix(problem)
+        assert np.abs(kmat - brute_force_constraint_matrix(problem)).max() <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    def test_inconsistent_equalities_rejected(self, mode):
+        # the two marginals imply different traces of X
+        problem = sdp.two_marginal_problem(np.eye(4), 2 * np.eye(4), (2, 2, 2))
+        with pytest.raises(ValueError, match="equality constraints are inconsistent"):
+            sdp.solve(problem, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    def test_term_side_mismatch_rejected(self, mode):
+        var = VariableSpec("X", (2, 2))
+        con = Constraint((ConstraintTerm("X", (1,)),), np.eye(3, dtype=np.complex128))
+        problem = SdpProblem((var,), (con,), (Block("X"),))
+        with pytest.raises(ValueError, match="constraint term on X produces side 2, rhs has side 3"):
+            sdp.solve(problem, mode=mode)
 
 
 class TestDualitySandwich:
