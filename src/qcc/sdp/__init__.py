@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import ipm, projection
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -31,7 +32,7 @@ def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
 
 
 def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float = DECISION_TOL,
-          max_iter: int | None = None, tol: float = 1e-9) -> SdpOutcome:
+          max_iter: int | None = None, tol: float = ipm.TOL) -> SdpOutcome:
     """Solve a compatibility program.
 
     interior_point maximizes t and reports Feasible/Infeasible by the sign
@@ -43,7 +44,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
         comp = compile_ipm(problem)
         res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b,
-                        max_iter=max_iter or 200, tol=tol)
+                        max_iter=max_iter or ipm.MAX_ITER, tol=tol)
         residuals = {
             "primal": res.res_primal,
             "dual": res.res_dual,
@@ -51,6 +52,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
             "dual_objective": res.dobj,
             "removed_redundant_rows": comp.removed_redundant,
             "dropped_directions": comp.dropped_directions,
+            "chol_fallbacks": res.chol_fallbacks,
         }
         note = res.note
         loose = (
@@ -78,7 +80,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
 
     if mode == "projection":
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
-        res = solve_dykstra(problem, max_iter=max_iter or 50000)
+        res = solve_dykstra(problem, max_iter=max_iter or projection.MAX_ITER)
         residuals = {"psd_violation": res.violation}
         if not res.feasible:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,

@@ -13,7 +13,21 @@ as real matrix products on (re, im) views of the constraint blocks.
 Sizes up to a few hundred are the design point, so the Schur complement
 is formed explicitly as a Gram matrix of scaled constraint blocks.  The
 NT factors of each iteration also give its step lengths, and every
-Cholesky factorization goes through one jittered helper.
+Cholesky factorization goes through one jittered helper, which counts
+the factorizations that needed jitter or an eigenvalue clip.
+
+The Schur and Gram systems are solved on their Cholesky factors by
+block substitution: LAPACK solves on the diagonal blocks and matrix
+products with the off-diagonal panels, forward through L and back
+through L^T.  numpy exposes no triangular solve, and a general solve
+on the whole factor runs an LU of it on every call.  No explicit
+inverse is used.  Solving with the inverse Schur matrix L^-T L^-1 ends
+a qutrit Jordan solve in a step collapse: near the optimum the Schur
+matrix reaches condition numbers of 1e13 and beyond (1e19-1e21 in the
+last qutrit iterations).  Products with the inverse factor alone keep
+those decisions, but forming that inverse is itself an LU with m
+right-hand sides, dearer than the few solves each factor serves, and
+substitution is the backward-stable choice at those condition numbers.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import numpy as np
 MAX_ITER = 200
 TOL = 1e-9
 STEP_FRACTION = 0.98
+CHOL_BLOCK = 64  # diagonal block side of the substitution in _chol_solve
 
 
 @dataclass
@@ -40,6 +55,7 @@ class IpmResult:
     iterations: int
     converged: bool
     note: str = ""
+    chol_fallbacks: int = 0  # factorizations that needed jitter or the eigenvalue clip
 
 
 def _herm(x):
@@ -59,35 +75,47 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _chol_pd(x: np.ndarray) -> np.ndarray:
-    """Cholesky with escalating jitter; eigenvalue clip as a last resort."""
+def _chol_pd(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Cholesky with escalating jitter; eigenvalue clip as a last resort.
+
+    Returns the factor and whether the plain factorization failed.
+    """
     scale = max(np.abs(np.diagonal(x)).max(), 1e-300)
     jitter = 0.0
-    for _ in range(4):
+    for attempt in range(4):
         try:
-            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0]))
+            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0])), attempt > 0
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
     w, v = np.linalg.eigh(_herm(x))
     w = np.maximum(w, 1e-14 * max(w.max(), 1e-300))
-    return np.linalg.cholesky((v * w) @ v.conj().T)
+    return np.linalg.cholesky((v * w) @ v.conj().T), True
 
 
 def _chol_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs for a real Cholesky factor L."""
-    return np.linalg.solve(l.T, np.linalg.solve(l, rhs))
+    """Solve (L L^T) x = rhs for a real Cholesky factor L by block substitution."""
+    starts = range(0, l.shape[0], CHOL_BLOCK)
+    x = np.array(rhs, dtype=np.float64)
+    for i in starts:
+        j = i + CHOL_BLOCK
+        x[i:j] = np.linalg.solve(l[i:j, i:j], x[i:j] - l[i:j, :i] @ x[:i])
+    for i in reversed(starts):
+        j = i + CHOL_BLOCK
+        x[i:j] = np.linalg.solve(l[i:j, i:j].T, x[i:j] - l[j:, i:j].T @ x[j:])
+    return x
 
 
 def _nt_scaling(s: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd scaling point: returns (R, Rinv, lam) with
-    R^H Z R = R^{-1} S R^{-H} = diag(lam) and W^{-1} = Rinv^H Rinv."""
-    ls = _chol_pd(s)
-    lz = _chol_pd(z)
+    """Nesterov-Todd scaling point: returns (R, Rinv, lam, fallbacks) with
+    R^H Z R = R^{-1} S R^{-H} = diag(lam) and W^{-1} = Rinv^H Rinv, and
+    the number of the two factorizations that fell back."""
+    ls, fell_s = _chol_pd(s)
+    lz, fell_z = _chol_pd(z)
     u, sig, vh = np.linalg.svd(lz.conj().T @ ls)
     sig = np.maximum(sig, 1e-300)
     rinv = (u / np.sqrt(sig)).conj().T @ lz.conj().T
     r = ls @ (vh.conj().T / np.sqrt(sig))
-    return r, rinv, sig
+    return r, rinv, sig, fell_s + fell_z
 
 
 def _step_to_boundary(lam: np.ndarray, g: np.ndarray) -> float:
@@ -148,7 +176,8 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
 
     # Gram factor of the constraint operator, used to restore dual
     # feasibility after each step
-    gram_chol = _chol_pd(sum(a @ a.T for a in a_flat))
+    gram_chol, gram_fell = _chol_pd(sum(a @ a.T for a in a_flat))
+    fallbacks = int(gram_fell)
 
     note = ""
     it = 0
@@ -157,19 +186,22 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
             y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
         mu = gap / ntot
         if res_d <= tol and res_p <= tol and rel_gap <= tol:
-            return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True)
+            return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
+                             chol_fallbacks=fallbacks)
 
         # Nesterov-Todd scaling and Schur complement (a Gram matrix)
         rs, rinvs, lams = [], [], []
         schur = np.zeros((m, m))
         for l in range(nblocks):
-            r, rinv, lam = _nt_scaling(S[l], Z[l])
+            r, rinv, lam, fell = _nt_scaling(S[l], Z[l])
+            fallbacks += fell
             rs.append(r)
             rinvs.append(rinv)
             lams.append(lam)
             bf = _as_real(rinv @ A_blocks[l] @ rinv.conj().T).reshape(m, -1)
             schur += bf @ bf.T
-        schur_chol = _chol_pd(schur)
+        schur_chol, fell = _chol_pd(schur)
+        fallbacks += fell
 
         def solve_schur(rhs):
             x = _chol_solve(schur_chol, rhs)
@@ -260,4 +292,5 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
     converged = res_d <= tol and res_p <= tol and rel_gap <= tol
     if not converged and not note:
         note = "iteration cap exceeded"
-    return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it, converged, note)
+    return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it, converged, note,
+                     chol_fallbacks=fallbacks)

@@ -215,17 +215,20 @@ def _constraint_matrix(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rows), np.concatenate(rhs_parts)
 
 
-def _eliminate(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _eliminate(problem: SdpProblem,
+               null_space: bool = False) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Solve the equality constraints once, for both solvers.
 
     One SVD of the vectorized constraint matrix gives the minimum-norm
     particular solution x0 and the right singular vectors vh: vh[:rank]
-    is an orthonormal basis of the constraint rows and vh[rank:] one of
-    the free directions.  Returns (x0, vh, rank, removed), ``removed``
-    counting redundant rows; inconsistent right-hand sides raise.
+    is an orthonormal basis of the constraint rows and, with
+    ``null_space``, vh[rank:] one of the free directions (without it the
+    SVD is thin and vh has at most as many rows as the matrix).  Returns
+    (x0, vh, rank, removed), ``removed`` counting redundant rows;
+    inconsistent right-hand sides raise.
     """
     kmat, bvec = _constraint_matrix(problem)
-    u, s, vh = np.linalg.svd(kmat, full_matrices=True)
+    u, s, vh = np.linalg.svd(kmat, full_matrices=null_space)
     rank = int(np.sum(s > CONSTRAINT_RANK_TOL * (s[0] if s.size else 1.0)))
     x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
     resid = np.abs(kmat @ x0 - bvec).max() if bvec.size else 0.0
@@ -238,7 +241,7 @@ def _eliminate(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, int, int]:
 def compile_ipm(problem: SdpProblem) -> CompiledSdp:
     """Dense complex Hermitian form for the interior-point solver."""
     var_offsets = _var_offsets(problem)
-    x0, vh, rank, removed = _eliminate(problem)
+    x0, vh, rank, removed = _eliminate(problem, null_space=True)
     nullb = vh[rank:].T  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 

@@ -25,6 +25,7 @@ from qcc.linalg import (
 )
 from qcc.rand import random_channel, random_density, random_invertible_channel
 from qcc.sdp.decide import _split_adjoint_pair, decide
+from qcc.sdp.ipm import _chol_pd, _chol_solve
 from qcc.sdp.problem import (
     Block,
     Constraint,
@@ -151,6 +152,42 @@ class TestConstraintMatrix:
         problem = SdpProblem((var,), (con,), (Block("X"),))
         with pytest.raises(ValueError, match="constraint term on X produces side 2, rhs has side 3"):
             sdp.solve(problem, mode=mode)
+
+
+class TestCholSolve:
+    @pytest.mark.parametrize("m", [1, 37, 64])
+    def test_single_block_matches_two_solves_bitwise(self, rng, m):
+        g = rng.normal(size=(m, m))
+        l = np.linalg.cholesky(g @ g.T + m * np.eye(m))
+        rhs = rng.normal(size=m)
+        assert np.array_equal(_chol_solve(l, rhs), np.linalg.solve(l.T, np.linalg.solve(l, rhs)))
+
+    @pytest.mark.parametrize("m", [130, 577])
+    @pytest.mark.parametrize("cond", [1e6, 1e10, 1e13, 1e16])
+    def test_blocked_matches_two_solves_when_ill_conditioned(self, rng, m, cond):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        l, _fell = _chol_pd((q * np.logspace(0, -np.log10(cond), m)) @ q.T)
+        rhs = rng.normal(size=m)
+        ref = np.linalg.solve(l.T, np.linalg.solve(l, rhs))
+        assert np.linalg.norm(_chol_solve(l, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestCholPd:
+    def test_positive_definite_takes_plain_factor(self, rng):
+        g = rng.normal(size=(6, 6))
+        x = g @ g.T + 6 * np.eye(6)
+        l, fell = _chol_pd(x)
+        assert not fell
+        assert np.array_equal(l, np.linalg.cholesky(x))
+
+    @pytest.mark.parametrize("x", [np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+                                   np.array([[1.0, 2.0], [2.0, 1.0]])],
+                             ids=["rank_deficient", "indefinite"])
+    def test_singular_or_indefinite_reports_fallback(self, x):
+        # the first needs jitter (exact zero pivot), the second the eigenvalue clip
+        l, fell = _chol_pd(x)
+        assert fell
+        assert np.all(np.isfinite(l))
 
 
 class TestDualitySandwich:
