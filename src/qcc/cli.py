@@ -35,6 +35,8 @@ EXIT_PARSE = 64
 EXIT_DIMENSION = 65
 EXIT_SIZE_CAP = 66
 
+_SOLVER_MODES = {"ipm": "interior_point", "projection": "projection"}
+
 
 def _load_channel(path: str) -> Channel:
     try:
@@ -96,10 +98,9 @@ def cmd_check(args) -> int:
 
 def cmd_self_compat(args) -> int:
     c = _load_channel(args.channel)
-    mode = "interior_point" if args.solver == "ipm" else "projection"
     try:
         problem = sdp.build_k_extension(c, args.k)
-        out = sdp.solve(problem, mode=mode, decision_tol=args.tol)
+        out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver], decision_tol=args.tol)
     except sdp.SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
@@ -119,9 +120,13 @@ def _point_xi_self_k(task):
     if p + q > 1.0 + 1e-12:
         return "x"
     xi = xi_channel(p, q)
-    mode = "interior_point" if solver == "ipm" else "projection"
-    out = sdp.solve(sdp.build_k_extension(xi, k), mode=mode)
+    out = sdp.solve(sdp.build_k_extension(xi, k), mode=_SOLVER_MODES[solver])
     return _verdict_char(out.status)
+
+
+def _jordan_std_char(f: Channel, g: Channel) -> str:
+    """'1' when the standard Jordan product of the pair is completely positive."""
+    return "1" if np.linalg.eigvalsh(jordan_channel(f.rep, g.rep).choi.array).min() >= -1e-10 else "0"
 
 
 def _point_xi_jordan_vs_self(task):
@@ -130,10 +135,8 @@ def _point_xi_jordan_vs_self(task):
         return ("x", "x", "x")
     xi = xi_channel(p, q)
     out = sdp.solve(sdp.build_compat(xi, xi))
-    self_v = _verdict_char(out.status)
-    jstd = "1" if np.linalg.eigvalsh(jordan_channel(xi.rep, xi.rep).choi.array).min() >= -1e-10 else "0"
     mp = "1" if validate(xi.rep).eb_2x2 else "0"
-    return (self_v, jstd, mp)
+    return (_verdict_char(out.status), _jordan_std_char(xi, xi), mp)
 
 
 def _point_depol_pair(task):
@@ -141,10 +144,8 @@ def _point_depol_pair(task):
     f = partial_depolarizing_channel(q0, 2)
     g = partial_depolarizing_channel(q1, 2)
     out = sdp.solve(sdp.build_compat(f, g))
-    compat = _verdict_char(out.status)
-    jstd = "1" if np.linalg.eigvalsh(jordan_channel(f.rep, g.rep).choi.array).min() >= -1e-10 else "0"
     hull = "1" if (2 * q0 + q1 >= 1 - 1e-12 and q0 + 2 * q1 >= 1 - 1e-12) else "0"
-    return (compat, jstd, hull)
+    return (_verdict_char(out.status), _jordan_std_char(f, g), hull)
 
 
 def _run_grid(worker, tasks, jobs):
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("channel")
     p_self.add_argument("--k", type=int, default=2)
     p_self.add_argument("--tol", type=float, default=1e-7)
-    p_self.add_argument("--solver", choices=["ipm", "projection"], default="ipm")
+    p_self.add_argument("--solver", choices=list(_SOLVER_MODES), default="ipm")
     p_self.set_defaults(func=cmd_self_compat)
 
     p_sweep = sub.add_parser("sweep", help="region sweep emitting CSV curve data")
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=int, default=21)
     p_sweep.add_argument("--k", type=int)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--solver", choices=["ipm", "projection"])
+    p_sweep.add_argument("--solver", choices=list(_SOLVER_MODES))
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -91,10 +91,6 @@ class HermitianMatrix:
     def side(self) -> int:
         return self.array.shape[0]
 
-    def reshaped(self, factors: Sequence[int]) -> "HermitianMatrix":
-        """Same entries, reinterpreted with a different factorization."""
-        return HermitianMatrix(self.array, TensorShape(tuple(factors)))
-
     def __repr__(self):
         return f"HermitianMatrix(side={self.side}, factors={self.shape.factors})"
 

@@ -25,7 +25,6 @@ from .linalg import (
 )
 
 MARGINAL_TOL = 1e-9
-COMPAT_TOL = 1e-7
 
 
 @dataclass(frozen=True)

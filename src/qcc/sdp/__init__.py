@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from . import ipm, projection
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -31,8 +30,8 @@ def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
         raise SizeCapError(f"{solver} cap is a total variable side of {cap}, got {side}")
 
 
-def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float = DECISION_TOL,
-          max_iter: int | None = None, tol: float = ipm.TOL) -> SdpOutcome:
+def solve(problem: SdpProblem, mode: str = "interior_point",
+          decision_tol: float = DECISION_TOL) -> SdpOutcome:
     """Solve a compatibility program.
 
     interior_point maximizes t and reports Feasible/Infeasible by the sign
@@ -43,8 +42,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
         comp = compile_ipm(problem)
-        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b,
-                        max_iter=max_iter or ipm.MAX_ITER, tol=tol)
+        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b)
         residuals = {
             "primal": res.res_primal,
             "dual": res.res_dual,
@@ -80,7 +78,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point", decision_tol: float
 
     if mode == "projection":
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
-        res = solve_dykstra(problem, max_iter=max_iter or projection.MAX_ITER)
+        res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
         if not res.feasible:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,

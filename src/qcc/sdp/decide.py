@@ -112,8 +112,8 @@ def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
                     note="dual certificate failed verification")
 
 
-def _decide_compat(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> Decision:
-    out = solve(build_compat(f, g), decision_tol=decision_tol, **solve_opts)
+def _decide_compat(f: Channel, g: Channel, decision_tol: float) -> Decision:
+    out = solve(build_compat(f, g), decision_tol=decision_tol)
     if out.status == "Feasible":
         return _certify_compatibilizer(out, f, g, ppt=False)
     if out.status == "Infeasible":
@@ -121,9 +121,9 @@ def _decide_compat(f: Channel, g: Channel, decision_tol: float, **solve_opts) ->
     return Decision("Inconclusive", out.value, outcome=out, note=out.note)
 
 
-def _decide_jordan(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> Decision:
+def _decide_jordan(f: Channel, g: Channel, decision_tol: float) -> Decision:
     d = f.d_in
-    out = solve(build_jordan_compat(f, g), decision_tol=decision_tol, **solve_opts)
+    out = solve(build_jordan_compat(f, g), decision_tol=decision_tol)
     if out.status == "Feasible":
         a = out.primal["A"]
         try:
@@ -160,7 +160,7 @@ def _decide_jordan(f: Channel, g: Channel, decision_tol: float, **solve_opts) ->
     return Decision("Inconclusive", out.value, outcome=out, note=out.note)
 
 
-def _decide_ppt(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> Decision:
+def _decide_ppt(f: Channel, g: Channel, decision_tol: float) -> Decision:
     """Two stages: a transposed-marginal relaxation whose dual is the ppt
     witness, then (if that is feasible) the full program with both the
     variable and its partial transpose PSD."""
@@ -168,13 +168,13 @@ def _decide_ppt(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> De
     j1t = ptranspose_array(f.choi.array, (dx, d1), 0)
     j2t = ptranspose_array(g.choi.array, (dx, d2), 0)
     relax = two_marginal_problem(j1t, j2t, (dx, d1, d2), name="ppt_relaxation")
-    out_a = solve(relax, decision_tol=decision_tol, **solve_opts)
+    out_a = solve(relax, decision_tol=decision_tol)
     if out_a.status == "Infeasible":
         return _refute(out_a, f, g, "ppt")
     if out_a.status != "Feasible":
         return Decision("Inconclusive", out_a.value, outcome=out_a, note=out_a.note)
 
-    out_b = solve(build_compat(f, g, ppt=True), decision_tol=decision_tol, **solve_opts)
+    out_b = solve(build_compat(f, g, ppt=True), decision_tol=decision_tol)
     if out_b.status == "Feasible":
         return _certify_compatibilizer(out_b, f, g, ppt=True)
     return Decision(
@@ -185,7 +185,7 @@ def _decide_ppt(f: Channel, g: Channel, decision_tol: float, **solve_opts) -> De
 
 
 def decide(f: Channel, g: Channel, mode: str = "compat",
-           decision_tol: float = DECISION_TOL, **solve_opts) -> Decision:
+           decision_tol: float = DECISION_TOL) -> Decision:
     """Decide compatibility of a channel pair in the requested sense.
 
     Verdicts are Compatible, Incompatible or Inconclusive; the first two
@@ -194,9 +194,9 @@ def decide(f: Channel, g: Channel, mode: str = "compat",
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")
     if mode == "compat":
-        return _decide_compat(f, g, decision_tol, **solve_opts)
+        return _decide_compat(f, g, decision_tol)
     if mode == "jordan":
-        return _decide_jordan(f, g, decision_tol, **solve_opts)
+        return _decide_jordan(f, g, decision_tol)
     if mode == "ppt_compat":
-        return _decide_ppt(f, g, decision_tol, **solve_opts)
+        return _decide_ppt(f, g, decision_tol)
     raise ValueError(f"unknown decision mode {mode!r}")

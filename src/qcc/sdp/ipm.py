@@ -14,10 +14,13 @@ Sizes up to a few hundred are the design point, so the Schur complement
 is formed explicitly as a Gram matrix of scaled constraint blocks.  The
 NT factors of each iteration also give its step lengths, and every
 Cholesky factorization goes through one jittered helper, which counts
-the factorizations that needed jitter or an eigenvalue clip.
+the factorizations that needed jitter or an eigenvalue clip.  Each
+iteration takes one Newton step and nothing repairs the iterate after
+it: the infeasible-start step already shrinks each equality residual
+by the factor (1 - step) of its own step length.
 
-The Schur and Gram systems are solved on their Cholesky factors by
-block substitution: LAPACK solves on the diagonal blocks and matrix
+The Schur system is solved on its Cholesky factor by block
+substitution: LAPACK solves on the diagonal blocks and matrix
 products with the off-diagonal panels, forward through L and back
 through L^T.  numpy exposes no triangular solve, and a general solve
 on the whole factor runs an LU of it on every call.  No explicit
@@ -156,7 +159,10 @@ def _residuals(y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale):
     return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
 
 
-def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL) -> IpmResult:
+def solve_ipm(C_blocks, A_blocks, b) -> IpmResult:
+    """Solve the pair of the module docstring to the residual and gap
+    target ``TOL`` in at most ``MAX_ITER`` iterations, both read at call
+    time."""
     nblocks = len(C_blocks)
     m = b.shape[0]
     sides = [c.shape[0] for c in C_blocks]
@@ -174,18 +180,14 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
         S.append(c + (max(0.0, -wmin) + 0.1 * c_scale + 1.0) * np.eye(n))
         Z.append(np.eye(n, dtype=np.complex128) * (b_scale / ntot))
 
-    # Gram factor of the constraint operator, used to restore dual
-    # feasibility after each step
-    gram_chol, gram_fell = _chol_pd(sum(a @ a.T for a in a_flat))
-    fallbacks = int(gram_fell)
-
+    fallbacks = 0
     note = ""
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
             y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
         mu = gap / ntot
-        if res_d <= tol and res_p <= tol and rel_gap <= tol:
+        if res_d <= TOL and res_p <= TOL and rel_gap <= TOL:
             return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
                              chol_fallbacks=fallbacks)
 
@@ -269,27 +271,10 @@ def solve_ipm(C_blocks, A_blocks, b, max_iter: int = MAX_ITER, tol: float = TOL)
         for l in range(nblocks):
             S[l] = _herm(S[l] + step_s * dS[l])
             Z[l] = _herm(Z[l] + step_z * dZ[l])
-        # endgame feasibility restoration on both sides, guarded so it
-        # never costs positive definiteness: the equalities are linear, so
-        # near the optimum the minimum-norm corrections remove the roundoff
-        # the scaled steps leave behind
-        rpn = b - _apply_adj(Z, a_flat)
-        rp_max = np.abs(rpn).max()
-        if 1e-13 * b_scale < rp_max < 1e-7 * b_scale:
-            w = _chol_solve(gram_chol, rpn)
-            cand = [_herm(z + aw) for z, aw in zip(Z, _apply_a(w, a_flat, sides))]
-            if all(np.linalg.eigvalsh(c).min() > 0 for c in cand):
-                Z = cand
-        slack = [c - ay for c, ay in zip(C_blocks, _apply_a(y, a_flat, sides))]
-        rd_max = max(np.abs(sl - s).max() for sl, s in zip(slack, S))
-        if 1e-14 * c_scale < rd_max < 1e-7 * c_scale:
-            cand = [_herm(sl) for sl in slack]
-            if all(np.linalg.eigvalsh(c).min() > 0 for c in cand):
-                S = cand
 
     _Rd, _rp, _gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
         y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
-    converged = res_d <= tol and res_p <= tol and rel_gap <= tol
+    converged = res_d <= TOL and res_p <= TOL and rel_gap <= TOL
     if not converged and not note:
         note = "iteration cap exceeded"
     return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it, converged, note,

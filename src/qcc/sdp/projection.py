@@ -35,8 +35,10 @@ class ProjectionResult:
     iterations: int
 
 
-def solve_dykstra(problem: SdpProblem, max_iter: int = MAX_ITER,
-                  feas_tol: float = FEAS_PSD_TOL, check_every: int = CHECK_EVERY) -> ProjectionResult:
+def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
+    """Project until the PSD violation is at most ``FEAS_PSD_TOL``, checking
+    every ``CHECK_EVERY`` sweeps, for at most ``MAX_ITER`` sweeps; all three
+    are read at call time."""
     for block in problem.blocks:
         if block.kind not in ("identity", "ptranspose"):
             raise ValueError("projection mode supports PSD blocks on the variables only")
@@ -81,20 +83,20 @@ def solve_dykstra(problem: SdpProblem, max_iter: int = MAX_ITER,
     best_viol = violation_of(x)
     window_best = best_viol
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         for k, (block, var) in enumerate(psd_sets):
             y = proj_psd(x + increments[k], block, var)
             increments[k] = x + increments[k] - y
             x = y
         x = proj_affine(x)
-        if it % check_every == 0 or it == max_iter:
+        if it % CHECK_EVERY == 0 or it == MAX_ITER:
             viol = violation_of(x)
             if viol < best_viol:
                 best, best_viol = x, viol
-            if viol <= feas_tol:
+            if viol <= FEAS_PSD_TOL:
                 return ProjectionResult(True, x, viol, it)
             if it % STALL_WINDOW == 0:
-                if best_viol > window_best * STALL_FACTOR and best_viol > 100 * feas_tol:
+                if best_viol > window_best * STALL_FACTOR and best_viol > 100 * FEAS_PSD_TOL:
                     break
                 window_best = best_viol
     return ProjectionResult(False, best, best_viol, it)

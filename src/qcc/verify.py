@@ -32,7 +32,7 @@ def _eig_pair_structure(arr: np.ndarray) -> tuple[bool, str]:
     return ok, f"eigs {np.round(w, 6)} sum {w.sum():.12f}"
 
 
-def run_checks(fast: bool = False) -> list[Check]:
+def run_checks() -> list[Check]:
     out: list[Check] = []
     f, g = reference.channel_pair()
     comp = reference.compatibilizer()
@@ -184,8 +184,6 @@ def run_checks(fast: bool = False) -> list[Check]:
     p = 0.4
     xi_b = channels.xi_channel(p, 2 * (1 - p) / 3)
     for k in (2, 3, 4):
-        if fast and k == 4:
-            break
         mode = "interior_point" if k <= 3 else "projection"
         outk = sdp.solve(sdp.build_k_extension(xi_b, k), mode=mode)
         out.append((f"measure-and-prepare boundary point extends to k={k}",

@@ -72,8 +72,7 @@ def adjoint_sum(z1: np.ndarray, z2: np.ndarray, factors: tuple[int, int, int]) -
     return big1 + big2
 
 
-def verify_witness(w: Witness, f: Channel, g: Channel,
-                   psd_tol: float = PSD_TOL, pairing_tol: float = PAIRING_TOL) -> WitnessReport:
+def verify_witness(w: Witness, f: Channel, g: Channel) -> WitnessReport:
     """Check the two sides of the alternative: PSD adjoint sum, negative pairing.
 
     The pairing (reported as ``margin``) is against the Choi matrices in
@@ -94,13 +93,11 @@ def verify_witness(w: Witness, f: Channel, g: Channel,
         j1 = ptranspose_array(j1, (dx, d1), 0)
         j2 = ptranspose_array(j2, (dx, d2), 0)
     margin = _hs(w.z1.array, j1) + _hs(w.z2.array, j2)
-    valid = bool(min_eig >= -psd_tol and margin <= -pairing_tol)
+    valid = bool(min_eig >= -PSD_TOL and margin <= -PAIRING_TOL)
     return WitnessReport(valid, margin, min_eig)
 
 
-def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel,
-                          psd_tol: float = PSD_TOL, pairing_tol: float = PAIRING_TOL,
-                          constraint_tol: float = JORDAN_CONSTRAINT_TOL) -> WitnessReport:
+def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel) -> WitnessReport:
     """Check a certificate against Jordan compatibility.
 
     Conditions: rho PSD, the adjoint maps applied to rho match the
@@ -122,9 +119,9 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel,
     rho_min = float(np.linalg.eigvalsh(w.rho.array).min())
     margin = _hs(w.w1.array + w.w2.array, _choi_identity(d))
     valid = bool(
-        constraint_residual <= constraint_tol
-        and rho_min >= -psd_tol
-        and margin <= -pairing_tol
+        constraint_residual <= JORDAN_CONSTRAINT_TOL
+        and rho_min >= -PSD_TOL
+        and margin <= -PAIRING_TOL
     )
     return WitnessReport(valid, margin, rho_min, constraint_residual)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qcc import reference
+from qcc import reference, sdp
 from qcc.analytic import xi_self_threshold
 from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
 from qcc.cli import main
@@ -78,6 +78,11 @@ class TestCheck:
         p = tmp_path / "id7.json"
         p.write_text(json.dumps(channel_to_json(identity_channel(7))))
         assert main(["check", str(p), str(p)]) == 66
+
+    def test_iteration_cap_exit_2(self, identity_file, monkeypatch, capsys):
+        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 2)
+        assert main(["check", identity_file, identity_file]) == 2
+        assert "iteration cap exceeded" in capsys.readouterr().out
 
 
 class TestSelfCompat:

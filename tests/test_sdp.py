@@ -415,6 +415,32 @@ class TestDecide:
         assert report.valid and abs(report.margin - dec.witness_margin) < 1e-12
 
 
+class TestIterationCap:
+    """A solve stopped by the IPM iteration cap is Inconclusive, never a
+    verdict; the cap is read when the solver runs."""
+
+    @pytest.fixture(autouse=True)
+    def cap_at_two(self, monkeypatch):
+        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 2)
+
+    def test_solve_reports_cap(self):
+        ident = identity_channel(2)
+        out = sdp.solve(sdp.build_compat(ident, ident))
+        assert out.status == "Inconclusive"
+        assert out.note == "iteration cap exceeded"
+        assert out.iterations == 2
+        assert out.primal is None and out.dual is None
+
+    @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
+    def test_decide_reports_cap(self, mode):
+        ident = identity_channel(2)
+        dec = decide(ident, ident, mode)
+        assert dec.verdict == "Inconclusive"
+        assert dec.note == "iteration cap exceeded"
+        assert dec.compatibilizer is None and dec.gen_jordan_op is None and dec.witness is None
+        assert dec.exit_code == 2
+
+
 class TestConvexityProperties:
     def test_compatible_set_convex(self, rng):
         # mixtures of compatible pairs stay compatible
