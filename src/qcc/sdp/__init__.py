@@ -42,12 +42,13 @@ def solve(problem: SdpProblem, mode: str = "interior_point",
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
         comp = compile_ipm(problem)
-        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b)
+        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0)
+        alpha = comp.value(res)
         residuals = {
             "primal": res.res_primal,
             "dual": res.res_dual,
             "gap": res.rel_gap,
-            "dual_objective": res.dobj,
+            "dual_objective": comp.dual_objective(res),
             "removed_redundant_rows": comp.removed_redundant,
             "dropped_directions": comp.dropped_directions,
             "chol_fallbacks": res.chol_fallbacks,
@@ -65,15 +66,14 @@ def solve(problem: SdpProblem, mode: str = "interior_point",
                 "within the 1e-7 certificate tolerance"
             )
         if not res.converged and not loose:
-            return SdpOutcome("Inconclusive", res.pobj, residuals=residuals,
+            return SdpOutcome("Inconclusive", alpha, residuals=residuals,
                               iterations=res.iterations, decision_tol=decision_tol,
                               note=note or "solver did not converge")
-        primal = _unpack_vars(problem, comp.params_of(res.y))
-        alpha = res.pobj
         if abs(alpha) < decision_tol:
             note = (note + "; " if note else "") + "optimum inside the decision band"
         status = "Feasible" if alpha >= -decision_tol else "Infeasible"
-        return SdpOutcome(status, alpha, primal=primal, dual=res.Z_blocks, residuals=residuals,
+        return SdpOutcome(status, alpha, primal=comp.primal(res), dual=comp.certificate(res),
+                          residuals=residuals,
                           iterations=res.iterations, decision_tol=decision_tol, note=note)
 
     if mode == "projection":

@@ -10,14 +10,18 @@ with an infeasible start, Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  Every matrix is dense complex Hermitian and y
 is real, so inner products are Re<A, B> = Re Tr(A^H B); A and A^* act
 as real matrix products on (re, im) views of the constraint blocks.
-Sizes up to a few hundred are the design point, so the Schur complement
-is formed explicitly as a Gram matrix of scaled constraint blocks.  The
-NT factors of each iteration also give its step lengths, and every
-Cholesky factorization goes through one jittered helper, which counts
-the factorizations that needed jitter or an eigenvalue clip.  Each
-iteration takes one Newton step and nothing repairs the iterate after
-it: the infeasible-start step already shrinks each equality residual
-by the factor (1 - step) of its own step length.
+The Schur complement has the side m of y, which the compile sets: the
+constraint dimension less one for standard-form programs, the free
+directions plus one otherwise (see ``problem``).  It costs m n^3 to
+form and m^3 to factor per iteration.  Sizes up to a few hundred are
+the design point, so it is formed explicitly as a Gram matrix of scaled
+constraint blocks.  The NT factors of each iteration also give its step
+lengths, and every Cholesky factorization goes through one jittered
+helper, which counts the factorizations that needed jitter or an
+eigenvalue clip.  Each iteration takes one Newton step and nothing
+repairs the iterate after it: the infeasible-start step already
+shrinks each equality residual by the factor (1 - step) of its own
+step length.
 
 The Schur system is solved on its Cholesky factor by block
 substitution: LAPACK solves on the diagonal blocks and matrix
@@ -159,10 +163,10 @@ def _residuals(y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale):
     return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
 
 
-def solve_ipm(C_blocks, A_blocks, b) -> IpmResult:
-    """Solve the pair of the module docstring to the residual and gap
-    target ``TOL`` in at most ``MAX_ITER`` iterations, both read at call
-    time."""
+def solve_ipm(C_blocks, A_blocks, b, Z0) -> IpmResult:
+    """Solve the pair of the module docstring from y = 0, S = C shifted
+    into the cone and Z = ``Z0``, to the residual and gap target ``TOL``
+    in at most ``MAX_ITER`` iterations, both read at call time."""
     nblocks = len(C_blocks)
     m = b.shape[0]
     sides = [c.shape[0] for c in C_blocks]
@@ -174,11 +178,10 @@ def solve_ipm(C_blocks, A_blocks, b) -> IpmResult:
 
     y = np.zeros(m)
     S = []
-    Z = []
     for c, n in zip(C_blocks, sides):
         wmin = np.linalg.eigvalsh(c).min()
         S.append(c + (max(0.0, -wmin) + 0.1 * c_scale + 1.0) * np.eye(n))
-        Z.append(np.eye(n, dtype=np.complex128) * (b_scale / ntot))
+    Z = list(Z0)
 
     fallbacks = 0
     note = ""

@@ -10,12 +10,28 @@ optimum.
 The vectorized constraint matrix is built from the adjoints: the rows
 of a partial-trace term are the identity embeddings of the constraint
 space's Hermitian basis, so no variable basis is ever traced.  One SVD
-of it (``_eliminate``) yields a particular solution, an orthonormal
-basis of the constraint rows (which the projection solver uses) and one
-of the free directions.  Compilation for the interior-point solver
-makes the PSD blocks affine in the free coordinates, reparametrized so
-that their block images are orthonormal.  The blocks stay complex
-Hermitian; the free coordinates are real.
+of it (``_eliminate``) yields a particular solution and an orthonormal
+basis of the constraint rows (which the projection solver uses), and
+on request one of the free directions.
+
+Compilation for the interior-point solver takes one of two forms,
+chosen from the block kinds:
+
+- standard form, when the PSD blocks are exactly the variables
+  (compat, the PPT relaxation, state compat, the k-extension and POVM
+  compat).  The solver's Z is W = X - tI, t is eliminated along the
+  identity direction, and the Schur system has one row per constraint
+  dimension less one, rank(K) - 1: 152 for qutrit compat.  The thin
+  SVD suffices.
+- null-space form, when a block is a partial transpose or a map image
+  (the full PPT program, Jordan).  Standard form would need a W per
+  block, linked to the variable by n^2 more rows each (881 for qutrit
+  PPT) or by inverses of the channel maps.  The PSD blocks are affine
+  in the free coordinates, reparametrized so that their block images
+  are orthonormal, and the Schur system has one row per free
+  direction plus t: 577 for qutrit Jordan.
+
+Either way the blocks stay complex Hermitian and the Schur system real.
 """
 
 from __future__ import annotations
@@ -146,21 +162,55 @@ def block_image_many(block: Block, var: VariableSpec, arrs: np.ndarray) -> np.nd
 
 @dataclass
 class CompiledSdp:
+    """The interior-point data of a problem and the read-out of a solve.
+
+    ``solve_ipm`` works on the pair of its module docstring: y and
+    S = C - A(y) on one side, Z with A^*(Z) = b on the other.  Which side
+    holds the compatibilizer depends on the form:
+
+    - null-space form (``nullbasis`` set): y = (free coordinates, t),
+      S = X - tI, and Z is the certificate;
+    - standard form (``nullbasis`` None): Z = W = X - tI with
+      t = t0 - <C, W>, and S is the certificate.
+
+    Either way the certificate has trace 1 and lies in the range of the
+    constraint adjoints, and ``Z0`` is where the solver starts Z.
+    """
+
     problem: SdpProblem
     x0: np.ndarray
-    nullbasis: np.ndarray  # (P, m - 1) free directions with orthonormal block images
-    b: np.ndarray  # objective: the trailing coordinate is t
+    b: np.ndarray
     C_blocks: list
-    A_blocks: list  # per block: (m, n, n) complex Hermitian, trailing slot is the t column
+    A_blocks: list  # per block: (m, n, n) complex Hermitian
+    Z0: list
     removed_redundant: int
     dropped_directions: int
+    nullbasis: Optional[np.ndarray] = None  # (P, m - 1) free directions, null-space form
+    t0: float = 0.0  # t at W = 0, standard form
 
     @property
     def m(self) -> int:
         return self.b.shape[0]
 
-    def params_of(self, y: np.ndarray) -> np.ndarray:
-        return self.x0 + self.nullbasis @ y[:-1]
+    def value(self, res) -> float:
+        """The optimal t."""
+        return res.pobj if self.nullbasis is not None else self.t0 - res.dobj
+
+    def dual_objective(self, res) -> float:
+        """The objective of the certificate, an upper bound on t."""
+        return res.dobj if self.nullbasis is not None else self.t0 - res.pobj
+
+    def primal(self, res) -> dict:
+        """The variables at the solver's point."""
+        if self.nullbasis is not None:
+            return _unpack_vars(self.problem, self.x0 + self.nullbasis @ res.y[:-1])
+        t = self.value(res)
+        w = {block.var: z for block, z in zip(self.problem.blocks, res.Z_blocks)}
+        return {v.name: w[v.name] + t * np.eye(v.side) for v in self.problem.variables}
+
+    def certificate(self, res) -> list:
+        """The dual certificate, one matrix per PSD block."""
+        return res.Z_blocks if self.nullbasis is not None else res.S_blocks
 
 
 def _var_offsets(problem: SdpProblem) -> dict:
@@ -238,8 +288,75 @@ def _eliminate(problem: SdpProblem,
     return x0, vh, rank, kmat.shape[0] - rank
 
 
+def _is_standard(problem: SdpProblem) -> bool:
+    """Whether the PSD blocks are exactly the variables, each once."""
+    return (all(block.kind == "identity" for block in problem.blocks)
+            and sorted(block.var for block in problem.blocks)
+            == sorted(v.name for v in problem.variables))
+
+
 def compile_ipm(problem: SdpProblem) -> CompiledSdp:
-    """Dense complex Hermitian form for the interior-point solver."""
+    """Dense complex Hermitian data for the interior-point solver, in
+    standard form when the PSD blocks are the variables and in null-space
+    form otherwise."""
+    if _is_standard(problem):
+        comp = _compile_standard(problem)
+        # a one-dimensional constraint space fixes t and leaves standard
+        # form no rows; the null-space form keeps t as its row
+        if comp.m:
+            return comp
+    return _compile_null_space(problem)
+
+
+def _compile_standard(problem: SdpProblem) -> CompiledSdp:
+    """Z = W = X - tI, with t eliminated along the identity direction.
+
+    With the orthonormal constraint rows R and c = R x0, the constraints
+    read R w + t e = c for e = R vec(I).  Their component along e fixes
+    t = t0 - <C, W>; the components orthogonal to it, Q^T R w = Q^T c,
+    are the rows A_i = mat(R^T q_i).  Maximizing t minimizes <C, W>.
+    """
+    var_offsets = _var_offsets(problem)
+    x0, vh, rank, removed = _eliminate(problem)
+    rows = vh[:rank]
+    c = rows @ x0
+    e = rows @ np.concatenate([herm_to_vec(np.eye(v.side)) for v in problem.variables])
+    e_norm = float(np.linalg.norm(e))
+    e_hat = e / e_norm
+    q = np.linalg.qr(e_hat[:, None], mode="complete")[0][:, 1:]
+    a_rows = q.T @ rows
+    c_row = (e_hat @ rows) / e_norm
+
+    a_blocks, c_blocks, x0_blocks = [], [], []
+    for block in problem.blocks:
+        var = problem.variable(block.var)
+        o = var_offsets[block.var]
+        sl = slice(o, o + var.nparams)
+        a_blocks.append(vec_to_herm(a_rows[:, sl], var.side))
+        c_blocks.append(vec_to_herm(c_row[sl], var.side))
+        x0_blocks.append(vec_to_herm(x0[sl], var.side))
+    # start W at the particular solution, shifted into the cone by one
+    # multiple of the identity for all blocks so that it stays feasible
+    x_scale = max(1.0, max(np.abs(x).max() for x in x0_blocks))
+    wmin = min(np.linalg.eigvalsh(x).min() for x in x0_blocks)
+    shift = max(0.0, -wmin) + 0.1 * x_scale + 1.0
+    z0 = [x + shift * np.eye(x.shape[0]) for x in x0_blocks]
+
+    return CompiledSdp(
+        problem=problem,
+        x0=x0,
+        b=q.T @ c,
+        C_blocks=c_blocks,
+        A_blocks=a_blocks,
+        Z0=z0,
+        removed_redundant=removed,
+        dropped_directions=0,
+        t0=float(e_hat @ c) / e_norm,
+    )
+
+
+def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
+    """y = (free coordinates, t), the PSD blocks affine in them."""
     var_offsets = _var_offsets(problem)
     x0, vh, rank, removed = _eliminate(problem, null_space=True)
     nullb = vh[rank:].T  # (P, m0) orthonormal
@@ -281,14 +398,16 @@ def compile_ipm(problem: SdpProblem) -> CompiledSdp:
     b = np.zeros(m)
     b[-1] = 1.0  # maximize t
     a_blocks = [np.concatenate([-dirs, np.eye(n)[None]]) for dirs, n in zip(img_dirs, sides)]
+    z0 = [np.eye(n, dtype=np.complex128) * (1.0 / sum(sides)) for n in sides]
 
     return CompiledSdp(
         problem=problem,
         x0=x0,
-        nullbasis=nullb,
         b=b,
         C_blocks=img_consts,
         A_blocks=a_blocks,
+        Z0=z0,
         removed_redundant=removed,
         dropped_directions=m0 - rank2,
+        nullbasis=nullb,
     )

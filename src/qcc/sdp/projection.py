@@ -3,12 +3,14 @@
 Alternates between the affine set of the equality constraints and the
 PSD cone of each block.  The affine projection applies the orthonormal
 constraint-row basis from the elimination the interior-point compile
-also runs (``problem._eliminate``) as two matvecs.  There is no
-reparametrized block tensor, which is what makes the larger extension
-problems tractable, but the method forfeits dual certificates: the
-outcome is Feasible with a verified point, or Inconclusive.  A stalled
-violation (typical of infeasible instances, where the iterates approach
-the positive gap between the two sets) exits early.
+also runs (``problem._eliminate``) as two matvecs.  The method forfeits
+dual certificates: the outcome is Feasible with a verified point, or
+Inconclusive.  On the qubit k-extension up to k = 7 it takes about as
+long per point as the standard-form interior point where the program
+is feasible, and three or more times as long where it is not, to end
+Inconclusive there.  A stalled violation (typical of infeasible
+instances, where the iterates approach the positive gap between the two
+sets) exits early.
 """
 
 from __future__ import annotations

@@ -200,11 +200,10 @@ def test_acceptance_5_k_region_nesting():
                 continue
             xi = xi_channel(p, q)
             for k in (2, 3, 4):
-                mode = "interior_point" if k <= 3 else "projection"
-                out = sdp.solve(sdp.build_k_extension(xi, k), mode=mode)
+                out = sdp.solve(sdp.build_k_extension(xi, k))
                 if out.status == "Feasible":
                     regions[k].add((round(p, 6), round(q, 6)))
-                elif out.status == "Inconclusive" and mode == "interior_point":
+                elif out.status == "Inconclusive":
                     inconclusive += 1
     nested = regions[4] <= regions[3] <= regions[2]
     mp_ok = True

@@ -34,6 +34,7 @@ from qcc.sdp.problem import (
     VariableSpec,
     _constraint_matrix,
     _var_offsets,
+    compile_ipm,
 )
 from qcc.witness import adjoint_sum, verify_jordan_witness, verify_witness
 
@@ -152,6 +153,63 @@ class TestConstraintMatrix:
         problem = SdpProblem((var,), (con,), (Block("X"),))
         with pytest.raises(ValueError, match="constraint term on X produces side 2, rhs has side 3"):
             sdp.solve(problem, mode=mode)
+
+
+class TestStandardForm:
+    """Programs whose PSD blocks are their variables compile to standard
+    form, with one Schur row per constraint dimension less the one that
+    fixes t; the others keep the null-space form."""
+
+    @pytest.mark.parametrize("kind, m", [("compat2", 27), ("compat3", 152), ("k4", 51),
+                                         ("ppt3", 577), ("jordan3", 577)])
+    def test_schur_size(self, kind, m):
+        rng = np.random.default_rng(3)
+        d = 2 if kind in ("compat2", "k4") else 3
+        f, g = random_invertible_channel(rng, d), random_invertible_channel(rng, d)
+        if kind == "k4":
+            problem = sdp.build_k_extension(f, 4)
+        elif kind == "jordan3":
+            problem = sdp.build_jordan_compat(f, g)
+        else:
+            problem = sdp.build_compat(f, g, ppt=kind == "ppt3")
+        assert compile_ipm(problem).m == m
+
+    def test_trace_only_program_keeps_its_t_row(self):
+        var = VariableSpec("X", (2,))
+        con = Constraint((ConstraintTerm("X", (0,)),), np.eye(1, dtype=np.complex128))
+        out = sdp.solve(SdpProblem((var,), (con,), (Block("X"),)))
+        assert out.status == "Feasible"
+        assert abs(out.value - 0.5) <= 1e-8
+        assert np.abs(out.primal["X"] - np.eye(2) / 2).max() <= 1e-8
+
+    def test_feasible_k4_primal_has_the_marginals(self):
+        xi = xi_channel(0.4, 0.5)
+        out = sdp.solve(sdp.build_k_extension(xi, 4))
+        assert out.status == "Feasible" and out.value > 0
+        x = out.primal["X"]
+        factors = (2, 2, 2, 2, 2)
+        for a in range(1, 5):
+            traced = [i for i in range(1, 5) if i != a]
+            assert np.abs(ptrace_array(x, factors, traced) - xi.choi.array).max() <= 1e-8
+        assert np.linalg.eigvalsh(x).min() >= 0
+
+    def test_infeasible_certificate_is_a_split_adjoint_sum(self):
+        ident = identity_channel(2)
+        out = sdp.solve(sdp.build_compat(ident, ident))
+        assert out.status == "Infeasible"
+        s = out.dual[0]
+        assert abs(np.trace(s).real - 1.0) <= 1e-9
+        z1, z2 = _split_adjoint_pair(s, (2, 2, 2))
+        assert np.abs(adjoint_sum(z1, z2, (2, 2, 2)) - s).max() <= 1e-9
+
+    def test_state_compat_dual_objective_matches_value(self, rng):
+        # marginals of one state, so the two share their X marginal
+        rho = random_density(rng, 12)
+        rho1 = HermitianMatrix(ptrace_array(rho, (2, 2, 3), [2]), TensorShape((2, 2)))
+        rho2 = HermitianMatrix(ptrace_array(rho, (2, 2, 3), [1]), TensorShape((2, 3)))
+        out = sdp.solve(sdp.build_state_compat(rho1, rho2))
+        assert out.status in ("Feasible", "Infeasible")
+        assert abs(out.residuals["dual_objective"] - out.value) <= 1e-6
 
 
 class TestCholSolve:
