@@ -6,6 +6,15 @@ the channel validation checks; an Incompatible verdict carries a witness
 that re-verifies in the witness module.  The two never coexist.  When
 the solver cannot produce either at the required quality the verdict is
 Inconclusive, with residual diagnostics attached.
+
+Jordan mode solves the compat program when both channels are invertible
+as linear maps.  The substitution X = (id (x) f (x) g)(A) maps the Jordan
+program onto the compat program with the same t: the maps are trace
+preserving, so they carry the identity-Choi marginals of A onto J(f) and
+J(g), and their inverses carry them back.  The operator A is then read
+out of the compatibilizer through the inverse maps, and the compat
+certificate is the dual the Jordan witness is built from.  When a map is
+singular (or its output differs in size) the Jordan program itself runs.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..channels import Channel, apply_to_factor
-from ..jordan import GenJordanOperator, gen_jordan
+from ..channels import Channel, SingularMapError, apply_to_factor, invert_map
+from ..jordan import GenJordanOperator, a_jp, gen_jordan
 from ..linalg import HermitianMatrix, TensorShape, ptrace_array, ptranspose_array
 from ..witness import (
     JordanWitness,
@@ -121,11 +130,38 @@ def _decide_compat(f: Channel, g: Channel, decision_tol: float) -> Decision:
     return Decision("Inconclusive", out.value, outcome=out, note=out.note)
 
 
+def _project_identity_marginals(a: np.ndarray, d: int) -> np.ndarray:
+    """Orthogonal projection of A onto the operators whose two middle
+    marginals are the identity map's Choi matrix."""
+    factors = (d, d, d)
+    excess = a - a_jp(d).matrix.array
+    return a - adjoint_sum(*_split_adjoint_pair(excess, factors), factors)
+
+
 def _decide_jordan(f: Channel, g: Channel, decision_tol: float) -> Decision:
+    """Jordan compatibility, by the compat program when f and g are
+    invertible and by the Jordan program otherwise.
+
+    For invertible maps the two programs have the same optimum t (see the
+    module docstring), and A = (id (x) f^-1 (x) g^-1)(X).  The inverses
+    multiply the solver's residual by their condition number, so the
+    read-out A is projected back onto the identity-marginal set before
+    it is certified.
+    """
     d = f.d_in
-    out = solve(build_jordan_compat(f, g), decision_tol=decision_tol)
+    try:
+        inverses = (invert_map(f.rep), invert_map(g.rep))
+    except SingularMapError:
+        inverses = None
+    build = build_jordan_compat if inverses is None else build_compat
+    out = solve(build(f, g), decision_tol=decision_tol)
     if out.status == "Feasible":
-        a = out.primal["A"]
+        if inverses is None:
+            a = out.primal["A"]
+        else:
+            a, dims = apply_to_factor(out.primal["X"], (d, d, d), 1, inverses[0])
+            a, _ = apply_to_factor(a, dims, 2, inverses[1])
+        a = _project_identity_marginals(a, d)
         try:
             op = GenJordanOperator(HermitianMatrix(a, TensorShape((d, d, d))), tol=CERT_TOL)
         except ValueError as exc:

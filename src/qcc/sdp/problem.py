@@ -23,13 +23,16 @@ chosen from the block kinds:
   identity direction, and the Schur system has one row per constraint
   dimension less one, rank(K) - 1: 152 for qutrit compat.  The thin
   SVD suffices.
-- null-space form, when a block is a partial transpose or a map image
-  (the full PPT program, Jordan).  Standard form would need a W per
-  block, linked to the variable by n^2 more rows each (881 for qutrit
-  PPT) or by inverses of the channel maps.  The PSD blocks are affine
-  in the free coordinates, reparametrized so that their block images
-  are orthonormal, and the Schur system has one row per free
-  direction plus t: 577 for qutrit Jordan.
+- null-space form, when a block is a partial transpose or a map image:
+  the full PPT program (stage B of a PPT decision), and the Jordan
+  program, which ``decide`` runs only when a channel map is singular
+  (for an invertible pair it solves the compat program instead).
+  Standard form would need a W per block, linked to the variable by n^2
+  more rows each (881 for qutrit PPT) or by inverses of the channel
+  maps.  The PSD blocks are affine in the free coordinates,
+  reparametrized so that their block images are orthonormal, and the
+  Schur system has one row per free direction plus t: 577 for the
+  qutrit Jordan program.
 
 Either way the blocks stay complex Hermitian and the Schur system real.
 """

@@ -8,6 +8,10 @@ decisions keeps this file; one that moves an optimum by more than
 file only on purpose, with
 
     PYTHONPATH=src python tests/test_decide_golden.py
+
+On invertible pairs Jordan mode solves the compat program; the Jordan
+cases here and the random invertible qubit pairs below are also checked
+against the Jordan program itself, which ``decide`` no longer runs there.
 """
 
 import json
@@ -17,8 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcc import reference
+from qcc import reference, sdp
+from qcc.channels import depolarizing_channel, identity_channel, partial_depolarizing_channel
+from qcc.linalg import ptrace_array
 from qcc.rand import random_channel, random_invertible_channel
+from qcc.sdp import decide as decide_mod
 from qcc.sdp.decide import decide
 
 GOLDEN = Path(__file__).parent / "data" / "decide_golden.json"
@@ -33,6 +40,12 @@ def _pairs(family: str) -> tuple:
         rng = np.random.default_rng(201)
         return tuple((random_invertible_channel(rng, 2), random_invertible_channel(rng, 2))
                      for _ in range(6))
+    if family == "inv8":
+        rng = np.random.default_rng(8)
+        return tuple((random_invertible_channel(rng, 2), random_invertible_channel(rng, 2))
+                     for _ in range(20))
+    if family == "singular":
+        return ((identity_channel(2), depolarizing_channel(2)),)
     if family == "rand7":
         rng = np.random.default_rng(7)
         return tuple((random_channel(rng, 2), random_channel(rng, 2)) for _ in range(4))
@@ -76,12 +89,55 @@ def test_decision_matches_golden(family, pair, mode):
     assert abs(dec.value - want["value"]) <= VALUE_TOL
 
 
+@lru_cache(maxsize=None)
+def _jordan_program(family: str, pair: int):
+    f, g = _pairs(family)[pair]
+    return sdp.solve(sdp.build_jordan_compat(f, g))
+
+
 def test_qutrit_jordan_counts_cholesky_fallbacks():
-    # this solve's Schur matrix needs jitter near the optimum, so the
-    # count reaches the outcome; test_sdp.py::TestCholPd checks the flag
-    # itself, and this bound goes once the Schur jitter is no longer needed
-    dec = _decide_case("qutrit3", 0, "jordan")
-    assert dec.outcome.residuals["chol_fallbacks"] >= 1
+    # the Jordan program's Schur matrix needs jitter near the optimum on
+    # this pair, so the count reaches the outcome; test_sdp.py::TestCholPd
+    # checks the flag itself, and this bound goes once the Schur jitter is
+    # no longer needed
+    assert _jordan_program("qutrit3", 0).residuals["chol_fallbacks"] >= 1
+
+
+@pytest.mark.parametrize("family, pair",
+                         [("inv8", i) for i in range(20)]
+                         + [("qutrit1", 0), ("qutrit3", 0), ("singular", 0)],
+                         ids=lambda v: str(v))
+def test_jordan_decide_matches_jordan_program(family, pair, monkeypatch):
+    compiled = []
+
+    def recording_solve(problem, **kwargs):
+        compiled.append(problem.name)
+        return sdp.solve(problem, **kwargs)
+
+    monkeypatch.setattr(decide_mod, "solve", recording_solve)
+    f, g = _pairs(family)[pair]
+    dec = decide(f, g, "jordan")
+    want = _jordan_program(family, pair)
+    assert dec.outcome.status == want.status
+    if family == "singular":
+        # a singular map keeps the Jordan program, and with it the same iterates
+        assert compiled == ["jordan_compat"]
+        assert dec.value == want.value
+    else:
+        assert compiled == ["compat"]
+        assert abs(dec.value - want.value) <= VALUE_TOL
+
+
+def test_jordan_read_out_is_projected_onto_identity_marginals():
+    # cond(f) ~ 1e7 multiplies the solver residual in A = (id x f^-1 x g^-1)(X)
+    f = partial_depolarizing_channel(1 - 1e-7, 3)
+    g = random_invertible_channel(np.random.default_rng(4), 3)
+    dec = decide(f, g, "jordan")
+    assert dec.verdict == "Compatible"
+    a = dec.gen_jordan_op.matrix.array
+    jid = identity_channel(3).choi.array
+    for traced in (1, 2):
+        assert np.abs(ptrace_array(a, (3, 3, 3), [traced]) - jid).max() <= 1e-12
 
 
 def test_golden_file_covers_every_case():
