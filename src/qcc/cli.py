@@ -194,7 +194,7 @@ def cmd_sweep(args) -> int:
     params = ()
     extra = []
     if args.family == "xi_self_k":
-        k = args.k or 2
+        k = 2 if args.k is None else args.k
         if k < 2:
             print("error: k must be at least 2", file=sys.stderr)
             return EXIT_PARSE

@@ -42,7 +42,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point",
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
         comp = compile_ipm(problem)
-        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0)
+        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur)
         alpha = comp.value(res)
         residuals = {
             "primal": res.res_primal,

@@ -12,16 +12,22 @@ is real, so inner products are Re<A, B> = Re Tr(A^H B); A and A^* act
 as real matrix products on (re, im) views of the constraint blocks.
 The Schur complement has the side m of y, which the compile sets: the
 constraint dimension less one for standard-form programs, the free
-directions plus one otherwise (see ``problem``).  It costs m n^3 to
-form and m^3 to factor per iteration.  Sizes up to a few hundred are
-the design point, so it is formed explicitly as a Gram matrix of scaled
-constraint blocks.  The NT factors of each iteration also give its step
-lengths, and every Cholesky factorization goes through one jittered
-helper, which counts the factorizations that needed jitter or an
-eigenvalue clip.  Each iteration takes one Newton step and nothing
-repairs the iterate after it: the infeasible-start step already
-shrinks each equality residual by the factor (1 - step) of its own
-step length.
+directions plus one otherwise (see ``problem``).  Sizes up to a few
+hundred are the design point, so it is formed explicitly, by the
+``schur`` callable the compile supplies, and factored at m^3 / 3 per
+iteration.  For standard-form programs it is formed from the
+partial-trace structure of the constraints as G M(V) G^T: a few
+products of the NT-scaled block with itself, a gather into the
+constraint rows and two products with G: about 1.2 ms of a 6.5 ms
+qutrit compat iteration (m = 152, 27 x 27 blocks, one BLAS thread of a
+2-core VM), where the dense form takes 4.5 ms.  For null-space programs
+it is the Gram matrix of the scaled constraint blocks, m n^3 to form.
+The NT factors of each iteration also give its step lengths, and every
+Cholesky factorization goes through one jittered helper, which counts
+the factorizations that needed jitter or an eigenvalue clip.  Each
+iteration takes one Newton step and nothing repairs the iterate after
+it: the infeasible-start step already shrinks each equality residual
+by the factor (1 - step) of its own step length.
 
 The Schur system is solved on its Cholesky factor by block
 substitution: LAPACK solves on the diagonal blocks and matrix
@@ -163,10 +169,14 @@ def _residuals(y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale):
     return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
 
 
-def solve_ipm(C_blocks, A_blocks, b, Z0) -> IpmResult:
+def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
     """Solve the pair of the module docstring from y = 0, S = C shifted
     into the cone and Z = ``Z0``, to the residual and gap target ``TOL``
-    in at most ``MAX_ITER`` iterations, both read at call time."""
+    in at most ``MAX_ITER`` iterations, both read at call time.
+
+    ``schur(rinvs)`` returns the Schur matrix Re Tr(A_i V A_j V), summed
+    over the blocks, at the inverse NT scalings V = Rinv^H Rinv.
+    """
     nblocks = len(C_blocks)
     m = b.shape[0]
     sides = [c.shape[0] for c in C_blocks]
@@ -194,25 +204,23 @@ def solve_ipm(C_blocks, A_blocks, b, Z0) -> IpmResult:
             return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
                              chol_fallbacks=fallbacks)
 
-        # Nesterov-Todd scaling and Schur complement (a Gram matrix)
+        # Nesterov-Todd scaling and Schur complement
         rs, rinvs, lams = [], [], []
-        schur = np.zeros((m, m))
         for l in range(nblocks):
             r, rinv, lam, fell = _nt_scaling(S[l], Z[l])
             fallbacks += fell
             rs.append(r)
             rinvs.append(rinv)
             lams.append(lam)
-            bf = _as_real(rinv @ A_blocks[l] @ rinv.conj().T).reshape(m, -1)
-            schur += bf @ bf.T
-        schur_chol, fell = _chol_pd(schur)
+        schur_mat = schur(rinvs)
+        schur_chol, fell = _chol_pd(schur_mat)
         fallbacks += fell
 
         def solve_schur(rhs):
             x = _chol_solve(schur_chol, rhs)
             # one step of iterative refinement keeps the last digits of the
             # equality residual from stalling on ill-conditioned systems
-            return x + _chol_solve(schur_chol, rhs - schur @ x)
+            return x + _chol_solve(schur_chol, rhs - schur_mat @ x)
 
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
         f_blocks = [rinvs[l].conj().T @ (rinvs[l] @ Rd[l] @ rinvs[l].conj().T) @ rinvs[l]

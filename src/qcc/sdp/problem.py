@@ -9,10 +9,12 @@ optimum.
 
 The vectorized constraint matrix is built from the adjoints: the rows
 of a partial-trace term are the identity embeddings of the constraint
-space's Hermitian basis, so no variable basis is ever traced.  One SVD
-of it (``_eliminate``) yields a particular solution and an orthonormal
-basis of the constraint rows (which the projection solver uses), and
-on request one of the free directions.
+space's Hermitian basis, so no variable basis is ever traced.  The
+elimination (``_eliminate``) yields a particular solution and an
+orthonormal basis of the constraint rows, which the projection solver
+and the standard form use, from an eigendecomposition of the
+constraint Gram matrix K K^T; the null-space form, which also needs a
+basis of the free directions, takes the full SVD of K instead.
 
 Compilation for the interior-point solver takes one of two forms,
 chosen from the block kinds:
@@ -21,8 +23,11 @@ chosen from the block kinds:
   (compat, the PPT relaxation, state compat, the k-extension and POVM
   compat).  The solver's Z is W = X - tI, t is eliminated along the
   identity direction, and the Schur system has one row per constraint
-  dimension less one, rank(K) - 1: 152 for qutrit compat.  The thin
-  SVD suffices.
+  dimension less one, rank(K) - 1: 152 for qutrit compat.  Its rows are
+  A_i = sum_p G_ip Tr*(E_p) over the constraint rows p, so the Schur
+  matrix is G M(V) G^T with M(V) read off a few products of the
+  NT-scaled block V with itself (``_SchurPlan``), never from the
+  (m, n, n) constraint tensor, which stays for A(y) and A^*(Z).
 - null-space form, when a block is a partial transpose or a map image:
   the full PPT program (stage B of a PPT decision), and the Jordan
   program, which ``decide`` runs only when a channel map is singular
@@ -32,15 +37,17 @@ chosen from the block kinds:
   maps.  The PSD blocks are affine in the free coordinates,
   reparametrized so that their block images are orthonormal, and the
   Schur system has one row per free direction plus t: 577 for the
-  qutrit Jordan program.
+  qutrit Jordan program.  Its Schur matrix is the Gram matrix of the
+  NT-scaled constraint blocks.
 
 Either way the blocks stay complex Hermitian and the Schur system real.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,8 +59,15 @@ from ..linalg import (
     ptranspose_array,
     vec_to_herm,
 )
+from .ipm import _as_real
 
-CONSTRAINT_RANK_TOL = 1e-10
+CONSTRAINT_RANK_TOL = 1e-10  # on singular values of K, relative to the largest
+# on eigenvalues of K K^T (squared singular values), relative to the
+# largest: the null ones come out at ~1e-15 and the smallest nonzero one
+# is 3 against 6 at qutrit compat, so this cut gives the SVD's rank on
+# every builder, where CONSTRAINT_RANK_TOL squared would sit below the
+# Gram matrix's rounding
+GRAM_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,7 @@ class CompiledSdp:
 
     Either way the certificate has trace 1 and lies in the range of the
     constraint adjoints, and ``Z0`` is where the solver starts Z.
+    ``schur`` forms the solver's Schur matrix at each NT scaling point.
     """
 
     problem: SdpProblem
@@ -190,6 +205,8 @@ class CompiledSdp:
     dropped_directions: int
     nullbasis: Optional[np.ndarray] = None  # (P, m - 1) free directions, null-space form
     t0: float = 0.0  # t at W = 0, standard form
+    gmat: Optional[np.ndarray] = None  # standard form: A_i = sum_p G_ip Tr*(E_p)
+    plan: Optional["_SchurPlan"] = None  # standard form, shared by equal structures
 
     @property
     def m(self) -> int:
@@ -215,6 +232,24 @@ class CompiledSdp:
         """The dual certificate, one matrix per PSD block."""
         return res.Z_blocks if self.nullbasis is not None else res.S_blocks
 
+    def schur(self, rinvs: list) -> np.ndarray:
+        """The Schur matrix Re Tr(A_i V A_j V), summed over the blocks, at
+        the inverse NT scaling V = Rinv^H Rinv of each block.
+
+        Standard form takes it from the constraint structure, as
+        G M(V) G^T (``_SchurPlan``); the null-space form as the Gram
+        matrix of the scaled constraint blocks Rinv A_i Rinv^H.
+        """
+        if self.plan is None:
+            m = self.m
+            schur = np.zeros((m, m))
+            for a, rinv in zip(self.A_blocks, rinvs):
+                bf = _as_real(rinv @ a @ rinv.conj().T).reshape(m, -1)
+                schur += bf @ bf.T
+            return schur
+        schur = self.gmat @ self.plan.gram(rinvs) @ self.gmat.T
+        return (schur + schur.T) / 2
+
 
 def _var_offsets(problem: SdpProblem) -> dict:
     """Where each variable's coordinates start in the stacked parameter vector."""
@@ -232,6 +267,136 @@ def _unpack_vars(problem: SdpProblem, params: np.ndarray) -> dict:
         v.name: vec_to_herm(params[off : off + v.nparams], v.side)
         for v, off in zip(problem.variables, _var_offsets(problem).values())
     }
+
+
+# ---------------------------------------------------------------------------
+# the standard-form Schur matrix from the constraint structure
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _SchurPlan:
+    """How to form M(V)[p, q] = Re Tr[Tr*_a(E_p) V Tr*_b(E_q) V], summed
+    over the pairs of terms a, b on one variable, for all constraint rows
+    p, q (E_p runs over the ``hermitian_basis`` of its constraint's
+    right-hand side, Tr* embeds it with identities on the traced factors).
+
+    Written out on V's factor indices, each pair of terms is one matrix
+    product of two permuted views of V, V[(a', t), (b, s)] V[(b', s), (a, t)]
+    summed over the traced factors t of a and s of b, and its entry at
+    (a', b, b', a) is the coefficient of E_p[a, a'] E_q[b, b'] in M[p, q].
+    ``gram`` writes those products into one buffer and gathers M from it
+    by ``index``, four entries per (p, q) since every basis element has
+    at most two.  Each basis coefficient is real or purely imaginary, so
+    ``coef`` reads one real or imaginary part.  Each pair of constraints
+    is multiplied once; the mirrored pair reads it transposed.
+    """
+
+    shapes: tuple  # per block, V's shape as a tensor over (row, column) factors
+    products: tuple  # (block, left axes, left shape, right axes, right shape, buffer slice)
+    size: int  # complex entries in the buffer
+    index: np.ndarray  # (4, rows, rows) into the buffer's float view
+    coef: np.ndarray  # (4, rows, rows)
+
+    def gram(self, rinvs: list) -> np.ndarray:
+        """M(V) over all constraint rows, V = Rinv^H Rinv per block."""
+        vs = [(rinv.conj().T @ rinv).reshape(shape) for rinv, shape in zip(rinvs, self.shapes)]
+        buf = np.zeros(self.size, dtype=np.complex128)
+        for l, laxes, lshape, raxes, rshape, sl in self.products:
+            v = vs[l]
+            buf[sl] += (v.transpose(laxes).reshape(lshape)
+                        @ v.transpose(raxes).reshape(rshape)).ravel()
+        return (self.coef * buf.view(np.float64)[self.index]).sum(axis=0)
+
+
+def _plan_key(problem: SdpProblem) -> tuple:
+    """The structure a Schur plan depends on: variable factors, each
+    constraint's side and terms, and the block order."""
+    return (
+        tuple((v.name, tuple(v.factors)) for v in problem.variables),
+        tuple((con.rhs.shape[0], tuple((t.var, tuple(t.traced)) for t in con.terms))
+              for con in problem.constraints),
+        tuple(block.var for block in problem.blocks),
+    )
+
+
+def _basis_entries(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and coefficients of the two entries of each
+    ``hermitian_basis(r)`` element, a diagonal unit's second entry with
+    coefficient 0."""
+    basis = hermitian_basis(r)
+    rows = np.zeros((r * r, 2), dtype=np.intp)
+    cols = np.zeros((r * r, 2), dtype=np.intp)
+    coefs = np.zeros((r * r, 2), dtype=np.complex128)
+    for p, e in enumerate(basis):
+        i, j = np.nonzero(e)
+        rows[p, : i.size], cols[p, : j.size] = i, j
+        coefs[p, : i.size] = e[i, j]
+    return rows, cols, coefs
+
+
+def _pair_axes(factors: tuple, traced_a: tuple, traced_b: tuple) -> tuple:
+    """Axes and shapes of the two views of V whose product holds one pair
+    of terms, on V reshaped to (factors, factors)."""
+    f = len(factors)
+    kept_a = [i for i in range(f) if i not in traced_a]
+    kept_b = [i for i in range(f) if i not in traced_b]
+
+    def size(axes):
+        return int(np.prod([factors[i] for i in axes]))
+
+    ra, rb, ta, tb = size(kept_a), size(kept_b), size(traced_a), size(traced_b)
+    left = kept_a + [f + i for i in kept_b] + list(traced_a) + [f + i for i in traced_b]
+    right = [f + i for i in traced_a] + list(traced_b) + kept_b + [f + i for i in kept_a]
+    return tuple(left), (ra * rb, ta * tb), tuple(right), (ta * tb, rb * ra)
+
+
+@functools.lru_cache(maxsize=64)
+def _schur_plan(variables: tuple, constraints: tuple, block_vars: tuple) -> _SchurPlan:
+    """The Schur plan of one problem structure (``_plan_key``)."""
+    factors = dict(variables)
+    block_of = {var: l for l, var in enumerate(block_vars)}
+    sides = [side for side, _terms in constraints]
+    starts = np.concatenate([[0], np.cumsum([r * r for r in sides])]).astype(int)
+    nrows = starts[-1]
+    entries = {r: _basis_entries(r) for r in set(sides)}
+    index = np.zeros((4, nrows, nrows), dtype=np.intp)
+    coef = np.zeros((4, nrows, nrows))
+    products = []
+    size = 0
+    for c1, (r1, terms1) in enumerate(constraints):
+        for c2 in range(c1, len(constraints)):
+            r2, terms2 = constraints[c2]
+            sl = slice(size, size + r1 * r1 * r2 * r2)
+            pairs = [(var, ta, tb) for var, ta in terms1 for var_b, tb in terms2 if var == var_b]
+            if not pairs:
+                continue
+            for var, ta, tb in pairs:
+                products.append((block_of[var], *_pair_axes(factors[var], ta, tb), sl))
+            # entry (a', b, b', a) of the slot, for E_p = sum_s c_s |i_s><j_s|
+            # and E_q = sum_t c_t |k_t><l_t|
+            i, j, ce = entries[r1]
+            k, l, cf = entries[r2]
+            flat = (size + (j * r2 * r2 * r1 + i)[:, :, None, None]
+                    + (k * r2 * r1 + l * r1)[None, None])
+            cc = ce[:, :, None, None] * cf[None, None]
+            real = cc.imag == 0
+            # Re(c x) reads Re x for a real c and -Im(c) Im x for an imaginary one
+            ridx = np.where(real, 2 * flat, 2 * flat + 1)
+            rcoef = np.where(real, cc.real, -cc.imag)
+            p_sl = slice(starts[c1], starts[c1 + 1])
+            q_sl = slice(starts[c2], starts[c2 + 1])
+            index[:, p_sl, q_sl] = ridx.transpose(1, 3, 0, 2).reshape(4, r1 * r1, r2 * r2)
+            coef[:, p_sl, q_sl] = rcoef.transpose(1, 3, 0, 2).reshape(4, r1 * r1, r2 * r2)
+            if c2 != c1:
+                index[:, q_sl, p_sl] = index[:, p_sl, q_sl].transpose(0, 2, 1)
+                coef[:, q_sl, p_sl] = coef[:, p_sl, q_sl].transpose(0, 2, 1)
+            size = sl.stop
+    # one plan serves every problem of its structure
+    index.setflags(write=False)
+    coef.setflags(write=False)
+    shapes = tuple(tuple(factors[var]) * 2 for var in block_vars)
+    return _SchurPlan(shapes, tuple(products), size, index, coef)
 
 
 def _constraint_matrix(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -268,27 +433,46 @@ def _constraint_matrix(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(rows), np.concatenate(rhs_parts)
 
 
-def _eliminate(problem: SdpProblem,
-               null_space: bool = False) -> tuple[np.ndarray, np.ndarray, int, int]:
+class _Elimination(NamedTuple):
+    x0: np.ndarray  # minimum-norm particular solution
+    vh: np.ndarray  # vh[:rank]: orthonormal constraint rows; full SVD: vh[rank:] free
+    rank: int
+    removed: int  # redundant constraint rows
+    coords: Optional[np.ndarray]  # thin form: vh = coords @ K
+
+
+def _eliminate(problem: SdpProblem, null_space: bool = False) -> _Elimination:
     """Solve the equality constraints once, for both solvers.
 
-    One SVD of the vectorized constraint matrix gives the minimum-norm
-    particular solution x0 and the right singular vectors vh: vh[:rank]
-    is an orthonormal basis of the constraint rows and, with
-    ``null_space``, vh[rank:] one of the free directions (without it the
-    SVD is thin and vh has at most as many rows as the matrix).  Returns
-    (x0, vh, rank, removed), ``removed`` counting redundant rows;
-    inconsistent right-hand sides raise.
+    The thin form takes the constraint rows from an eigendecomposition
+    of the Gram matrix K K^T = U diag(lam) U^T of the vectorized
+    constraint matrix K: with the nonzero eigenvalues lam_r,
+    coords = (U_r / sqrt(lam_r))^T maps K onto the orthonormal rows
+    vh = coords @ K, and x0 = vh^T (coords @ b) is the minimum-norm
+    particular solution.  The Gram matrix is rows x rows (162 x 162 for
+    qutrit compat), so this costs about an eighth of the thin SVD of K.
+    With ``null_space`` it takes the full SVD of K instead, whose
+    vh[rank:] spans the free directions.  Inconsistent right-hand sides
+    raise.
     """
     kmat, bvec = _constraint_matrix(problem)
-    u, s, vh = np.linalg.svd(kmat, full_matrices=null_space)
-    rank = int(np.sum(s > CONSTRAINT_RANK_TOL * (s[0] if s.size else 1.0)))
-    x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
+    if null_space:
+        u, s, vh = np.linalg.svd(kmat)
+        rank = int(np.sum(s > CONSTRAINT_RANK_TOL * (s[0] if s.size else 1.0)))
+        x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
+        coords = None
+    else:
+        lam, u = np.linalg.eigh(kmat @ kmat.T)
+        keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
+        coords = (u[:, keep] / np.sqrt(lam[keep])).T
+        vh = coords @ kmat
+        rank = vh.shape[0]
+        x0 = vh.T @ (coords @ bvec)
     resid = np.abs(kmat @ x0 - bvec).max() if bvec.size else 0.0
     scale = max(1.0, np.abs(bvec).max() if bvec.size else 1.0)
     if resid > 1e-9 * scale:
         raise ValueError(f"equality constraints are inconsistent (residual {resid:.3e})")
-    return x0, vh, rank, kmat.shape[0] - rank
+    return _Elimination(x0, vh, rank, kmat.shape[0] - rank, coords)
 
 
 def _is_standard(problem: SdpProblem) -> bool:
@@ -320,8 +504,8 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     are the rows A_i = mat(R^T q_i).  Maximizing t minimizes <C, W>.
     """
     var_offsets = _var_offsets(problem)
-    x0, vh, rank, removed = _eliminate(problem)
-    rows = vh[:rank]
+    elim = _eliminate(problem)
+    x0, rows = elim.x0, elim.vh
     c = rows @ x0
     e = rows @ np.concatenate([herm_to_vec(np.eye(v.side)) for v in problem.variables])
     e_norm = float(np.linalg.norm(e))
@@ -352,16 +536,18 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
         C_blocks=c_blocks,
         A_blocks=a_blocks,
         Z0=z0,
-        removed_redundant=removed,
+        removed_redundant=elim.removed,
         dropped_directions=0,
         t0=float(e_hat @ c) / e_norm,
+        gmat=q.T @ elim.coords,
+        plan=_schur_plan(*_plan_key(problem)),
     )
 
 
 def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     """y = (free coordinates, t), the PSD blocks affine in them."""
     var_offsets = _var_offsets(problem)
-    x0, vh, rank, removed = _eliminate(problem, null_space=True)
+    x0, vh, rank, removed, _coords = _eliminate(problem, null_space=True)
     nullb = vh[rank:].T  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 

@@ -2,13 +2,14 @@
 
 Alternates between the affine set of the equality constraints and the
 PSD cone of each block.  The affine projection applies the orthonormal
-constraint-row basis from the elimination the interior-point compile
-also runs (``problem._eliminate``) as two matvecs.  The method forfeits
-dual certificates: the outcome is Feasible with a verified point, or
-Inconclusive.  On the qubit k-extension up to k = 7 it takes about as
-long per point as the standard-form interior point where the program
-is feasible, and three or more times as long where it is not, to end
-Inconclusive there.  A stalled violation (typical of infeasible
+constraint-row basis from the thin elimination the standard-form
+interior-point compile also runs (``problem._eliminate``, from an
+eigendecomposition of the constraint Gram matrix K K^T) as two
+matvecs.  The method forfeits dual certificates: the outcome is
+Feasible with a verified point, or Inconclusive.  On the qubit
+k-extension up to k = 7 it takes about as long per point as the
+standard-form interior point where the program is feasible, and three
+or more times as long where it is not, to end Inconclusive there.  A stalled violation (typical of infeasible
 instances, where the iterates approach the positive gap between the two
 sets) exits early.
 """
@@ -46,8 +47,8 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
             raise ValueError("projection mode supports PSD blocks on the variables only")
 
     var_offsets = _var_offsets(problem)
-    x0, vh, rank, _removed = _eliminate(problem)
-    rows = vh[:rank]  # orthonormal row-space basis, (r, P)
+    elim = _eliminate(problem)
+    x0, rows = elim.x0, elim.vh  # orthonormal row-space basis, (r, P)
     c_rows = rows @ x0
 
     def proj_affine(x):

@@ -165,6 +165,13 @@ class TestSweep:
         main(["sweep", "depol_pair", "--grid", "4", "--out", out2, "--jobs", "2"])
         assert open(out1).read() == open(out2).read()
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_xi_self_k_below_two_exits_64(self, tmp_path, capsys, k):
+        out = tmp_path / "low.csv"
+        assert main(["sweep", "xi_self_k", "--grid", "2", "--k", k, "--out", str(out)]) == 64
+        assert "k must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_size_cap_exit_66(self, tmp_path, capsys, jobs):
         # k = 8 has a total variable side of 2 * 2**8 = 512, above the interior-point cap

@@ -22,17 +22,20 @@ from qcc.linalg import (
     herm_to_vec,
     hermitian_basis,
     ptrace_array,
+    ptranspose_array,
 )
-from qcc.rand import random_channel, random_density, random_invertible_channel
+from qcc.rand import random_channel, random_density, random_invertible_channel, random_povm
 from qcc.sdp.decide import _split_adjoint_pair, decide
 from qcc.sdp.ipm import _chol_pd, _chol_solve
 from qcc.sdp.problem import (
+    CONSTRAINT_RANK_TOL,
     Block,
     Constraint,
     ConstraintTerm,
     SdpProblem,
     VariableSpec,
     _constraint_matrix,
+    _eliminate,
     _var_offsets,
     compile_ipm,
 )
@@ -210,6 +213,85 @@ class TestStandardForm:
         out = sdp.solve(sdp.build_state_compat(rho1, rho2))
         assert out.status in ("Feasible", "Infeasible")
         assert abs(out.residuals["dual_objective"] - out.value) <= 1e-6
+
+
+STANDARD_KINDS = ["compat222", "compat223", "compat333", "ppt_relaxation", "state",
+                  "k2", "k3", "k4", "povm"]
+
+
+def _standard_program(kind):
+    """One program of each standard-form builder, on seeded random data."""
+    rng = np.random.default_rng(11)
+    if kind == "compat222":
+        return sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2))
+    if kind == "compat223":
+        return sdp.build_compat(random_channel(rng, 2, 2), random_channel(rng, 2, 3))
+    if kind == "compat333":
+        return sdp.build_compat(random_invertible_channel(rng, 3),
+                                random_invertible_channel(rng, 3))
+    if kind == "ppt_relaxation":
+        f, g = random_channel(rng, 2), random_channel(rng, 2, 3)
+        j1t = ptranspose_array(f.choi.array, (2, 2), 0)
+        j2t = ptranspose_array(g.choi.array, (2, 3), 0)
+        return sdp.two_marginal_problem(j1t, j2t, (2, 2, 3), name="ppt_relaxation")
+    if kind == "state":
+        rho = random_density(rng, 12)
+        rho1 = HermitianMatrix(ptrace_array(rho, (2, 2, 3), [2]), TensorShape((2, 2)))
+        rho2 = HermitianMatrix(ptrace_array(rho, (2, 2, 3), [1]), TensorShape((2, 3)))
+        return sdp.build_state_compat(rho1, rho2)
+    if kind.startswith("k"):
+        return sdp.build_k_extension(random_channel(rng, 2), int(kind[1:]))
+    return sdp.build_povm_compat(random_povm(rng, 2, 3), random_povm(rng, 2, 2))
+
+
+class TestStructuredSchur:
+    """The standard-form Schur matrix formed from the constraint structure
+    equals the Gram matrix of the scaled dense constraint blocks, and the
+    Gram-eigendecomposition elimination equals an SVD of K."""
+
+    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    def test_schur_matches_dense_gram(self, kind):
+        comp = compile_ipm(_standard_program(kind))
+        assert comp.plan is not None
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rinvs, gram = [], np.zeros((comp.m, comp.m))
+            for a in comp.A_blocks:
+                n = a.shape[-1]
+                rinv = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + n * np.eye(n)
+                scaled = (rinv @ a @ rinv.conj().T).reshape(comp.m, -1)
+                gram += (scaled.conj() @ scaled.T).real
+                rinvs.append(rinv)
+            schur = comp.schur(rinvs)
+            assert np.array_equal(schur, schur.T)
+            assert np.abs(schur - gram).max() <= 1e-12 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    def test_thin_elimination_matches_svd(self, kind):
+        problem = _standard_program(kind)
+        kmat, bvec = _constraint_matrix(problem)
+        u, s, vh = np.linalg.svd(kmat, full_matrices=False)
+        rank = int(np.sum(s > CONSTRAINT_RANK_TOL * s[0]))
+        x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
+        elim = _eliminate(problem)
+        assert elim.rank == rank
+        assert elim.removed == kmat.shape[0] - rank
+        assert np.abs(elim.vh @ elim.vh.T - np.eye(rank)).max() <= 1e-12
+        assert np.abs(elim.vh.T @ elim.vh - vh[:rank].T @ vh[:rank]).max() <= 1e-12
+        assert np.abs(elim.x0 - x0).max() <= 1e-12
+
+    def test_plan_is_shared_by_equal_structures(self):
+        rng = np.random.default_rng(6)
+        pair = [sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2))
+                for _ in range(2)]
+        plans = [compile_ipm(p).plan for p in pair]
+        assert plans[0] is plans[1]
+        other = sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2, 3))
+        assert compile_ipm(other).plan is not plans[0]
+
+    def test_null_space_form_has_no_plan(self):
+        f, g = random_channel(np.random.default_rng(7), 2), identity_channel(2)
+        assert compile_ipm(sdp.build_compat(f, g, ppt=True)).plan is None
 
 
 class TestCholSolve:
