@@ -1,11 +1,11 @@
 """Command-line surface: compatibility checks, region sweeps, certificate handling.
 
 Exit codes for decisions: 0 compatible/feasible, 1 incompatible, 2
-inconclusive; 64 for unparseable input files, 65 for dimension
-mismatches, 66 for problems above the solver's size cap.  Sweeps write
-deterministic CSV (row-major grid, then a boundary section with the
-first feasible step per column).  All configuration is via flags;
-nothing reads the environment.
+inconclusive; 64 for usage errors and unparseable input files, 65 for
+dimension mismatches, 66 for problems above the solver's size cap.
+Sweeps write deterministic CSV (row-major grid, then a boundary section
+with the first feasible step per column).  All configuration is via
+flags; nothing reads the environment.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def cmd_check(args) -> int:
     b = _load_channel(args.channel_b)
     mode = args.mode.replace("-", "_")
     try:
-        dec = decide(a, b, mode, decision_tol=args.tol)
+        dec = decide(a, b, mode)
     except sdp.SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
@@ -97,10 +97,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_self_compat(args) -> int:
+    if args.k < 2:
+        print("error: k must be at least 2", file=sys.stderr)
+        return EXIT_PARSE
     c = _load_channel(args.channel)
     try:
         problem = sdp.build_k_extension(c, args.k)
-        out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver], decision_tol=args.tol)
+        out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver])
     except sdp.SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
@@ -201,6 +204,9 @@ def cmd_sweep(args) -> int:
         params = (k, args.solver or ("ipm" if k <= 3 else "projection"))
         header = header + ["k"]
         extra = [str(k)]
+    elif args.k is not None or args.solver is not None:
+        print("error: --k and --solver apply only to xi_self_k", file=sys.stderr)
+        return EXIT_PARSE
     axis = [i / (n - 1) for i in range(n)]
     tasks = [(a, b) + params for a in axis for b in axis]
     try:
@@ -255,9 +261,16 @@ def cmd_witness_verify(args) -> int:
     return 0 if report.valid else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE: argparse's own 2 is the Inconclusive code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qcc",
-                                     description="Decide compatibility of quantum channels.")
+    parser = _Parser(prog="qcc", description="Decide compatibility of quantum channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide compatibility of a channel pair")
@@ -265,14 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("channel_b")
     p_check.add_argument("--mode", default="compat",
                          choices=["compat", "jordan", "ppt-compat"])
-    p_check.add_argument("--tol", type=float, default=1e-7)
     p_check.add_argument("--cert", help="write the certificate JSON here")
     p_check.set_defaults(func=cmd_check)
 
     p_self = sub.add_parser("self-compat", help="k-fold self-compatibility")
     p_self.add_argument("channel")
     p_self.add_argument("--k", type=int, default=2)
-    p_self.add_argument("--tol", type=float, default=1e-7)
     p_self.add_argument("--solver", choices=list(_SOLVER_MODES), default="ipm")
     p_self.set_defaults(func=cmd_self_compat)
 
@@ -300,12 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # file-level errors raised deep in handlers
-        return int(exc.code)
+    except SystemExit as exc:  # usage errors, --help, file-level errors in handlers
+        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ from .ipm import solve_ipm
 from .problem import SdpOutcome, SdpProblem, _unpack_vars, compile_ipm
 from .projection import solve_dykstra
 
+# The sign band of the optimum t, the residual bound of a loose solve and
+# decide()'s certificate tolerance, in one: a Feasible t >= -band gives
+# X = W + tI with lambda_min(X) >= -band, which the certificate check must
+# accept, so the band cannot exceed the certificate tolerance.
 DECISION_TOL = 1e-7
 # caps on the summed side of the complex variables, checked before compiling
 IPM_SIDE_CAP = 256
@@ -30,12 +34,11 @@ def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
         raise SizeCapError(f"{solver} cap is a total variable side of {cap}, got {side}")
 
 
-def solve(problem: SdpProblem, mode: str = "interior_point",
-          decision_tol: float = DECISION_TOL) -> SdpOutcome:
+def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     """Solve a compatibility program.
 
     interior_point maximizes t and reports Feasible/Infeasible by the sign
-    of the optimum (within the decision band), with dual multipliers for
+    of the optimum (within ``DECISION_TOL``), with dual multipliers for
     certificate extraction.  projection runs Dykstra alternating
     projections and reports Feasible with a primal point or Inconclusive.
     """
@@ -54,27 +57,21 @@ def solve(problem: SdpProblem, mode: str = "interior_point",
             "chol_fallbacks": res.chol_fallbacks,
         }
         note = res.note
-        loose = (
-            not res.converged
-            and res.res_primal <= 1e-7
-            and res.res_dual <= 1e-7
-            and res.rel_gap <= 1e-7
-        )
+        loose = not res.converged and all(
+            r <= DECISION_TOL for r in (res.res_primal, res.res_dual, res.rel_gap))
         if loose:
             note = (note + "; " if note else "") + (
                 "converged loosely: residuals above the 1e-9 target but "
-                "within the 1e-7 certificate tolerance"
+                f"within the {DECISION_TOL:g} certificate tolerance"
             )
         if not res.converged and not loose:
             return SdpOutcome("Inconclusive", alpha, residuals=residuals,
-                              iterations=res.iterations, decision_tol=decision_tol,
-                              note=note or "solver did not converge")
-        if abs(alpha) < decision_tol:
+                              iterations=res.iterations, note=note or "solver did not converge")
+        if abs(alpha) < DECISION_TOL:
             note = (note + "; " if note else "") + "optimum inside the decision band"
-        status = "Feasible" if alpha >= -decision_tol else "Infeasible"
+        status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
         return SdpOutcome(status, alpha, primal=comp.primal(res), dual=comp.certificate(res),
-                          residuals=residuals,
-                          iterations=res.iterations, decision_tol=decision_tol, note=note)
+                          residuals=residuals, iterations=res.iterations, note=note)
 
     if mode == "projection":
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
@@ -82,10 +79,10 @@ def solve(problem: SdpProblem, mode: str = "interior_point",
         residuals = {"psd_violation": res.violation}
         if not res.feasible:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
-                              iterations=res.iterations, decision_tol=decision_tol,
+                              iterations=res.iterations,
                               note="projection did not reach feasibility")
         return SdpOutcome("Feasible", 0.0, primal=_unpack_vars(problem, res.params),
-                          residuals=residuals, iterations=res.iterations, decision_tol=decision_tol,
+                          residuals=residuals, iterations=res.iterations,
                           note="projection mode: feasibility only")
 
     raise ValueError(f"unknown mode {mode!r}")

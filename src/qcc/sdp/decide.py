@@ -5,7 +5,8 @@ matrix, or the operator behind a generalized Jordan product) that passes
 the channel validation checks; an Incompatible verdict carries a witness
 that re-verifies in the witness module.  The two never coexist.  When
 the solver cannot produce either at the required quality the verdict is
-Inconclusive, with residual diagnostics attached.
+Inconclusive, with residual diagnostics attached.  Certificates are
+checked at ``DECISION_TOL``.
 
 Jordan mode solves the compat program when both channels are invertible
 as linear maps.  The substitution X = (id (x) f (x) g)(A) maps the Jordan
@@ -37,8 +38,6 @@ from ..witness import (
 from . import DECISION_TOL, solve
 from .builders import build_compat, build_jordan_compat, two_marginal_problem
 from .problem import SdpOutcome
-
-CERT_TOL = 1e-7
 
 EXIT_CODES = {"Compatible": 0, "Incompatible": 1, "Inconclusive": 2}
 
@@ -87,7 +86,7 @@ def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) 
     min_eig = np.linalg.eigvalsh(x).min()
     if ppt:
         min_eig = min(min_eig, np.linalg.eigvalsh(ptranspose_array(x, factors, 0)).min())
-    if dev <= CERT_TOL and min_eig >= -CERT_TOL:
+    if dev <= DECISION_TOL and min_eig >= -DECISION_TOL:
         cert = HermitianMatrix(x, TensorShape(factors))
         return Decision("Compatible", out.value, compatibilizer=cert, outcome=out,
                         diagnostics={"marginal_dev": dev, "min_eig": float(min_eig)})
@@ -121,8 +120,8 @@ def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
                     note="dual certificate failed verification")
 
 
-def _decide_compat(f: Channel, g: Channel, decision_tol: float) -> Decision:
-    out = solve(build_compat(f, g), decision_tol=decision_tol)
+def _decide_compat(f: Channel, g: Channel) -> Decision:
+    out = solve(build_compat(f, g))
     if out.status == "Feasible":
         return _certify_compatibilizer(out, f, g, ppt=False)
     if out.status == "Infeasible":
@@ -138,7 +137,7 @@ def _project_identity_marginals(a: np.ndarray, d: int) -> np.ndarray:
     return a - adjoint_sum(*_split_adjoint_pair(excess, factors), factors)
 
 
-def _decide_jordan(f: Channel, g: Channel, decision_tol: float) -> Decision:
+def _decide_jordan(f: Channel, g: Channel) -> Decision:
     """Jordan compatibility, by the compat program when f and g are
     invertible and by the Jordan program otherwise.
 
@@ -154,7 +153,7 @@ def _decide_jordan(f: Channel, g: Channel, decision_tol: float) -> Decision:
     except SingularMapError:
         inverses = None
     build = build_jordan_compat if inverses is None else build_compat
-    out = solve(build(f, g), decision_tol=decision_tol)
+    out = solve(build(f, g))
     if out.status == "Feasible":
         if inverses is None:
             a = out.primal["A"]
@@ -163,12 +162,12 @@ def _decide_jordan(f: Channel, g: Channel, decision_tol: float) -> Decision:
             a, _ = apply_to_factor(a, dims, 2, inverses[1])
         a = _project_identity_marginals(a, d)
         try:
-            op = GenJordanOperator(HermitianMatrix(a, TensorShape((d, d, d))), tol=CERT_TOL)
+            op = GenJordanOperator(HermitianMatrix(a, TensorShape((d, d, d))), tol=DECISION_TOL)
         except ValueError as exc:
             return Decision("Inconclusive", out.value, outcome=out, note=str(exc))
         image = gen_jordan(f.rep, g.rep, op)
         min_eig = np.linalg.eigvalsh(image.choi.array).min()
-        if min_eig >= -CERT_TOL:
+        if min_eig >= -DECISION_TOL:
             return Decision("Compatible", out.value, gen_jordan_op=op,
                             compatibilizer=image.choi, outcome=out,
                             diagnostics={"min_eig": float(min_eig)})
@@ -196,7 +195,7 @@ def _decide_jordan(f: Channel, g: Channel, decision_tol: float) -> Decision:
     return Decision("Inconclusive", out.value, outcome=out, note=out.note)
 
 
-def _decide_ppt(f: Channel, g: Channel, decision_tol: float) -> Decision:
+def _decide_ppt(f: Channel, g: Channel) -> Decision:
     """Two stages: a transposed-marginal relaxation whose dual is the ppt
     witness, then (if that is feasible) the full program with both the
     variable and its partial transpose PSD."""
@@ -204,13 +203,13 @@ def _decide_ppt(f: Channel, g: Channel, decision_tol: float) -> Decision:
     j1t = ptranspose_array(f.choi.array, (dx, d1), 0)
     j2t = ptranspose_array(g.choi.array, (dx, d2), 0)
     relax = two_marginal_problem(j1t, j2t, (dx, d1, d2), name="ppt_relaxation")
-    out_a = solve(relax, decision_tol=decision_tol)
+    out_a = solve(relax)
     if out_a.status == "Infeasible":
         return _refute(out_a, f, g, "ppt")
     if out_a.status != "Feasible":
         return Decision("Inconclusive", out_a.value, outcome=out_a, note=out_a.note)
 
-    out_b = solve(build_compat(f, g, ppt=True), decision_tol=decision_tol)
+    out_b = solve(build_compat(f, g, ppt=True))
     if out_b.status == "Feasible":
         return _certify_compatibilizer(out_b, f, g, ppt=True)
     return Decision(
@@ -220,8 +219,7 @@ def _decide_ppt(f: Channel, g: Channel, decision_tol: float) -> Decision:
     )
 
 
-def decide(f: Channel, g: Channel, mode: str = "compat",
-           decision_tol: float = DECISION_TOL) -> Decision:
+def decide(f: Channel, g: Channel, mode: str = "compat") -> Decision:
     """Decide compatibility of a channel pair in the requested sense.
 
     Verdicts are Compatible, Incompatible or Inconclusive; the first two
@@ -230,9 +228,9 @@ def decide(f: Channel, g: Channel, mode: str = "compat",
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")
     if mode == "compat":
-        return _decide_compat(f, g, decision_tol)
+        return _decide_compat(f, g)
     if mode == "jordan":
-        return _decide_jordan(f, g, decision_tol)
+        return _decide_jordan(f, g)
     if mode == "ppt_compat":
-        return _decide_ppt(f, g, decision_tol)
+        return _decide_ppt(f, g)
     raise ValueError(f"unknown decision mode {mode!r}")

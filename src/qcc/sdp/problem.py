@@ -11,10 +11,11 @@ The vectorized constraint matrix is built from the adjoints: the rows
 of a partial-trace term are the identity embeddings of the constraint
 space's Hermitian basis, so no variable basis is ever traced.  The
 elimination (``_eliminate``) yields a particular solution and an
-orthonormal basis of the constraint rows, which the projection solver
-and the standard form use, from an eigendecomposition of the
-constraint Gram matrix K K^T; the null-space form, which also needs a
-basis of the free directions, takes the full SVD of K instead.
+orthonormal basis of the constraint rows from an eigendecomposition of
+the constraint Gram matrix K K^T.  The projection solver and both
+interior-point forms use it; the null-space form completes the rows to
+an orthonormal basis by a QR factorization and keeps the rest as the
+free directions.
 
 Compilation for the interior-point solver takes one of two forms,
 chosen from the block kinds:
@@ -61,12 +62,12 @@ from ..linalg import (
 )
 from .ipm import _as_real
 
-CONSTRAINT_RANK_TOL = 1e-10  # on singular values of K, relative to the largest
+CONSTRAINT_RANK_TOL = 1e-10  # on the null-space form's block-image singular values, relative
 # on eigenvalues of K K^T (squared singular values), relative to the
 # largest: the null ones come out at ~1e-15 and the smallest nonzero one
-# is 3 against 6 at qutrit compat, so this cut gives the SVD's rank on
-# every builder, where CONSTRAINT_RANK_TOL squared would sit below the
-# Gram matrix's rounding
+# is 3 against 6 at qutrit compat, so this cut gives the rank of an SVD
+# of K at a 1e-10 cut on every builder, where (1e-10)^2 would sit below
+# the Gram matrix's rounding
 GRAM_RANK_TOL = 1e-10
 
 
@@ -137,8 +138,8 @@ class SdpOutcome:
     """Result of a solve: three-valued status plus certificates and residuals.
 
     The decision band is a floating-point artifact: optima within
-    ``decision_tol`` of zero are not trustworthy sign decisions, which is
-    flagged in ``note`` by the callers that decide.
+    ``sdp.DECISION_TOL`` of zero are not trustworthy sign decisions, which
+    is flagged in ``note``.
     """
 
     status: str
@@ -147,7 +148,6 @@ class SdpOutcome:
     dual: Optional[list] = None
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
-    decision_tol: float = 1e-7
     note: str = ""
 
 
@@ -435,39 +435,31 @@ def _constraint_matrix(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
 
 class _Elimination(NamedTuple):
     x0: np.ndarray  # minimum-norm particular solution
-    vh: np.ndarray  # vh[:rank]: orthonormal constraint rows; full SVD: vh[rank:] free
+    vh: np.ndarray  # (rank, P) orthonormal constraint rows
     rank: int
     removed: int  # redundant constraint rows
-    coords: Optional[np.ndarray]  # thin form: vh = coords @ K
+    coords: np.ndarray  # vh = coords @ K
 
 
-def _eliminate(problem: SdpProblem, null_space: bool = False) -> _Elimination:
+def _eliminate(problem: SdpProblem) -> _Elimination:
     """Solve the equality constraints once, for both solvers.
 
-    The thin form takes the constraint rows from an eigendecomposition
-    of the Gram matrix K K^T = U diag(lam) U^T of the vectorized
-    constraint matrix K: with the nonzero eigenvalues lam_r,
-    coords = (U_r / sqrt(lam_r))^T maps K onto the orthonormal rows
-    vh = coords @ K, and x0 = vh^T (coords @ b) is the minimum-norm
-    particular solution.  The Gram matrix is rows x rows (162 x 162 for
-    qutrit compat), so this costs about an eighth of the thin SVD of K.
-    With ``null_space`` it takes the full SVD of K instead, whose
-    vh[rank:] spans the free directions.  Inconsistent right-hand sides
-    raise.
+    The constraint rows come from an eigendecomposition of the Gram
+    matrix K K^T = U diag(lam) U^T of the vectorized constraint matrix K:
+    with the nonzero eigenvalues lam_r, coords = (U_r / sqrt(lam_r))^T
+    maps K onto the orthonormal rows vh = coords @ K, and
+    x0 = vh^T (coords @ b) is the minimum-norm particular solution.  The
+    Gram matrix is rows x rows (162 x 162 for qutrit compat), so this
+    costs about an eighth of the thin SVD of K.  Inconsistent right-hand
+    sides raise.
     """
     kmat, bvec = _constraint_matrix(problem)
-    if null_space:
-        u, s, vh = np.linalg.svd(kmat)
-        rank = int(np.sum(s > CONSTRAINT_RANK_TOL * (s[0] if s.size else 1.0)))
-        x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
-        coords = None
-    else:
-        lam, u = np.linalg.eigh(kmat @ kmat.T)
-        keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
-        coords = (u[:, keep] / np.sqrt(lam[keep])).T
-        vh = coords @ kmat
-        rank = vh.shape[0]
-        x0 = vh.T @ (coords @ bvec)
+    lam, u = np.linalg.eigh(kmat @ kmat.T)
+    keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
+    coords = (u[:, keep] / np.sqrt(lam[keep])).T
+    vh = coords @ kmat
+    rank = vh.shape[0]
+    x0 = vh.T @ (coords @ bvec)
     resid = np.abs(kmat @ x0 - bvec).max() if bvec.size else 0.0
     scale = max(1.0, np.abs(bvec).max() if bvec.size else 1.0)
     if resid > 1e-9 * scale:
@@ -547,8 +539,9 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
 def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     """y = (free coordinates, t), the PSD blocks affine in them."""
     var_offsets = _var_offsets(problem)
-    x0, vh, rank, removed, _coords = _eliminate(problem, null_space=True)
-    nullb = vh[rank:].T  # (P, m0) orthonormal
+    x0, vh, rank, removed, _coords = _eliminate(problem)
+    # the free directions complete the orthonormal constraint rows
+    nullb = np.linalg.qr(vh.T, mode="complete")[0][:, rank:]  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 
     # complex block images of the particular solution and the free directions

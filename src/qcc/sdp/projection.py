@@ -2,8 +2,8 @@
 
 Alternates between the affine set of the equality constraints and the
 PSD cone of each block.  The affine projection applies the orthonormal
-constraint-row basis from the thin elimination the standard-form
-interior-point compile also runs (``problem._eliminate``, from an
+constraint-row basis from the elimination the interior-point compile
+also runs (``problem._eliminate``, from an
 eigendecomposition of the constraint Gram matrix K K^T) as two
 matvecs.  The method forfeits dual certificates: the outcome is
 Feasible with a verified point, or Inconclusive.  On the qubit

@@ -79,6 +79,15 @@ class TestCheck:
         p.write_text(json.dumps(channel_to_json(identity_channel(7))))
         assert main(["check", str(p), str(p)]) == 66
 
+    def test_unknown_flag_exits_64(self, ref_files, capsys):
+        a, b = ref_files
+        assert main(["check", a, b, "--bogus"]) == 64
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["check", "--help"]) == 0
+        assert "--mode" in capsys.readouterr().out
+
     def test_iteration_cap_exit_2(self, identity_file, monkeypatch, capsys):
         monkeypatch.setattr(sdp.ipm, "MAX_ITER", 2)
         assert main(["check", identity_file, identity_file]) == 2
@@ -95,6 +104,16 @@ class TestSelfCompat:
 
     def test_identity_k2(self, identity_file):
         assert main(["self-compat", identity_file, "--k", "2"]) == 1
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_k_below_two_exits_64(self, identity_file, capsys, k):
+        assert main(["self-compat", identity_file, "--k", k]) == 64
+        assert "k must be at least 2" in capsys.readouterr().err
+
+    def test_decision_band_is_not_an_option(self, identity_file, capsys):
+        # a band of 0.5 would read the identity's optimum -1/8 as Feasible
+        assert main(["self-compat", identity_file, "--k", "2", "--tol", "0.5"]) == 64
+        assert "Feasible" not in capsys.readouterr().out
 
     def test_half_depolarizing_k2(self, tmp_path):
         p = tmp_path / "o.json"
@@ -170,6 +189,14 @@ class TestSweep:
         out = tmp_path / "low.csv"
         assert main(["sweep", "xi_self_k", "--grid", "2", "--k", k, "--out", str(out)]) == 64
         assert "k must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["xi_jordan_vs_self", "depol_pair"])
+    @pytest.mark.parametrize("flag", [["--k", "3"], ["--solver", "projection"]])
+    def test_xi_self_k_flags_on_other_families_exit_64(self, tmp_path, capsys, family, flag):
+        out = tmp_path / "other.csv"
+        assert main(["sweep", family, "--grid", "2", "--out", str(out)] + flag) == 64
+        assert "apply only to xi_self_k" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

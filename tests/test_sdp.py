@@ -244,10 +244,24 @@ def _standard_program(kind):
     return sdp.build_povm_compat(random_povm(rng, 2, 3), random_povm(rng, 2, 2))
 
 
+# null-space programs, with the Schur size m and dropped directions of
+# their compile
+NULL_SPACE_KINDS = {"ppt333": (577, 0), "jordan_deph3": (145, 432)}
+
+
+def _null_space_program(kind):
+    if kind == "ppt333":
+        rng = np.random.default_rng(11)
+        return sdp.build_compat(random_invertible_channel(rng, 3),
+                                random_invertible_channel(rng, 3), ppt=True)
+    return sdp.build_jordan_compat(dephasing_channel(3), identity_channel(3))
+
+
 class TestStructuredSchur:
     """The standard-form Schur matrix formed from the constraint structure
     equals the Gram matrix of the scaled dense constraint blocks, and the
-    Gram-eigendecomposition elimination equals an SVD of K."""
+    Gram-eigendecomposition elimination equals an SVD of K, with the
+    null-space form's free directions in the kernel of K."""
 
     @pytest.mark.parametrize("kind", STANDARD_KINDS)
     def test_schur_matches_dense_gram(self, kind):
@@ -266,9 +280,10 @@ class TestStructuredSchur:
             assert np.array_equal(schur, schur.T)
             assert np.abs(schur - gram).max() <= 1e-12 * np.abs(gram).max()
 
-    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    @pytest.mark.parametrize("kind", STANDARD_KINDS + list(NULL_SPACE_KINDS))
     def test_thin_elimination_matches_svd(self, kind):
-        problem = _standard_program(kind)
+        null_space = kind in NULL_SPACE_KINDS
+        problem = _null_space_program(kind) if null_space else _standard_program(kind)
         kmat, bvec = _constraint_matrix(problem)
         u, s, vh = np.linalg.svd(kmat, full_matrices=False)
         rank = int(np.sum(s > CONSTRAINT_RANK_TOL * s[0]))
@@ -279,6 +294,12 @@ class TestStructuredSchur:
         assert np.abs(elim.vh @ elim.vh.T - np.eye(rank)).max() <= 1e-12
         assert np.abs(elim.vh.T @ elim.vh - vh[:rank].T @ vh[:rank]).max() <= 1e-12
         assert np.abs(elim.x0 - x0).max() <= 1e-12
+        if null_space:
+            # the free directions complete the thin rows
+            comp = compile_ipm(problem)
+            assert (comp.m, comp.dropped_directions) == NULL_SPACE_KINDS[kind]
+            nullb = comp.nullbasis
+            assert np.abs(kmat @ nullb).max() <= 1e-12 * np.abs(nullb).max()
 
     def test_plan_is_shared_by_equal_structures(self):
         rng = np.random.default_rng(6)
