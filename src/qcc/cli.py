@@ -21,7 +21,6 @@ import numpy as np
 from . import sdp, verify
 from .channels import (
     Channel,
-    _matrix_to_json,
     channel_from_json,
     partial_depolarizing_channel,
     validate,
@@ -29,7 +28,7 @@ from .channels import (
 )
 from .jordan import jordan_channel
 from .sdp.decide import decide
-from .witness import JordanWitness, Witness, certificate_from_json, certificate_to_json, verify_jordan_witness, verify_witness
+from .witness import JordanWitness, Witness, certificate_from_json, certificate_to_json, verify_compatibilizer, verify_jordan_witness, verify_witness
 
 EXIT_PARSE = 64
 EXIT_DIMENSION = 65
@@ -49,7 +48,8 @@ def _load_channel(path: str) -> Channel:
 
 
 def _verdict_char(status: str) -> str:
-    return {"Feasible": "1", "Infeasible": "0", "Inconclusive": "?"}[status]
+    return {"Feasible": "1", "Compatible": "1", "Infeasible": "0", "Incompatible": "0",
+            "Inconclusive": "?"}[status]
 
 
 def cmd_check(args) -> int:
@@ -80,16 +80,7 @@ def cmd_check(args) -> int:
                 return 2
             payload.update(certificate_to_json(dec.witness, margin=report.margin))
         elif dec.compatibilizer is not None:
-            # written from the raw certificate matrix: decide() validated it
-            # at the certificate tolerance, which is looser than the Channel
-            # constructor's
-            factors = dec.compatibilizer.shape.factors
-            payload["compatibilizer"] = {
-                "d_in": factors[0],
-                "d_out": int(np.prod(factors[1:])),
-                "output_factors": list(factors[1:]),
-                "choi": _matrix_to_json(dec.compatibilizer.array),
-            }
+            payload.update(certificate_to_json(dec.compatibilizer))
         with open(args.cert, "w") as f:
             json.dump(payload, f, indent=1)
         print(f"certificate written to {args.cert}")
@@ -137,18 +128,16 @@ def _point_xi_jordan_vs_self(task):
     if p + q > 1.0 + 1e-12:
         return ("x", "x", "x")
     xi = xi_channel(p, q)
-    out = sdp.solve(sdp.build_compat(xi, xi))
     mp = "1" if validate(xi.rep).eb_2x2 else "0"
-    return (_verdict_char(out.status), _jordan_std_char(xi, xi), mp)
+    return (_verdict_char(decide(xi, xi).verdict), _jordan_std_char(xi, xi), mp)
 
 
 def _point_depol_pair(task):
     q0, q1 = task
     f = partial_depolarizing_channel(q0, 2)
     g = partial_depolarizing_channel(q1, 2)
-    out = sdp.solve(sdp.build_compat(f, g))
     hull = "1" if (2 * q0 + q1 >= 1 - 1e-12 and q0 + 2 * q1 >= 1 - 1e-12) else "0"
-    return (_verdict_char(out.status), _jordan_std_char(f, g), hull)
+    return (_verdict_char(decide(f, g).verdict), _jordan_std_char(f, g), hull)
 
 
 def _run_grid(worker, tasks, jobs):
@@ -189,9 +178,6 @@ def cmd_sweep(args) -> int:
     n = args.grid
     if n < 2:
         print("error: grid must be at least 2", file=sys.stderr)
-        return EXIT_PARSE
-    if args.family not in _SWEEP_FAMILIES:
-        print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
         return EXIT_PARSE
     worker, header, boundary_header = _SWEEP_FAMILIES[args.family]
     params = ()
@@ -251,13 +237,15 @@ def cmd_witness_verify(args) -> int:
     try:
         if isinstance(w, Witness):
             report = verify_witness(w, a, b)
-        else:
+        elif isinstance(w, JordanWitness):
             report = verify_jordan_witness(w, a, b)
+        else:
+            report = verify_compatibilizer(w.array, a, b, ppt=data["mode"] == "ppt-compat")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
     print(f"valid: {report.valid}  margin: {report.margin:.12g}  "
-          f"min_eig: {report.min_eig:.3e}")
+          f"min_eig: {report.min_eig:.3e}  residual: {report.constraint_residual:.3e}")
     return 0 if report.valid else 1
 
 

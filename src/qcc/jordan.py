@@ -17,9 +17,10 @@ import numpy as np
 
 from .channels import Channel, LinearMapRep, _choi_identity, apply_to_factor, invert_map
 from .linalg import HermitianMatrix, TensorShape, ptrace_array
+from .sdp import DECISION_TOL
+from .witness import verify_compatibilizer
 
 GEN_JORDAN_TOL = 1e-8
-GEN_JORDAN_SDP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,12 @@ def jordan_channel(f: LinearMapRep, g: LinearMapRep) -> LinearMapRep:
     return gen_jordan(f, g, a_jp(f.d_in))
 
 
-def gen_jordan_from_compatibilizer(f: Channel, g: Channel, comp: Channel,
-                                   tol: float = GEN_JORDAN_SDP_TOL) -> GenJordanOperator:
+def gen_jordan_from_compatibilizer(f: Channel, g: Channel, comp: Channel) -> GenJordanOperator:
     """Operator A with J(f .A g) = J(comp), built from the inverse maps.
 
-    Requires f and g to be invertible as linear maps and ``comp`` to be a
-    compatibilizer of the pair; this is the constructive direction of the
-    compatible-iff-Jordan-compatible equivalence.
+    Requires f and g to be invertible as linear maps and ``comp`` to pass
+    ``witness.verify_compatibilizer``; this is the constructive direction
+    of the compatible-iff-Jordan-compatible equivalence.
     """
     if len(comp.rep.output_factors) != 2:
         raise ValueError("compatibilizer must declare a two-factor output")
@@ -128,15 +128,14 @@ def gen_jordan_from_compatibilizer(f: Channel, g: Channel, comp: Channel,
         raise ValueError("dimension mismatch between channels and compatibilizer")
     jc = comp.choi.array
     dims = comp.rep.dims
-    m1 = ptrace_array(jc, dims, [2])
-    m2 = ptrace_array(jc, dims, [1])
-    dev = max(np.abs(m1 - f.choi.array).max(), np.abs(m2 - g.choi.array).max())
-    if dev > tol:
-        raise ValueError(f"channel is not a compatibilizer of the pair (deviation {dev:.3e})")
+    report = verify_compatibilizer(jc, f, g)
+    if not report.valid:
+        raise ValueError("channel is not a compatibilizer of the pair "
+                         f"(deviation {report.constraint_residual:.3e})")
     f_inv = invert_map(f.rep)
     g_inv = invert_map(g.rep)
     arr, dims = apply_to_factor(jc, dims, 1, f_inv)
     arr, dims = apply_to_factor(arr, dims, 2, g_inv)
     d = f.d_in
     mat = HermitianMatrix(arr, TensorShape((d, d, d)))
-    return GenJordanOperator(mat, tol=tol)
+    return GenJordanOperator(mat, tol=DECISION_TOL)

@@ -14,10 +14,10 @@ from .ipm import solve_ipm
 from .problem import SdpOutcome, SdpProblem, _unpack_vars, compile_ipm
 from .projection import solve_dykstra
 
-# The sign band of the optimum t, the residual bound of a loose solve and
-# decide()'s certificate tolerance, in one: a Feasible t >= -band gives
-# X = W + tI with lambda_min(X) >= -band, which the certificate check must
-# accept, so the band cannot exceed the certificate tolerance.
+# The sign band of the optimum t and decide()'s certificate tolerance, in
+# one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
+# which the certificate check must accept.  It bounds no residual: a solve
+# that misses ipm.TOL is Inconclusive.
 DECISION_TOL = 1e-7
 # caps on the summed side of the complex variables, checked before compiling
 IPM_SIDE_CAP = 256
@@ -39,7 +39,8 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
 
     interior_point maximizes t and reports Feasible/Infeasible by the sign
     of the optimum (within ``DECISION_TOL``), with dual multipliers for
-    certificate extraction.  projection runs Dykstra alternating
+    certificate extraction, or Inconclusive with the solver's note when
+    it did not converge.  projection runs Dykstra alternating
     projections and reports Feasible with a primal point or Inconclusive.
     """
     if mode == "interior_point":
@@ -56,19 +57,10 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
             "dropped_directions": comp.dropped_directions,
             "chol_fallbacks": res.chol_fallbacks,
         }
-        note = res.note
-        loose = not res.converged and all(
-            r <= DECISION_TOL for r in (res.res_primal, res.res_dual, res.rel_gap))
-        if loose:
-            note = (note + "; " if note else "") + (
-                "converged loosely: residuals above the 1e-9 target but "
-                f"within the {DECISION_TOL:g} certificate tolerance"
-            )
-        if not res.converged and not loose:
+        if not res.converged:
             return SdpOutcome("Inconclusive", alpha, residuals=residuals,
-                              iterations=res.iterations, note=note or "solver did not converge")
-        if abs(alpha) < DECISION_TOL:
-            note = (note + "; " if note else "") + "optimum inside the decision band"
+                              iterations=res.iterations, note=res.note)
+        note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
         status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
         return SdpOutcome(status, alpha, primal=comp.primal(res), dual=comp.certificate(res),
                           residuals=residuals, iterations=res.iterations, note=note)

@@ -28,8 +28,7 @@ def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int,
     blocks = [Block("X", "identity")]
     if ppt:
         blocks.append(Block("X", "ptranspose", factor=0))
-    return SdpProblem((var,), cons, tuple(blocks), name=name,
-                      meta={"factors": factors, "ppt": ppt})
+    return SdpProblem((var,), cons, tuple(blocks), name=name)
 
 
 def build_compat(f: Channel, g: Channel, ppt: bool = False) -> SdpProblem:
@@ -62,7 +61,7 @@ def build_jordan_compat(f: Channel, g: Channel) -> SdpProblem:
         Constraint((ConstraintTerm("A", (2,)),), jid),
     )
     blocks = (Block("A", "map_image", maps=(None, f.rep, g.rep)),)
-    return SdpProblem((var,), cons, blocks, name="jordan_compat", meta={"d": d})
+    return SdpProblem((var,), cons, blocks, name="jordan_compat")
 
 
 def build_k_extension(f: Channel, k: int) -> SdpProblem:
@@ -77,8 +76,7 @@ def build_k_extension(f: Channel, k: int) -> SdpProblem:
         traced = tuple(i for i in range(1, k + 1) if i != a)
         cons.append(Constraint((ConstraintTerm("X", traced),), f.choi.array))
     blocks = (Block("X", "identity"),)
-    return SdpProblem((var,), tuple(cons), blocks, name="k_extension",
-                      meta={"k": k, "factors": factors})
+    return SdpProblem((var,), tuple(cons), blocks, name="k_extension")
 
 
 def build_povm_compat(m_povm: Povm, n_povm: Povm) -> SdpProblem:
@@ -98,5 +96,4 @@ def build_povm_compat(m_povm: Povm, n_povm: Povm) -> SdpProblem:
         terms = tuple(ConstraintTerm(f"P_{i}_{j}") for i in range(nm))
         cons.append(Constraint(terms, np.asarray(n_povm.effects[j], dtype=np.complex128)))
     blocks = tuple(Block(f"P_{i}_{j}", "identity") for i in range(nm) for j in range(nn))
-    return SdpProblem(variables, tuple(cons), blocks, name="povm_compat",
-                      meta={"outcomes": (nm, nn), "d": d})
+    return SdpProblem(variables, tuple(cons), blocks, name="povm_compat")

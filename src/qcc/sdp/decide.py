@@ -32,6 +32,7 @@ from ..witness import (
     JordanWitness,
     Witness,
     adjoint_sum,
+    verify_compatibilizer,
     verify_jordan_witness,
     verify_witness,
 )
@@ -77,19 +78,14 @@ def _split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[n
 
 
 def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) -> Decision:
-    """Compatible when the solver's X has the two Choi marginals and is PSD
-    (and, with ``ppt``, PSD under the partial transpose on X)."""
+    """Compatible when the solver's X passes ``verify_compatibilizer``."""
     x = out.primal["X"]
-    factors = (f.d_in, f.d_out, g.d_out)
-    dev = max(np.abs(ptrace_array(x, factors, [2]) - f.choi.array).max(),
-              np.abs(ptrace_array(x, factors, [1]) - g.choi.array).max())
-    min_eig = np.linalg.eigvalsh(x).min()
-    if ppt:
-        min_eig = min(min_eig, np.linalg.eigvalsh(ptranspose_array(x, factors, 0)).min())
-    if dev <= DECISION_TOL and min_eig >= -DECISION_TOL:
-        cert = HermitianMatrix(x, TensorShape(factors))
-        return Decision("Compatible", out.value, compatibilizer=cert, outcome=out,
-                        diagnostics={"marginal_dev": dev, "min_eig": float(min_eig)})
+    report = verify_compatibilizer(x, f, g, ppt)
+    dev = report.constraint_residual
+    if report.valid:
+        return Decision("Compatible", out.value, outcome=out,
+                        compatibilizer=HermitianMatrix(x, TensorShape((f.d_in, f.d_out, g.d_out))),
+                        diagnostics={"marginal_dev": dev, "min_eig": report.min_eig})
     note = "primal certificate failed validation" + ("" if ppt else f" (dev {dev:.2e})")
     return Decision("Inconclusive", out.value, outcome=out, note=note)
 
@@ -99,14 +95,9 @@ def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
     re-verified, or Inconclusive when the witness fails verification."""
     if out.dual:
         dx, d1, d2 = f.d_in, f.d_out, g.d_out
+        # S is the solver's interior slack, so the adjoint sum of its split
+        # is PSD up to roundoff, which verify_witness accepts
         z1, z2 = _split_adjoint_pair(out.dual[0], (dx, d1, d2))
-        min_eig = np.linalg.eigvalsh(adjoint_sum(z1, z2, (dx, d1, d2))).min()
-        if min_eig < 0:
-            # shifting both parts by eps I moves the adjoint sum by 2 eps I and
-            # costs only 2 eps d_x of margin
-            eps = 0.75 * (-min_eig) + 1e-15
-            z1 = z1 + eps * np.eye(dx * d1)
-            z2 = z2 + eps * np.eye(dx * d2)
         w = Witness(
             HermitianMatrix(z1, TensorShape((dx, d1))),
             HermitianMatrix(z2, TensorShape((dx, d2))),

@@ -262,16 +262,6 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
             e_corr.append(rinvs[l].conj().T @ _herm(gamma) @ rinvs[l])
         dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(e_corr)
 
-        if min(alpha_s, alpha_z) < 1e-8:
-            # corrector overshoot at tiny mu; retry with a plain centering
-            # direction before giving up
-            e_cent = []
-            for l in range(nblocks):
-                lam = lams[l]
-                gmat = 0.8 * mu * np.eye(len(lam)) - np.diag(lam * lam)
-                gamma = 2.0 * gmat / np.add.outer(lam, lam)
-                e_cent.append(rinvs[l].conj().T @ _herm(gamma) @ rinvs[l])
-            dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(e_cent)
         frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
         step_s = min(1.0, frac * alpha_s)
         step_z = min(1.0, frac * alpha_z)

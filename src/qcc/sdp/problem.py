@@ -120,7 +120,6 @@ class SdpProblem:
     constraints: tuple[Constraint, ...]
     blocks: tuple[Block, ...]
     name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def variable(self, name: str) -> VariableSpec:
         for v in self.variables:

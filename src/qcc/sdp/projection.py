@@ -1,9 +1,11 @@
 """Dykstra alternating projections for pure feasibility questions.
 
 Alternates between the affine set of the equality constraints and the
-PSD cone of each block.  The affine projection applies the orthonormal
-constraint-row basis from the elimination the interior-point compile
-also runs (``problem._eliminate``, from an
+PSD cone of each block.  Every block must be an identity block (the
+variable itself PSD); only the k-extension programs of the sweeps and
+``qcc self-compat`` come here.  The affine projection applies the
+orthonormal constraint-row basis from the elimination the interior-point
+compile also runs (``problem._eliminate``, from an
 eigendecomposition of the constraint Gram matrix K K^T) as two
 matvecs.  The method forfeits dual certificates: the outcome is
 Feasible with a verified point, or Inconclusive.  On the qubit
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import herm_to_vec, ptranspose_array, vec_to_herm
+from ..linalg import herm_to_vec, vec_to_herm
 from .problem import SdpProblem, _eliminate, _var_offsets
 
 MAX_ITER = 50000
@@ -43,7 +45,7 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     every ``CHECK_EVERY`` sweeps, for at most ``MAX_ITER`` sweeps; all three
     are read at call time."""
     for block in problem.blocks:
-        if block.kind not in ("identity", "ptranspose"):
+        if block.kind != "identity":
             raise ValueError("projection mode supports PSD blocks on the variables only")
 
     var_offsets = _var_offsets(problem)
@@ -54,41 +56,33 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     def proj_affine(x):
         return x - rows.T @ (rows @ x - c_rows)
 
-    psd_sets = [(block, problem.variable(block.var)) for block in problem.blocks]
+    psd_vars = [problem.variable(block.var) for block in problem.blocks]
 
-    def proj_psd(x, block, var):
+    def proj_psd(x, var):
         o = var_offsets[var.name]
         sl = slice(o, o + var.nparams)
-        mat = vec_to_herm(x[sl], var.side)
-        if block.kind == "ptranspose":
-            mat = ptranspose_array(mat, var.factors, block.factor)
-        w, v = np.linalg.eigh(mat)
-        mat = (v * np.maximum(w, 0.0)) @ v.conj().T
-        if block.kind == "ptranspose":
-            mat = ptranspose_array(mat, var.factors, block.factor)
+        w, v = np.linalg.eigh(vec_to_herm(x[sl], var.side))
         out = x.copy()
-        out[sl] = herm_to_vec(mat)
+        out[sl] = herm_to_vec((v * np.maximum(w, 0.0)) @ v.conj().T)
         return out
 
     def violation_of(x):
         worst = 0.0
-        for block, var in psd_sets:
+        for var in psd_vars:
             o = var_offsets[var.name]
             mat = vec_to_herm(x[o : o + var.nparams], var.side)
-            if block.kind == "ptranspose":
-                mat = ptranspose_array(mat, var.factors, block.factor)
             worst = max(worst, -float(np.linalg.eigvalsh(mat).min()))
         return worst
 
     x = x0
-    increments = [np.zeros(x.size) for _ in psd_sets]
+    increments = [np.zeros(x.size) for _ in psd_vars]
     best = x
     best_viol = violation_of(x)
     window_best = best_viol
     it = 0
     for it in range(1, MAX_ITER + 1):
-        for k, (block, var) in enumerate(psd_sets):
-            y = proj_psd(x + increments[k], block, var)
+        for k, var in enumerate(psd_vars):
+            y = proj_psd(x + increments[k], var)
             increments[k] = x + increments[k] - y
             x = y
         x = proj_affine(x)

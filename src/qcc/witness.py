@@ -1,12 +1,13 @@
-"""Solver-independent construction and verification of incompatibility certificates.
+"""Solver-independent construction and verification of certificates.
 
-A certificate for a pair of channels is a pair of Hermitian operators
-whose partial-trace adjoints sum to a PSD operator while pairing
-negatively with the channels' Choi matrices (in ppt mode, with their
-partial transposes).  Verification uses only dense linear algebra, never
-a solver, so certificates are auditable artifacts.  Validity thresholds
-are tighter than solver tolerances on purpose: a certificate should be
-decisively valid, not borderline.
+A witness against compatibility of a pair of channels is a pair of
+Hermitian operators whose partial-trace adjoints sum to a PSD operator
+while pairing negatively with the channels' Choi matrices (in ppt mode,
+with their partial transposes); a compatibilizer certifies the converse.
+Verification uses only dense linear algebra, never a solver, so
+certificates are auditable artifacts.  Witness thresholds are tighter
+than solver tolerances on purpose: a witness should be decisively valid,
+not borderline.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json, apply_to_factor
-from .linalg import HermitianMatrix, TensorShape, embed_identity_array, ptranspose_array
+from .linalg import HermitianMatrix, TensorShape, embed_identity_array, ptrace_array, ptranspose_array
+from .sdp import DECISION_TOL
 
 PSD_TOL = 1e-9
 PAIRING_TOL = 1e-9
@@ -97,6 +99,20 @@ def verify_witness(w: Witness, f: Channel, g: Channel) -> WitnessReport:
     return WitnessReport(valid, margin, min_eig)
 
 
+def verify_compatibilizer(x: np.ndarray, f: Channel, g: Channel, ppt: bool = False) -> WitnessReport:
+    """Check that X on X (x) Y1 (x) Y2 has the Choi marginals J(f), J(g) and is
+    PSD (with ``ppt``, also under the partial transpose on X), within the solver's
+    feasibility band ``DECISION_TOL``; ``constraint_residual`` is the deviation."""
+    factors = (f.d_in, f.d_out, g.d_out)
+    dev = float(max(np.abs(ptrace_array(x, factors, [2]) - f.choi.array).max(),
+                    np.abs(ptrace_array(x, factors, [1]) - g.choi.array).max()))
+    min_eig = float(np.linalg.eigvalsh(x).min())
+    if ppt:
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(ptranspose_array(x, factors, 0)).min()))
+    valid = bool(dev <= DECISION_TOL and min_eig >= -DECISION_TOL)
+    return WitnessReport(valid, 0.0, min_eig, dev)
+
+
 def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel) -> WitnessReport:
     """Check a certificate against Jordan compatibility.
 
@@ -145,8 +161,13 @@ def no_broadcast_witness(d: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def certificate_to_json(w: Union[Witness, JordanWitness], margin: Optional[float] = None) -> dict:
-    if isinstance(w, Witness):
+def certificate_to_json(w: Union[Witness, JordanWitness, HermitianMatrix],
+                        margin: Optional[float] = None) -> dict:
+    if isinstance(w, HermitianMatrix):  # a compatibilizer, in channel JSON; the caller sets its mode
+        d_in, *outs = w.shape.factors
+        data = {"compatibilizer": {"d_in": d_in, "d_out": int(np.prod(outs)),
+                                   "output_factors": outs, "choi": _matrix_to_json(w.array)}}
+    elif isinstance(w, Witness):
         data = {
             "mode": w.mode,
             "Z1": _matrix_to_json(w.z1.array),
@@ -167,8 +188,12 @@ def certificate_to_json(w: Union[Witness, JordanWitness], margin: Optional[float
     return data
 
 
-def certificate_from_json(data: dict) -> Union[Witness, JordanWitness]:
+def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, HermitianMatrix]:
     mode = data["mode"]
+    if mode in ("compat", "ppt-compat"):
+        comp = data["compatibilizer"]
+        factors = (int(comp["d_in"]),) + tuple(int(d) for d in comp["output_factors"])
+        return HermitianMatrix(_matrix_from_json(comp["choi"]), TensorShape(factors))
     if mode in ("plain", "ppt"):
         z1 = _matrix_from_json(data["Z1"])
         z2 = _matrix_from_json(data["Z2"])

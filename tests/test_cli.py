@@ -62,6 +62,28 @@ class TestCheck:
 
         comp = channel_from_json(data["compatibilizer"])
         assert comp.rep.output_factors == (2, 2)
+        assert main(["witness", "verify", cert, a, b]) == 0
+        # one diagonal Choi entry changed: still Hermitian, marginals off
+        data["compatibilizer"]["choi"][0][0][0] += 1e-3
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(data))
+        assert main(["witness", "verify", str(doctored), a, b]) == 1
+
+    @pytest.mark.parametrize("mode", ["compat", "ppt-compat"])
+    def test_compatible_certificate_verifies(self, tmp_path, mode):
+        p = tmp_path / "o.json"
+        p.write_text(json.dumps(channel_to_json(partial_depolarizing_channel(0.8, 2))))
+        cert = str(tmp_path / "cert.json")
+        assert main(["check", str(p), str(p), "--mode", mode, "--cert", cert]) == 0
+        assert main(["witness", "verify", cert, str(p), str(p)]) == 0
+
+    def test_step_collapse_exit_2_without_certificate(self, identity_file, monkeypatch,
+                                                      tmp_path, capsys):
+        monkeypatch.setattr(sdp.ipm, "_step_to_boundary", lambda lam, g: 0.0)
+        cert = tmp_path / "cert.json"
+        assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 2
+        assert "note: step collapse" in capsys.readouterr().out
+        assert set(json.loads(cert.read_text())) == {"verdict", "mode", "value"}
 
     def test_parse_failure_exit_64(self, tmp_path, identity_file):
         bad = tmp_path / "bad.json"
@@ -197,6 +219,12 @@ class TestSweep:
         out = tmp_path / "other.csv"
         assert main(["sweep", family, "--grid", "2", "--out", str(out)] + flag) == 64
         assert "apply only to xi_self_k" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_family_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "bogus.csv"
+        assert main(["sweep", "bogus", "--grid", "2", "--out", str(out)]) == 64
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

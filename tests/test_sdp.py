@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from qcc.linalg import (
     ptranspose_array,
 )
 from qcc.rand import random_channel, random_density, random_invertible_channel, random_povm
+import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import _split_adjoint_pair, decide
 from qcc.sdp.ipm import _chol_pd, _chol_solve
 from qcc.sdp.problem import (
@@ -600,6 +603,101 @@ class TestIterationCap:
         assert dec.note == "iteration cap exceeded"
         assert dec.compatibilizer is None and dec.gen_jordan_op is None and dec.witness is None
         assert dec.exit_code == 2
+
+
+def _assert_inconclusive(dec, note):
+    assert dec.verdict == "Inconclusive"
+    assert dec.note.startswith(note), dec.note
+    assert dec.compatibilizer is None and dec.gen_jordan_op is None and dec.witness is None
+    assert dec.exit_code == 2
+
+
+class TestUnconvergedIsInconclusive:
+    """A solve that misses ipm.TOL is Inconclusive however small its
+    residuals are: after five iterations the gap is 3.5e-8 and 6.8e-8 on
+    these pairs, inside DECISION_TOL, and that is still no verdict."""
+
+    @pytest.fixture(autouse=True)
+    def cap_at_five(self, monkeypatch):
+        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 5)
+
+    @pytest.mark.parametrize("channel", [identity_channel(2), partial_depolarizing_channel(0.6, 2)],
+                             ids=["identity", "depol0.6"])
+    def test_solve_and_decide(self, channel):
+        out = sdp.solve(sdp.build_compat(channel, channel))
+        assert out.status == "Inconclusive"
+        assert out.note == "iteration cap exceeded"
+        assert out.primal is None and out.dual is None
+        _assert_inconclusive(decide(channel, channel), "iteration cap exceeded")
+
+
+class TestHonestInconclusive:
+    """Each exit where decide() finds the solver's answer unusable, forced
+    by doctoring one solve's outcome: Inconclusive with a reason, exit
+    code 2 and no certificate."""
+
+    @staticmethod
+    def _doctor(monkeypatch, name, change):
+        """Pass the outcome of every solve of the program called ``name``
+        through ``change`` before decide() sees it."""
+        real = decide_mod.solve
+
+        def doctored(problem):
+            out = real(problem)
+            return change(out) if problem.name == name else out
+
+        monkeypatch.setattr(decide_mod, "solve", doctored)
+
+    @pytest.mark.parametrize("mode, program, note", [
+        ("compat", "compat", "primal certificate failed validation (dev"),
+        ("ppt_compat", "ppt_compat", "primal certificate failed validation"),
+    ])
+    def test_primal_check_fails(self, monkeypatch, mode, program, note):
+        noisy = partial_depolarizing_channel(0.8, 2)
+        assert decide(noisy, noisy, mode).verdict == "Compatible"
+        self._doctor(monkeypatch, program,
+                     lambda out: dataclasses.replace(out, primal={"X": 2 * out.primal["X"]}))
+        _assert_inconclusive(decide(noisy, noisy, mode), note)
+
+    @pytest.mark.parametrize("mode, program", [("compat", "compat"),
+                                               ("ppt_compat", "ppt_relaxation"),
+                                               ("jordan", "compat")])
+    def test_witness_fails(self, monkeypatch, mode, program):
+        # the negated slack pairs the wrong way with every channel
+        a, b = reference.channel_pair() if mode == "ppt_compat" else (identity_channel(2),) * 2
+        assert decide(a, b, mode).verdict == "Incompatible"
+        self._doctor(monkeypatch, program,
+                     lambda out: dataclasses.replace(out, dual=[-z for z in out.dual]))
+        _assert_inconclusive(decide(a, b, mode), "dual certificate failed verification")
+
+    def test_gen_jordan_operator_rejects_a(self, monkeypatch):
+        # at this scale the projection onto the identity marginals leaves
+        # roundoff far above DECISION_TOL
+        deph = dephasing_channel(2)
+        big = 1e12 * random_hermitian(np.random.default_rng(5), 8)
+        assert decide(deph, deph, "jordan").verdict == "Compatible"
+        self._doctor(monkeypatch, "jordan_compat",
+                     lambda out: dataclasses.replace(out, primal={"A": big}))
+        _assert_inconclusive(decide(deph, deph, "jordan"), "marginal constraints violated")
+
+    def test_product_image_not_psd(self, monkeypatch):
+        # I (x) sz (x) sz has zero middle marginals, so A stays admissible,
+        # and the dephasing pair maps it onto itself: the image gains -10
+        sz = np.diag([1.0, -1.0])
+        a = a_jp(2).matrix.array + 10 * np.kron(np.eye(2), np.kron(sz, sz))
+        deph = dephasing_channel(2)
+        self._doctor(monkeypatch, "jordan_compat",
+                     lambda out: dataclasses.replace(out, primal={"A": a}))
+        _assert_inconclusive(decide(deph, deph, "jordan"), "product image not PSD")
+
+    @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
+    def test_step_collapse(self, monkeypatch, mode):
+        monkeypatch.setattr(sdp.ipm, "_step_to_boundary", lambda lam, g: 0.0)
+        ident = identity_channel(2)
+        out = sdp.solve(sdp.build_compat(ident, ident))
+        assert out.status == "Inconclusive" and out.note == "step collapse"
+        assert out.iterations == 1 and out.primal is None and out.dual is None
+        _assert_inconclusive(decide(ident, ident, mode), "step collapse")
 
 
 class TestConvexityProperties:
