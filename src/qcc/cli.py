@@ -26,9 +26,10 @@ from .channels import (
     validate,
     xi_channel,
 )
-from .jordan import jordan_channel
-from .sdp.decide import decide
-from .witness import JordanWitness, Witness, certificate_from_json, certificate_to_json, verify_compatibilizer, verify_jordan_witness, verify_witness
+from .jordan import jordan_channel, verify_gen_jordan_operator
+from .sdp.decide import EXIT_CODES, decide
+from .witness import (WitnessReport, certificate_from_json, certificate_to_json, verify_compatibilizer,
+                      verify_jordan_witness, verify_witness)
 
 EXIT_PARSE = 64
 EXIT_DIMENSION = 65
@@ -48,39 +49,40 @@ def _load_channel(path: str) -> Channel:
 
 
 def _verdict_char(status: str) -> str:
-    return {"Feasible": "1", "Compatible": "1", "Infeasible": "0", "Incompatible": "0",
-            "Inconclusive": "?"}[status]
+    return "10?"[EXIT_CODES[status]]
+
+
+def _verify_certificate(mode: str, cert, a: Channel, b: Channel) -> WitnessReport:
+    """Check a parsed certificate of the given mode against the pair."""
+    if mode in ("plain", "ppt"):
+        return verify_witness(cert, a, b)
+    if mode == "jordan":
+        return verify_jordan_witness(cert, a, b)
+    if mode == "jordan-operator":
+        return verify_gen_jordan_operator(cert, a, b)
+    return verify_compatibilizer(cert.array, a, b, ppt=mode == "ppt-compat")
 
 
 def cmd_check(args) -> int:
     a = _load_channel(args.channel_a)
     b = _load_channel(args.channel_b)
-    mode = args.mode.replace("-", "_")
-    try:
-        dec = decide(a, b, mode)
-    except sdp.SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    dec = decide(a, b, args.mode.replace("-", "_"))
     print(f"verdict: {dec.verdict} (optimum {dec.value:.3e})")
     if dec.note:
         print(f"note: {dec.note}")
     if args.cert:
         payload = {"verdict": dec.verdict.lower(), "mode": args.mode, "value": dec.value}
-        if dec.witness is not None:
-            report = (
-                verify_jordan_witness(dec.witness, a, b)
-                if isinstance(dec.witness, JordanWitness)
-                else verify_witness(dec.witness, a, b)
-            )
+        if dec.verdict != "Inconclusive":
+            # a Jordan verdict's operator before its product image; the check
+            # reads the certificate back from what is written
+            cert = next(c for c in (dec.witness, dec.gen_jordan_op, dec.compatibilizer) if c is not None)
+            payload.update(certificate_to_json(cert))
+            report = _verify_certificate(payload["mode"], certificate_from_json(payload), a, b)
             if not report.valid:
                 print("error: certificate failed re-verification; not writing", file=sys.stderr)
                 return 2
-            payload.update(certificate_to_json(dec.witness, margin=report.margin))
-        elif dec.compatibilizer is not None:
-            payload.update(certificate_to_json(dec.compatibilizer))
+            if dec.witness is not None:
+                payload["margin"] = report.margin
         with open(args.cert, "w") as f:
             json.dump(payload, f, indent=1)
         print(f"certificate written to {args.cert}")
@@ -92,18 +94,10 @@ def cmd_self_compat(args) -> int:
         print("error: k must be at least 2", file=sys.stderr)
         return EXIT_PARSE
     c = _load_channel(args.channel)
-    try:
-        problem = sdp.build_k_extension(c, args.k)
-        out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver])
-    except sdp.SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    out = sdp.solve(sdp.build_k_extension(c, args.k), mode=_SOLVER_MODES[args.solver])
     print(f"k={args.k} self-compatibility: {out.status}"
           + (f" (optimum {out.value:.3e})" if out.status != "Inconclusive" else ""))
-    return {"Feasible": 0, "Infeasible": 1, "Inconclusive": 2}[out.status]
+    return EXIT_CODES[out.status]
 
 
 # --- sweep workers (module level so process pools can pickle them) ---------
@@ -195,11 +189,7 @@ def cmd_sweep(args) -> int:
         return EXIT_PARSE
     axis = [i / (n - 1) for i in range(n)]
     tasks = [(a, b) + params for a in axis for b in axis]
-    try:
-        verdicts = _run_grid(globals()[worker], tasks, args.jobs)
-    except sdp.SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
+    verdicts = _run_grid(globals()[worker], tasks, args.jobs)
     rows = []
     for task, v in zip(tasks, verdicts):
         cols = [v] if isinstance(v, str) else list(v)
@@ -234,16 +224,7 @@ def cmd_witness_verify(args) -> int:
         return EXIT_PARSE
     a = _load_channel(args.channel_a)
     b = _load_channel(args.channel_b)
-    try:
-        if isinstance(w, Witness):
-            report = verify_witness(w, a, b)
-        elif isinstance(w, JordanWitness):
-            report = verify_jordan_witness(w, a, b)
-        else:
-            report = verify_compatibilizer(w.array, a, b, ppt=data["mode"] == "ppt-compat")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+    report = _verify_certificate(data["mode"], w, a, b)
     print(f"valid: {report.valid}  margin: {report.margin:.12g}  "
           f"min_eig: {report.min_eig:.3e}  residual: {report.constraint_residual:.3e}")
     return 0 if report.valid else 1
@@ -304,6 +285,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # usage errors, --help, file-level errors in handlers
         return int(exc.code or 0)
+    except ValueError as exc:  # dimension mismatches, and sdp.SizeCapError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_CAP if isinstance(exc, sdp.SizeCapError) else EXIT_DIMENSION
 
 
 if __name__ == "__main__":

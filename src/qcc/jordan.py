@@ -5,7 +5,8 @@ obtained by pushing a canonical operator A through (id (x) Phi1 (x) Phi2);
 the canonical choice recovers (AB + BA)/2 at the matrix level.  Replacing
 the canonical operator by any Hermitian A with the same two middle
 marginals gives the generalized product, and the existence of such an A
-making the product completely positive is a compatibility criterion.
+making the product completely positive is a compatibility criterion;
+such an A is the certificate of a Jordan-compatible verdict.
 """
 
 from __future__ import annotations
@@ -15,12 +16,21 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Channel, LinearMapRep, _choi_identity, apply_to_factor, invert_map
+from .channels import Channel, LinearMapRep, SingularMapError, _choi_identity, apply_to_factor, invert_map
 from .linalg import HermitianMatrix, TensorShape, ptrace_array
-from .sdp import DECISION_TOL
-from .witness import verify_compatibilizer
+from .witness import DECISION_TOL, WitnessReport, adjoint_sum, split_adjoint_pair, verify_compatibilizer
 
+# the read-out's projection leaves marginal deviations near 1e-14, also
+# through inverse maps of condition 1e7
 GEN_JORDAN_TOL = 1e-8
+
+
+def _marginal_deviation(arr: np.ndarray, d: int) -> float:
+    """Largest entry of A's two middle marginals minus J(id)."""
+    jid = _choi_identity(d)
+    factors = (d, d, d)
+    return float(max(np.abs(ptrace_array(arr, factors, [1]) - jid).max(),
+                     np.abs(ptrace_array(arr, factors, [2]) - jid).max()))
 
 
 @dataclass(frozen=True)
@@ -29,25 +39,59 @@ class GenJordanOperator:
     to the Choi matrix of the identity map."""
 
     matrix: HermitianMatrix
-    tol: float = GEN_JORDAN_TOL
 
     def __post_init__(self):
         factors = self.matrix.shape.factors
         if len(factors) != 3 or len(set(factors)) != 1:
             raise ValueError(f"expected shape [d, d, d], got {factors}")
-        d = factors[0]
-        jid = _choi_identity(d)
-        arr = self.matrix.array
-        dev1 = np.abs(ptrace_array(arr, factors, [1]) - jid).max()
-        dev2 = np.abs(ptrace_array(arr, factors, [2]) - jid).max()
-        if max(dev1, dev2) > self.tol:
-            raise ValueError(
-                f"marginal constraints violated: deviations {dev1:.3e}, {dev2:.3e}"
-            )
+        dev = _marginal_deviation(self.matrix.array, factors[0])
+        if dev > GEN_JORDAN_TOL:
+            raise ValueError(f"marginal constraints violated: deviation {dev:.3e}")
 
     @property
     def d(self) -> int:
         return self.matrix.shape.factors[0]
+
+
+def _image(arr: np.ndarray, f: LinearMapRep, g: LinearMapRep) -> np.ndarray:
+    """Choi matrix of the product: A pushed through (id (x) f (x) g)."""
+    d = f.d_in
+    arr, dims = apply_to_factor(arr, (d, d, d), 1, f)
+    arr, _ = apply_to_factor(arr, dims, 2, g)
+    return arr
+
+
+def inverse_pair(f: Channel, g: Channel) -> Optional[tuple[LinearMapRep, LinearMapRep]]:
+    """(f^-1, g^-1), or None when either map is singular."""
+    try:
+        return invert_map(f.rep), invert_map(g.rep)
+    except SingularMapError:
+        return None
+
+
+def read_out_operator(arr: np.ndarray, d: int,
+                      inverses: Optional[tuple[LinearMapRep, LinearMapRep]]) -> HermitianMatrix:
+    """The operator A of the Jordan program's point ``arr`` (with ``inverses``,
+    A = (id (x) f^-1 (x) g^-1)(X) of the compat program's X), projected onto the
+    identity-marginal set: the inverses multiply X's residual by their condition."""
+    factors = (d, d, d)
+    if inverses is not None:
+        arr = _image(arr, *inverses)
+    excess = arr - a_jp(d).matrix.array
+    arr = arr - adjoint_sum(*split_adjoint_pair(excess, factors), factors)
+    return HermitianMatrix(arr, TensorShape(factors))
+
+
+def verify_gen_jordan_operator(a: HermitianMatrix, f: Channel, g: Channel) -> WitnessReport:
+    """Check A: its two middle marginals are J(id) within ``GEN_JORDAN_TOL``
+    (``constraint_residual``) and (id (x) f (x) g)(A) is PSD within
+    ``DECISION_TOL`` (``min_eig``)."""
+    d = f.d_in
+    if g.d_in != d or a.shape.factors != (d, d, d):
+        raise ValueError(f"operator shape {a.shape.factors} does not match inputs ({d}, {g.d_in})")
+    dev = _marginal_deviation(a.array, d)
+    min_eig = float(np.linalg.eigvalsh(_image(a.array, f.rep, g.rep)).min())
+    return WitnessReport(bool(dev <= GEN_JORDAN_TOL and min_eig >= -DECISION_TOL), 0.0, min_eig, dev)
 
 
 def jordan_matrix(a, b, anchor: Optional[np.ndarray] = None) -> HermitianMatrix:
@@ -102,9 +146,7 @@ def gen_jordan(f: LinearMapRep, g: LinearMapRep, a: GenJordanOperator) -> Linear
     d = a.d
     if f.d_in != d or g.d_in != d:
         raise ValueError("map input dimensions must match the operator")
-    arr, dims = apply_to_factor(a.matrix.array, (d, d, d), 1, f)
-    arr, dims = apply_to_factor(arr, dims, 2, g)
-    return LinearMapRep.from_choi(arr, d, (f.d_out, g.d_out))
+    return LinearMapRep.from_choi(_image(a.matrix.array, f, g), d, (f.d_out, g.d_out))
 
 
 def jordan_channel(f: LinearMapRep, g: LinearMapRep) -> LinearMapRep:
@@ -115,27 +157,17 @@ def jordan_channel(f: LinearMapRep, g: LinearMapRep) -> LinearMapRep:
 
 
 def gen_jordan_from_compatibilizer(f: Channel, g: Channel, comp: Channel) -> GenJordanOperator:
-    """Operator A with J(f .A g) = J(comp), built from the inverse maps.
+    """Operator A with J(f .A g) = J(comp), read out through the inverse maps.
 
     Requires f and g to be invertible as linear maps and ``comp`` to pass
     ``witness.verify_compatibilizer``; this is the constructive direction
     of the compatible-iff-Jordan-compatible equivalence.
     """
-    if len(comp.rep.output_factors) != 2:
-        raise ValueError("compatibilizer must declare a two-factor output")
-    d1, d2 = comp.rep.output_factors
-    if (d1, d2) != (f.d_out, g.d_out) or comp.d_in != f.d_in or f.d_in != g.d_in:
+    if comp.rep.output_factors != (f.d_out, g.d_out) or comp.d_in != f.d_in or f.d_in != g.d_in:
         raise ValueError("dimension mismatch between channels and compatibilizer")
-    jc = comp.choi.array
-    dims = comp.rep.dims
-    report = verify_compatibilizer(jc, f, g)
+    report = verify_compatibilizer(comp.choi.array, f, g)
     if not report.valid:
         raise ValueError("channel is not a compatibilizer of the pair "
                          f"(deviation {report.constraint_residual:.3e})")
-    f_inv = invert_map(f.rep)
-    g_inv = invert_map(g.rep)
-    arr, dims = apply_to_factor(jc, dims, 1, f_inv)
-    arr, dims = apply_to_factor(arr, dims, 2, g_inv)
-    d = f.d_in
-    mat = HermitianMatrix(arr, TensorShape((d, d, d)))
-    return GenJordanOperator(mat, tol=DECISION_TOL)
+    inverses = (invert_map(f.rep), invert_map(g.rep))
+    return GenJordanOperator(read_out_operator(comp.choi.array, f.d_in, inverses))

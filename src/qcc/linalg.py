@@ -87,6 +87,10 @@ class HermitianMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__ above
+        return HermitianMatrix, (self.array, self.shape)
+
     @property
     def side(self) -> int:
         return self.array.shape[0]

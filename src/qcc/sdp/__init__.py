@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..witness import DECISION_TOL
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -14,11 +15,6 @@ from .ipm import solve_ipm
 from .problem import SdpOutcome, SdpProblem, _unpack_vars, compile_ipm
 from .projection import solve_dykstra
 
-# The sign band of the optimum t and decide()'s certificate tolerance, in
-# one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
-# which the certificate check must accept.  It bounds no residual: a solve
-# that misses ipm.TOL is Inconclusive.
-DECISION_TOL = 1e-7
 # caps on the summed side of the complex variables, checked before compiling
 IPM_SIDE_CAP = 256
 PROJECTION_SIDE_CAP = 1024

@@ -5,8 +5,7 @@ matrix, or the operator behind a generalized Jordan product) that passes
 the channel validation checks; an Incompatible verdict carries a witness
 that re-verifies in the witness module.  The two never coexist.  When
 the solver cannot produce either at the required quality the verdict is
-Inconclusive, with residual diagnostics attached.  Certificates are
-checked at ``DECISION_TOL``.
+Inconclusive, with residual diagnostics attached.
 
 Jordan mode solves the compat program when both channels are invertible
 as linear maps.  The substitution X = (id (x) f (x) g)(A) maps the Jordan
@@ -16,6 +15,10 @@ J(g), and their inverses carry them back.  The operator A is then read
 out of the compatibilizer through the inverse maps, and the compat
 certificate is the dual the Jordan witness is built from.  When a map is
 singular (or its output differs in size) the Jordan program itself runs.
+
+This module does no certificate math: each certificate is read out and
+checked by the functions beside its type, in ``qcc.witness`` (witnesses,
+compatibilizers) and ``qcc.jordan`` (the operator A).
 """
 
 from __future__ import annotations
@@ -23,24 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import numpy as np
-
-from ..channels import Channel, SingularMapError, apply_to_factor, invert_map
-from ..jordan import GenJordanOperator, a_jp, gen_jordan
-from ..linalg import HermitianMatrix, TensorShape, ptrace_array, ptranspose_array
-from ..witness import (
-    JordanWitness,
-    Witness,
-    adjoint_sum,
-    verify_compatibilizer,
-    verify_jordan_witness,
-    verify_witness,
-)
-from . import DECISION_TOL, solve
+from ..channels import Channel
+from ..jordan import (GEN_JORDAN_TOL, GenJordanOperator, gen_jordan, inverse_pair, read_out_operator,
+                      verify_gen_jordan_operator)
+from ..linalg import HermitianMatrix, TensorShape, ptranspose_array
+from ..witness import (JordanWitness, Witness, jordan_witness_from_dual, verify_compatibilizer,
+                       verify_jordan_witness, verify_witness, witness_from_dual)
+from . import solve
 from .builders import build_compat, build_jordan_compat, two_marginal_problem
 from .problem import SdpOutcome
 
-EXIT_CODES = {"Compatible": 0, "Incompatible": 1, "Inconclusive": 2}
+# the CLI exit code of each verdict, and of the solver status it rests on
+EXIT_CODES = {"Compatible": 0, "Feasible": 0, "Incompatible": 1, "Infeasible": 1, "Inconclusive": 2}
 
 
 @dataclass
@@ -60,23 +57,6 @@ class Decision:
         return EXIT_CODES[self.verdict]
 
 
-def _split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Split Z on X (x) Y1 (x) Y2 into (Z1, Z2) whose adjoint sum
-    Tr*_{Y2}(Z1) + Tr*_{Y1}(Z2) is the orthogonal projection of Z onto the
-    range of the two embeddings.
-
-    The projectors onto the two ranges commute, so the projection onto
-    their sum is P1 + P2 - P1 P2; the shared X part goes to Z1.  Any other
-    split differs by (C (x) I, -C (x) I), which leaves the pairing with
-    trace-preserving Choi matrices unchanged.
-    """
-    dx, d1, d2 = factors
-    z1 = ptrace_array(z, factors, [2]) / d2
-    shared = ptrace_array(z, factors, [1, 2]) / (d1 * d2)
-    z2 = ptrace_array(z, factors, [1]) / d1 - np.kron(shared, np.eye(d2))
-    return z1, z2
-
-
 def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) -> Decision:
     """Compatible when the solver's X passes ``verify_compatibilizer``."""
     x = out.primal["X"]
@@ -91,19 +71,18 @@ def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) 
 
 
 def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
-    """Incompatible with a (Z1, Z2) witness split from the solver dual and
-    re-verified, or Inconclusive when the witness fails verification."""
+    """The decision on a solve that is not Feasible: Incompatible with the
+    witness (of ``mode``) read out of the solver dual and re-verified, or
+    Inconclusive when the solve is or the witness fails verification."""
+    if out.status == "Inconclusive":
+        return Decision("Inconclusive", out.value, outcome=out, note=out.note)
     if out.dual:
-        dx, d1, d2 = f.d_in, f.d_out, g.d_out
-        # S is the solver's interior slack, so the adjoint sum of its split
-        # is PSD up to roundoff, which verify_witness accepts
-        z1, z2 = _split_adjoint_pair(out.dual[0], (dx, d1, d2))
-        w = Witness(
-            HermitianMatrix(z1, TensorShape((dx, d1))),
-            HermitianMatrix(z2, TensorShape((dx, d2))),
-            mode=mode,
-        )
-        report = verify_witness(w, f, g)
+        if mode == "jordan":
+            w = jordan_witness_from_dual(out.dual[0], f, g)
+            report = verify_jordan_witness(w, f, g)
+        else:
+            w = witness_from_dual(out.dual[0], f, g, mode)
+            report = verify_witness(w, f, g)
         if report.valid:
             return Decision("Incompatible", out.value, witness=w,
                             witness_margin=report.margin, outcome=out)
@@ -115,75 +94,28 @@ def _decide_compat(f: Channel, g: Channel) -> Decision:
     out = solve(build_compat(f, g))
     if out.status == "Feasible":
         return _certify_compatibilizer(out, f, g, ppt=False)
-    if out.status == "Infeasible":
-        return _refute(out, f, g, "plain")
-    return Decision("Inconclusive", out.value, outcome=out, note=out.note)
-
-
-def _project_identity_marginals(a: np.ndarray, d: int) -> np.ndarray:
-    """Orthogonal projection of A onto the operators whose two middle
-    marginals are the identity map's Choi matrix."""
-    factors = (d, d, d)
-    excess = a - a_jp(d).matrix.array
-    return a - adjoint_sum(*_split_adjoint_pair(excess, factors), factors)
+    return _refute(out, f, g, "plain")
 
 
 def _decide_jordan(f: Channel, g: Channel) -> Decision:
     """Jordan compatibility, by the compat program when f and g are
-    invertible and by the Jordan program otherwise.
-
-    For invertible maps the two programs have the same optimum t (see the
-    module docstring), and A = (id (x) f^-1 (x) g^-1)(X).  The inverses
-    multiply the solver's residual by their condition number, so the
-    read-out A is projected back onto the identity-marginal set before
-    it is certified.
-    """
-    d = f.d_in
-    try:
-        inverses = (invert_map(f.rep), invert_map(g.rep))
-    except SingularMapError:
-        inverses = None
-    build = build_jordan_compat if inverses is None else build_compat
-    out = solve(build(f, g))
+    invertible and by the Jordan program otherwise (see the module
+    docstring); A is read out of either program's point."""
+    inverses = inverse_pair(f, g)
+    out = solve(build_jordan_compat(f, g) if inverses is None else build_compat(f, g))
     if out.status == "Feasible":
-        if inverses is None:
-            a = out.primal["A"]
-        else:
-            a, dims = apply_to_factor(out.primal["X"], (d, d, d), 1, inverses[0])
-            a, _ = apply_to_factor(a, dims, 2, inverses[1])
-        a = _project_identity_marginals(a, d)
-        try:
-            op = GenJordanOperator(HermitianMatrix(a, TensorShape((d, d, d))), tol=DECISION_TOL)
-        except ValueError as exc:
-            return Decision("Inconclusive", out.value, outcome=out, note=str(exc))
-        image = gen_jordan(f.rep, g.rep, op)
-        min_eig = np.linalg.eigvalsh(image.choi.array).min()
-        if min_eig >= -DECISION_TOL:
-            return Decision("Compatible", out.value, gen_jordan_op=op,
-                            compatibilizer=image.choi, outcome=out,
-                            diagnostics={"min_eig": float(min_eig)})
-        return Decision("Inconclusive", out.value, outcome=out,
-                        note=f"product image not PSD at certificate tolerance ({min_eig:.2e})")
-    if out.status == "Infeasible" and out.dual:
-        rho = out.dual[0]
-        w_rho, v_rho = np.linalg.eigh(rho)
-        rho_clean = (v_rho * np.maximum(w_rho, 0.0)) @ v_rho.conj().T
-        dims = (d, f.d_out, g.d_out)
-        lhs, cur = apply_to_factor(rho_clean, dims, 1, f.rep, adjoint=True)
-        lhs, _ = apply_to_factor(lhs, cur, 2, g.rep, adjoint=True)
-        w1, w2 = _split_adjoint_pair(lhs, (d, d, d))
-        witness = JordanWitness(
-            HermitianMatrix(w1, TensorShape((d, d))),
-            HermitianMatrix(w2, TensorShape((d, d))),
-            HermitianMatrix(rho_clean, TensorShape(dims)),
-        )
-        report = verify_jordan_witness(witness, f, g)
+        a = read_out_operator(out.primal["A" if inverses is None else "X"], f.d_in, inverses)
+        report = verify_gen_jordan_operator(a, f, g)
         if report.valid:
-            return Decision("Incompatible", out.value, witness=witness,
-                            witness_margin=report.margin, outcome=out)
-        return Decision("Inconclusive", out.value, outcome=out,
-                        note="dual certificate failed verification")
-    return Decision("Inconclusive", out.value, outcome=out, note=out.note)
+            op = GenJordanOperator(a)
+            return Decision("Compatible", out.value, gen_jordan_op=op,
+                            compatibilizer=gen_jordan(f.rep, g.rep, op).choi, outcome=out,
+                            diagnostics={"min_eig": report.min_eig})
+        note = (f"marginal constraints violated: deviation {report.constraint_residual:.3e}"
+                if report.constraint_residual > GEN_JORDAN_TOL
+                else f"product image not PSD at certificate tolerance ({report.min_eig:.2e})")
+        return Decision("Inconclusive", out.value, outcome=out, note=note)
+    return _refute(out, f, g, "jordan")
 
 
 def _decide_ppt(f: Channel, g: Channel) -> Decision:
@@ -195,10 +127,8 @@ def _decide_ppt(f: Channel, g: Channel) -> Decision:
     j2t = ptranspose_array(g.choi.array, (dx, d2), 0)
     relax = two_marginal_problem(j1t, j2t, (dx, d1, d2), name="ppt_relaxation")
     out_a = solve(relax)
-    if out_a.status == "Infeasible":
-        return _refute(out_a, f, g, "ppt")
     if out_a.status != "Feasible":
-        return Decision("Inconclusive", out_a.value, outcome=out_a, note=out_a.note)
+        return _refute(out_a, f, g, "ppt")
 
     out_b = solve(build_compat(f, g, ppt=True))
     if out_b.status == "Feasible":

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import analytic, channels, jordan, reference, sdp
-from .linalg import ptrace_array, ptranspose_array
+from .linalg import ptranspose_array
 from .rand import random_channel, random_density
 from .sdp.decide import decide
-from .witness import adjoint_sum, no_broadcast_witness, verify_witness
+from .witness import adjoint_sum, no_broadcast_witness, verify_compatibilizer, verify_witness
 
 Check = tuple[str, bool, str]
 
@@ -37,12 +37,9 @@ def run_checks() -> list[Check]:
     f, g = reference.channel_pair()
     comp = reference.compatibilizer()
     jc = comp.choi.array
-    dims = (2, 2, 2)
-
-    m1 = ptrace_array(jc, dims, [2])
-    m2 = ptrace_array(jc, dims, [1])
-    dev = max(np.abs(m1 - f.choi.array).max(), np.abs(m2 - g.choi.array).max())
-    out.append(("compatibilizer marginals reproduce the pair", dev == 0.0, f"max dev {dev:.2e}"))
+    comp_report = verify_compatibilizer(jc, f, g)
+    out.append(("compatibilizer marginals reproduce the pair", comp_report.constraint_residual == 0.0,
+                f"max dev {comp_report.constraint_residual:.2e}"))
 
     wmins = [
         np.linalg.eigvalsh(f.choi.array).min(),
@@ -79,8 +76,8 @@ def run_checks() -> list[Check]:
     dec = decide(f, g, "compat")
     out.append(("pair is compatible (optimum > 0)", dec.verdict == "Compatible" and dec.value > 0,
                 f"verdict {dec.verdict}, optimum {dec.value:.6f}"))
-    out.append(("printed compatibilizer is a strictly feasible point",
-                np.linalg.eigvalsh(jc).min() > 0, f"min eig {np.linalg.eigvalsh(jc).min():.6f}"))
+    out.append(("printed compatibilizer is a strictly feasible point", comp_report.min_eig > 0,
+                f"min eig {comp_report.min_eig:.6f}"))
 
     dec = decide(f, g, "ppt_compat")
     out.append(("no PPT compatibilizer exists", dec.verdict == "Incompatible",
@@ -117,9 +114,7 @@ def run_checks() -> list[Check]:
         ok = abs(crossing - target) <= 1e-10
         out.append((f"witness pairing crosses zero at d/(2(d+1)) for d={d}", ok,
                     f"crossing {crossing:.12f}, target {target:.12f}"))
-        psd = np.linalg.eigvalsh(
-            _nb_adjoint_sum(wd, d)
-        ).min()
+        psd = np.linalg.eigvalsh(adjoint_sum(wd.z1.array, wd.z2.array, (d, d, d))).min()
         out.append((f"witness adjoint sum is PSD for d={d}", psd >= -1e-12, f"min eig {psd:.2e}"))
 
     o13 = channels.partial_depolarizing_channel(1.0 / 3.0, 2)
@@ -188,10 +183,6 @@ def run_checks() -> list[Check]:
         out.append((f"measure-and-prepare boundary point extends to k={k}",
                     outk.status == "Feasible", f"{outk.status}, optimum {outk.value:.4f}"))
     return out
-
-
-def _nb_adjoint_sum(w, d):
-    return adjoint_sum(w.z1.array, w.z2.array, (d, d, d))
 
 
 def main() -> int:

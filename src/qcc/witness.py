@@ -4,10 +4,11 @@ A witness against compatibility of a pair of channels is a pair of
 Hermitian operators whose partial-trace adjoints sum to a PSD operator
 while pairing negatively with the channels' Choi matrices (in ppt mode,
 with their partial transposes); a compatibilizer certifies the converse.
-Verification uses only dense linear algebra, never a solver, so
-certificates are auditable artifacts.  Witness thresholds are tighter
-than solver tolerances on purpose: a witness should be decisively valid,
-not borderline.
+Each kind has one read-out from a solver's point and one check here (the
+Jordan operator's are in ``qcc.jordan``).  Verification uses only dense
+linear algebra, never a solver, so certificates are auditable artifacts.
+Witness thresholds are tighter than solver tolerances on purpose: a
+witness should be decisively valid, not borderline.
 """
 
 from __future__ import annotations
@@ -19,8 +20,12 @@ import numpy as np
 
 from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json, apply_to_factor
 from .linalg import HermitianMatrix, TensorShape, embed_identity_array, ptrace_array, ptranspose_array
-from .sdp import DECISION_TOL
 
+# The sign band of the optimum t and decide()'s certificate tolerance, in
+# one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
+# which the certificate check must accept.  It bounds no residual: a solve
+# that misses ipm.TOL is Inconclusive.
+DECISION_TOL = 1e-7
 PSD_TOL = 1e-9
 PAIRING_TOL = 1e-9
 JORDAN_CONSTRAINT_TOL = 1e-8
@@ -72,6 +77,49 @@ def adjoint_sum(z1: np.ndarray, z2: np.ndarray, factors: tuple[int, int, int]) -
     big1 = embed_identity_array(z1, (dx, d1), factors, (0, 1))
     big2 = embed_identity_array(z2, (dx, d2), factors, (0, 2))
     return big1 + big2
+
+
+def split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Split Z on X (x) Y1 (x) Y2 into (Z1, Z2) whose adjoint sum
+    Tr*_{Y2}(Z1) + Tr*_{Y1}(Z2) is the orthogonal projection of Z onto the
+    range of the two embeddings.
+
+    The projectors onto the two ranges commute, so the projection onto
+    their sum is P1 + P2 - P1 P2; the shared X part goes to Z1.  Any other
+    split differs by (C (x) I, -C (x) I), which leaves the pairing with
+    trace-preserving Choi matrices unchanged.
+    """
+    dx, d1, d2 = factors
+    z1 = ptrace_array(z, factors, [2]) / d2
+    shared = ptrace_array(z, factors, [1, 2]) / (d1 * d2)
+    z2 = ptrace_array(z, factors, [1]) / d1 - np.kron(shared, np.eye(d2))
+    return z1, z2
+
+
+def witness_from_dual(s: np.ndarray, f: Channel, g: Channel, mode: str) -> Witness:
+    """The (Z1, Z2) split of a compat-type program's dual slack S.  S is the
+    solver's interior slack, so the adjoint sum of its split is PSD up to
+    roundoff, which ``verify_witness`` accepts."""
+    factors = (f.d_in, f.d_out, g.d_out)
+    z1, z2 = split_adjoint_pair(s, factors)
+    return Witness(HermitianMatrix(z1, TensorShape(factors[:2])),
+                   HermitianMatrix(z2, TensorShape(factors[::2])), mode=mode)
+
+
+def _pull_back(rho: np.ndarray, f: Channel, g: Channel) -> np.ndarray:
+    """(id (x) f* (x) g*)(rho), from X (x) Y1 (x) Y2 back to X (x) X (x) X."""
+    lhs, cur = apply_to_factor(rho, (f.d_in, f.d_out, g.d_out), 1, f.rep, adjoint=True)
+    return apply_to_factor(lhs, cur, 2, g.rep, adjoint=True)[0]
+
+
+def jordan_witness_from_dual(rho: np.ndarray, f: Channel, g: Channel) -> JordanWitness:
+    """The (W1, W2, rho) witness from the dual rho of the compat or Jordan
+    program: (W1, W2) splits the pull-back of rho."""
+    d = f.d_in
+    w1, w2 = split_adjoint_pair(_pull_back(rho, f, g), (d, d, d))
+    return JordanWitness(HermitianMatrix(w1, TensorShape((d, d))),
+                         HermitianMatrix(w2, TensorShape((d, d))),
+                         HermitianMatrix(rho, TensorShape((d, f.d_out, g.d_out))))
 
 
 def verify_witness(w: Witness, f: Channel, g: Channel) -> WitnessReport:
@@ -127,9 +175,7 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel) -> WitnessRe
         raise ValueError("multiplier shapes must be (d, d) factors")
     if w.rho.shape.factors != (d, f.d_out, g.d_out):
         raise ValueError("rho must live on X (x) Y1 (x) Y2")
-    dims = (d, f.d_out, g.d_out)
-    lhs, cur = apply_to_factor(w.rho.array, dims, 1, f.rep, adjoint=True)
-    lhs, _ = apply_to_factor(lhs, cur, 2, g.rep, adjoint=True)
+    lhs = _pull_back(w.rho.array, f, g)
     rhs = adjoint_sum(w.w1.array, w.w2.array, (d, d, d))
     constraint_residual = float(np.linalg.norm(lhs - rhs))
     rho_min = float(np.linalg.eigvalsh(w.rho.array).min())
@@ -161,8 +207,9 @@ def no_broadcast_witness(d: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def certificate_to_json(w: Union[Witness, JordanWitness, HermitianMatrix],
-                        margin: Optional[float] = None) -> dict:
+def certificate_to_json(w, margin: Optional[float] = None) -> dict:
+    """JSON form of a Witness, a JordanWitness, a compatibilizer (a
+    HermitianMatrix, whose mode the caller sets) or a jordan.GenJordanOperator."""
     if isinstance(w, HermitianMatrix):  # a compatibilizer, in channel JSON; the caller sets its mode
         d_in, *outs = w.shape.factors
         data = {"compatibilizer": {"d_in": d_in, "d_out": int(np.prod(outs)),
@@ -175,7 +222,7 @@ def certificate_to_json(w: Union[Witness, JordanWitness, HermitianMatrix],
             "shape1": list(w.z1.shape.factors),
             "shape2": list(w.z2.shape.factors),
         }
-    else:
+    elif isinstance(w, JordanWitness):
         data = {
             "mode": "jordan",
             "W1": _matrix_to_json(w.w1.array),
@@ -183,6 +230,8 @@ def certificate_to_json(w: Union[Witness, JordanWitness, HermitianMatrix],
             "rho": _matrix_to_json(w.rho.array),
             "rho_shape": list(w.rho.shape.factors),
         }
+    else:  # a GenJordanOperator (qcc.jordan imports this module, not the reverse)
+        data = {"mode": "jordan-operator", "A": _matrix_to_json(w.matrix.array)}
     if margin is not None:
         data["margin"] = float(margin)
     return data
@@ -204,6 +253,10 @@ def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, Hermitian
             HermitianMatrix(z2, TensorShape(s2)),
             mode=mode,
         )
+    if mode == "jordan-operator":
+        a = _matrix_from_json(data["A"])
+        d = int(round(a.shape[0] ** (1 / 3)))
+        return HermitianMatrix(a, TensorShape((d, d, d)))
     if mode == "jordan":
         w1 = _matrix_from_json(data["W1"])
         w2 = _matrix_from_json(data["W2"])

@@ -5,14 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_hermitian(rng, n, scale=1.0):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (g + g.conj().T) / 2
-
-
-def random_psd(rng, n, rank=None):
-    r = rank or n
-    g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
-    return g @ g.conj().T

@@ -38,15 +38,15 @@ from qcc.marginal import compatibilizer_from_joint_state, joint_state_from_compa
 from qcc.rand import (
     random_channel,
     random_density,
+    random_hermitian,
     random_invertible_channel,
     random_mp_channel,
+    random_psd,
     random_pvm,
     random_state_pair,
 )
 from qcc.sdp.decide import decide
 from qcc.witness import no_broadcast_witness, verify_witness
-
-from conftest import random_hermitian
 
 
 def report(num: int, ok: bool, elapsed: float, detail: str):
@@ -315,8 +315,6 @@ def test_acceptance_7_property_suites():
     details.append("state reductions")
 
     # support absorption (1e-9)
-    from conftest import random_psd
-
     for i in range(100):
         side, shape = ((4, (2, 2)) if i % 2 == 0 else (8, (2, 4)))
         a = random_psd(rng, side, rank=1 + i % side)

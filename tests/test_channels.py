@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qcc import reference
+from qcc import channels, reference
 from qcc.channels import (
     Channel,
     MeasurePrepare,
@@ -33,12 +33,12 @@ from qcc.channels import (
     xi_channel,
 )
 from qcc.linalg import HermitianMatrix, ptrace_array
-from qcc.rand import haar_unitary, random_channel, random_density, random_mp_channel, random_pvm
-
-from conftest import random_hermitian
+from qcc.rand import (haar_unitary, random_channel, random_density, random_hermitian, random_mp_channel,
+                      random_pvm)
 
 E00 = np.diag([1.0, 0.0])
 E11 = np.diag([0.0, 1.0])
+PSI = haar_unitary(np.random.default_rng(1), 2)[:, 0]
 J_ID = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=float)
 
 
@@ -126,6 +126,27 @@ class TestMeasurePrepare:
             c = measure_prepare_channel(mp)
             back = measure_prepare_channel(measure_prepare_decomposition(c.rep))
             assert np.abs(back.choi.array - c.choi.array).max() < 1e-10
+
+    @pytest.mark.parametrize("channel", [
+        constant_channel(E00, 2),
+        constant_channel(np.outer(PSI, PSI.conj()), 2),
+        measurement_channel(Povm((np.eye(2), np.zeros((2, 2))))),
+    ], ids=["constant_pure", "constant_pure_rotated", "measurement_trivial"])
+    def test_decomposition_completes_takagi_kernel(self, channel, monkeypatch):
+        # a pure constant output leaves the Takagi factorization a kernel,
+        # which it completes with zero values
+        lams = []
+        real = channels._takagi
+
+        def spy(a):
+            lam, u = real(a)
+            lams.append(lam)
+            return lam, u
+
+        monkeypatch.setattr(channels, "_takagi", spy)
+        back = measure_prepare_channel(measure_prepare_decomposition(channel.rep))
+        assert np.abs(back.choi.array - channel.choi.array).max() < 1e-12
+        assert any((lam == 0.0).any() for lam in lams)
 
     def test_decomposition_rejects_entangled(self):
         with pytest.raises(ValueError, match="PPT|entangled"):

@@ -28,6 +28,15 @@ def identity_file(tmp_path):
     return str(p)
 
 
+def _negate_matrices(node):
+    """A copy of a certificate's JSON with every matrix (rows of [re, im]) negated."""
+    if isinstance(node, dict):
+        return {k: _negate_matrices(v) for k, v in node.items()}
+    if isinstance(node, list) and node and isinstance(node[0], list):
+        return [[[-re, -im] for re, im in row] for row in node]
+    return node
+
+
 class TestCheck:
     def test_compatible_exit_zero(self, ref_files):
         a, b = ref_files
@@ -76,6 +85,27 @@ class TestCheck:
         cert = str(tmp_path / "cert.json")
         assert main(["check", str(p), str(p), "--mode", mode, "--cert", cert]) == 0
         assert main(["witness", "verify", cert, str(p), str(p)]) == 0
+
+    @pytest.mark.parametrize("mode", ["compat", "ppt-compat", "jordan"])
+    @pytest.mark.parametrize("verdict", ["Compatible", "Incompatible"])
+    def test_every_certificate_verifies(self, tmp_path, mode, verdict):
+        if verdict == "Compatible":
+            a = b = partial_depolarizing_channel(0.8, 2)
+        else:
+            a, b = reference.channel_pair() if mode == "ppt-compat" else (identity_channel(2),) * 2
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(channel_to_json(a)))
+        pb.write_text(json.dumps(channel_to_json(b)))
+        cert = tmp_path / "cert.json"
+        code = {"Compatible": 0, "Incompatible": 1}[verdict]
+        assert main(["check", str(pa), str(pb), "--mode", mode, "--cert", str(cert)]) == code
+        assert main(["witness", "verify", str(cert), str(pa), str(pb)]) == 0
+        data = json.loads(cert.read_text())
+        negated = _negate_matrices(data)
+        assert negated != data
+        bad = tmp_path / "negated.json"
+        bad.write_text(json.dumps(negated))
+        assert main(["witness", "verify", str(bad), str(pa), str(pb)]) == 1
 
     def test_step_collapse_exit_2_without_certificate(self, identity_file, monkeypatch,
                                                       tmp_path, capsys):
@@ -136,6 +166,11 @@ class TestSelfCompat:
         # a band of 0.5 would read the identity's optimum -1/8 as Feasible
         assert main(["self-compat", identity_file, "--k", "2", "--tol", "0.5"]) == 64
         assert "Feasible" not in capsys.readouterr().out
+
+    def test_projection_not_feasible_exits_2(self, identity_file, capsys):
+        # Dykstra finds no point of the identity's infeasible k = 4 extension
+        assert main(["self-compat", identity_file, "--k", "4", "--solver", "projection"]) == 2
+        assert "self-compatibility: Inconclusive" in capsys.readouterr().out
 
     def test_half_depolarizing_k2(self, tmp_path):
         p = tmp_path / "o.json"

@@ -32,11 +32,10 @@ from qcc.rand import (
     haar_unitary,
     random_channel,
     random_density,
+    random_hermitian,
     random_mp_channel,
     random_pvm,
 )
-
-from conftest import random_hermitian
 
 SZ = np.diag([1.0, -1.0])
 

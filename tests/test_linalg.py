@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,7 @@ from qcc.linalg import (
     swap_operator,
     vec_to_herm,
 )
-
-from conftest import random_hermitian, random_psd
+from qcc.rand import random_hermitian, random_psd
 
 
 def herm(arr, shape=None):
@@ -43,6 +44,14 @@ class TestHermitianMatrix:
     def test_shape_must_factor_the_side(self):
         with pytest.raises(ValueError):
             herm(np.eye(4), TensorShape((2, 3)))
+
+    def test_pickle_round_trip_stays_immutable(self, rng):
+        m = herm(random_hermitian(rng, 6), TensorShape((2, 3)))
+        back = pickle.loads(pickle.dumps(m))
+        assert np.array_equal(back.array, m.array) and back.shape == m.shape
+        assert not back.array.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            back.shape = TensorShape((6,))
 
 
 class TestKron:

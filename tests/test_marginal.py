@@ -22,10 +22,8 @@ from qcc.marginal import (
     lift_povm_compatibilizer,
     states_to_channels,
 )
-from qcc.rand import random_channel, random_density, random_povm, random_state_pair
+from qcc.rand import random_channel, random_density, random_hermitian, random_povm, random_state_pair
 from qcc.sdp.decide import decide
-
-from conftest import random_hermitian
 
 E00 = np.diag([1.0, 0.0])
 E11 = np.diag([0.0, 1.0])

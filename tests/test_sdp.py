@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from qcc.linalg import (
     ptrace_array,
     ptranspose_array,
 )
-from qcc.rand import random_channel, random_density, random_invertible_channel, random_povm
+from qcc.rand import (random_channel, random_density, random_hermitian, random_invertible_channel,
+                      random_povm)
 import qcc.sdp.decide as decide_mod
-from qcc.sdp.decide import _split_adjoint_pair, decide
+from qcc.sdp.decide import decide
 from qcc.sdp.ipm import _chol_pd, _chol_solve
 from qcc.sdp.problem import (
     CONSTRAINT_RANK_TOL,
@@ -42,9 +44,8 @@ from qcc.sdp.problem import (
     _var_offsets,
     compile_ipm,
 )
-from qcc.witness import adjoint_sum, verify_jordan_witness, verify_witness
-
-from conftest import random_hermitian
+from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
+                         verify_witness)
 
 
 class TestSolveCompat:
@@ -205,7 +206,7 @@ class TestStandardForm:
         assert out.status == "Infeasible"
         s = out.dual[0]
         assert abs(np.trace(s).real - 1.0) <= 1e-9
-        z1, z2 = _split_adjoint_pair(s, (2, 2, 2))
+        z1, z2 = split_adjoint_pair(s, (2, 2, 2))
         assert np.abs(adjoint_sum(z1, z2, (2, 2, 2)) - s).max() <= 1e-9
 
     def test_state_compat_dual_objective_matches_value(self, rng):
@@ -404,7 +405,7 @@ class TestJordanProgram:
         a = out.primal["A"]
         from qcc.jordan import GenJordanOperator
 
-        op = GenJordanOperator(HermitianMatrix(a, TensorShape((2, 2, 2))), tol=1e-7)
+        op = GenJordanOperator(HermitianMatrix(a, TensorShape((2, 2, 2))))
         image = gen_jordan(xi.rep, xi.rep, op)
         assert np.linalg.eigvalsh(image.choi.array).min() >= -1e-7
         rep = validate(image)
@@ -458,6 +459,13 @@ class TestKExtension:
             x = b.primal["X"]
             assert np.linalg.eigvalsh(x).min() >= -1e-8
             assert np.abs(ptrace_array(x, (2, 2, 2), [2]) - f.choi.array).max() < 1e-7
+
+    def test_projection_not_feasible_is_inconclusive(self):
+        # the identity has no k = 4 extension, and Dykstra cannot refute
+        out = sdp.solve(sdp.build_k_extension(identity_channel(2), 4), mode="projection")
+        assert out.status == "Inconclusive"
+        assert out.note == "projection did not reach feasibility"
+        assert np.isnan(out.value) and out.primal is None
 
 
 class TestPovmCompat:
@@ -548,7 +556,7 @@ class TestDecide:
         f = random_channel(rng, 2, 3)
         g = random_channel(rng, 2, 4)
         big = adjoint_sum(z1, z2, factors)
-        s1, s2 = _split_adjoint_pair(big, factors)
+        s1, s2 = split_adjoint_pair(big, factors)
         assert np.abs(adjoint_sum(s1, s2, factors) - big).max() < 1e-12
 
         def margin(a, b):
@@ -752,3 +760,29 @@ class TestPairingIdentity:
                 )
                 rhs = np.tensordot(prod.conj(), big, axes=2).real
                 assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("make", [
+    lambda: identity_channel(2),
+    lambda: no_broadcast_witness(2),
+    lambda: sdp.build_jordan_compat(dephasing_channel(2), identity_channel(2)),
+], ids=["channel", "witness", "jordan_program"])
+def test_pickle_round_trip(make):
+    # process pools hand channels and programs (the Jordan program has a
+    # map-image block) to their workers by pickling
+    obj = make()
+    assert _equal(pickle.loads(pickle.dumps(obj)), obj)
+
+
+def _equal(a, b) -> bool:
+    """Deep equality of channels, certificates and programs, array by array."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, HermitianMatrix):
+        return a.shape == b.shape and np.array_equal(a.array, b.array)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_equal(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b

@@ -4,6 +4,7 @@ import pytest
 from qcc import reference, sdp
 from qcc.channels import depolarizing_channel, identity_channel, partial_depolarizing_channel
 from qcc.linalg import HermitianMatrix, TensorShape, ptrace_array
+from qcc.rand import random_hermitian
 from qcc.sdp.decide import decide
 from qcc.witness import (
     JordanWitness,
@@ -15,8 +16,6 @@ from qcc.witness import (
     verify_jordan_witness,
     verify_witness,
 )
-
-from conftest import random_hermitian
 
 
 class TestVerifyWitness:
