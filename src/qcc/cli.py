@@ -220,7 +220,8 @@ def cmd_witness_verify(args) -> int:
             data = json.load(f)
         w = certificate_from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse certificate {args.cert!r}: {exc}", file=sys.stderr)
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: cannot parse certificate {args.cert!r}: {reason}", file=sys.stderr)
         return EXIT_PARSE
     a = _load_channel(args.channel_a)
     b = _load_channel(args.channel_b)

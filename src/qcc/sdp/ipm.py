@@ -29,18 +29,24 @@ iteration takes one Newton step and nothing repairs the iterate after
 it: the infeasible-start step already shrinks each equality residual
 by the factor (1 - step) of its own step length.
 
-The Schur system is solved on its Cholesky factor by block
-substitution: LAPACK solves on the diagonal blocks and matrix
-products with the off-diagonal panels, forward through L and back
-through L^T.  numpy exposes no triangular solve, and a general solve
-on the whole factor runs an LU of it on every call.  No explicit
-inverse is used.  Solving with the inverse Schur matrix L^-T L^-1 ends
-a qutrit Jordan solve in a step collapse: near the optimum the Schur
-matrix reaches condition numbers of 1e13 and beyond (1e19-1e21 in the
-last qutrit iterations).  Products with the inverse factor alone keep
-those decisions, but forming that inverse is itself an LU with m
-right-hand sides, dearer than the few solves each factor serves, and
-substitution is the backward-stable choice at those condition numbers.
+The Schur system is solved on its Cholesky factor L by block
+substitution, forward through L and back through L^T: each 64 x 64
+diagonal block of L is inverted once per factor (``_block_inverses``),
+and every solve with that factor, up to four per iteration, is then
+matrix products with those inverses and the off-diagonal panels.
+numpy exposes no triangular solve, and a general solve on a block runs
+an LU of it on every call: 24 LUs per qutrit iteration (m = 152) where
+three inverses now serve.  The Schur matrix itself is never inverted.
+Solving with the inverse Schur matrix L^-T L^-1 ends a qutrit Jordan
+solve in a step collapse: near the optimum the Schur matrix reaches
+condition numbers of 1e13 and beyond (1e19-1e21 in the last qutrit
+iterations), and forming it would cost an LU with m right-hand sides.
+The block inverses keep the decisions of substitution by LU solves:
+on 162 decides (54 qubit and qutrit pairs in the compat, Jordan and PPT
+modes) verdicts, iteration counts and fallback counts are unchanged and
+the optimal values move by at most 3.8e-12, and each solve agrees with
+two general solves on the whole factor within 1e-12, relative, up to
+Schur condition numbers of 1e16.
 """
 
 from __future__ import annotations
@@ -105,16 +111,24 @@ def _chol_pd(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.cholesky((v * w) @ v.conj().T), True
 
 
-def _chol_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs for a real Cholesky factor L by block substitution."""
-    starts = range(0, l.shape[0], CHOL_BLOCK)
+def _block_inverses(l: np.ndarray) -> list:
+    """The inverse of each ``CHOL_BLOCK`` diagonal block of a Cholesky factor."""
+    return [np.linalg.inv(l[i : i + CHOL_BLOCK, i : i + CHOL_BLOCK])
+            for i in range(0, l.shape[0], CHOL_BLOCK)]
+
+
+def _chol_solve(l: np.ndarray, linvs: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs for a real Cholesky factor L by block
+    substitution, with the inverses ``linvs`` of its diagonal blocks
+    (``_block_inverses``)."""
+    starts = list(enumerate(range(0, l.shape[0], CHOL_BLOCK)))
     x = np.array(rhs, dtype=np.float64)
-    for i in starts:
+    for k, i in starts:
         j = i + CHOL_BLOCK
-        x[i:j] = np.linalg.solve(l[i:j, i:j], x[i:j] - l[i:j, :i] @ x[:i])
-    for i in reversed(starts):
+        x[i:j] = linvs[k] @ (x[i:j] - l[i:j, :i] @ x[:i])
+    for k, i in reversed(starts):
         j = i + CHOL_BLOCK
-        x[i:j] = np.linalg.solve(l[i:j, i:j].T, x[i:j] - l[j:, i:j].T @ x[j:])
+        x[i:j] = linvs[k].T @ (x[i:j] - l[j:, i:j].T @ x[j:])
     return x
 
 
@@ -215,12 +229,13 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
         schur_mat = schur(rinvs)
         schur_chol, fell = _chol_pd(schur_mat)
         fallbacks += fell
+        schur_linvs = _block_inverses(schur_chol)
 
         def solve_schur(rhs):
-            x = _chol_solve(schur_chol, rhs)
+            x = _chol_solve(schur_chol, schur_linvs, rhs)
             # one step of iterative refinement keeps the last digits of the
             # equality residual from stalling on ill-conditioned systems
-            return x + _chol_solve(schur_chol, rhs - schur_mat @ x)
+            return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
 
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
         f_blocks = [rinvs[l].conj().T @ (rinvs[l] @ Rd[l] @ rinvs[l].conj().T) @ rinvs[l]

@@ -42,13 +42,25 @@ chosen from the block kinds:
   NT-scaled constraint blocks.
 
 Either way the blocks stay complex Hermitian and the Schur system real.
+
+Programs of one structure (``_plan_key``: the variables' factors, each
+constraint's side and terms, the block order) differ only in their
+right-hand sides and block maps, and sweeps and decide loops solve
+hundreds of them.  One cache of 64 structures (``_structure_of``) holds,
+as read-only arrays, what the structure fixes: K, ``coords`` and ``vh``
+of the elimination and, for standard form, e, Q, G, the constraint and
+objective blocks and the Schur plan.  Each compile computes only its
+own right-hand side b, x0 and the consistency residual K x0 - b, and in
+standard form c, b, t0 and Z0; the null-space form also builds its
+free directions and block images per problem, since the maps change
+them.  A cached compile is bit-identical to an uncached one.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -192,20 +204,23 @@ class CompiledSdp:
     Either way the certificate has trace 1 and lies in the range of the
     constraint adjoints, and ``Z0`` is where the solver starts Z.
     ``schur`` forms the solver's Schur matrix at each NT scaling point.
+    In standard form ``A_blocks``, ``C_blocks``, ``gmat`` and ``plan``
+    are the structure cache's read-only arrays, shared by every problem
+    of the structure.
     """
 
     problem: SdpProblem
     x0: np.ndarray
     b: np.ndarray
-    C_blocks: list
-    A_blocks: list  # per block: (m, n, n) complex Hermitian
+    C_blocks: list  # per block; a tuple in standard form
+    A_blocks: list  # per block: (m, n, n) complex Hermitian; a tuple in standard form
     Z0: list
     removed_redundant: int
     dropped_directions: int
     nullbasis: Optional[np.ndarray] = None  # (P, m - 1) free directions, null-space form
     t0: float = 0.0  # t at W = 0, standard form
     gmat: Optional[np.ndarray] = None  # standard form: A_i = sum_p G_ip Tr*(E_p)
-    plan: Optional["_SchurPlan"] = None  # standard form, shared by equal structures
+    plan: Optional["_SchurPlan"] = None  # standard form
 
     @property
     def m(self) -> int:
@@ -308,17 +323,6 @@ class _SchurPlan:
         return (self.coef * buf.view(np.float64)[self.index]).sum(axis=0)
 
 
-def _plan_key(problem: SdpProblem) -> tuple:
-    """The structure a Schur plan depends on: variable factors, each
-    constraint's side and terms, and the block order."""
-    return (
-        tuple((v.name, tuple(v.factors)) for v in problem.variables),
-        tuple((con.rhs.shape[0], tuple((t.var, tuple(t.traced)) for t in con.terms))
-              for con in problem.constraints),
-        tuple(block.var for block in problem.blocks),
-    )
-
-
 def _basis_entries(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and coefficients of the two entries of each
     ``hermitian_basis(r)`` element, a diagonal unit's second entry with
@@ -350,9 +354,9 @@ def _pair_axes(factors: tuple, traced_a: tuple, traced_b: tuple) -> tuple:
     return tuple(left), (ra * rb, ta * tb), tuple(right), (ta * tb, rb * ra)
 
 
-@functools.lru_cache(maxsize=64)
-def _schur_plan(variables: tuple, constraints: tuple, block_vars: tuple) -> _SchurPlan:
+def _schur_plan(key: tuple) -> _SchurPlan:
     """The Schur plan of one problem structure (``_plan_key``)."""
+    variables, constraints, block_vars = key
     factors = dict(variables)
     block_of = {var: l for l, var in enumerate(block_vars)}
     sides = [side for side, _terms in constraints]
@@ -391,79 +395,155 @@ def _schur_plan(variables: tuple, constraints: tuple, block_vars: tuple) -> _Sch
                 index[:, q_sl, p_sl] = index[:, p_sl, q_sl].transpose(0, 2, 1)
                 coef[:, q_sl, p_sl] = coef[:, p_sl, q_sl].transpose(0, 2, 1)
             size = sl.stop
-    # one plan serves every problem of its structure
-    index.setflags(write=False)
-    coef.setflags(write=False)
     shapes = tuple(tuple(factors[var]) * 2 for var in block_vars)
     return _SchurPlan(shapes, tuple(products), size, index, coef)
 
 
-def _constraint_matrix(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized equality constraints: K params = b.
+def _layout(variables: tuple) -> dict:
+    """Each variable's slice of the stacked parameter vector and its side,
+    for the (name, factors) pairs of a structure (``_plan_key``)."""
+    layout, off = {}, 0
+    for name, factors in variables:
+        side = int(np.prod(factors))
+        layout[name] = (slice(off, off + side * side), side)
+        off += side * side
+    return layout
+
+
+def _constraint_matrix(variables: tuple, constraints: tuple) -> np.ndarray:
+    """Vectorized equality constraints: the K of K params = b, from a
+    structure's variables and constraints (``_plan_key``).
 
     Row j of a term's part of K holds the coordinates of the term's
     adjoint applied to the j-th Hermitian basis element E_j of the
     constraint space; the adjoint of a partial trace embeds E_j with
     identities on the traced factors.
     """
-    var_offsets = _var_offsets(problem)
-    p_total = problem.total_params
+    factors = dict(variables)
+    layout = _layout(variables)
+    p_total = sum(side * side for _sl, side in layout.values())
     rows = []
-    rhs_parts = []
-    for con in problem.constraints:
-        r_side = con.rhs.shape[0]
+    for r_side, terms in constraints:
         basis = hermitian_basis(r_side)
         kmat = np.zeros((r_side * r_side, p_total))
-        for term in con.terms:
-            var = problem.variable(term.var)
-            off = var_offsets[term.var]
-            kept = [i for i in range(len(var.factors)) if i not in term.traced]
-            kept_dims = [var.factors[i] for i in kept]
+        for name, traced in terms:
+            kept = [i for i in range(len(factors[name])) if i not in traced]
+            kept_dims = [factors[name][i] for i in kept]
             side = int(np.prod(kept_dims))
             if side != r_side:
                 raise ValueError(
-                    f"constraint term on {term.var} produces side {side}, "
+                    f"constraint term on {name} produces side {side}, "
                     f"rhs has side {r_side}"
                 )
-            adj = embed_identity_array(basis, kept_dims, var.factors, kept)
-            kmat[:, off : off + var.nparams] += herm_to_vec(adj)
+            adj = embed_identity_array(basis, kept_dims, factors[name], kept)
+            kmat[:, layout[name][0]] += herm_to_vec(adj)
         rows.append(kmat)
-        rhs_parts.append(herm_to_vec(con.rhs))
-    return np.vstack(rows), np.concatenate(rhs_parts)
+    return np.vstack(rows)
 
 
-class _Elimination(NamedTuple):
-    x0: np.ndarray  # minimum-norm particular solution
-    vh: np.ndarray  # (rank, P) orthonormal constraint rows
-    rank: int
-    removed: int  # redundant constraint rows
-    coords: np.ndarray  # vh = coords @ K
+# ---------------------------------------------------------------------------
+# what one problem structure fixes, computed once
+# ---------------------------------------------------------------------------
 
 
-def _eliminate(problem: SdpProblem) -> _Elimination:
-    """Solve the equality constraints once, for both solvers.
+def _plan_key(problem: SdpProblem) -> tuple:
+    """A problem's structure: variable factors, each constraint's side and
+    terms, and the block order; everything but the right-hand sides and
+    the block kinds and maps."""
+    return (
+        tuple((v.name, tuple(v.factors)) for v in problem.variables),
+        tuple((con.rhs.shape[0], tuple((t.var, tuple(t.traced)) for t in con.terms))
+              for con in problem.constraints),
+        tuple(block.var for block in problem.blocks),
+    )
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _StandardForm:
+    """The standard-form data of one structure (``_compile_standard``)."""
+
+    e_hat: np.ndarray  # the identity direction R vec(I) of the rows, normalized
+    e_norm: float  # |R vec(I)|
+    q: np.ndarray  # (rank, rank - 1) orthonormal complement of e_hat
+    gmat: np.ndarray  # Q^T coords: A_i = sum_p G_ip Tr*(E_p)
+    A_blocks: tuple  # per block: (rank - 1, n, n) complex Hermitian
+    C_blocks: tuple
+    plan: _SchurPlan
+
+
+class _Structure:
+    """The elimination of one problem structure (``_plan_key``), shared
+    read-only by every problem of that structure.
 
     The constraint rows come from an eigendecomposition of the Gram
     matrix K K^T = U diag(lam) U^T of the vectorized constraint matrix K:
     with the nonzero eigenvalues lam_r, coords = (U_r / sqrt(lam_r))^T
-    maps K onto the orthonormal rows vh = coords @ K, and
-    x0 = vh^T (coords @ b) is the minimum-norm particular solution.  The
-    Gram matrix is rows x rows (162 x 162 for qutrit compat), so this
-    costs about an eighth of the thin SVD of K.  Inconsistent right-hand
-    sides raise.
+    maps K onto the orthonormal rows vh = coords @ K.  The Gram matrix is
+    rows x rows (162 x 162 for qutrit compat), so this costs about an
+    eighth of the thin SVD of K.  ``standard`` holds the standard-form
+    data, built at the first standard-form compile: every block of such
+    a problem is the identity image of its variable, so the block kinds
+    need no place in the key.
     """
-    kmat, bvec = _constraint_matrix(problem)
-    lam, u = np.linalg.eigh(kmat @ kmat.T)
-    keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
-    coords = (u[:, keep] / np.sqrt(lam[keep])).T
-    vh = coords @ kmat
-    rank = vh.shape[0]
-    x0 = vh.T @ (coords @ bvec)
-    resid = np.abs(kmat @ x0 - bvec).max() if bvec.size else 0.0
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.kmat = _constraint_matrix(*key[:2])
+        lam, u = np.linalg.eigh(self.kmat @ self.kmat.T)
+        keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
+        self.coords = (u[:, keep] / np.sqrt(lam[keep])).T
+        self.vh = self.coords @ self.kmat  # (rank, P)
+        self.rank = self.vh.shape[0]
+        self.removed = self.kmat.shape[0] - self.rank  # redundant constraint rows
+        _read_only(self.kmat, self.coords, self.vh)
+
+    @functools.cached_property
+    def standard(self) -> _StandardForm:
+        """With the orthonormal constraint rows R, e = R vec(I), Q
+        completing e to an orthonormal basis, the rows A_i = mat(R^T q_i)
+        and the objective C = mat(R^T e) / |e|^2 (``_compile_standard``)."""
+        variables, _constraints, block_vars = self.key
+        layout = _layout(variables)
+        rows = self.vh
+        e = rows @ np.concatenate([herm_to_vec(np.eye(n)) for _sl, n in layout.values()])
+        e_norm = float(np.linalg.norm(e))
+        e_hat = e / e_norm
+        q = np.linalg.qr(e_hat[:, None], mode="complete")[0][:, 1:]
+        a_rows = q.T @ rows
+        c_row = (e_hat @ rows) / e_norm
+        a_blocks, c_blocks = [], []
+        for var in block_vars:
+            sl, n = layout[var]
+            a_blocks.append(vec_to_herm(a_rows[:, sl], n))
+            c_blocks.append(vec_to_herm(c_row[sl], n))
+        gmat = q.T @ self.coords
+        plan = _schur_plan(self.key)
+        _read_only(e_hat, q, gmat, *a_blocks, *c_blocks, plan.index, plan.coef)
+        return _StandardForm(e_hat, e_norm, q, gmat, tuple(a_blocks), tuple(c_blocks), plan)
+
+
+@functools.lru_cache(maxsize=64)
+def _structure_of(key: tuple) -> _Structure:
+    return _Structure(key)
+
+
+def _eliminate(problem: SdpProblem) -> tuple[_Structure, np.ndarray]:
+    """Solve the equality constraints, for both solvers: the problem's
+    cached structure and its minimum-norm particular solution
+    x0 = vh^T (coords @ b).  Inconsistent right-hand sides raise."""
+    st = _structure_of(_plan_key(problem))
+    bvec = np.concatenate([herm_to_vec(con.rhs) for con in problem.constraints])
+    x0 = st.vh.T @ (st.coords @ bvec)
+    resid = np.abs(st.kmat @ x0 - bvec).max() if bvec.size else 0.0
     scale = max(1.0, np.abs(bvec).max() if bvec.size else 1.0)
     if resid > 1e-9 * scale:
         raise ValueError(f"equality constraints are inconsistent (residual {resid:.3e})")
-    return _Elimination(x0, vh, rank, kmat.shape[0] - rank, coords)
+    return st, x0
 
 
 def _is_standard(problem: SdpProblem) -> bool:
@@ -493,26 +573,19 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     read R w + t e = c for e = R vec(I).  Their component along e fixes
     t = t0 - <C, W>; the components orthogonal to it, Q^T R w = Q^T c,
     are the rows A_i = mat(R^T q_i).  Maximizing t minimizes <C, W>.
+    Only x0, c, b = Q^T c, t0 and Z0 depend on the right-hand sides; the
+    rest comes from the structure cache.
     """
     var_offsets = _var_offsets(problem)
-    elim = _eliminate(problem)
-    x0, rows = elim.x0, elim.vh
-    c = rows @ x0
-    e = rows @ np.concatenate([herm_to_vec(np.eye(v.side)) for v in problem.variables])
-    e_norm = float(np.linalg.norm(e))
-    e_hat = e / e_norm
-    q = np.linalg.qr(e_hat[:, None], mode="complete")[0][:, 1:]
-    a_rows = q.T @ rows
-    c_row = (e_hat @ rows) / e_norm
+    st, x0 = _eliminate(problem)
+    std = st.standard
+    c = st.vh @ x0
 
-    a_blocks, c_blocks, x0_blocks = [], [], []
+    x0_blocks = []
     for block in problem.blocks:
         var = problem.variable(block.var)
         o = var_offsets[block.var]
-        sl = slice(o, o + var.nparams)
-        a_blocks.append(vec_to_herm(a_rows[:, sl], var.side))
-        c_blocks.append(vec_to_herm(c_row[sl], var.side))
-        x0_blocks.append(vec_to_herm(x0[sl], var.side))
+        x0_blocks.append(vec_to_herm(x0[o : o + var.nparams], var.side))
     # start W at the particular solution, shifted into the cone by one
     # multiple of the identity for all blocks so that it stays feasible
     x_scale = max(1.0, max(np.abs(x).max() for x in x0_blocks))
@@ -523,24 +596,24 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     return CompiledSdp(
         problem=problem,
         x0=x0,
-        b=q.T @ c,
-        C_blocks=c_blocks,
-        A_blocks=a_blocks,
+        b=std.q.T @ c,
+        C_blocks=std.C_blocks,
+        A_blocks=std.A_blocks,
         Z0=z0,
-        removed_redundant=elim.removed,
+        removed_redundant=st.removed,
         dropped_directions=0,
-        t0=float(e_hat @ c) / e_norm,
-        gmat=q.T @ elim.coords,
-        plan=_schur_plan(*_plan_key(problem)),
+        t0=float(std.e_hat @ c) / std.e_norm,
+        gmat=std.gmat,
+        plan=std.plan,
     )
 
 
 def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     """y = (free coordinates, t), the PSD blocks affine in them."""
     var_offsets = _var_offsets(problem)
-    x0, vh, rank, removed, _coords = _eliminate(problem)
+    st, x0 = _eliminate(problem)
     # the free directions complete the orthonormal constraint rows
-    nullb = np.linalg.qr(vh.T, mode="complete")[0][:, rank:]  # (P, m0) orthonormal
+    nullb = np.linalg.qr(st.vh.T, mode="complete")[0][:, st.rank :]  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 
     # complex block images of the particular solution and the free directions
@@ -588,7 +661,7 @@ def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
         C_blocks=img_consts,
         A_blocks=a_blocks,
         Z0=z0,
-        removed_redundant=removed,
+        removed_redundant=st.removed,
         dropped_directions=m0 - rank2,
         nullbasis=nullb,
     )

@@ -5,9 +5,9 @@ PSD cone of each block.  Every block must be an identity block (the
 variable itself PSD); only the k-extension programs of the sweeps and
 ``qcc self-compat`` come here.  The affine projection applies the
 orthonormal constraint-row basis from the elimination the interior-point
-compile also runs (``problem._eliminate``, from an
-eigendecomposition of the constraint Gram matrix K K^T) as two
-matvecs.  The method forfeits dual certificates: the outcome is
+compile also uses (``problem._eliminate``, from an
+eigendecomposition of the constraint Gram matrix K K^T, cached per
+problem structure) as two matvecs.  The method forfeits dual certificates: the outcome is
 Feasible with a verified point, or Inconclusive.  On the qubit
 k-extension up to k = 7 it takes about as long per point as the
 standard-form interior point where the program is feasible, and three
@@ -49,8 +49,8 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
             raise ValueError("projection mode supports PSD blocks on the variables only")
 
     var_offsets = _var_offsets(problem)
-    elim = _eliminate(problem)
-    x0, rows = elim.x0, elim.vh  # orthonormal row-space basis, (r, P)
+    st, x0 = _eliminate(problem)
+    rows = st.vh  # orthonormal row-space basis, (r, P), shared by the structure
     c_rows = rows @ x0
 
     def proj_affine(x):

@@ -246,8 +246,8 @@ def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, Hermitian
     if mode in ("plain", "ppt"):
         z1 = _matrix_from_json(data["Z1"])
         z2 = _matrix_from_json(data["Z2"])
-        s1 = tuple(data.get("shape1", (z1.shape[0], 1)))
-        s2 = tuple(data.get("shape2", (z2.shape[0], 1)))
+        s1 = tuple(int(d) for d in data["shape1"])
+        s2 = tuple(int(d) for d in data["shape2"])
         return Witness(
             HermitianMatrix(z1, TensorShape(s1)),
             HermitianMatrix(z2, TensorShape(s2)),
@@ -262,7 +262,7 @@ def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, Hermitian
         w2 = _matrix_from_json(data["W2"])
         rho = _matrix_from_json(data["rho"])
         d = int(round(np.sqrt(w1.shape[0])))
-        rho_shape = tuple(data.get("rho_shape"))
+        rho_shape = tuple(int(d) for d in data["rho_shape"])
         return JordanWitness(
             HermitianMatrix(w1, TensorShape((d, d))),
             HermitianMatrix(w2, TensorShape((d, d))),

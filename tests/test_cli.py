@@ -107,6 +107,20 @@ class TestCheck:
         bad.write_text(json.dumps(negated))
         assert main(["witness", "verify", str(bad), str(pa), str(pb)]) == 1
 
+    @pytest.mark.parametrize("mode, key", [("compat", "shape1"), ("compat", "shape2"),
+                                           ("ppt-compat", "shape1"), ("jordan", "rho_shape")])
+    def test_certificate_missing_shape_key_exits_64(self, identity_file, tmp_path, capsys,
+                                                    mode, key):
+        cert = tmp_path / "cert.json"
+        assert main(["check", identity_file, identity_file, "--mode", mode,
+                     "--cert", str(cert)]) == 1
+        data = json.loads(cert.read_text())
+        del data[key]
+        cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["witness", "verify", str(cert), identity_file, identity_file]) == 64
+        assert f"missing key '{key}'" in capsys.readouterr().err
+
     def test_step_collapse_exit_2_without_certificate(self, identity_file, monkeypatch,
                                                       tmp_path, capsys):
         monkeypatch.setattr(sdp.ipm, "_step_to_boundary", lambda lam, g: 0.0)

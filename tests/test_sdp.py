@@ -31,7 +31,7 @@ from qcc.rand import (random_channel, random_density, random_hermitian, random_i
                       random_povm)
 import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import decide
-from qcc.sdp.ipm import _chol_pd, _chol_solve
+from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve
 from qcc.sdp.problem import (
     CONSTRAINT_RANK_TOL,
     Block,
@@ -41,9 +41,12 @@ from qcc.sdp.problem import (
     VariableSpec,
     _constraint_matrix,
     _eliminate,
+    _plan_key,
+    _structure_of,
     _var_offsets,
     compile_ipm,
 )
+from qcc.sdp.ipm import solve_ipm
 from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
                          verify_witness)
 
@@ -143,7 +146,7 @@ class TestConstraintMatrix:
             rho1 = HermitianMatrix(random_density(rng, 4), TensorShape((2, 2)))
             rho2 = HermitianMatrix(random_density(rng, 6), TensorShape((2, 3)))
             problem = sdp.build_state_compat(rho1, rho2)
-        kmat, _rhs = _constraint_matrix(problem)
+        kmat = _constraint_matrix(*_plan_key(problem)[:2])
         assert np.abs(kmat - brute_force_constraint_matrix(problem)).max() <= 1e-15
 
     @pytest.mark.parametrize("mode", ["interior_point", "projection"])
@@ -288,16 +291,17 @@ class TestStructuredSchur:
     def test_thin_elimination_matches_svd(self, kind):
         null_space = kind in NULL_SPACE_KINDS
         problem = _null_space_program(kind) if null_space else _standard_program(kind)
-        kmat, bvec = _constraint_matrix(problem)
+        kmat = _constraint_matrix(*_plan_key(problem)[:2])
+        bvec = np.concatenate([herm_to_vec(con.rhs) for con in problem.constraints])
         u, s, vh = np.linalg.svd(kmat, full_matrices=False)
         rank = int(np.sum(s > CONSTRAINT_RANK_TOL * s[0]))
         x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
-        elim = _eliminate(problem)
-        assert elim.rank == rank
-        assert elim.removed == kmat.shape[0] - rank
-        assert np.abs(elim.vh @ elim.vh.T - np.eye(rank)).max() <= 1e-12
-        assert np.abs(elim.vh.T @ elim.vh - vh[:rank].T @ vh[:rank]).max() <= 1e-12
-        assert np.abs(elim.x0 - x0).max() <= 1e-12
+        st, elim_x0 = _eliminate(problem)
+        assert st.rank == rank
+        assert st.removed == kmat.shape[0] - rank
+        assert np.abs(st.vh @ st.vh.T - np.eye(rank)).max() <= 1e-12
+        assert np.abs(st.vh.T @ st.vh - vh[:rank].T @ vh[:rank]).max() <= 1e-12
+        assert np.abs(elim_x0 - x0).max() <= 1e-12
         if null_space:
             # the free directions complete the thin rows
             comp = compile_ipm(problem)
@@ -309,32 +313,118 @@ class TestStructuredSchur:
         rng = np.random.default_rng(6)
         pair = [sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2))
                 for _ in range(2)]
-        plans = [compile_ipm(p).plan for p in pair]
-        assert plans[0] is plans[1]
+        first, second = (compile_ipm(p) for p in pair)
+        assert first.plan is second.plan
+        # so are the structure cache's other standard-form arrays
+        assert first.A_blocks is second.A_blocks
+        assert first.C_blocks is second.C_blocks
+        assert first.gmat is second.gmat
+        assert not np.array_equal(first.b, second.b)
         other = sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2, 3))
-        assert compile_ipm(other).plan is not plans[0]
+        assert compile_ipm(other).plan is not first.plan
 
     def test_null_space_form_has_no_plan(self):
         f, g = random_channel(np.random.default_rng(7), 2), identity_channel(2)
         assert compile_ipm(sdp.build_compat(f, g, ppt=True)).plan is None
 
 
+class TestStructureCache:
+    """The structure cache holds read-only arrays, leaves the per-problem
+    consistency check in place, gives compiles bit-identical to fresh
+    ones and serves every solver (sharing by equal structures is
+    checked in ``TestStructuredSchur``)."""
+
+    def test_cached_arrays_are_read_only(self):
+        problem = sdp.build_compat(identity_channel(2), depolarizing_channel(2))
+        comp = compile_ipm(problem)
+        st = _structure_of(_plan_key(problem))
+        for arr in (st.kmat, st.coords, st.vh, comp.gmat, comp.A_blocks[0], comp.C_blocks[0],
+                    comp.plan.index, comp.plan.coef):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
+
+    def test_warm_cache_still_rejects_inconsistent_rhs(self):
+        consistent = sdp.two_marginal_problem(np.eye(4) / 2, np.eye(4) / 2, (2, 2, 2))
+        inconsistent = sdp.two_marginal_problem(np.eye(4), 2 * np.eye(4), (2, 2, 2))
+        assert _plan_key(consistent) == _plan_key(inconsistent)
+        compile_ipm(consistent)
+        misses = _structure_of.cache_info().misses
+        for mode in ("interior_point", "projection"):
+            with pytest.raises(ValueError, match="equality constraints are inconsistent"):
+                sdp.solve(inconsistent, mode=mode)
+        assert _structure_of.cache_info().misses == misses
+
+    @pytest.mark.parametrize("kind", ["compat222", "compat333", "k3"])
+    def test_cold_compile_equals_warm_compile_bitwise(self, kind):
+        problem = _standard_program(kind)
+        _structure_of.cache_clear()
+        cold = compile_ipm(problem)
+        cold_res = solve_ipm(cold.C_blocks, cold.A_blocks, cold.b, cold.Z0, cold.schur)
+        # warm the cache with another right-hand side of the same structure
+        _structure_of.cache_clear()
+        compile_ipm(SdpProblem(
+            problem.variables,
+            tuple(dataclasses.replace(con, rhs=np.eye(con.rhs.shape[0]) / con.rhs.shape[0])
+                  for con in problem.constraints),
+            problem.blocks))
+        warm = compile_ipm(problem)
+        assert warm.A_blocks is not cold.A_blocks
+        for name in ("x0", "b", "t0", "gmat"):
+            assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
+        for name in ("Z0", "A_blocks", "C_blocks"):
+            assert all(np.array_equal(c, w) for c, w in zip(getattr(cold, name),
+                                                            getattr(warm, name))), name
+        warm_res = solve_ipm(warm.C_blocks, warm.A_blocks, warm.b, warm.Z0, warm.schur)
+        assert warm_res.iterations == cold_res.iterations
+        assert np.array_equal(warm_res.y, cold_res.y)
+        assert all(np.array_equal(c, w) for c, w in zip(cold_res.Z_blocks, warm_res.Z_blocks))
+
+    def test_projection_and_null_space_reuse_the_elimination(self):
+        rng = np.random.default_rng(8)
+        xi = sdp.build_k_extension(xi_channel(0.4, 0.5), 3)
+        compile_ipm(sdp.build_k_extension(random_channel(rng, 2), 3))
+        ppt = [sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2), ppt=True)
+               for _ in range(2)]
+        compile_ipm(ppt[0])
+        misses = _structure_of.cache_info().misses
+        assert sdp.solve(xi, mode="projection").status == "Feasible"
+        assert compile_ipm(ppt[1]).nullbasis is not None
+        assert _structure_of.cache_info().misses == misses
+
+
 class TestCholSolve:
+    """Block substitution with the inverses of the factor's diagonal
+    blocks agrees with two general solves on the whole factor."""
+
+    @staticmethod
+    def _assert_matches_two_solves(l, rhs):
+        ref = np.linalg.solve(l.T, np.linalg.solve(l, rhs))
+        x = _chol_solve(l, _block_inverses(l), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("m", [1, 37, 64])
-    def test_single_block_matches_two_solves_bitwise(self, rng, m):
+    def test_single_block_matches_two_solves(self, rng, m):
         g = rng.normal(size=(m, m))
         l = np.linalg.cholesky(g @ g.T + m * np.eye(m))
-        rhs = rng.normal(size=m)
-        assert np.array_equal(_chol_solve(l, rhs), np.linalg.solve(l.T, np.linalg.solve(l, rhs)))
+        self._assert_matches_two_solves(l, rng.normal(size=m))
+
+    @staticmethod
+    def _ill_conditioned_factor(rng, m, cond):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        l, _fell = _chol_pd((q * np.logspace(0, -np.log10(cond), m)) @ q.T)
+        return l
+
+    @pytest.mark.parametrize("m", [37, 64])
+    @pytest.mark.parametrize("cond", [1e6, 1e10, 1e13, 1e16])
+    def test_single_block_matches_two_solves_when_ill_conditioned(self, rng, m, cond):
+        l = self._ill_conditioned_factor(rng, m, cond)
+        self._assert_matches_two_solves(l, rng.normal(size=m))
 
     @pytest.mark.parametrize("m", [130, 577])
     @pytest.mark.parametrize("cond", [1e6, 1e10, 1e13, 1e16])
     def test_blocked_matches_two_solves_when_ill_conditioned(self, rng, m, cond):
-        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        l, _fell = _chol_pd((q * np.logspace(0, -np.log10(cond), m)) @ q.T)
-        rhs = rng.normal(size=m)
-        ref = np.linalg.solve(l.T, np.linalg.solve(l, rhs))
-        assert np.linalg.norm(_chol_solve(l, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+        l = self._ill_conditioned_factor(rng, m, cond)
+        self._assert_matches_two_solves(l, rng.normal(size=m))
 
 
 class TestCholPd:
