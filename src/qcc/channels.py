@@ -31,6 +31,7 @@ CP_TOL = 1e-8
 TP_TOL = 1e-8
 POVM_TOL = 1e-10
 INVERT_MAX_COND = 1e12
+JSON_HERMITIAN_TOL = 1e-10  # on a matrix payload read from JSON
 
 
 class SingularMapError(ValueError):
@@ -564,12 +565,12 @@ def _matrix_to_json(arr: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(arr, dtype=complex)]
 
 
-def _matrix_from_json(data, tol: float = 1e-10) -> np.ndarray:
+def _matrix_from_json(data) -> np.ndarray:
     arr = np.array([[complex(re, im) for re, im in row] for row in data])
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix payload must be square")
-    if np.abs(arr - arr.conj().T).max() > tol:
-        raise ValueError("matrix payload is not Hermitian within 1e-10")
+    if np.abs(arr - arr.conj().T).max() > JSON_HERMITIAN_TOL:
+        raise ValueError(f"matrix payload is not Hermitian within {JSON_HERMITIAN_TOL:g}")
     return arr
 
 

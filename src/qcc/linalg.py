@@ -18,6 +18,8 @@ HERMITICITY_TOL = 1e-12
 # pseudo-inverse computation in the package.  An absolute cutoff breaks
 # on scaled inputs.
 RANK_CUTOFF = 1e-10
+# relative residual of A - (P (x) I) A (P (x) I) in support_projection_absorbs
+SUPPORT_ABSORB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,7 @@ def swap_operator(d: int) -> HermitianMatrix:
     return HermitianMatrix(w, TensorShape((d, d)))
 
 
-def support_projection_absorbs(a: HermitianMatrix, tol: float = 1e-9) -> bool:
+def support_projection_absorbs(a: HermitianMatrix) -> bool:
     """Check A = (P (x) I) A (P (x) I) for P the support projector of the first marginal.
 
     The first factor of ``a`` is the marginal system; all remaining
@@ -316,4 +318,4 @@ def support_projection_absorbs(a: HermitianMatrix, tol: float = 1e-9) -> bool:
     d_rest = int(np.prod(dims[1:]))
     big = np.kron(proj, np.eye(d_rest))
     resid = np.abs(a.array - big @ a.array @ big).max()
-    return bool(resid <= tol * max(1.0, np.abs(a.array).max()))
+    return bool(resid <= SUPPORT_ABSORB_TOL * max(1.0, np.abs(a.array).max()))

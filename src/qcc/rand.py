@@ -13,6 +13,8 @@ import numpy as np
 from .channels import Channel, MeasurePrepare, Povm, SingularMapError, invert_map
 from .linalg import HermitianMatrix, TensorShape
 
+INVERTIBLE_TRIES = 50  # draws random_invertible_channel makes before it gives up
+
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -20,9 +22,9 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 def random_psd(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
@@ -51,9 +53,10 @@ def random_channel(rng: np.random.Generator, d_in: int, d_out: int | None = None
     return Channel.from_choi(j, d_in)
 
 
-def random_invertible_channel(rng: np.random.Generator, d: int,
-                              max_tries: int = 50) -> Channel:
-    for _ in range(max_tries):
+def random_invertible_channel(rng: np.random.Generator, d: int) -> Channel:
+    """A ``random_channel`` whose map is invertible, from at most
+    ``INVERTIBLE_TRIES`` draws."""
+    for _ in range(INVERTIBLE_TRIES):
         c = random_channel(rng, d)
         try:
             invert_map(c.rep)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..linalg import vec_to_herm
 from ..witness import DECISION_TOL
 from .builders import (
     build_compat,
@@ -12,10 +13,10 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import SdpOutcome, SdpProblem, _unpack_vars, compile_ipm
+from .problem import SdpOutcome, SdpProblem, compile_ipm
 from .projection import solve_dykstra
 
-# caps on the summed side of the complex variables, checked before compiling
+# caps on the side of the complex variable, checked before compiling
 IPM_SIDE_CAP = 256
 PROJECTION_SIDE_CAP = 1024
 
@@ -25,9 +26,8 @@ class SizeCapError(ValueError):
 
 
 def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
-    side = sum(v.side for v in problem.variables)
-    if side > cap:
-        raise SizeCapError(f"{solver} cap is a total variable side of {cap}, got {side}")
+    if problem.side > cap:
+        raise SizeCapError(f"{solver} cap is a variable side of {cap}, got {problem.side}")
 
 
 def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
@@ -69,7 +69,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
                               iterations=res.iterations,
                               note="projection did not reach feasibility")
-        return SdpOutcome("Feasible", 0.0, primal=_unpack_vars(problem, res.params),
+        return SdpOutcome("Feasible", 0.0, primal=vec_to_herm(res.params, problem.side),
                           residuals=residuals, iterations=res.iterations,
                           note="projection mode: feasibility only")
 

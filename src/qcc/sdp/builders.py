@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import Channel, Povm, _choi_identity
+from ..channels import Channel, Povm, _choi_identity, measurement_channel
 from ..linalg import HermitianMatrix
-from .problem import Block, Constraint, ConstraintTerm, SdpProblem, VariableSpec
+from .problem import Block, Constraint, SdpProblem
 
 
 def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int, int, int],
@@ -17,18 +17,14 @@ def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int,
     PSD as well (shifted by the same t, so the program stays strictly
     feasible and the optimum's sign decides the hard problem).
     """
-    dx, d1, d2 = factors
-    if rhs1.shape[0] != dx * d1 or rhs2.shape[0] != dx * d2:
-        raise ValueError("marginal right-hand sides do not match the factor dimensions")
-    var = VariableSpec("X", (dx, d1, d2))
     cons = (
-        Constraint((ConstraintTerm("X", (2,)),), np.asarray(rhs1, dtype=np.complex128)),
-        Constraint((ConstraintTerm("X", (1,)),), np.asarray(rhs2, dtype=np.complex128)),
+        Constraint((2,), np.asarray(rhs1, dtype=np.complex128)),
+        Constraint((1,), np.asarray(rhs2, dtype=np.complex128)),
     )
-    blocks = [Block("X", "identity")]
+    blocks = [Block("identity")]
     if ppt:
-        blocks.append(Block("X", "ptranspose", factor=0))
-    return SdpProblem((var,), cons, tuple(blocks), name=name)
+        blocks.append(Block("ptranspose", factor=0))
+    return SdpProblem(factors, cons, tuple(blocks), name=name)
 
 
 def build_compat(f: Channel, g: Channel, ppt: bool = False) -> SdpProblem:
@@ -54,14 +50,10 @@ def build_jordan_compat(f: Channel, g: Channel) -> SdpProblem:
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")
     d = f.d_in
-    var = VariableSpec("A", (d, d, d))
     jid = _choi_identity(d)
-    cons = (
-        Constraint((ConstraintTerm("A", (1,)),), jid),
-        Constraint((ConstraintTerm("A", (2,)),), jid),
-    )
-    blocks = (Block("A", "map_image", maps=(None, f.rep, g.rep)),)
-    return SdpProblem((var,), cons, blocks, name="jordan_compat")
+    cons = (Constraint((1,), jid), Constraint((2,), jid))
+    blocks = (Block("map_image", maps=(None, f.rep, g.rep)),)
+    return SdpProblem((d, d, d), cons, blocks, name="jordan_compat")
 
 
 def build_k_extension(f: Channel, k: int) -> SdpProblem:
@@ -70,30 +62,21 @@ def build_k_extension(f: Channel, k: int) -> SdpProblem:
         raise ValueError("k must be at least 2")
     dx, dy = f.d_in, f.d_out
     factors = (dx,) + (dy,) * k
-    var = VariableSpec("X", factors)
-    cons = []
-    for a in range(1, k + 1):
-        traced = tuple(i for i in range(1, k + 1) if i != a)
-        cons.append(Constraint((ConstraintTerm("X", traced),), f.choi.array))
-    blocks = (Block("X", "identity"),)
-    return SdpProblem((var,), tuple(cons), blocks, name="k_extension")
+    cons = tuple(Constraint(tuple(i for i in range(1, k + 1) if i != a), f.choi.array)
+                 for a in range(1, k + 1))
+    return SdpProblem(factors, cons, (Block("identity"),), name="k_extension")
 
 
 def build_povm_compat(m_povm: Povm, n_povm: Povm) -> SdpProblem:
-    """Joint measurement existence: PSD parts with the two POVMs as margins."""
+    """Joint measurability of two POVMs, as compatibility of their
+    measurement channels.
+
+    Dephasing both outcome registers is unital and keeps both marginals,
+    so the optimum t is that of a joint POVM's program, and the diagonal
+    register blocks X[(x, i, j), (x', i, j)] of a feasible X are the
+    transposed joint effects P_ij^T, with sum_j P_ij = M_i and
+    sum_i P_ij = N_j.
+    """
     if m_povm.dim != n_povm.dim:
         raise ValueError("POVMs must act on the same space")
-    d = m_povm.dim
-    nm, nn = len(m_povm), len(n_povm)
-    variables = tuple(
-        VariableSpec(f"P_{i}_{j}", (d,)) for i in range(nm) for j in range(nn)
-    )
-    cons = []
-    for i in range(nm):
-        terms = tuple(ConstraintTerm(f"P_{i}_{j}") for j in range(nn))
-        cons.append(Constraint(terms, np.asarray(m_povm.effects[i], dtype=np.complex128)))
-    for j in range(nn):
-        terms = tuple(ConstraintTerm(f"P_{i}_{j}") for i in range(nm))
-        cons.append(Constraint(terms, np.asarray(n_povm.effects[j], dtype=np.complex128)))
-    blocks = tuple(Block(f"P_{i}_{j}", "identity") for i in range(nm) for j in range(nn))
-    return SdpProblem(variables, tuple(cons), blocks, name="povm_compat")
+    return build_compat(measurement_channel(m_povm), measurement_channel(n_povm))

@@ -59,7 +59,7 @@ class Decision:
 
 def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) -> Decision:
     """Compatible when the solver's X passes ``verify_compatibilizer``."""
-    x = out.primal["X"]
+    x = out.primal
     report = verify_compatibilizer(x, f, g, ppt)
     dev = report.constraint_residual
     if report.valid:
@@ -104,7 +104,7 @@ def _decide_jordan(f: Channel, g: Channel) -> Decision:
     inverses = inverse_pair(f, g)
     out = solve(build_jordan_compat(f, g) if inverses is None else build_compat(f, g))
     if out.status == "Feasible":
-        a = read_out_operator(out.primal["A" if inverses is None else "X"], f.d_in, inverses)
+        a = read_out_operator(out.primal, f.d_in, inverses)
         report = verify_gen_jordan_operator(a, f, g)
         if report.valid:
             op = GenJordanOperator(a)

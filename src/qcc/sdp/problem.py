@@ -1,16 +1,19 @@
 """Problem container and compilation for the SDP engine.
 
-A problem has one or more complex Hermitian variables, affine equality
-constraints built from partial traces (with Hermitian right-hand sides),
-and PSD blocks that are structured linear images of the variables.  The
-objective is always "maximize t" with t subtracted from every block, so
-the underlying hard feasibility question reads off the sign of the
-optimum.
+A problem has one complex Hermitian variable X on a product of factors,
+affine equality constraints that fix partial traces of X (with Hermitian
+right-hand sides), and PSD blocks that are structured linear images of
+X.  Every question the package decides has this shape: the
+compatibilizer, the joint state, the k-extension, the operator A of the
+Jordan program, and a joint measurement, which is the compatibilizer of
+two measurement channels.  The objective is always "maximize t" with t
+subtracted from every block, so the underlying hard feasibility
+question reads off the sign of the optimum.
 
 The vectorized constraint matrix is built from the adjoints: the rows
-of a partial-trace term are the identity embeddings of the constraint
-space's Hermitian basis, so no variable basis is ever traced.  The
-elimination (``_eliminate``) yields a particular solution and an
+of a partial-trace constraint are the identity embeddings of the
+constraint space's Hermitian basis, so no variable basis is ever traced.
+The elimination (``_eliminate``) yields a particular solution and an
 orthonormal basis of the constraint rows from an eigendecomposition of
 the constraint Gram matrix K K^T.  The projection solver and both
 interior-point forms use it; the null-space form completes the rows to
@@ -20,11 +23,11 @@ free directions.
 Compilation for the interior-point solver takes one of two forms,
 chosen from the block kinds:
 
-- standard form, when the PSD blocks are exactly the variables
-  (compat, the PPT relaxation, state compat, the k-extension and POVM
-  compat).  The solver's Z is W = X - tI, t is eliminated along the
-  identity direction, and the Schur system has one row per constraint
-  dimension less one, rank(K) - 1: 152 for qutrit compat.  Its rows are
+- standard form, when the one PSD block is X itself (compat, the PPT
+  relaxation, state compat, the k-extension and POVM compat).  The
+  solver's Z is W = X - tI, t is eliminated along the identity
+  direction, and the Schur system has one row per constraint dimension
+  less one, rank(K) - 1: 152 for qutrit compat.  Its rows are
   A_i = sum_p G_ip Tr*(E_p) over the constraint rows p, so the Schur
   matrix is G M(V) G^T with M(V) read off a few products of the
   NT-scaled block V with itself (``_SchurPlan``), never from the
@@ -33,26 +36,25 @@ chosen from the block kinds:
   the full PPT program (stage B of a PPT decision), and the Jordan
   program, which ``decide`` runs only when a channel map is singular
   (for an invertible pair it solves the compat program instead).
-  Standard form would need a W per block, linked to the variable by n^2
-  more rows each (881 for qutrit PPT) or by inverses of the channel
-  maps.  The PSD blocks are affine in the free coordinates,
-  reparametrized so that their block images are orthonormal, and the
-  Schur system has one row per free direction plus t: 577 for the
-  qutrit Jordan program.  Its Schur matrix is the Gram matrix of the
-  NT-scaled constraint blocks.
+  Standard form would need a W per block, linked to X by n^2 more rows
+  each (881 for qutrit PPT) or by inverses of the channel maps.  The
+  PSD blocks are affine in the free coordinates, reparametrized so that
+  their block images are orthonormal, and the Schur system has one row
+  per free direction plus t: 577 for the qutrit Jordan program.  Its
+  Schur matrix is the Gram matrix of the NT-scaled constraint blocks.
 
 Either way the blocks stay complex Hermitian and the Schur system real.
 
-Programs of one structure (``_plan_key``: the variables' factors, each
-constraint's side and terms, the block order) differ only in their
-right-hand sides and block maps, and sweeps and decide loops solve
-hundreds of them.  One cache of 64 structures (``_structure_of``) holds,
-as read-only arrays, what the structure fixes: K, ``coords`` and ``vh``
-of the elimination and, for standard form, e, Q, G, the constraint and
+Programs of one structure (``_plan_key``: the factors of X and the
+factors each constraint traces out) differ only in their right-hand
+sides and blocks, and sweeps and decide loops solve hundreds of them.
+One cache of 64 structures (``_structure_of``) holds, as read-only
+arrays, what the structure fixes: K, ``coords`` and ``vh`` of the
+elimination and, for standard form, e, Q, G, the constraint and
 objective blocks and the Schur plan.  Each compile computes only its
 own right-hand side b, x0 and the consistency residual K x0 - b, and in
 standard form c, b, t0 and Z0; the null-space form also builds its
-free directions and block images per problem, since the maps change
+free directions and block images per problem, since the blocks change
 them.  A cached compile is bit-identical to an uncached one.
 """
 
@@ -84,78 +86,84 @@ GRAM_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class VariableSpec:
-    name: str
-    factors: tuple[int, ...]
-
-    @property
-    def side(self) -> int:
-        return int(np.prod(self.factors))
-
-    @property
-    def nparams(self) -> int:
-        return self.side ** 2
-
-
-@dataclass(frozen=True)
-class ConstraintTerm:
-    """One summand of a constraint: a variable with factors traced out (or kept whole)."""
-
-    var: str
-    traced: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class Constraint:
-    terms: tuple[ConstraintTerm, ...]
+    """Tr_traced(X) = rhs: the partial trace of X over the factors
+    ``traced`` (none keeps X whole) is fixed."""
+
+    traced: tuple[int, ...]
     rhs: np.ndarray
 
 
 @dataclass(frozen=True)
 class Block:
-    """A PSD block: a structured linear image of one variable.
+    """A PSD block: a structured linear image of X.
 
-    kind "identity": the variable itself.
+    kind "identity": X itself.
     kind "ptranspose": partial transpose on one factor.
     kind "map_image": maps applied factor-wise (None leaves a factor alone).
     """
 
-    var: str
     kind: str = "identity"
     factor: Optional[int] = None
     maps: Optional[tuple[Optional[LinearMapRep], ...]] = None
 
 
+def _kept_side(factors: tuple, traced: tuple) -> int:
+    return int(np.prod([d for i, d in enumerate(factors) if i not in traced]))
+
+
 @dataclass
 class SdpProblem:
-    variables: tuple[VariableSpec, ...]
+    """Maximize t over one complex Hermitian X on the product of
+    ``factors``, subject to ``constraints`` and every block minus tI PSD.
+
+    The indices a constraint traces out and a partial transpose's factor
+    are checked when the problem is built, and so is each right-hand
+    side's shape: a bad one raises a ``ValueError`` that names it.
+    """
+
+    factors: tuple[int, ...]
     constraints: tuple[Constraint, ...]
     blocks: tuple[Block, ...]
     name: str = ""
 
-    def variable(self, name: str) -> VariableSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+    def __post_init__(self):
+        nf = len(self.factors)
+        for con in self.constraints:
+            for i in con.traced:
+                if not 0 <= i < nf:
+                    raise ValueError(f"traced index {i} out of range for {nf} factors")
+            if len(set(con.traced)) != len(con.traced):
+                raise ValueError(f"traced indices {con.traced} repeat a factor")
+            side = _kept_side(self.factors, con.traced)
+            if con.rhs.shape != (side, side):
+                raise ValueError(f"constraint tracing {con.traced} leaves side {side}, "
+                                 f"rhs has shape {con.rhs.shape}")
+        for block in self.blocks:
+            if block.kind == "ptranspose" and not (block.factor is not None
+                                                   and 0 <= block.factor < nf):
+                raise ValueError(f"ptranspose factor {block.factor} out of range "
+                                 f"for {nf} factors")
 
     @property
-    def total_params(self) -> int:
-        return sum(v.nparams for v in self.variables)
+    def side(self) -> int:
+        return int(np.prod(self.factors))
 
 
 @dataclass
 class SdpOutcome:
     """Result of a solve: three-valued status plus certificates and residuals.
 
-    The decision band is a floating-point artifact: optima within
-    ``sdp.DECISION_TOL`` of zero are not trustworthy sign decisions, which
-    is flagged in ``note``.
+    ``primal`` is the matrix X at the solver's point and ``dual`` the
+    certificate, one matrix per PSD block; an Inconclusive solve has
+    neither.  The decision band is a floating-point artifact: optima
+    within ``sdp.DECISION_TOL`` of zero are not trustworthy sign
+    decisions, which is flagged in ``note``.
     """
 
     status: str
     value: float
-    primal: Optional[dict] = None
+    primal: Optional[np.ndarray] = None
     dual: Optional[list] = None
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
@@ -167,14 +175,14 @@ class SdpOutcome:
 # ---------------------------------------------------------------------------
 
 
-def block_image_many(block: Block, var: VariableSpec, arrs: np.ndarray) -> np.ndarray:
-    """Apply a block's structured operator to a stack of variable matrices."""
+def block_image_many(block: Block, factors: tuple, arrs: np.ndarray) -> np.ndarray:
+    """Apply a block's structured operator to a stack of matrices on ``factors``."""
     if block.kind == "identity":
         return arrs
     if block.kind == "ptranspose":
-        return ptranspose_array(arrs, var.factors, block.factor)
+        return ptranspose_array(arrs, factors, block.factor)
     if block.kind == "map_image":
-        dims = list(var.factors)
+        dims = list(factors)
         out = arrs
         for pos, rep in enumerate(block.maps):
             if rep is not None:
@@ -194,12 +202,12 @@ class CompiledSdp:
 
     ``solve_ipm`` works on the pair of its module docstring: y and
     S = C - A(y) on one side, Z with A^*(Z) = b on the other.  Which side
-    holds the compatibilizer depends on the form:
+    holds X depends on the form:
 
     - null-space form (``nullbasis`` set): y = (free coordinates, t),
-      S = X - tI, and Z is the certificate;
-    - standard form (``nullbasis`` None): Z = W = X - tI with
-      t = t0 - <C, W>, and S is the certificate.
+      S = X - tI per block image, and Z is the certificate;
+    - standard form (``nullbasis`` None): the one block Z = W = X - tI
+      with t = t0 - <C, W>, and S is the certificate.
 
     Either way the certificate has trace 1 and lies in the range of the
     constraint adjoints, and ``Z0`` is where the solver starts Z.
@@ -234,13 +242,12 @@ class CompiledSdp:
         """The objective of the certificate, an upper bound on t."""
         return res.dobj if self.nullbasis is not None else self.t0 - res.pobj
 
-    def primal(self, res) -> dict:
-        """The variables at the solver's point."""
+    def primal(self, res) -> np.ndarray:
+        """X at the solver's point."""
+        side = self.problem.side
         if self.nullbasis is not None:
-            return _unpack_vars(self.problem, self.x0 + self.nullbasis @ res.y[:-1])
-        t = self.value(res)
-        w = {block.var: z for block, z in zip(self.problem.blocks, res.Z_blocks)}
-        return {v.name: w[v.name] + t * np.eye(v.side) for v in self.problem.variables}
+            return vec_to_herm(self.x0 + self.nullbasis @ res.y[:-1], side)
+        return res.Z_blocks[0] + self.value(res) * np.eye(side)
 
     def certificate(self, res) -> list:
         """The dual certificate, one matrix per PSD block."""
@@ -261,26 +268,8 @@ class CompiledSdp:
                 bf = _as_real(rinv @ a @ rinv.conj().T).reshape(m, -1)
                 schur += bf @ bf.T
             return schur
-        schur = self.gmat @ self.plan.gram(rinvs) @ self.gmat.T
+        schur = self.gmat @ self.plan.gram(rinvs[0]) @ self.gmat.T
         return (schur + schur.T) / 2
-
-
-def _var_offsets(problem: SdpProblem) -> dict:
-    """Where each variable's coordinates start in the stacked parameter vector."""
-    offsets = {}
-    off = 0
-    for v in problem.variables:
-        offsets[v.name] = off
-        off += v.nparams
-    return offsets
-
-
-def _unpack_vars(problem: SdpProblem, params: np.ndarray) -> dict:
-    """The Hermitian variables behind a stacked parameter vector."""
-    return {
-        v.name: vec_to_herm(params[off : off + v.nparams], v.side)
-        for v, off in zip(problem.variables, _var_offsets(problem).values())
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +279,36 @@ def _unpack_vars(problem: SdpProblem, params: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class _SchurPlan:
-    """How to form M(V)[p, q] = Re Tr[Tr*_a(E_p) V Tr*_b(E_q) V], summed
-    over the pairs of terms a, b on one variable, for all constraint rows
-    p, q (E_p runs over the ``hermitian_basis`` of its constraint's
-    right-hand side, Tr* embeds it with identities on the traced factors).
+    """How to form M(V)[p, q] = Re Tr[Tr*_a(E_p) V Tr*_b(E_q) V] for all
+    constraint rows p, q, where constraint a traces out the factors a and
+    E_p runs over the ``hermitian_basis`` of its right-hand side (Tr*
+    embeds it with identities on the traced factors).
 
-    Written out on V's factor indices, each pair of terms is one matrix
-    product of two permuted views of V, V[(a', t), (b, s)] V[(b', s), (a, t)]
-    summed over the traced factors t of a and s of b, and its entry at
-    (a', b, b', a) is the coefficient of E_p[a, a'] E_q[b, b'] in M[p, q].
-    ``gram`` writes those products into one buffer and gathers M from it
-    by ``index``, four entries per (p, q) since every basis element has
-    at most two.  Each basis coefficient is real or purely imaginary, so
-    ``coef`` reads one real or imaginary part.  Each pair of constraints
-    is multiplied once; the mirrored pair reads it transposed.
+    Written out on V's factor indices, each pair of constraints is one
+    matrix product of two permuted views of V,
+    V[(a', t), (b, s)] V[(b', s), (a, t)] summed over the traced factors
+    t of a and s of b, and its entry at (a', b, b', a) is the coefficient
+    of E_p[a, a'] E_q[b, b'] in M[p, q].  ``gram`` writes those products
+    into one buffer and gathers M from it by ``index``, four entries per
+    (p, q) since every basis element has at most two.  Each basis
+    coefficient is real or purely imaginary, so ``coef`` reads one real
+    or imaginary part.  Each pair of constraints is multiplied once; the
+    mirrored pair reads it transposed.
     """
 
-    shapes: tuple  # per block, V's shape as a tensor over (row, column) factors
-    products: tuple  # (block, left axes, left shape, right axes, right shape, buffer slice)
+    shape: tuple  # V's shape as a tensor over (row, column) factors
+    products: tuple  # (left axes, left shape, right axes, right shape, buffer slice)
     size: int  # complex entries in the buffer
     index: np.ndarray  # (4, rows, rows) into the buffer's float view
     coef: np.ndarray  # (4, rows, rows)
 
-    def gram(self, rinvs: list) -> np.ndarray:
-        """M(V) over all constraint rows, V = Rinv^H Rinv per block."""
-        vs = [(rinv.conj().T @ rinv).reshape(shape) for rinv, shape in zip(rinvs, self.shapes)]
-        buf = np.zeros(self.size, dtype=np.complex128)
-        for l, laxes, lshape, raxes, rshape, sl in self.products:
-            v = vs[l]
-            buf[sl] += (v.transpose(laxes).reshape(lshape)
-                        @ v.transpose(raxes).reshape(rshape)).ravel()
+    def gram(self, rinv: np.ndarray) -> np.ndarray:
+        """M(V) over all constraint rows, V = Rinv^H Rinv."""
+        v = (rinv.conj().T @ rinv).reshape(self.shape)
+        buf = np.empty(self.size, dtype=np.complex128)
+        for laxes, lshape, raxes, rshape, sl in self.products:
+            buf[sl] = (v.transpose(laxes).reshape(lshape)
+                       @ v.transpose(raxes).reshape(rshape)).ravel()
         return (self.coef * buf.view(np.float64)[self.index]).sum(axis=0)
 
 
@@ -340,7 +329,7 @@ def _basis_entries(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _pair_axes(factors: tuple, traced_a: tuple, traced_b: tuple) -> tuple:
     """Axes and shapes of the two views of V whose product holds one pair
-    of terms, on V reshaped to (factors, factors)."""
+    of constraints, on V reshaped to (factors, factors)."""
     f = len(factors)
     kept_a = [i for i in range(f) if i not in traced_a]
     kept_b = [i for i in range(f) if i not in traced_b]
@@ -354,12 +343,9 @@ def _pair_axes(factors: tuple, traced_a: tuple, traced_b: tuple) -> tuple:
     return tuple(left), (ra * rb, ta * tb), tuple(right), (ta * tb, rb * ra)
 
 
-def _schur_plan(key: tuple) -> _SchurPlan:
+def _schur_plan(factors: tuple, traceds: tuple) -> _SchurPlan:
     """The Schur plan of one problem structure (``_plan_key``)."""
-    variables, constraints, block_vars = key
-    factors = dict(variables)
-    block_of = {var: l for l, var in enumerate(block_vars)}
-    sides = [side for side, _terms in constraints]
+    sides = [_kept_side(factors, traced) for traced in traceds]
     starts = np.concatenate([[0], np.cumsum([r * r for r in sides])]).astype(int)
     nrows = starts[-1]
     entries = {r: _basis_entries(r) for r in set(sides)}
@@ -367,15 +353,11 @@ def _schur_plan(key: tuple) -> _SchurPlan:
     coef = np.zeros((4, nrows, nrows))
     products = []
     size = 0
-    for c1, (r1, terms1) in enumerate(constraints):
-        for c2 in range(c1, len(constraints)):
-            r2, terms2 = constraints[c2]
+    for c1, (r1, ta) in enumerate(zip(sides, traceds)):
+        for c2 in range(c1, len(traceds)):
+            r2, tb = sides[c2], traceds[c2]
             sl = slice(size, size + r1 * r1 * r2 * r2)
-            pairs = [(var, ta, tb) for var, ta in terms1 for var_b, tb in terms2 if var == var_b]
-            if not pairs:
-                continue
-            for var, ta, tb in pairs:
-                products.append((block_of[var], *_pair_axes(factors[var], ta, tb), sl))
+            products.append((*_pair_axes(factors, ta, tb), sl))
             # entry (a', b, b', a) of the slot, for E_p = sum_s c_s |i_s><j_s|
             # and E_q = sum_t c_t |k_t><l_t|
             i, j, ce = entries[r1]
@@ -395,49 +377,24 @@ def _schur_plan(key: tuple) -> _SchurPlan:
                 index[:, q_sl, p_sl] = index[:, p_sl, q_sl].transpose(0, 2, 1)
                 coef[:, q_sl, p_sl] = coef[:, p_sl, q_sl].transpose(0, 2, 1)
             size = sl.stop
-    shapes = tuple(tuple(factors[var]) * 2 for var in block_vars)
-    return _SchurPlan(shapes, tuple(products), size, index, coef)
+    return _SchurPlan(tuple(factors) * 2, tuple(products), size, index, coef)
 
 
-def _layout(variables: tuple) -> dict:
-    """Each variable's slice of the stacked parameter vector and its side,
-    for the (name, factors) pairs of a structure (``_plan_key``)."""
-    layout, off = {}, 0
-    for name, factors in variables:
-        side = int(np.prod(factors))
-        layout[name] = (slice(off, off + side * side), side)
-        off += side * side
-    return layout
+def _constraint_matrix(factors: tuple, traceds: tuple) -> np.ndarray:
+    """Vectorized equality constraints: the K of K vec(X) = b, from a
+    structure's factors and traced factors (``_plan_key``).
 
-
-def _constraint_matrix(variables: tuple, constraints: tuple) -> np.ndarray:
-    """Vectorized equality constraints: the K of K params = b, from a
-    structure's variables and constraints (``_plan_key``).
-
-    Row j of a term's part of K holds the coordinates of the term's
-    adjoint applied to the j-th Hermitian basis element E_j of the
-    constraint space; the adjoint of a partial trace embeds E_j with
+    Row j of a constraint's part of K holds the coordinates of the
+    adjoint of its partial trace applied to the j-th Hermitian basis
+    element E_j of the constraint space, which embeds E_j with
     identities on the traced factors.
     """
-    factors = dict(variables)
-    layout = _layout(variables)
-    p_total = sum(side * side for _sl, side in layout.values())
     rows = []
-    for r_side, terms in constraints:
-        basis = hermitian_basis(r_side)
-        kmat = np.zeros((r_side * r_side, p_total))
-        for name, traced in terms:
-            kept = [i for i in range(len(factors[name])) if i not in traced]
-            kept_dims = [factors[name][i] for i in kept]
-            side = int(np.prod(kept_dims))
-            if side != r_side:
-                raise ValueError(
-                    f"constraint term on {name} produces side {side}, "
-                    f"rhs has side {r_side}"
-                )
-            adj = embed_identity_array(basis, kept_dims, factors[name], kept)
-            kmat[:, layout[name][0]] += herm_to_vec(adj)
-        rows.append(kmat)
+    for traced in traceds:
+        kept = [i for i in range(len(factors)) if i not in traced]
+        kept_dims = [factors[i] for i in kept]
+        basis = hermitian_basis(int(np.prod(kept_dims)))
+        rows.append(herm_to_vec(embed_identity_array(basis, kept_dims, factors, kept)))
     return np.vstack(rows)
 
 
@@ -447,15 +404,9 @@ def _constraint_matrix(variables: tuple, constraints: tuple) -> np.ndarray:
 
 
 def _plan_key(problem: SdpProblem) -> tuple:
-    """A problem's structure: variable factors, each constraint's side and
-    terms, and the block order; everything but the right-hand sides and
-    the block kinds and maps."""
-    return (
-        tuple((v.name, tuple(v.factors)) for v in problem.variables),
-        tuple((con.rhs.shape[0], tuple((t.var, tuple(t.traced)) for t in con.terms))
-              for con in problem.constraints),
-        tuple(block.var for block in problem.blocks),
-    )
+    """A problem's structure: the factors of X and what each constraint
+    traces out; everything but the right-hand sides and the blocks."""
+    return (tuple(problem.factors), tuple(tuple(con.traced) for con in problem.constraints))
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -471,7 +422,7 @@ class _StandardForm:
     e_norm: float  # |R vec(I)|
     q: np.ndarray  # (rank, rank - 1) orthonormal complement of e_hat
     gmat: np.ndarray  # Q^T coords: A_i = sum_p G_ip Tr*(E_p)
-    A_blocks: tuple  # per block: (rank - 1, n, n) complex Hermitian
+    A_blocks: tuple  # the one block: (rank - 1, n, n) complex Hermitian
     C_blocks: tuple
     plan: _SchurPlan
 
@@ -486,14 +437,13 @@ class _Structure:
     maps K onto the orthonormal rows vh = coords @ K.  The Gram matrix is
     rows x rows (162 x 162 for qutrit compat), so this costs about an
     eighth of the thin SVD of K.  ``standard`` holds the standard-form
-    data, built at the first standard-form compile: every block of such
-    a problem is the identity image of its variable, so the block kinds
-    need no place in the key.
+    data, built at the first standard-form compile: the one block of
+    such a problem is X itself, so the blocks need no place in the key.
     """
 
     def __init__(self, key: tuple):
         self.key = key
-        self.kmat = _constraint_matrix(*key[:2])
+        self.kmat = _constraint_matrix(*key)
         lam, u = np.linalg.eigh(self.kmat @ self.kmat.T)
         keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
         self.coords = (u[:, keep] / np.sqrt(lam[keep])).T
@@ -507,24 +457,18 @@ class _Structure:
         """With the orthonormal constraint rows R, e = R vec(I), Q
         completing e to an orthonormal basis, the rows A_i = mat(R^T q_i)
         and the objective C = mat(R^T e) / |e|^2 (``_compile_standard``)."""
-        variables, _constraints, block_vars = self.key
-        layout = _layout(variables)
+        n = int(np.prod(self.key[0]))
         rows = self.vh
-        e = rows @ np.concatenate([herm_to_vec(np.eye(n)) for _sl, n in layout.values()])
+        e = rows @ herm_to_vec(np.eye(n))
         e_norm = float(np.linalg.norm(e))
         e_hat = e / e_norm
         q = np.linalg.qr(e_hat[:, None], mode="complete")[0][:, 1:]
-        a_rows = q.T @ rows
-        c_row = (e_hat @ rows) / e_norm
-        a_blocks, c_blocks = [], []
-        for var in block_vars:
-            sl, n = layout[var]
-            a_blocks.append(vec_to_herm(a_rows[:, sl], n))
-            c_blocks.append(vec_to_herm(c_row[sl], n))
+        a_block = vec_to_herm(q.T @ rows, n)
+        c_block = vec_to_herm((e_hat @ rows) / e_norm, n)
         gmat = q.T @ self.coords
-        plan = _schur_plan(self.key)
-        _read_only(e_hat, q, gmat, *a_blocks, *c_blocks, plan.index, plan.coef)
-        return _StandardForm(e_hat, e_norm, q, gmat, tuple(a_blocks), tuple(c_blocks), plan)
+        plan = _schur_plan(*self.key)
+        _read_only(e_hat, q, gmat, a_block, c_block, plan.index, plan.coef)
+        return _StandardForm(e_hat, e_norm, q, gmat, (a_block,), (c_block,), plan)
 
 
 @functools.lru_cache(maxsize=64)
@@ -546,18 +490,11 @@ def _eliminate(problem: SdpProblem) -> tuple[_Structure, np.ndarray]:
     return st, x0
 
 
-def _is_standard(problem: SdpProblem) -> bool:
-    """Whether the PSD blocks are exactly the variables, each once."""
-    return (all(block.kind == "identity" for block in problem.blocks)
-            and sorted(block.var for block in problem.blocks)
-            == sorted(v.name for v in problem.variables))
-
-
 def compile_ipm(problem: SdpProblem) -> CompiledSdp:
     """Dense complex Hermitian data for the interior-point solver, in
-    standard form when the PSD blocks are the variables and in null-space
+    standard form when the one PSD block is X itself and in null-space
     form otherwise."""
-    if _is_standard(problem):
+    if [block.kind for block in problem.blocks] == ["identity"]:
         comp = _compile_standard(problem)
         # a one-dimensional constraint space fixes t and leaves standard
         # form no rows; the null-space form keeps t as its row
@@ -576,22 +513,15 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     Only x0, c, b = Q^T c, t0 and Z0 depend on the right-hand sides; the
     rest comes from the structure cache.
     """
-    var_offsets = _var_offsets(problem)
     st, x0 = _eliminate(problem)
     std = st.standard
     c = st.vh @ x0
 
-    x0_blocks = []
-    for block in problem.blocks:
-        var = problem.variable(block.var)
-        o = var_offsets[block.var]
-        x0_blocks.append(vec_to_herm(x0[o : o + var.nparams], var.side))
-    # start W at the particular solution, shifted into the cone by one
-    # multiple of the identity for all blocks so that it stays feasible
-    x_scale = max(1.0, max(np.abs(x).max() for x in x0_blocks))
-    wmin = min(np.linalg.eigvalsh(x).min() for x in x0_blocks)
-    shift = max(0.0, -wmin) + 0.1 * x_scale + 1.0
-    z0 = [x + shift * np.eye(x.shape[0]) for x in x0_blocks]
+    # start W at the particular solution, shifted into the cone by a
+    # multiple of the identity
+    x = vec_to_herm(x0, problem.side)
+    x_scale = max(1.0, np.abs(x).max())
+    shift = max(0.0, -np.linalg.eigvalsh(x).min()) + 0.1 * x_scale + 1.0
 
     return CompiledSdp(
         problem=problem,
@@ -599,7 +529,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
         b=std.q.T @ c,
         C_blocks=std.C_blocks,
         A_blocks=std.A_blocks,
-        Z0=z0,
+        Z0=[x + shift * np.eye(x.shape[0])],
         removed_redundant=st.removed,
         dropped_directions=0,
         t0=float(std.e_hat @ c) / std.e_norm,
@@ -610,21 +540,16 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
 
 def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     """y = (free coordinates, t), the PSD blocks affine in them."""
-    var_offsets = _var_offsets(problem)
     st, x0 = _eliminate(problem)
     # the free directions complete the orthonormal constraint rows
     nullb = np.linalg.qr(st.vh.T, mode="complete")[0][:, st.rank :]  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 
     # complex block images of the particular solution and the free directions
-    img_consts = []
-    img_dirs = []
-    for block in problem.blocks:
-        var = problem.variable(block.var)
-        o = var_offsets[block.var]
-        sl = slice(o, o + var.nparams)
-        img_consts.append(block_image_many(block, var, vec_to_herm(x0[sl], var.side)))
-        img_dirs.append(block_image_many(block, var, vec_to_herm(nullb[sl].T, var.side)))
+    x0_mat = vec_to_herm(x0, problem.side)
+    dirs = vec_to_herm(nullb.T, problem.side)
+    img_consts = [block_image_many(block, problem.factors, x0_mat) for block in problem.blocks]
+    img_dirs = [block_image_many(block, problem.factors, dirs) for block in problem.blocks]
 
     # reparametrize the free directions so their stacked block images are
     # orthonormal: this drops directions no block sees (maps with kernels

@@ -1,19 +1,19 @@
 """Dykstra alternating projections for pure feasibility questions.
 
 Alternates between the affine set of the equality constraints and the
-PSD cone of each block.  Every block must be an identity block (the
-variable itself PSD); only the k-extension programs of the sweeps and
-``qcc self-compat`` come here.  The affine projection applies the
-orthonormal constraint-row basis from the elimination the interior-point
-compile also uses (``problem._eliminate``, from an
-eigendecomposition of the constraint Gram matrix K K^T, cached per
-problem structure) as two matvecs.  The method forfeits dual certificates: the outcome is
-Feasible with a verified point, or Inconclusive.  On the qubit
-k-extension up to k = 7 it takes about as long per point as the
-standard-form interior point where the program is feasible, and three
-or more times as long where it is not, to end Inconclusive there.  A stalled violation (typical of infeasible
-instances, where the iterates approach the positive gap between the two
-sets) exits early.
+PSD cone.  The one block must be the variable itself; only the
+k-extension programs of the sweeps and ``qcc self-compat`` come here.
+The affine projection applies the orthonormal constraint-row basis from
+the elimination the interior-point compile also uses
+(``problem._eliminate``, from an eigendecomposition of the constraint
+Gram matrix K K^T, cached per problem structure) as two matvecs.  The
+method forfeits dual certificates: the outcome is Feasible with a
+verified point, or Inconclusive.  On the qubit k-extension up to k = 7
+it takes about as long per point as the standard-form interior point
+where the program is feasible, and three or more times as long where it
+is not, to end Inconclusive there.  A stalled violation (typical of
+infeasible instances, where the iterates approach the positive gap
+between the two sets) exits early.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg import herm_to_vec, vec_to_herm
-from .problem import SdpProblem, _eliminate, _var_offsets
+from .problem import SdpProblem, _eliminate
 
 MAX_ITER = 50000
 FEAS_PSD_TOL = 1e-9
@@ -44,11 +44,10 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     """Project until the PSD violation is at most ``FEAS_PSD_TOL``, checking
     every ``CHECK_EVERY`` sweeps, for at most ``MAX_ITER`` sweeps; all three
     are read at call time."""
-    for block in problem.blocks:
-        if block.kind != "identity":
-            raise ValueError("projection mode supports PSD blocks on the variables only")
+    if [block.kind for block in problem.blocks] != ["identity"]:
+        raise ValueError("projection mode supports one PSD block, the variable itself")
 
-    var_offsets = _var_offsets(problem)
+    side = problem.side
     st, x0 = _eliminate(problem)
     rows = st.vh  # orthonormal row-space basis, (r, P), shared by the structure
     c_rows = rows @ x0
@@ -56,36 +55,23 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     def proj_affine(x):
         return x - rows.T @ (rows @ x - c_rows)
 
-    psd_vars = [problem.variable(block.var) for block in problem.blocks]
-
-    def proj_psd(x, var):
-        o = var_offsets[var.name]
-        sl = slice(o, o + var.nparams)
-        w, v = np.linalg.eigh(vec_to_herm(x[sl], var.side))
-        out = x.copy()
-        out[sl] = herm_to_vec((v * np.maximum(w, 0.0)) @ v.conj().T)
-        return out
+    def proj_psd(x):
+        w, v = np.linalg.eigh(vec_to_herm(x, side))
+        return herm_to_vec((v * np.maximum(w, 0.0)) @ v.conj().T)
 
     def violation_of(x):
-        worst = 0.0
-        for var in psd_vars:
-            o = var_offsets[var.name]
-            mat = vec_to_herm(x[o : o + var.nparams], var.side)
-            worst = max(worst, -float(np.linalg.eigvalsh(mat).min()))
-        return worst
+        return max(0.0, -float(np.linalg.eigvalsh(vec_to_herm(x, side)).min()))
 
     x = x0
-    increments = [np.zeros(x.size) for _ in psd_vars]
+    increment = np.zeros(x.size)
     best = x
     best_viol = violation_of(x)
     window_best = best_viol
     it = 0
     for it in range(1, MAX_ITER + 1):
-        for k, var in enumerate(psd_vars):
-            y = proj_psd(x + increments[k], var)
-            increments[k] = x + increments[k] - y
-            x = y
-        x = proj_affine(x)
+        y = proj_psd(x + increment)
+        increment = x + increment - y
+        x = proj_affine(y)
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             viol = violation_of(x)
             if viol < best_viol:

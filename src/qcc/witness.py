@@ -14,7 +14,7 @@ witness should be decisively valid, not borderline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def no_broadcast_witness(d: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def certificate_to_json(w, margin: Optional[float] = None) -> dict:
+def certificate_to_json(w) -> dict:
     """JSON form of a Witness, a JordanWitness, a compatibilizer (a
     HermitianMatrix, whose mode the caller sets) or a jordan.GenJordanOperator."""
     if isinstance(w, HermitianMatrix):  # a compatibilizer, in channel JSON; the caller sets its mode
@@ -232,8 +232,6 @@ def certificate_to_json(w, margin: Optional[float] = None) -> dict:
         }
     else:  # a GenJordanOperator (qcc.jordan imports this module, not the reverse)
         data = {"mode": "jordan-operator", "A": _matrix_to_json(w.matrix.array)}
-    if margin is not None:
-        data["margin"] = float(margin)
     return data
 
 

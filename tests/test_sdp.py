@@ -12,6 +12,7 @@ from qcc.channels import (
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
+    measurement_channel,
     mix_channels,
     partial_depolarizing_channel,
     validate,
@@ -28,7 +29,7 @@ from qcc.linalg import (
     ptranspose_array,
 )
 from qcc.rand import (random_channel, random_density, random_hermitian, random_invertible_channel,
-                      random_povm)
+                      random_povm, random_pvm)
 import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import decide
 from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve
@@ -36,19 +37,16 @@ from qcc.sdp.problem import (
     CONSTRAINT_RANK_TOL,
     Block,
     Constraint,
-    ConstraintTerm,
     SdpProblem,
-    VariableSpec,
     _constraint_matrix,
     _eliminate,
     _plan_key,
     _structure_of,
-    _var_offsets,
     compile_ipm,
 )
 from qcc.sdp.ipm import solve_ipm
 from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
-                         verify_witness)
+                         verify_witness, witness_from_dual)
 
 
 class TestSolveCompat:
@@ -108,20 +106,11 @@ class TestSolveCompat:
 
 
 def brute_force_constraint_matrix(problem):
-    """K column by column: every variable basis element through every
-    term's partial trace, in the coordinates of the constraint space."""
-    offsets = _var_offsets(problem)
-    rows = []
-    for con in problem.constraints:
-        r_side = con.rhs.shape[0]
-        kmat = np.zeros((r_side * r_side, problem.total_params))
-        for term in con.terms:
-            var = problem.variable(term.var)
-            imgs = ptrace_array(hermitian_basis(var.side), var.factors, term.traced)
-            off = offsets[term.var]
-            kmat[:, off : off + var.nparams] += herm_to_vec(imgs).T
-        rows.append(kmat)
-    return np.vstack(rows)
+    """K column by column: every basis element of X through every
+    constraint's partial trace, in the coordinates of the constraint space."""
+    basis = hermitian_basis(problem.side)
+    return np.vstack([herm_to_vec(ptrace_array(basis, problem.factors, con.traced)).T
+                      for con in problem.constraints])
 
 
 class TestConstraintMatrix:
@@ -146,7 +135,7 @@ class TestConstraintMatrix:
             rho1 = HermitianMatrix(random_density(rng, 4), TensorShape((2, 2)))
             rho2 = HermitianMatrix(random_density(rng, 6), TensorShape((2, 3)))
             problem = sdp.build_state_compat(rho1, rho2)
-        kmat = _constraint_matrix(*_plan_key(problem)[:2])
+        kmat = _constraint_matrix(*_plan_key(problem))
         assert np.abs(kmat - brute_force_constraint_matrix(problem)).max() <= 1e-15
 
     @pytest.mark.parametrize("mode", ["interior_point", "projection"])
@@ -158,15 +147,30 @@ class TestConstraintMatrix:
 
     @pytest.mark.parametrize("mode", ["interior_point", "projection"])
     def test_term_side_mismatch_rejected(self, mode):
-        var = VariableSpec("X", (2, 2))
-        con = Constraint((ConstraintTerm("X", (1,)),), np.eye(3, dtype=np.complex128))
-        problem = SdpProblem((var,), (con,), (Block("X"),))
-        with pytest.raises(ValueError, match="constraint term on X produces side 2, rhs has side 3"):
-            sdp.solve(problem, mode=mode)
+        con = Constraint((1,), np.eye(3, dtype=np.complex128))
+        with pytest.raises(ValueError, match=r"constraint tracing \(1,\) leaves side 2, "
+                                             r"rhs has shape \(3, 3\)"):
+            sdp.solve(SdpProblem((2, 2), (con,), (Block(),)), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    @pytest.mark.parametrize("traced, side, blocks, message", [
+        ((5,), 4, (Block(),), "traced index 5 out of range for 2 factors"),
+        ((-1,), 4, (Block(),), "traced index -1 out of range for 2 factors"),
+        ((1, 1), 2, (Block(),), r"traced indices \(1, 1\) repeat a factor"),
+        ((1,), 2, (Block(), Block("ptranspose", factor=2)),
+         "ptranspose factor 2 out of range for 2 factors"),
+        ((1,), 2, (Block(), Block("ptranspose")), "ptranspose factor None out of range"),
+    ], ids=["past_end", "negative", "repeated", "ptranspose_past_end", "ptranspose_unset"])
+    def test_bad_index_rejected_when_built(self, mode, traced, side, blocks, message):
+        # a bad index used to be dropped (projection found the program
+        # feasible) or to fail inside numpy; the problem now refuses it
+        con = Constraint(traced, np.eye(side) / side)
+        with pytest.raises(ValueError, match=message):
+            sdp.solve(SdpProblem((2, 2), (con,), blocks), mode=mode)
 
 
 class TestStandardForm:
-    """Programs whose PSD blocks are their variables compile to standard
+    """Programs whose one PSD block is X itself compile to standard
     form, with one Schur row per constraint dimension less the one that
     fixes t; the others keep the null-space form."""
 
@@ -185,18 +189,17 @@ class TestStandardForm:
         assert compile_ipm(problem).m == m
 
     def test_trace_only_program_keeps_its_t_row(self):
-        var = VariableSpec("X", (2,))
-        con = Constraint((ConstraintTerm("X", (0,)),), np.eye(1, dtype=np.complex128))
-        out = sdp.solve(SdpProblem((var,), (con,), (Block("X"),)))
+        con = Constraint((0,), np.eye(1, dtype=np.complex128))
+        out = sdp.solve(SdpProblem((2,), (con,), (Block(),)))
         assert out.status == "Feasible"
         assert abs(out.value - 0.5) <= 1e-8
-        assert np.abs(out.primal["X"] - np.eye(2) / 2).max() <= 1e-8
+        assert np.abs(out.primal - np.eye(2) / 2).max() <= 1e-8
 
     def test_feasible_k4_primal_has_the_marginals(self):
         xi = xi_channel(0.4, 0.5)
         out = sdp.solve(sdp.build_k_extension(xi, 4))
         assert out.status == "Feasible" and out.value > 0
-        x = out.primal["X"]
+        x = out.primal
         factors = (2, 2, 2, 2, 2)
         for a in range(1, 5):
             traced = [i for i in range(1, 5) if i != a]
@@ -291,7 +294,7 @@ class TestStructuredSchur:
     def test_thin_elimination_matches_svd(self, kind):
         null_space = kind in NULL_SPACE_KINDS
         problem = _null_space_program(kind) if null_space else _standard_program(kind)
-        kmat = _constraint_matrix(*_plan_key(problem)[:2])
+        kmat = _constraint_matrix(*_plan_key(problem))
         bvec = np.concatenate([herm_to_vec(con.rhs) for con in problem.constraints])
         u, s, vh = np.linalg.svd(kmat, full_matrices=False)
         rank = int(np.sum(s > CONSTRAINT_RANK_TOL * s[0]))
@@ -363,7 +366,7 @@ class TestStructureCache:
         # warm the cache with another right-hand side of the same structure
         _structure_of.cache_clear()
         compile_ipm(SdpProblem(
-            problem.variables,
+            problem.factors,
             tuple(dataclasses.replace(con, rhs=np.eye(con.rhs.shape[0]) / con.rhs.shape[0])
                   for con in problem.constraints),
             problem.blocks))
@@ -492,7 +495,7 @@ class TestJordanProgram:
         xi = xi_channel(0.1, 0.5)
         out = sdp.solve(sdp.build_jordan_compat(xi, xi))
         assert out.status == "Feasible"
-        a = out.primal["A"]
+        a = out.primal
         from qcc.jordan import GenJordanOperator
 
         op = GenJordanOperator(HermitianMatrix(a, TensorShape((2, 2, 2))))
@@ -546,7 +549,7 @@ class TestKExtension:
             a = sdp.solve(sdp.build_k_extension(f, 2))
             b = sdp.solve(sdp.build_k_extension(f, 2), mode="projection")
             assert a.status == "Feasible" and b.status == "Feasible"
-            x = b.primal["X"]
+            x = b.primal
             assert np.linalg.eigvalsh(x).min() >= -1e-8
             assert np.abs(ptrace_array(x, (2, 2, 2), [2]) - f.choi.array).max() < 1e-7
 
@@ -574,11 +577,8 @@ class TestPovmCompat:
     def test_noisy_unbiased_pair_threshold(self):
         # brute-force oracle: the operator jordan products form a
         # compatibilizer exactly up to noise 1/sqrt(2)
-        sz = np.diag([1.0, -1.0])
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         for eta, expect in ((0.5, "Feasible"), (0.8, "Infeasible")):
-            m = Povm(((np.eye(2) + eta * sz) / 2, (np.eye(2) - eta * sz) / 2))
-            n = Povm(((np.eye(2) + eta * sx) / 2, (np.eye(2) - eta * sx) / 2))
+            m, n = _unbiased_pair(eta)
             out = sdp.solve(sdp.build_povm_compat(m, n))
             assert out.status == expect
             jordan_psd = min(
@@ -587,6 +587,60 @@ class TestPovmCompat:
                 for b in n.effects
             )
             assert (jordan_psd >= -1e-12) == (eta <= 1 / np.sqrt(2) + 1e-12)
+
+
+def _unbiased_pair(eta):
+    """Noisy sigma_z and sigma_x measurements, jointly measurable exactly
+    up to eta = 1/sqrt(2)."""
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (Povm(((np.eye(2) + eta * sz) / 2, (np.eye(2) - eta * sz) / 2)),
+            Povm(((np.eye(2) + eta * sx) / 2, (np.eye(2) - eta * sx) / 2)))
+
+
+class TestPovmReadOut:
+    """The POVM program is the compat program of the two measurement
+    channels.  Its certificates are checked against the POVMs alone: on
+    Feasible the joint effects on X's diagonal register blocks, on
+    Infeasible the (Z1, Z2) witness on the measurement channels."""
+
+    @staticmethod
+    def _assert_certified(out, m, n):
+        d, nm, nn = m.dim, len(m), len(n)
+        if out.status == "Feasible":
+            # X on X (x) Y1 (x) Y2 holds P_ij^T at outcome registers (i, j)
+            blocks = out.primal.reshape(d, nm, nn, d, nm, nn)
+            parts = [[blocks[:, i, j, :, i, j].T for j in range(nn)] for i in range(nm)]
+            for i, eff in enumerate(m.effects):
+                assert np.abs(sum(parts[i]) - eff).max() <= sdp.DECISION_TOL
+            for j, eff in enumerate(n.effects):
+                assert np.abs(sum(row[j] for row in parts) - eff).max() <= sdp.DECISION_TOL
+            assert min(np.linalg.eigvalsh(p).min() for row in parts for p in row) \
+                >= -sdp.DECISION_TOL
+        else:
+            assert out.status == "Infeasible"
+            f, g = measurement_channel(m), measurement_channel(n)
+            report = verify_witness(witness_from_dual(out.dual[0], f, g, "plain"), f, g)
+            assert report.valid and report.margin < 0
+
+    @pytest.mark.parametrize("eta, status", [(0.3, "Feasible"), (0.7, "Feasible"),
+                                             (0.72, "Infeasible"), (1.0, "Infeasible")])
+    def test_unbiased_pair(self, eta, status):
+        m, n = _unbiased_pair(eta)
+        out = sdp.solve(sdp.build_povm_compat(m, n))
+        assert out.status == status
+        self._assert_certified(out, m, n)
+
+    def test_random_pairs(self, rng):
+        statuses = []
+        for _ in range(8):
+            for m, n in ((random_povm(rng, 2, 3), random_povm(rng, 2, 2)),
+                         (random_povm(rng, 3, 2), random_povm(rng, 3, 3)),
+                         (random_pvm(rng, 2), random_pvm(rng, 2))):
+                out = sdp.solve(sdp.build_povm_compat(m, n))
+                self._assert_certified(out, m, n)
+                statuses.append(out.status)
+        assert {"Feasible", "Infeasible"} <= set(statuses)
 
 
 class TestDecide:
@@ -754,7 +808,7 @@ class TestHonestInconclusive:
         noisy = partial_depolarizing_channel(0.8, 2)
         assert decide(noisy, noisy, mode).verdict == "Compatible"
         self._doctor(monkeypatch, program,
-                     lambda out: dataclasses.replace(out, primal={"X": 2 * out.primal["X"]}))
+                     lambda out: dataclasses.replace(out, primal=2 * out.primal))
         _assert_inconclusive(decide(noisy, noisy, mode), note)
 
     @pytest.mark.parametrize("mode, program", [("compat", "compat"),
@@ -775,7 +829,7 @@ class TestHonestInconclusive:
         big = 1e12 * random_hermitian(np.random.default_rng(5), 8)
         assert decide(deph, deph, "jordan").verdict == "Compatible"
         self._doctor(monkeypatch, "jordan_compat",
-                     lambda out: dataclasses.replace(out, primal={"A": big}))
+                     lambda out: dataclasses.replace(out, primal=big))
         _assert_inconclusive(decide(deph, deph, "jordan"), "marginal constraints violated")
 
     def test_product_image_not_psd(self, monkeypatch):
@@ -785,7 +839,7 @@ class TestHonestInconclusive:
         a = a_jp(2).matrix.array + 10 * np.kron(np.eye(2), np.kron(sz, sz))
         deph = dephasing_channel(2)
         self._doctor(monkeypatch, "jordan_compat",
-                     lambda out: dataclasses.replace(out, primal={"A": a}))
+                     lambda out: dataclasses.replace(out, primal=a))
         _assert_inconclusive(decide(deph, deph, "jordan"), "product image not PSD")
 
     @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])

@@ -158,7 +158,7 @@ class TestAdjointEmbeddings:
 class TestCertificateJson:
     def test_plain_roundtrip(self):
         w = reference.ppt_witness()
-        back = certificate_from_json(certificate_to_json(w, margin=-0.5))
+        back = certificate_from_json(certificate_to_json(w))
         assert isinstance(back, Witness)
         assert back.mode == "ppt"
         assert np.abs(back.z1.array - w.z1.array).max() == 0
