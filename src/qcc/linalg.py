@@ -9,6 +9,7 @@ Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,33 +204,77 @@ def hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=32)
+def _herm_coords(n: int) -> tuple[np.ndarray, ...]:
+    """Lookup tables between an n x n Hermitian matrix and its coordinates.
+
+    A slot is a position in the matrix's interleaved (re, im) float64
+    view, flat of length 2 n^2.  The tables of one side take 48 n^2
+    bytes (3 MB at n = 256).  Returns, each read-only:
+
+    - ``pos``, ``to_vec``: the slot of each ``hermitian_basis``
+      coordinate (the diagonal's real parts, then re and im of each
+      upper entry (i, j), i < j, row by row) and its scale from slot to
+      coordinate: 1 on the diagonal, sqrt(2) off it;
+    - ``src``, ``to_herm``: for each slot, the coordinate it is read
+      from and its scale: 1 on the diagonal, 1/sqrt(2) above it,
+      1/sqrt(2) and -1/sqrt(2) for re and im below it (the mirrored
+      upper entry), and 0 for the diagonal's imaginary parts.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    upper = 2 * (iu * n + ju)
+    lower = 2 * (ju * n + iu)
+    coords = np.arange(n * n)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    pos = np.empty(n * n, dtype=np.intp)
+    pos[:n] = 2 * (n + 1) * coords[:n]
+    pos[n::2] = upper
+    pos[n + 1 :: 2] = upper + 1
+    to_vec = np.full(n * n, np.sqrt(2.0))
+    to_vec[:n] = 1.0
+    src = np.zeros(2 * n * n, dtype=np.intp)
+    to_herm = np.zeros(2 * n * n)
+    src[pos] = coords
+    to_herm[pos] = np.where(coords < n, 1.0, inv_sqrt2)
+    src[lower] = coords[n::2]
+    src[lower + 1] = coords[n + 1 :: 2]
+    to_herm[lower] = inv_sqrt2
+    to_herm[lower + 1] = -inv_sqrt2
+    tables = (pos, to_vec, src, to_herm)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def herm_to_vec(arr: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the ``hermitian_basis`` order.
 
-    Leading axes are batch axes: (..., n, n) -> (..., n^2).
+    Leading axes are batch axes: (..., n, n) -> (..., n^2).  One gather
+    from the matrix's (re, im) float view through the per-n lookup
+    tables of ``_herm_coords``, then one scaling; only the diagonal and
+    the upper triangle are read.
     """
     n = arr.shape[-1]
-    out = np.empty(arr.shape[:-2] + (n * n,))
-    out[..., :n] = np.diagonal(arr, axis1=-2, axis2=-1).real
-    iu = np.triu_indices(n, k=1)
-    upper = arr[..., iu[0], iu[1]]
-    sqrt2 = np.sqrt(2.0)
-    out[..., n::2] = upper.real * sqrt2
-    out[..., n + 1 :: 2] = upper.imag * sqrt2
+    pos, to_vec = _herm_coords(n)[:2]
+    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(arr.shape[:-2] + (n * n,))
+    out = np.take(flat.view(np.float64), pos, axis=-1)
+    out *= to_vec  # in place: on a large batch a second result array costs more than the gather
     return out
 
 
 def vec_to_herm(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_vec`: (..., n^2) -> (..., n, n)."""
-    arr = np.zeros(vec.shape[:-1] + (n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    arr[..., idx, idx] = vec[..., :n]
-    iu = np.triu_indices(n, k=1)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    upper = (vec[..., n::2] + 1j * vec[..., n + 1 :: 2]) * inv_sqrt2
-    arr[..., iu[0], iu[1]] = upper
-    arr[..., iu[1], iu[0]] = upper.conj()
-    return arr
+    """Inverse of :func:`herm_to_vec`: (..., n^2) -> (..., n, n).
+
+    One gather of every slot of the matrix's (re, im) float view from
+    the coordinates, through the per-n lookup tables of
+    ``_herm_coords``, then one scaling.
+    """
+    src, to_herm = _herm_coords(n)[2:]
+    out = np.take(np.asarray(vec, dtype=np.float64), src, axis=-1)
+    out *= to_herm
+    # the diagonal's imaginary parts, scaled by 0: +0 whatever the sign read
+    out[..., 1 :: 2 * (n + 1)] = 0.0
+    return out.view(np.complex128).reshape(vec.shape[:-1] + (n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..linalg import vec_to_herm
 from ..witness import DECISION_TOL
 from .builders import (
     build_compat,
@@ -13,8 +12,8 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import SdpOutcome, SdpProblem, compile_ipm
-from .projection import solve_dykstra
+from .problem import SdpOutcome, SdpProblem, compile_ipm, primal_failure
+from .projection import FEAS_PSD_TOL, solve_dykstra
 
 # caps on the side of the complex variable, checked before compiling
 IPM_SIDE_CAP = 256
@@ -37,7 +36,9 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     of the optimum (within ``DECISION_TOL``), with dual multipliers for
     certificate extraction, or Inconclusive with the solver's note when
     it did not converge.  projection runs Dykstra alternating
-    projections and reports Feasible with a primal point or Inconclusive.
+    projections and reports Feasible with a primal point, re-checked by
+    ``primal_failure`` against the problem itself, or Inconclusive with
+    the reason.
     """
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
@@ -65,13 +66,13 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
-        if not res.feasible:
+        note = (primal_failure(problem, res.x, FEAS_PSD_TOL) if res.feasible
+                else "projection did not reach feasibility")
+        if note:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
-                              iterations=res.iterations,
-                              note="projection did not reach feasibility")
-        return SdpOutcome("Feasible", 0.0, primal=vec_to_herm(res.params, problem.side),
-                          residuals=residuals, iterations=res.iterations,
-                          note="projection mode: feasibility only")
+                              iterations=res.iterations, note=note)
+        return SdpOutcome("Feasible", 0.0, primal=res.x, residuals=residuals,
+                          iterations=res.iterations, note="projection mode: feasibility only")
 
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -71,9 +71,11 @@ from ..linalg import (
     embed_identity_array,
     herm_to_vec,
     hermitian_basis,
+    ptrace_array,
     ptranspose_array,
     vec_to_herm,
 )
+from ..witness import DECISION_TOL
 from .ipm import _as_real
 
 CONSTRAINT_RANK_TOL = 1e-10  # on the null-space form's block-image singular values, relative
@@ -117,9 +119,10 @@ class SdpProblem:
     """Maximize t over one complex Hermitian X on the product of
     ``factors``, subject to ``constraints`` and every block minus tI PSD.
 
-    The indices a constraint traces out and a partial transpose's factor
-    are checked when the problem is built, and so is each right-hand
-    side's shape: a bad one raises a ``ValueError`` that names it.
+    The indices a constraint traces out, a partial transpose's factor and
+    the number of a map image's maps are checked when the problem is
+    built, and so is each right-hand side's shape: a bad one raises a
+    ``ValueError`` that names it.
     """
 
     factors: tuple[int, ...]
@@ -139,11 +142,14 @@ class SdpProblem:
             if con.rhs.shape != (side, side):
                 raise ValueError(f"constraint tracing {con.traced} leaves side {side}, "
                                  f"rhs has shape {con.rhs.shape}")
-        for block in self.blocks:
+        for b, block in enumerate(self.blocks):
             if block.kind == "ptranspose" and not (block.factor is not None
                                                    and 0 <= block.factor < nf):
                 raise ValueError(f"ptranspose factor {block.factor} out of range "
                                  f"for {nf} factors")
+            n_maps = len(block.maps or ())
+            if block.kind == "map_image" and n_maps != nf:
+                raise ValueError(f"map_image block {b} has {n_maps} maps for {nf} factors")
 
     @property
     def side(self) -> int:
@@ -189,6 +195,27 @@ def block_image_many(block: Block, factors: tuple, arrs: np.ndarray) -> np.ndarr
                 out, dims = apply_to_factor(out, dims, pos, rep)
         return out
     raise ValueError(f"unknown block kind {block.kind!r}")
+
+
+def primal_failure(problem: SdpProblem, x: np.ndarray, psd_tol: float) -> str:
+    """Why X is not a feasible point of ``problem``, or "" when it is one.
+
+    Checked from the problem alone, without the solver's arrays: every
+    constraint's partial trace of X must be within ``DECISION_TOL`` of its
+    right-hand side in every entry, and every block's image of X must have
+    its least eigenvalue at or above ``-psd_tol``.  The first failing
+    check is returned.
+    """
+    for con in problem.constraints:
+        dev = float(np.abs(ptrace_array(x, problem.factors, con.traced) - con.rhs).max())
+        if not dev <= DECISION_TOL:
+            return (f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, "
+                    f"above {DECISION_TOL:g}")
+    for b, block in enumerate(problem.blocks):
+        low = float(np.linalg.eigvalsh(block_image_many(block, problem.factors, x)).min())
+        if not low >= -psd_tol:
+            return f"{block.kind} block {b} has least eigenvalue {low:.3g}, below {-psd_tol:g}"
+    return ""
 
 
 # ---------------------------------------------------------------------------

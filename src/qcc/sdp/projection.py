@@ -1,19 +1,27 @@
 """Dykstra alternating projections for pure feasibility questions.
 
 Alternates between the affine set of the equality constraints and the
-PSD cone.  The one block must be the variable itself; only the
-k-extension programs of the sweeps and ``qcc self-compat`` come here.
-The affine projection applies the orthonormal constraint-row basis from
-the elimination the interior-point compile also uses
-(``problem._eliminate``, from an eigendecomposition of the constraint
-Gram matrix K K^T, cached per problem structure) as two matvecs.  The
-method forfeits dual certificates: the outcome is Feasible with a
-verified point, or Inconclusive.  On the qubit k-extension up to k = 7
-it takes about as long per point as the standard-form interior point
-where the program is feasible, and three or more times as long where it
-is not, to end Inconclusive there.  A stalled violation (typical of
-infeasible instances, where the iterates approach the positive gap
-between the two sets) exits early.
+PSD cone (Boyle-Dykstra), with the iterate kept as the Hermitian matrix
+X.  The one block must be the variable itself; only the k-extension
+programs of the sweeps and ``qcc self-compat`` come here.  The PSD step
+clips X's negative eigenvalues (Higham 1988).  The affine step reads X's
+real coordinates (``linalg.herm_to_vec``), applies the orthonormal
+constraint-row basis from the elimination the interior-point compile
+also uses (``problem._eliminate``, from an eigendecomposition of the
+constraint Gram matrix K K^T, cached per problem structure) as two
+matvecs, and subtracts the correction as a matrix (``vec_to_herm``).
+At side 32 (qubit k = 4, 1 BLAS thread) a sweep takes about 270 us:
+``eigh`` 165 us, the clip's matrix product 20 us and the affine step
+50 us (27 us of matvecs, 22 us of coordinate conversions), so ``eigh``
+is the floor.  The method forfeits dual certificates: the outcome is
+Feasible with a point that ``sdp.solve`` re-checks, or Inconclusive.
+On the qubit k-extension at k = 4 it settles the feasible
+``xi_channel(0.4, 0.5)`` in 0.03 s (the interior point: 0.05 s) and
+spends 0.25 s on the infeasible ``xi_channel(0.1, 0.3)`` to end
+Inconclusive, where the interior point refutes it in 0.03 s (single
+runs, 1 BLAS thread).  A stalled violation (typical of infeasible
+instances, where the iterates approach the positive gap between the two
+sets) exits early.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ STALL_FACTOR = 0.95  # require >= 5 percent improvement per window
 @dataclass
 class ProjectionResult:
     feasible: bool
-    params: np.ndarray
+    x: np.ndarray  # the Hermitian iterate X, side x side
     violation: float
     iterations: int
 
@@ -53,24 +61,25 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     c_rows = rows @ x0
 
     def proj_affine(x):
-        return x - rows.T @ (rows @ x - c_rows)
+        return x - vec_to_herm(rows.T @ (rows @ herm_to_vec(x) - c_rows), side)
 
     def proj_psd(x):
-        w, v = np.linalg.eigh(vec_to_herm(x, side))
-        return herm_to_vec((v * np.maximum(w, 0.0)) @ v.conj().T)
+        w, v = np.linalg.eigh(x)
+        return (v * np.maximum(w, 0.0)) @ v.conj().T
 
     def violation_of(x):
-        return max(0.0, -float(np.linalg.eigvalsh(vec_to_herm(x, side)).min()))
+        return max(0.0, -float(np.linalg.eigvalsh(x).min()))
 
-    x = x0
-    increment = np.zeros(x.size)
+    x = vec_to_herm(x0, side)
+    increment = np.zeros_like(x)
     best = x
     best_viol = violation_of(x)
     window_best = best_viol
     it = 0
     for it in range(1, MAX_ITER + 1):
-        y = proj_psd(x + increment)
-        increment = x + increment - y
+        z = x + increment
+        y = proj_psd(z)
+        increment = z - y
         x = proj_affine(y)
         if it % CHECK_EVERY == 0 or it == MAX_ITER:
             viol = violation_of(x)

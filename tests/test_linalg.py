@@ -248,6 +248,45 @@ class TestBasisAndEmbedding:
         rebuilt = np.einsum("i,iab->ab", v, b)
         assert np.abs(rebuilt - m).max() < 1e-13
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vec_is_basis_expansion(self, rng, n):
+        m = random_hermitian(rng, n)
+        coeffs = np.einsum("iab,ab->i", hermitian_basis(n).conj(), m).real
+        assert np.abs(herm_to_vec(m) - coeffs).max() <= 1e-14 * max(1.0, np.abs(m).max())
+
+    @pytest.mark.parametrize("batch", [(7,), (2, 3), (0,)], ids=["k", "a_b", "empty"])
+    def test_batch_axes_act_matrix_by_matrix(self, rng, batch):
+        n = 4
+        ms = np.array([random_hermitian(rng, n) for _ in range(int(np.prod(batch)))])
+        ms = ms.reshape(batch + (n, n))
+        vs = rng.standard_normal(batch + (n * n,))
+        out_v = herm_to_vec(ms)
+        out_m = vec_to_herm(vs, n)
+        assert out_v.shape == batch + (n * n,) and out_m.shape == batch + (n, n)
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(out_v[idx], herm_to_vec(ms[idx]))
+            assert np.array_equal(out_m[idx], vec_to_herm(vs[idx], n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_roundtrip_exact_on_power_of_two_coordinates(self, rng, n):
+        # signed powers of two pass both scalings without rounding, since
+        # fl(1/sqrt(2)) * fl(sqrt(2)) rounds to 1
+        v = rng.choice([-1.0, 0.0, 1.0], n * n) * 2.0 ** rng.integers(-20, 20, n * n)
+        m = vec_to_herm(v, n)
+        assert np.array_equal(m, m.conj().T)
+        assert np.array_equal(herm_to_vec(m), v)
+        assert np.array_equal(vec_to_herm(herm_to_vec(m), n), m)
+        # the diagonal's imaginary parts are +0 even where the diagonal is
+        # negative, so written matrices carry no -0.0
+        diag = np.diagonal(vec_to_herm(-np.abs(v) - 1.0, n))
+        assert not np.signbit(diag.imag).any()
+
+    def test_lookup_tables_are_read_only(self):
+        for table in linalg._herm_coords(4):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
     def test_embed_identity_is_partial_trace_adjoint(self, rng):
         # <Z, Tr_Y(X)> = <Tr*_Y(Z), X> for both embedding positions
         dims = (2, 3, 2)

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qcc.linalg import (
     hermitian_basis,
     ptrace_array,
     ptranspose_array,
+    vec_to_herm,
 )
 from qcc.rand import (random_channel, random_density, random_hermitian, random_invertible_channel,
                       random_povm, random_pvm)
@@ -43,8 +45,10 @@ from qcc.sdp.problem import (
     _plan_key,
     _structure_of,
     compile_ipm,
+    primal_failure,
 )
 from qcc.sdp.ipm import solve_ipm
+from qcc.sdp.projection import FEAS_PSD_TOL, ProjectionResult
 from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
                          verify_witness, witness_from_dual)
 
@@ -167,6 +171,18 @@ class TestConstraintMatrix:
         con = Constraint(traced, np.eye(side) / side)
         with pytest.raises(ValueError, match=message):
             sdp.solve(SdpProblem((2, 2), (con,), blocks), mode=mode)
+
+    @pytest.mark.parametrize("maps, count", [((None, "f"), 2), ((None, "f", "f", None), 4),
+                                             (None, 0)], ids=["short", "long", "unset"])
+    def test_map_image_needs_one_map_per_factor(self, maps, count):
+        # a short tuple used to leave the last factors alone, and the
+        # program solved to Infeasible
+        rep = identity_channel(2).rep
+        maps = None if maps is None else tuple(rep if m == "f" else None for m in maps)
+        con = Constraint((1, 2), np.eye(2) / 2)
+        block = Block("map_image", maps=maps)
+        with pytest.raises(ValueError, match=f"map_image block 1 has {count} maps for 3 factors"):
+            SdpProblem((2, 2, 2), (con,), (Block(), block))
 
 
 class TestStandardForm:
@@ -559,6 +575,36 @@ class TestKExtension:
         assert out.status == "Inconclusive"
         assert out.note == "projection did not reach feasibility"
         assert np.isnan(out.value) and out.primal is None
+
+    @staticmethod
+    def _off_affine(problem, x):
+        # the identity is PSD, and its marginals are far from J(f)
+        return np.eye(problem.side, dtype=np.complex128)
+
+    @staticmethod
+    def _off_psd(problem, x):
+        # a step along a direction every constraint maps to zero
+        rows = _eliminate(problem)[0].vh
+        h = herm_to_vec(random_hermitian(np.random.default_rng(3), problem.side))
+        kernel = vec_to_herm(h - rows.T @ (rows @ h), problem.side)
+        return x + 10 * kernel / np.abs(kernel).max()
+
+    @pytest.mark.parametrize("doctor, note", [
+        ("_off_affine", r"constraint tracing \(2, 3, 4\) is off its rhs by"),
+        ("_off_psd", r"identity block 0 has least eigenvalue -"),
+    ], ids=["off_affine", "not_psd"])
+    def test_projection_feasible_is_rechecked(self, monkeypatch, doctor, note):
+        # a Feasible verdict from projection must survive a check that
+        # reads only the problem and X, not the solver's elimination
+        problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 4)
+        x = sdp.solve(problem, mode="projection").primal
+        assert primal_failure(problem, x, FEAS_PSD_TOL) == ""
+        bad = getattr(self, doctor)(problem, x)
+        monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 8))
+        out = sdp.solve(problem, mode="projection")
+        assert out.status == "Inconclusive" and out.primal is None
+        assert out.iterations == 8
+        assert re.match(note, out.note), out.note
 
 
 class TestPovmCompat:
