@@ -209,17 +209,17 @@ def _herm_coords(n: int) -> tuple[np.ndarray, ...]:
     """Lookup tables between an n x n Hermitian matrix and its coordinates.
 
     A slot is a position in the matrix's interleaved (re, im) float64
-    view, flat of length 2 n^2.  The tables of one side take 48 n^2
-    bytes (3 MB at n = 256).  Returns, each read-only:
+    view, flat of length 2 n^2.  The tables of one side take 40 n^2
+    bytes (2.6 MB at n = 256).  Returns, each read-only:
 
-    - ``pos``, ``to_vec``: the slot of each ``hermitian_basis``
-      coordinate (the diagonal's real parts, then re and im of each
-      upper entry (i, j), i < j, row by row) and its scale from slot to
-      coordinate: 1 on the diagonal, sqrt(2) off it;
+    - ``pos``: the slot of each ``hermitian_basis`` coordinate (the
+      diagonal's real parts, then re and im of each upper entry (i, j),
+      i < j, row by row);
     - ``src``, ``to_herm``: for each slot, the coordinate it is read
       from and its scale: 1 on the diagonal, 1/sqrt(2) above it,
       1/sqrt(2) and -1/sqrt(2) for re and im below it (the mirrored
-      upper entry), and 0 for the diagonal's imaginary parts.
+      upper entry).  The diagonal's imaginary slots are left at 0;
+      ``vec_to_herm`` zeroes them.
     """
     iu, ju = np.triu_indices(n, k=1)
     upper = 2 * (iu * n + ju)
@@ -230,8 +230,6 @@ def _herm_coords(n: int) -> tuple[np.ndarray, ...]:
     pos[:n] = 2 * (n + 1) * coords[:n]
     pos[n::2] = upper
     pos[n + 1 :: 2] = upper + 1
-    to_vec = np.full(n * n, np.sqrt(2.0))
-    to_vec[:n] = 1.0
     src = np.zeros(2 * n * n, dtype=np.intp)
     to_herm = np.zeros(2 * n * n)
     src[pos] = coords
@@ -240,7 +238,7 @@ def _herm_coords(n: int) -> tuple[np.ndarray, ...]:
     src[lower + 1] = coords[n + 1 :: 2]
     to_herm[lower] = inv_sqrt2
     to_herm[lower + 1] = -inv_sqrt2
-    tables = (pos, to_vec, src, to_herm)
+    tables = (pos, src, to_herm)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -251,14 +249,15 @@ def herm_to_vec(arr: np.ndarray) -> np.ndarray:
 
     Leading axes are batch axes: (..., n, n) -> (..., n^2).  One gather
     from the matrix's (re, im) float view through the per-n lookup
-    tables of ``_herm_coords``, then one scaling; only the diagonal and
-    the upper triangle are read.
+    table ``pos`` of ``_herm_coords``, then the off-diagonal
+    coordinates are scaled by sqrt(2); only the diagonal and the upper
+    triangle are read.
     """
     n = arr.shape[-1]
-    pos, to_vec = _herm_coords(n)[:2]
+    pos = _herm_coords(n)[0]
     flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(arr.shape[:-2] + (n * n,))
     out = np.take(flat.view(np.float64), pos, axis=-1)
-    out *= to_vec  # in place: on a large batch a second result array costs more than the gather
+    out[..., n:] *= np.sqrt(2.0)  # in place: on a large batch a second array costs more than the gather
     return out
 
 
@@ -269,10 +268,10 @@ def vec_to_herm(vec: np.ndarray, n: int) -> np.ndarray:
     the coordinates, through the per-n lookup tables of
     ``_herm_coords``, then one scaling.
     """
-    src, to_herm = _herm_coords(n)[2:]
+    _, src, to_herm = _herm_coords(n)
     out = np.take(np.asarray(vec, dtype=np.float64), src, axis=-1)
     out *= to_herm
-    # the diagonal's imaginary parts, scaled by 0: +0 whatever the sign read
+    # the diagonal's imaginary parts: +0, with no sign carried from the read
     out[..., 1 :: 2 * (n + 1)] = 0.0
     return out.view(np.complex128).reshape(vec.shape[:-1] + (n, n))
 

@@ -13,7 +13,7 @@ from .builders import (
 )
 from .ipm import solve_ipm
 from .problem import SdpOutcome, SdpProblem, compile_ipm, primal_failure
-from .projection import FEAS_PSD_TOL, solve_dykstra
+from .projection import solve_dykstra
 
 # caps on the side of the complex variable, checked before compiling
 IPM_SIDE_CAP = 256
@@ -66,7 +66,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
-        note = (primal_failure(problem, res.x, FEAS_PSD_TOL) if res.feasible
+        note = (primal_failure(problem, res.x) if res.feasible
                 else "projection did not reach feasibility")
         if note:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,

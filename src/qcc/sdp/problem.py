@@ -197,13 +197,17 @@ def block_image_many(block: Block, factors: tuple, arrs: np.ndarray) -> np.ndarr
     raise ValueError(f"unknown block kind {block.kind!r}")
 
 
-def primal_failure(problem: SdpProblem, x: np.ndarray, psd_tol: float) -> str:
+# least eigenvalue a projection point may have and still count as PSD
+FEAS_PSD_TOL = 1e-9
+
+
+def primal_failure(problem: SdpProblem, x: np.ndarray) -> str:
     """Why X is not a feasible point of ``problem``, or "" when it is one.
 
     Checked from the problem alone, without the solver's arrays: every
     constraint's partial trace of X must be within ``DECISION_TOL`` of its
     right-hand side in every entry, and every block's image of X must have
-    its least eigenvalue at or above ``-psd_tol``.  The first failing
+    its least eigenvalue at or above ``-FEAS_PSD_TOL``.  The first failing
     check is returned.
     """
     for con in problem.constraints:
@@ -213,8 +217,9 @@ def primal_failure(problem: SdpProblem, x: np.ndarray, psd_tol: float) -> str:
                     f"above {DECISION_TOL:g}")
     for b, block in enumerate(problem.blocks):
         low = float(np.linalg.eigvalsh(block_image_many(block, problem.factors, x)).min())
-        if not low >= -psd_tol:
-            return f"{block.kind} block {b} has least eigenvalue {low:.3g}, below {-psd_tol:g}"
+        if not low >= -FEAS_PSD_TOL:
+            return (f"{block.kind} block {b} has least eigenvalue {low:.3g}, "
+                    f"below {-FEAS_PSD_TOL:g}")
     return ""
 
 

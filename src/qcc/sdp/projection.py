@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg import herm_to_vec, vec_to_herm
-from .problem import SdpProblem, _eliminate
+from .problem import FEAS_PSD_TOL, SdpProblem, _eliminate
 
 MAX_ITER = 50000
-FEAS_PSD_TOL = 1e-9
 CHECK_EVERY = 8
 STALL_WINDOW = 400
 STALL_FACTOR = 0.95  # require >= 5 percent improvement per window

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,7 +209,10 @@ def read_sections(path):
 class TestSweep:
     def test_depol_pair_small_grid(self, tmp_path):
         out = str(tmp_path / "d.csv")
-        assert main(["sweep", "depol_pair", "--grid", "6", "--out", out]) == 0
+        assert main(["sweep", "depol_pair", "--grid", "6", "--jobs", "1", "--out", out]) == 0
+        # the golden sweep of tests/test_sweep_golden.py, compared here
+        golden = Path(__file__).parent / "data" / "sweep_golden" / "depol_pair.csv"
+        assert Path(out).read_bytes() == golden.read_bytes()
         rows, boundary = read_sections(out)
         assert rows[0] == ["q0", "q1", "verdict_compat", "verdict_jordan_std", "in_hull"]
         assert len(rows) == 37  # header + 36 grid points

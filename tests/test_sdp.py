@@ -48,7 +48,7 @@ from qcc.sdp.problem import (
     primal_failure,
 )
 from qcc.sdp.ipm import solve_ipm
-from qcc.sdp.projection import FEAS_PSD_TOL, ProjectionResult
+from qcc.sdp.projection import ProjectionResult
 from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
                          verify_witness, witness_from_dual)
 
@@ -598,7 +598,7 @@ class TestKExtension:
         # reads only the problem and X, not the solver's elimination
         problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 4)
         x = sdp.solve(problem, mode="projection").primal
-        assert primal_failure(problem, x, FEAS_PSD_TOL) == ""
+        assert primal_failure(problem, x) == ""
         bad = getattr(self, doctor)(problem, x)
         monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 8))
         out = sdp.solve(problem, mode="projection")

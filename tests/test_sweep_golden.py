@@ -3,7 +3,9 @@
 ``tests/data/sweep_golden`` holds the CSV of each sweep below at
 ``--grid 6 --jobs 1`` with the default solvers (interior point at
 k = 2, 3 and Dykstra projection at k = 4).  A solver change that keeps
-every grid verdict keeps these files byte for byte.  Regenerate them
+every grid verdict keeps these files byte for byte.  The ``depol_pair``
+sweep is compared in ``test_cli.py::TestSweep::test_depol_pair_small_grid``,
+which runs it for its analytic oracle anyway.  Regenerate them
 only on purpose, with
 
     PYTHONPATH=src python tests/test_sweep_golden.py
@@ -31,7 +33,7 @@ def _run_sweep(name: str, out: Path) -> None:
     assert main(["sweep", *SWEEPS[name], "--grid", "6", "--jobs", "1", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
+@pytest.mark.parametrize("name", sorted(set(SWEEPS) - {"depol_pair.csv"}))
 def test_sweep_matches_golden(name, tmp_path):
     out = tmp_path / name
     _run_sweep(name, out)
