@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -135,8 +136,10 @@ def _point_depol_pair(task):
 
 
 def _run_grid(worker, tasks, jobs):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once, so never more than can run
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=8))
     return [worker(t) for t in tasks]
 
@@ -172,6 +175,9 @@ def cmd_sweep(args) -> int:
     n = args.grid
     if n < 2:
         print("error: grid must be at least 2", file=sys.stderr)
+        return EXIT_PARSE
+    if args.jobs < 1:
+        print("error: jobs must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     worker, header, boundary_header = _SWEEP_FAMILIES[args.family]
     params = ()

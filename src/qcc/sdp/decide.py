@@ -76,7 +76,7 @@ def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
     Inconclusive when the solve is or the witness fails verification."""
     if out.status == "Inconclusive":
         return Decision("Inconclusive", out.value, outcome=out, note=out.note)
-    if out.dual:
+    if out.dual is not None:
         if mode == "jordan":
             w = jordan_witness_from_dual(out.dual[0], f, g)
             report = verify_jordan_witness(w, f, g)

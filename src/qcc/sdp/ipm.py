@@ -10,6 +10,13 @@ with an infeasible start, Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  Every matrix is dense complex Hermitian and y
 is real, so inner products are Re<A, B> = Re Tr(A^H B); A and A^* act
 as real matrix products on (re, im) views of the constraint blocks.
+The blocks are an array axis: C, S and Z are (blocks, n, n) stacks and
+the constraints one (m, blocks, n, n) array, since every block has the
+same side n (``SdpProblem`` refuses blocks whose images differ in
+side).  So A(y), A^*(Z), the residuals, the scaled products, both step
+lengths and the update are one numpy call each over the whole stack;
+only the Cholesky factorizations of the NT scaling run one matrix at a
+time, each counting its own fallback.
 The Schur complement has the side m of y, which the compile sets: the
 constraint dimension less one for standard-form programs, the free
 directions plus one otherwise (see ``problem``).  Sizes up to a few
@@ -64,8 +71,8 @@ CHOL_BLOCK = 64  # diagonal block side of the substitution in _chol_solve
 @dataclass
 class IpmResult:
     y: np.ndarray
-    S_blocks: list
-    Z_blocks: list
+    S_blocks: np.ndarray  # (blocks, n, n)
+    Z_blocks: np.ndarray  # (blocks, n, n)
     pobj: float
     dobj: float
     res_primal: float
@@ -77,8 +84,13 @@ class IpmResult:
     chol_fallbacks: int = 0  # factorizations that needed jitter or the eigenvalue clip
 
 
+def _ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
 def _herm(x):
-    return (x + x.conj().T) / 2
+    return (x + _ct(x)) / 2
 
 
 def _as_real(x: np.ndarray) -> np.ndarray:
@@ -132,21 +144,22 @@ def _chol_solve(l: np.ndarray, linvs: list, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _nt_scaling(s: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd scaling point: returns (R, Rinv, lam, fallbacks) with
-    R^H Z R = R^{-1} S R^{-H} = diag(lam) and W^{-1} = Rinv^H Rinv, and
-    the number of the two factorizations that fell back."""
-    ls, fell_s = _chol_pd(s)
-    lz, fell_z = _chol_pd(z)
-    u, sig, vh = np.linalg.svd(lz.conj().T @ ls)
+def _nt_scaling(S: np.ndarray, Z: np.ndarray):
+    """Nesterov-Todd scaling points of the stacked blocks: returns
+    (R, Rinv, lam, fallbacks) with R^H Z R = R^{-1} S R^{-H} = diag(lam)
+    and W^{-1} = Rinv^H Rinv on each block, and the number of the
+    factorizations that fell back."""
+    factors = [_chol_pd(x) for x in (*S, *Z)]
+    ls, lz = np.stack([l for l, _ in factors]).reshape(2, *S.shape)
+    u, sig, vh = np.linalg.svd(_ct(lz) @ ls)
     sig = np.maximum(sig, 1e-300)
-    rinv = (u / np.sqrt(sig)).conj().T @ lz.conj().T
-    r = ls @ (vh.conj().T / np.sqrt(sig))
-    return r, rinv, sig, fell_s + fell_z
+    rinv = _ct(u / np.sqrt(sig)[..., None, :]) @ _ct(lz)
+    r = ls @ (_ct(vh) / np.sqrt(sig)[..., None, :])
+    return r, rinv, sig, sum(fell for _, fell in factors)
 
 
 def _step_to_boundary(lam: np.ndarray, g: np.ndarray) -> float:
-    """Largest alpha <= 1 with diag(lam) + alpha g still PSD.
+    """Largest alpha <= 1 with diag(lam) + alpha g still PSD on every block.
 
     With S = R diag(lam) R^H and Z = R^{-H} diag(lam) R^{-1}, a step dS
     keeps S PSD exactly when g = R^{-1} dS R^{-H} does here, and dZ keeps
@@ -154,30 +167,20 @@ def _step_to_boundary(lam: np.ndarray, g: np.ndarray) -> float:
     lengths without another factorization.
     """
     isq = 1.0 / np.sqrt(lam)
-    wmin = np.linalg.eigvalsh(_herm(g) * np.outer(isq, isq)).min()
+    wmin = np.linalg.eigvalsh(_herm(g) * (isq[..., :, None] * isq[..., None, :])).min()
     if wmin >= -1e-14:
         return 1.0
     return min(1.0, -1.0 / wmin)
 
 
-def _apply_a(y: np.ndarray, a_flat: list, sides: list) -> list:
-    """A(y) = sum_i y_i A_i, one block per entry."""
-    return [(y @ a).view(np.complex128).reshape(n, n) for a, n in zip(a_flat, sides)]
-
-
-def _apply_adj(blocks: list, a_flat: list) -> np.ndarray:
-    """A^*(Z) = (sum_l Re<A_{l,i}, Z_l>)_i."""
-    return sum(a @ _as_real(z).ravel() for a, z in zip(a_flat, blocks))
-
-
-def _residuals(y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale):
+def _residuals(y, S, Z, C, a_flat, b, c_scale, b_scale):
     """Dual and primal residuals, gap and both objectives at one point."""
-    Rd = [c - ay - s for c, ay, s in zip(C_blocks, _apply_a(y, a_flat, sides), S)]
-    rp = b - _apply_adj(Z, a_flat)
-    gap = sum(_inner(z, s) for z, s in zip(Z, S))
+    Rd = C - (y @ a_flat).view(np.complex128).reshape(C.shape) - S  # C - A(y) - S
+    rp = b - a_flat @ _as_real(Z).ravel()  # b - A^*(Z)
+    gap = _inner(Z, S)
     pobj = float(b @ y)
-    dobj = float(sum(_inner(c, z) for c, z in zip(C_blocks, Z)))
-    res_d = max(np.abs(r).max() for r in Rd) / c_scale
+    dobj = _inner(C, Z)
+    res_d = np.abs(Rd).max() / c_scale
     res_p = np.abs(rp).max() / b_scale
     rel_gap = max(abs(pobj - dobj), abs(gap)) / (1.0 + abs(pobj) + abs(dobj))
     return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
@@ -188,45 +191,41 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
     into the cone and Z = ``Z0``, to the residual and gap target ``TOL``
     in at most ``MAX_ITER`` iterations, both read at call time.
 
-    ``schur(rinvs)`` returns the Schur matrix Re Tr(A_i V A_j V), summed
-    over the blocks, at the inverse NT scalings V = Rinv^H Rinv.
+    ``C_blocks`` and ``Z0`` are (blocks, n, n) and ``A_blocks`` is
+    (m, blocks, n, n).  ``schur(rinvs)`` returns the Schur matrix
+    Re Tr(A_i V A_j V), summed over the blocks, at the inverse NT
+    scalings V = Rinv^H Rinv of the (blocks, n, n) stack ``rinvs``.
     """
-    nblocks = len(C_blocks)
     m = b.shape[0]
-    sides = [c.shape[0] for c in C_blocks]
-    ntot = sum(sides)
-    a_flat = [_as_real(a).reshape(m, -1) for a in A_blocks]
+    nblocks, n = C_blocks.shape[:2]
+    ntot = nblocks * n
+    eye = np.eye(n)
+    a_flat = _as_real(A_blocks).reshape(m, -1)
 
-    c_scale = max(1.0, max(np.abs(c).max() for c in C_blocks))
+    c_scale = max(1.0, np.abs(C_blocks).max())
     b_scale = max(1.0, np.abs(b).max())
 
     y = np.zeros(m)
-    S = []
-    for c, n in zip(C_blocks, sides):
-        wmin = np.linalg.eigvalsh(c).min()
-        S.append(c + (max(0.0, -wmin) + 0.1 * c_scale + 1.0) * np.eye(n))
-    Z = list(Z0)
+    wmin = np.linalg.eigvalsh(C_blocks).min(axis=-1)
+    S = C_blocks + (np.maximum(0.0, -wmin) + 0.1 * c_scale + 1.0)[:, None, None] * eye
+    Z = Z0
 
     fallbacks = 0
     note = ""
     it = 0
     for it in range(1, MAX_ITER + 1):
         Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
-            y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
+            y, S, Z, C_blocks, a_flat, b, c_scale, b_scale)
         mu = gap / ntot
         if res_d <= TOL and res_p <= TOL and rel_gap <= TOL:
             return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
                              chol_fallbacks=fallbacks)
 
         # Nesterov-Todd scaling and Schur complement
-        rs, rinvs, lams = [], [], []
-        for l in range(nblocks):
-            r, rinv, lam, fell = _nt_scaling(S[l], Z[l])
-            fallbacks += fell
-            rs.append(r)
-            rinvs.append(rinv)
-            lams.append(lam)
-        schur_mat = schur(rinvs)
+        r, rinv, lam, fell = _nt_scaling(S, Z)
+        fallbacks += fell
+        rinvh = _ct(rinv)
+        schur_mat = schur(rinv)
         schur_chol, fell = _chol_pd(schur_mat)
         fallbacks += fell
         schur_linvs = _block_inverses(schur_chol)
@@ -238,44 +237,28 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
             return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
 
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
-        f_blocks = [rinvs[l].conj().T @ (rinvs[l] @ Rd[l] @ rinvs[l].conj().T) @ rinvs[l]
-                    for l in range(nblocks)]
-        h1 = _apply_adj(f_blocks, a_flat)
+        h1 = a_flat @ _as_real(rinvh @ (rinv @ Rd @ rinvh) @ rinv).ravel()
 
-        def direction(e_blocks):
+        def direction(e):
             """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
             R^H dZ R, and the step lengths to the cone boundary."""
-            dy = solve_schur(rp + h1 - _apply_adj(e_blocks, a_flat))
-            dS = [rd - ady for rd, ady in zip(Rd, _apply_a(dy, a_flat, sides))]
-            dZ, gs, gz = [], [], []
-            for l in range(nblocks):
-                rinv = rinvs[l]
-                g_s = rinv @ dS[l] @ rinv.conj().T
-                dZ.append(_herm(e_blocks[l] - rinv.conj().T @ g_s @ rinv))
-                gs.append(g_s)
-                gz.append(rs[l].conj().T @ dZ[l] @ rs[l])
-            alpha_s = min(_step_to_boundary(lam, g) for lam, g in zip(lams, gs))
-            alpha_z = min(_step_to_boundary(lam, g) for lam, g in zip(lams, gz))
-            return dy, dS, dZ, gs, gz, alpha_s, alpha_z
+            dy = solve_schur(rp + h1 - a_flat @ _as_real(e).ravel())
+            dS = Rd - (dy @ a_flat).view(np.complex128).reshape(Rd.shape)
+            gs = rinv @ dS @ rinvh
+            dZ = _herm(e - rinvh @ gs @ rinv)
+            gz = _ct(r) @ dZ @ r
+            return dy, dS, dZ, gs, gz, _step_to_boundary(lam, gs), _step_to_boundary(lam, gz)
 
         # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
-        _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction([-z for z in Z])
-        mu_aff = sum(
-            _inner(Z[l] + alpha_z * dZ_a[l], S[l] + alpha_s * dS_a[l])
-            for l in range(nblocks)
-        ) / ntot
+        _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction(-Z)
+        mu_aff = _inner(Z + alpha_z * dZ_a, S + alpha_s * dS_a) / ntot
         ratio = min(max(mu_aff, 0.0) / max(mu, 1e-300), 1.0)
         sigma = float(np.clip(ratio ** 3, 1e-10, 1.0))
 
         # corrector with Mehrotra second-order term, in the scaled space
-        e_corr = []
-        for l in range(nblocks):
-            lam = lams[l]
-            h = _herm(gz_a[l] @ gs_a[l])
-            g = sigma * mu * np.eye(len(lam)) - np.diag(lam * lam) - h
-            gamma = 2.0 * g / np.add.outer(lam, lam)
-            e_corr.append(rinvs[l].conj().T @ _herm(gamma) @ rinvs[l])
-        dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(e_corr)
+        g = sigma * mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz_a @ gs_a)
+        gamma = 2.0 * g / (lam[:, :, None] + lam[:, None, :])
+        dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(rinvh @ _herm(gamma) @ rinv)
 
         frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
         step_s = min(1.0, frac * alpha_s)
@@ -284,12 +267,11 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
             note = "step collapse"
             break
         y = y + step_s * dy
-        for l in range(nblocks):
-            S[l] = _herm(S[l] + step_s * dS[l])
-            Z[l] = _herm(Z[l] + step_z * dZ[l])
+        S = _herm(S + step_s * dS)
+        Z = _herm(Z + step_z * dZ)
 
     _Rd, _rp, _gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
-        y, S, Z, C_blocks, a_flat, b, sides, c_scale, b_scale)
+        y, S, Z, C_blocks, a_flat, b, c_scale, b_scale)
     converged = res_d <= TOL and res_p <= TOL and rel_gap <= TOL
     if not converged and not note:
         note = "iteration cap exceeded"

@@ -31,7 +31,7 @@ chosen from the block kinds:
   A_i = sum_p G_ip Tr*(E_p) over the constraint rows p, so the Schur
   matrix is G M(V) G^T with M(V) read off a few products of the
   NT-scaled block V with itself (``_SchurPlan``), never from the
-  (m, n, n) constraint tensor, which stays for A(y) and A^*(Z).
+  (m, 1, n, n) constraint tensor, which stays for A(y) and A^*(Z).
 - null-space form, when a block is a partial transpose or a map image:
   the full PPT program (stage B of a PPT decision), and the Jordan
   program, which ``decide`` runs only when a channel map is singular
@@ -43,7 +43,10 @@ chosen from the block kinds:
   per free direction plus t: 577 for the qutrit Jordan program.  Its
   Schur matrix is the Gram matrix of the NT-scaled constraint blocks.
 
-Either way the blocks stay complex Hermitian and the Schur system real.
+Either way the blocks stay complex Hermitian and the Schur system real,
+and the blocks are an array axis: every block's image has one side n
+(``SdpProblem`` checks it), so the objective and the starting point are
+(blocks, n, n) stacks and the constraints one (m, blocks, n, n) array.
 
 Programs of one structure (``_plan_key``: the factors of X and the
 factors each constraint traces out) differ only in their right-hand
@@ -76,7 +79,7 @@ from ..linalg import (
     vec_to_herm,
 )
 from ..witness import DECISION_TOL
-from .ipm import _as_real
+from .ipm import _as_real, _ct
 
 CONSTRAINT_RANK_TOL = 1e-10  # on the null-space form's block-image singular values, relative
 # on eigenvalues of K K^T (squared singular values), relative to the
@@ -122,7 +125,9 @@ class SdpProblem:
     The indices a constraint traces out, a partial transpose's factor and
     the number of a map image's maps are checked when the problem is
     built, and so is each right-hand side's shape: a bad one raises a
-    ``ValueError`` that names it.
+    ``ValueError`` that names it.  Every block's image must have the
+    same side, so the blocks stack on one array axis; blocks that differ
+    raise a ``ValueError`` that names them.
     """
 
     factors: tuple[int, ...]
@@ -150,6 +155,12 @@ class SdpProblem:
             n_maps = len(block.maps or ())
             if block.kind == "map_image" and n_maps != nf:
                 raise ValueError(f"map_image block {b} has {n_maps} maps for {nf} factors")
+        sides = [int(np.prod([d if rep is None else rep.d_out
+                              for d, rep in zip(self.factors, block.maps)]))
+                 if block.kind == "map_image" else self.side for block in self.blocks]
+        for b, side in enumerate(sides):
+            if side != sides[0]:
+                raise ValueError(f"block {b} has image side {side}, block 0 has {sides[0]}")
 
     @property
     def side(self) -> int:
@@ -161,16 +172,16 @@ class SdpOutcome:
     """Result of a solve: three-valued status plus certificates and residuals.
 
     ``primal`` is the matrix X at the solver's point and ``dual`` the
-    certificate, one matrix per PSD block; an Inconclusive solve has
-    neither.  The decision band is a floating-point artifact: optima
-    within ``sdp.DECISION_TOL`` of zero are not trustworthy sign
-    decisions, which is flagged in ``note``.
+    certificate, one matrix per PSD block in a (blocks, n, n) stack; an
+    Inconclusive solve has neither.  The decision band is a
+    floating-point artifact: optima within ``sdp.DECISION_TOL`` of zero
+    are not trustworthy sign decisions, which is flagged in ``note``.
     """
 
     status: str
     value: float
     primal: Optional[np.ndarray] = None
-    dual: Optional[list] = None
+    dual: Optional[np.ndarray] = None
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     note: str = ""
@@ -181,20 +192,25 @@ class SdpOutcome:
 # ---------------------------------------------------------------------------
 
 
-def block_image_many(block: Block, factors: tuple, arrs: np.ndarray) -> np.ndarray:
-    """Apply a block's structured operator to a stack of matrices on ``factors``."""
-    if block.kind == "identity":
-        return arrs
-    if block.kind == "ptranspose":
-        return ptranspose_array(arrs, factors, block.factor)
-    if block.kind == "map_image":
-        dims = list(factors)
-        out = arrs
-        for pos, rep in enumerate(block.maps):
-            if rep is not None:
-                out, dims = apply_to_factor(out, dims, pos, rep)
-        return out
-    raise ValueError(f"unknown block kind {block.kind!r}")
+def block_images(problem: SdpProblem, arrs: np.ndarray) -> np.ndarray:
+    """Every block's image of a matrix, or of a stack of matrices, on the
+    problem's factors: (blocks, ..., n, n)."""
+
+    def image(block):
+        if block.kind == "identity":
+            return arrs
+        if block.kind == "ptranspose":
+            return ptranspose_array(arrs, problem.factors, block.factor)
+        if block.kind == "map_image":
+            dims = list(problem.factors)
+            out = arrs
+            for pos, rep in enumerate(block.maps):
+                if rep is not None:
+                    out, dims = apply_to_factor(out, dims, pos, rep)
+            return out
+        raise ValueError(f"unknown block kind {block.kind!r}")
+
+    return np.stack([image(block) for block in problem.blocks])
 
 
 # least eigenvalue a projection point may have and still count as PSD
@@ -215,11 +231,12 @@ def primal_failure(problem: SdpProblem, x: np.ndarray) -> str:
         if not dev <= DECISION_TOL:
             return (f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, "
                     f"above {DECISION_TOL:g}")
-    for b, block in enumerate(problem.blocks):
-        low = float(np.linalg.eigvalsh(block_image_many(block, problem.factors, x)).min())
-        if not low >= -FEAS_PSD_TOL:
-            return (f"{block.kind} block {b} has least eigenvalue {low:.3g}, "
-                    f"below {-FEAS_PSD_TOL:g}")
+    lows = np.linalg.eigvalsh(block_images(problem, x)).min(axis=-1)
+    fails = ~(lows >= -FEAS_PSD_TOL)
+    if fails.any():
+        b = int(fails.argmax())
+        return (f"{problem.blocks[b].kind} block {b} has least eigenvalue {lows[b]:.3g}, "
+                f"below {-FEAS_PSD_TOL:g}")
     return ""
 
 
@@ -244,17 +261,20 @@ class CompiledSdp:
     Either way the certificate has trace 1 and lies in the range of the
     constraint adjoints, and ``Z0`` is where the solver starts Z.
     ``schur`` forms the solver's Schur matrix at each NT scaling point.
-    In standard form ``A_blocks``, ``C_blocks``, ``gmat`` and ``plan``
-    are the structure cache's read-only arrays, shared by every problem
-    of the structure.
+    The blocks are an array axis: ``C_blocks`` and ``Z0`` are
+    (blocks, n, n) and ``A_blocks`` is (m, blocks, n, n), complex
+    Hermitian, with one block in standard form and one per PSD block in
+    the null-space form.  In standard form ``A_blocks``, ``C_blocks``,
+    ``gmat`` and ``plan`` are the structure cache's read-only arrays,
+    shared by every problem of the structure.
     """
 
     problem: SdpProblem
     x0: np.ndarray
     b: np.ndarray
-    C_blocks: list  # per block; a tuple in standard form
-    A_blocks: list  # per block: (m, n, n) complex Hermitian; a tuple in standard form
-    Z0: list
+    C_blocks: np.ndarray
+    A_blocks: np.ndarray
+    Z0: np.ndarray
     removed_redundant: int
     dropped_directions: int
     nullbasis: Optional[np.ndarray] = None  # (P, m - 1) free directions, null-space form
@@ -281,25 +301,23 @@ class CompiledSdp:
             return vec_to_herm(self.x0 + self.nullbasis @ res.y[:-1], side)
         return res.Z_blocks[0] + self.value(res) * np.eye(side)
 
-    def certificate(self, res) -> list:
+    def certificate(self, res) -> np.ndarray:
         """The dual certificate, one matrix per PSD block."""
         return res.Z_blocks if self.nullbasis is not None else res.S_blocks
 
-    def schur(self, rinvs: list) -> np.ndarray:
+    def schur(self, rinvs: np.ndarray) -> np.ndarray:
         """The Schur matrix Re Tr(A_i V A_j V), summed over the blocks, at
-        the inverse NT scaling V = Rinv^H Rinv of each block.
+        the inverse NT scaling V = Rinv^H Rinv of each block of the
+        (blocks, n, n) stack ``rinvs``.
 
         Standard form takes it from the constraint structure, as
         G M(V) G^T (``_SchurPlan``); the null-space form as the Gram
-        matrix of the scaled constraint blocks Rinv A_i Rinv^H.
+        matrix of the scaled constraint blocks Rinv A_i Rinv^H, each row
+        i holding every block.
         """
         if self.plan is None:
-            m = self.m
-            schur = np.zeros((m, m))
-            for a, rinv in zip(self.A_blocks, rinvs):
-                bf = _as_real(rinv @ a @ rinv.conj().T).reshape(m, -1)
-                schur += bf @ bf.T
-            return schur
+            scaled = _as_real(rinvs @ self.A_blocks @ _ct(rinvs)).reshape(self.m, -1)
+            return scaled @ scaled.T
         schur = self.gmat @ self.plan.gram(rinvs[0]) @ self.gmat.T
         return (schur + schur.T) / 2
 
@@ -454,8 +472,8 @@ class _StandardForm:
     e_norm: float  # |R vec(I)|
     q: np.ndarray  # (rank, rank - 1) orthonormal complement of e_hat
     gmat: np.ndarray  # Q^T coords: A_i = sum_p G_ip Tr*(E_p)
-    A_blocks: tuple  # the one block: (rank - 1, n, n) complex Hermitian
-    C_blocks: tuple
+    A_blocks: np.ndarray  # the one block: (rank - 1, 1, n, n) complex Hermitian
+    C_blocks: np.ndarray  # (1, n, n)
     plan: _SchurPlan
 
 
@@ -500,7 +518,7 @@ class _Structure:
         gmat = q.T @ self.coords
         plan = _schur_plan(*self.key)
         _read_only(e_hat, q, gmat, a_block, c_block, plan.index, plan.coef)
-        return _StandardForm(e_hat, e_norm, q, gmat, (a_block,), (c_block,), plan)
+        return _StandardForm(e_hat, e_norm, q, gmat, a_block[:, None], c_block[None], plan)
 
 
 @functools.lru_cache(maxsize=64)
@@ -561,7 +579,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
         b=std.q.T @ c,
         C_blocks=std.C_blocks,
         A_blocks=std.A_blocks,
-        Z0=[x + shift * np.eye(x.shape[0])],
+        Z0=(x + shift * np.eye(x.shape[0]))[None],
         removed_redundant=st.removed,
         dropped_directions=0,
         t0=float(std.e_hat @ c) / std.e_norm,
@@ -577,39 +595,36 @@ def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     nullb = np.linalg.qr(st.vh.T, mode="complete")[0][:, st.rank :]  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 
-    # complex block images of the particular solution and the free directions
-    x0_mat = vec_to_herm(x0, problem.side)
-    dirs = vec_to_herm(nullb.T, problem.side)
-    img_consts = [block_image_many(block, problem.factors, x0_mat) for block in problem.blocks]
-    img_dirs = [block_image_many(block, problem.factors, dirs) for block in problem.blocks]
+    # complex block images of the particular solution, (blocks, n, n),
+    # and of the free directions, (blocks, m0, n, n)
+    img_consts = block_images(problem, vec_to_herm(x0, problem.side))
+    img_dirs = block_images(problem, vec_to_herm(nullb.T, problem.side))
+    nblocks, n = img_consts.shape[:2]
 
     # reparametrize the free directions so their stacked block images are
     # orthonormal: this drops directions no block sees (maps with kernels
     # create them) and leaves the constraint operator perfectly
     # conditioned, which is what lets the solver reach 1e-9 residuals
-    stacked = np.hstack([herm_to_vec(imgs) for imgs in img_dirs])
+    stacked = herm_to_vec(img_dirs).transpose(1, 0, 2).reshape(m0, nblocks * n * n)
     u2, s2, vh2 = np.linalg.svd(stacked.T, full_matrices=False)
     # the threshold must see the block operator's own scale, or pure
     # kernel noise (maps annihilating the whole free space) survives
     # and gets amplified by the normalization below
     scale = max(
         float(s2[0]) if s2.size else 0.0,
-        max((np.linalg.norm(c) for c in img_consts), default=0.0),
+        float(np.linalg.norm(img_consts, axis=(-2, -1)).max()),
         1e-300,
     )
     rank2 = int(np.sum(s2 > CONSTRAINT_RANK_TOL * scale))
     nullb = nullb @ (vh2[:rank2].T / s2[:rank2][None, :])
     # the new directions' stacked images are the left singular vectors
-    sides = [c.shape[0] for c in img_consts]
-    cuts = np.cumsum([n * n for n in sides])[:-1]
-    parts = np.split(u2[:, :rank2].T, cuts, axis=1)
-    img_dirs = [vec_to_herm(part, n) for part, n in zip(parts, sides)]
+    img_dirs = vec_to_herm(u2[:, :rank2].T.reshape(rank2, nblocks, n * n), n)
 
     m = rank2 + 1
     b = np.zeros(m)
     b[-1] = 1.0  # maximize t
-    a_blocks = [np.concatenate([-dirs, np.eye(n)[None]]) for dirs, n in zip(img_dirs, sides)]
-    z0 = [np.eye(n, dtype=np.complex128) * (1.0 / sum(sides)) for n in sides]
+    a_blocks = np.concatenate([-img_dirs, np.broadcast_to(np.eye(n), (1, nblocks, n, n))])
+    z0 = np.repeat(np.eye(n, dtype=np.complex128)[None] * (1.0 / (nblocks * n)), nblocks, axis=0)
 
     return CompiledSdp(
         problem=problem,

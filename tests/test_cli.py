@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcc import reference, sdp
+from qcc import cli, reference, sdp
 from qcc.analytic import xi_self_threshold
 from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
 from qcc.cli import main
@@ -129,6 +129,17 @@ class TestCheck:
         assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 2
         assert "note: step collapse" in capsys.readouterr().out
         assert set(json.loads(cert.read_text())) == {"verdict", "mode", "value"}
+
+    def test_certificate_failing_reverification_is_not_written(self, identity_file, monkeypatch,
+                                                               tmp_path, capsys):
+        # the witness is negated on its way into the payload, so the
+        # check that reads it back refuses it
+        to_json = cli.certificate_to_json
+        monkeypatch.setattr(cli, "certificate_to_json", lambda c: _negate_matrices(to_json(c)))
+        cert = tmp_path / "cert.json"
+        assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 2
+        assert "certificate failed re-verification; not writing" in capsys.readouterr().err
+        assert not cert.exists()
 
     def test_parse_failure_exit_64(self, tmp_path, identity_file):
         bad = tmp_path / "bad.json"
@@ -259,12 +270,53 @@ class TestSweep:
         main(["sweep", "depol_pair", "--grid", "4", "--out", out2, "--jobs", "2"])
         assert open(out1).read() == open(out2).read()
 
-    @pytest.mark.parametrize("k", ["0", "1"])
-    def test_xi_self_k_below_two_exits_64(self, tmp_path, capsys, k):
+    @pytest.mark.parametrize("args, message", [
+        (["--grid", "2", "--k", "0"], "k must be at least 2"),
+        (["--grid", "2", "--k", "1"], "k must be at least 2"),
+        (["--grid", "1"], "grid must be at least 2"),
+        # jobs below 1 used to run serially without a word
+        (["--grid", "2", "--jobs", "0"], "jobs must be at least 1"),
+    ], ids=["0", "1", "grid1", "jobs0"])
+    def test_xi_self_k_below_two_exits_64(self, tmp_path, capsys, args, message):
         out = tmp_path / "low.csv"
-        assert main(["sweep", "xi_self_k", "--grid", "2", "--k", k, "--out", str(out)]) == 64
-        assert "k must be at least 2" in capsys.readouterr().err
+        assert main(["sweep", "xi_self_k", "--out", str(out)] + args) == 64
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, cpus, grid, workers", [
+        ("5000", 2, 3, [2]), ("5000", 64, 2, [4]), ("3", 64, 3, [3]), ("2", 1, 3, []),
+    ], ids=["cpus", "points", "jobs", "serial"])
+    def test_pool_size_is_capped(self, tmp_path, monkeypatch, jobs, cpus, grid, workers):
+        # the pool forks all its workers up front; a recorder stands in
+        # for it and runs the grid in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out, serial = tmp_path / "pool.csv", tmp_path / "serial.csv"
+        assert main(["sweep", "depol_pair", "--grid", str(grid), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        assert started == workers
+        assert main(["sweep", "depol_pair", "--grid", str(grid), "--out", str(serial)]) == 0
+        assert out.read_bytes() == serial.read_bytes()
+
+    def test_first_flip_of_a_column_without_feasible_point_is_empty(self):
+        col = [["0.5", "0", "0", "?"], ["0.5", "0.5", "?", "1"], ["0.5", "1", "0", "1"]]
+        assert cli._first_flip(col, 2) == ""
+        assert cli._first_flip(col, 3) == "0.5"
 
     @pytest.mark.parametrize("family", ["xi_jordan_vs_self", "depol_pair"])
     @pytest.mark.parametrize("flag", [["--k", "3"], ["--solver", "projection"]])

@@ -184,6 +184,16 @@ class TestConstraintMatrix:
         with pytest.raises(ValueError, match=f"map_image block 1 has {count} maps for 3 factors"):
             SdpProblem((2, 2, 2), (con,), (Block(), block))
 
+    def test_blocks_of_different_sides_rejected(self):
+        # the solver stacks the blocks on one array axis, so every image
+        # has the side of the first
+        widen = random_channel(np.random.default_rng(9), 2, 3).rep
+        con = Constraint((1, 2), np.eye(2) / 2)
+        block = Block("map_image", maps=(None, widen, None))
+        with pytest.raises(ValueError, match="block 1 has image side 12, block 0 has 8"):
+            SdpProblem((2, 2, 2), (con,), (Block(), block))
+        assert SdpProblem((2, 2, 2), (con,), (block,)).blocks == (block,)
+
 
 class TestStandardForm:
     """Programs whose one PSD block is X itself compile to standard
@@ -296,7 +306,7 @@ class TestStructuredSchur:
         rng = np.random.default_rng(5)
         for _ in range(3):
             rinvs, gram = [], np.zeros((comp.m, comp.m))
-            for a in comp.A_blocks:
+            for a in comp.A_blocks.swapaxes(0, 1):
                 n = a.shape[-1]
                 rinv = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + n * np.eye(n)
                 scaled = (rinv @ a @ rinv.conj().T).reshape(comp.m, -1)
@@ -305,6 +315,22 @@ class TestStructuredSchur:
             schur = comp.schur(rinvs)
             assert np.array_equal(schur, schur.T)
             assert np.abs(schur - gram).max() <= 1e-12 * np.abs(gram).max()
+
+    def test_null_space_schur_is_the_sum_of_block_grams(self):
+        # one Gram product over the stacked blocks against the sum of
+        # the per-block Gram matrices
+        rng = np.random.default_rng(12)
+        comp = compile_ipm(sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2),
+                                            ppt=True))
+        nblocks, n = comp.C_blocks.shape[:2]
+        assert comp.plan is None and comp.A_blocks.shape == (comp.m, 2, n, n)
+        rinvs = (rng.normal(size=(nblocks, n, n)) + 1j * rng.normal(size=(nblocks, n, n))
+                 + n * np.eye(n))
+        gram = np.zeros((comp.m, comp.m))
+        for rinv, a in zip(rinvs, comp.A_blocks.swapaxes(0, 1)):
+            scaled = (rinv @ a @ rinv.conj().T).reshape(comp.m, -1)
+            gram += (scaled.conj() @ scaled.T).real
+        assert np.abs(comp.schur(rinvs) - gram).max() <= 1e-12 * np.abs(gram).max()
 
     @pytest.mark.parametrize("kind", STANDARD_KINDS + list(NULL_SPACE_KINDS))
     def test_thin_elimination_matches_svd(self, kind):
