@@ -320,7 +320,8 @@ def apply_to_factor(arr: np.ndarray, dims: Sequence[int], factor: int, rep: Line
     """Apply a map to one tensor factor of a dense matrix on a product space.
 
     Leading axes of ``arr`` are batch axes.  Returns the new matrix (or
-    stack) and the updated factor dimension list.
+    stack) and the updated factor dimension list; a float ``arr`` through
+    a map whose Choi matrix is real gives a float result.
     """
     dims = list(dims)
     n = len(dims)
@@ -331,6 +332,8 @@ def apply_to_factor(arr: np.ndarray, dims: Sequence[int], factor: int, rep: Line
     t = rep.transfer_tensor()
     if adjoint:
         t = t.conj().transpose(2, 3, 0, 1)
+    if not np.iscomplexobj(arr) and not t.imag.any():
+        t = t.real  # a real matrix through a real map stays real
     batch = arr.shape[:-2]
     tens = arr.reshape(*batch, *dims, *dims)
     # contract (row, col) indices of the chosen factor against T[m, n, y, w]

@@ -1,8 +1,12 @@
-"""Dense complex linear algebra over tensor-product spaces.
+"""Dense linear algebra over tensor-product spaces.
 
-Matrices carry an explicit factorization of their index space (e.g. a
-compatibilizer Choi matrix lives on X ⊗ Y1 ⊗ Y2), and all partial
-traces / transposes address factors by position in that factorization.
+Matrices are complex Hermitian; the coordinate maps ``herm_to_vec`` and
+``vec_to_herm`` also serve the real symmetric matrices over which the
+SDP layer solves programs with real data, in n(n+1)/2 coordinates
+instead of n^2 (``symmetric_basis``).  Matrices carry an explicit
+factorization of their index space (e.g. a compatibilizer Choi matrix
+lives on X ⊗ Y1 ⊗ Y2), and all partial traces / transposes address
+factors by position in that factorization.
 Everything here is a pure function of immutable values.
 """
 
@@ -204,73 +208,101 @@ def hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
+def symmetric_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the n x n real symmetric matrices, shape
+    (n(n+1)/2, n, n), float64: ``hermitian_basis`` without its imaginary
+    elements, in the same order."""
+    keep = np.r_[0:n, n : n * n : 2]
+    return np.ascontiguousarray(hermitian_basis(n)[keep].real)
+
+
 @lru_cache(maxsize=32)
-def _herm_coords(n: int) -> tuple[np.ndarray, ...]:
-    """Lookup tables between an n x n Hermitian matrix and its coordinates.
+def _herm_coords(n: int, real: bool = False) -> tuple[np.ndarray, ...]:
+    """Lookup tables between an n x n Hermitian matrix and its coordinates,
+    over the complex field or, with ``real``, over the real symmetric
+    matrices (the coordinates of ``symmetric_basis``).
 
-    A slot is a position in the matrix's interleaved (re, im) float64
-    view, flat of length 2 n^2.  The tables of one side take 40 n^2
-    bytes (2.6 MB at n = 256).  Returns, each read-only:
+    A slot is a position in the matrix's flat float64 view: the
+    interleaved (re, im) view of length 2 n^2 of a complex matrix, or the
+    n^2 entries of a real one.  The complex tables of one side take
+    40 n^2 bytes (2.6 MB at n = 256), the real ones half that.  Returns,
+    each read-only:
 
-    - ``pos``: the slot of each ``hermitian_basis`` coordinate (the
-      diagonal's real parts, then re and im of each upper entry (i, j),
-      i < j, row by row);
+    - ``pos``: the slot of each coordinate (the diagonal's real parts,
+      then re and im of each upper entry (i, j), i < j, row by row; a
+      real matrix has no im coordinates);
     - ``src``, ``to_herm``: for each slot, the coordinate it is read
       from and its scale: 1 on the diagonal, 1/sqrt(2) above it,
       1/sqrt(2) and -1/sqrt(2) for re and im below it (the mirrored
-      upper entry).  The diagonal's imaginary slots are left at 0;
+      upper entry).  A complex diagonal's imaginary slots are left at 0;
       ``vec_to_herm`` zeroes them.
     """
     iu, ju = np.triu_indices(n, k=1)
-    upper = 2 * (iu * n + ju)
-    lower = 2 * (ju * n + iu)
-    coords = np.arange(n * n)
+    width = 1 if real else 2  # float64 slots per entry
+    upper = width * (iu * n + ju)
+    lower = width * (ju * n + iu)
+    coords = np.arange(n * (n + 1) // 2 if real else n * n)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    pos = np.empty(n * n, dtype=np.intp)
-    pos[:n] = 2 * (n + 1) * coords[:n]
-    pos[n::2] = upper
-    pos[n + 1 :: 2] = upper + 1
-    src = np.zeros(2 * n * n, dtype=np.intp)
-    to_herm = np.zeros(2 * n * n)
+    pos = np.empty(coords.size, dtype=np.intp)
+    pos[:n] = width * (n + 1) * coords[:n]
+    src = np.zeros(width * n * n, dtype=np.intp)
+    to_herm = np.zeros(width * n * n)
+    if real:
+        pos[n:] = upper
+    else:
+        pos[n::2] = upper
+        pos[n + 1 :: 2] = upper + 1
     src[pos] = coords
     to_herm[pos] = np.where(coords < n, 1.0, inv_sqrt2)
-    src[lower] = coords[n::2]
-    src[lower + 1] = coords[n + 1 :: 2]
-    to_herm[lower] = inv_sqrt2
-    to_herm[lower + 1] = -inv_sqrt2
+    if real:
+        src[lower] = coords[n:]
+        to_herm[lower] = inv_sqrt2
+    else:
+        src[lower] = coords[n::2]
+        src[lower + 1] = coords[n + 1 :: 2]
+        to_herm[lower] = inv_sqrt2
+        to_herm[lower + 1] = -inv_sqrt2
     tables = (pos, src, to_herm)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def herm_to_vec(arr: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the ``hermitian_basis`` order.
+def herm_to_vec(arr: np.ndarray, real: bool = False) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix in the ``hermitian_basis``
+    order, or with ``real`` of a real symmetric one in the
+    ``symmetric_basis`` order.
 
-    Leading axes are batch axes: (..., n, n) -> (..., n^2).  One gather
-    from the matrix's (re, im) float view through the per-n lookup
-    table ``pos`` of ``_herm_coords``, then the off-diagonal
-    coordinates are scaled by sqrt(2); only the diagonal and the upper
-    triangle are read.
+    Leading axes are batch axes: (..., n, n) -> (..., n^2), or
+    (..., n(n+1)/2) with ``real``.  One gather from the matrix's float
+    view through the per-n lookup table ``pos`` of ``_herm_coords``,
+    then the off-diagonal coordinates are scaled by sqrt(2); only the
+    diagonal and the upper triangle are read.
     """
     n = arr.shape[-1]
-    pos = _herm_coords(n)[0]
-    flat = np.ascontiguousarray(arr, dtype=np.complex128).reshape(arr.shape[:-2] + (n * n,))
+    pos = _herm_coords(n, real)[0]
+    flat = np.ascontiguousarray(arr, dtype=np.float64 if real else np.complex128)
+    flat = flat.reshape(arr.shape[:-2] + (n * n,))
     out = np.take(flat.view(np.float64), pos, axis=-1)
     out[..., n:] *= np.sqrt(2.0)  # in place: on a large batch a second array costs more than the gather
     return out
 
 
-def vec_to_herm(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_vec`: (..., n^2) -> (..., n, n).
+def vec_to_herm(vec: np.ndarray, n: int, real: bool = False) -> np.ndarray:
+    """Inverse of :func:`herm_to_vec`: (..., n^2) -> (..., n, n) complex,
+    or with ``real`` (..., n(n+1)/2) -> (..., n, n) float64.
 
-    One gather of every slot of the matrix's (re, im) float view from
-    the coordinates, through the per-n lookup tables of
-    ``_herm_coords``, then one scaling.
+    One gather of every slot of the matrix's float view from the
+    coordinates, through the per-n lookup tables of ``_herm_coords``,
+    then one scaling.
     """
-    _, src, to_herm = _herm_coords(n)
+    pos, src, to_herm = _herm_coords(n, real)
+    if vec.shape[-1] != pos.size:
+        raise ValueError(f"{vec.shape[-1]} coordinates, a side of {n} has {pos.size}")
     out = np.take(np.asarray(vec, dtype=np.float64), src, axis=-1)
     out *= to_herm
+    if real:
+        return out.reshape(vec.shape[:-1] + (n, n))
     # the diagonal's imaginary parts: +0, with no sign carried from the read
     out[..., 1 :: 2 * (n + 1)] = 0.0
     return out.view(np.complex128).reshape(vec.shape[:-1] + (n, n))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..witness import DECISION_TOL
 from .builders import (
     build_compat,
@@ -29,6 +31,10 @@ def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
         raise SizeCapError(f"{solver} cap is a variable side of {cap}, got {problem.side}")
 
 
+def _complex(arr: np.ndarray) -> np.ndarray:
+    return np.asarray(arr, dtype=np.complex128)
+
+
 def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     """Solve a compatibility program.
 
@@ -38,7 +44,9 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     it did not converge.  projection runs Dykstra alternating
     projections and reports Feasible with a primal point, re-checked by
     ``primal_failure`` against the problem itself, or Inconclusive with
-    the reason.
+    the reason.  Real programs (``SdpProblem.real``) are solved over
+    real symmetric matrices; the outcome's matrices are complex128
+    either way.
     """
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
@@ -59,8 +67,9 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
                               iterations=res.iterations, note=res.note)
         note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
         status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
-        return SdpOutcome(status, alpha, primal=comp.primal(res), dual=comp.certificate(res),
-                          residuals=residuals, iterations=res.iterations, note=note)
+        return SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
+                          dual=_complex(comp.certificate(res)), residuals=residuals,
+                          iterations=res.iterations, note=note)
 
     if mode == "projection":
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
@@ -71,7 +80,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         if note:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
                               iterations=res.iterations, note=note)
-        return SdpOutcome("Feasible", 0.0, primal=res.x, residuals=residuals,
+        return SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
                           iterations=res.iterations, note="projection mode: feasibility only")
 
     raise ValueError(f"unknown mode {mode!r}")

@@ -7,16 +7,21 @@ Solves the inequality-form pair
                 S_l >= 0                          Z_l >= 0
 
 with an infeasible start, Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step.  Every matrix is dense complex Hermitian and y
-is real, so inner products are Re<A, B> = Re Tr(A^H B); A and A^* act
-as real matrix products on (re, im) views of the constraint blocks.
+predictor-corrector step.  Every matrix is dense and of one field, the
+field of the data the compile hands over: real symmetric float64 for a
+program with real data (``SdpProblem.real``), complex Hermitian
+otherwise.  The same code runs on both, so a real program gets real
+Cholesky, SVD and eigenvalue calls.  y is real, so inner products are
+Re<A, B> = Re Tr(A^H B); A and A^* act as real matrix products on the
+float views of the constraint blocks ((re, im) pairs for complex ones).
 The blocks are an array axis: C, S and Z are (blocks, n, n) stacks and
 the constraints one (m, blocks, n, n) array, since every block has the
 same side n (``SdpProblem`` refuses blocks whose images differ in
-side).  So A(y), A^*(Z), the residuals, the scaled products, both step
-lengths and the update are one numpy call each over the whole stack;
-only the Cholesky factorizations of the NT scaling run one matrix at a
-time, each counting its own fallback.
+side).  So A(y), A^*(Z), the residuals, the scaled products, the NT
+Cholesky factors of S and Z, both step lengths and the update are one
+numpy call each over the whole stack; a stack that does not factor
+goes through the jittered helper one matrix at a time, each counting
+its own fallback.
 The Schur complement has the side m of y, which the compile sets: the
 constraint dimension less one for standard-form programs, the free
 directions plus one otherwise (see ``problem``).  Sizes up to a few
@@ -26,15 +31,22 @@ iteration.  For standard-form programs it is formed from the
 partial-trace structure of the constraints as G M(V) G^T: a few
 products of the NT-scaled block with itself, a gather into the
 constraint rows and two products with G: about 1.2 ms of a 6.5 ms
-qutrit compat iteration (m = 152, 27 x 27 blocks, one BLAS thread of a
-2-core VM), where the dense form takes 4.5 ms.  For null-space programs
-it is the Gram matrix of the scaled constraint blocks, m n^3 to form.
-The NT factors of each iteration also give its step lengths, and every
-Cholesky factorization goes through one jittered helper, which counts
-the factorizations that needed jitter or an eigenvalue clip.  Each
-iteration takes one Newton step and nothing repairs the iterate after
-it: the infeasible-start step already shrinks each equality residual
-by the factor (1 - step) of its own step length.
+complex qutrit compat iteration (m = 152, 27 x 27 blocks, one BLAS
+thread of a 2-core VM), where the dense form takes 4.5 ms.  For
+null-space programs it is the Gram matrix of the scaled constraint
+blocks, m n^3 to form.  The NT factors of each iteration also give its
+step lengths, and every Cholesky factorization that fails goes through
+one jittered helper, which counts the factorizations that needed jitter
+or an eigenvalue clip.  Each iteration takes one Newton step and nothing
+repairs the iterate after it: the infeasible-start step already shrinks
+each equality residual by the factor (1 - step) of its own step length.
+Near the optimum of a degenerate program the Schur matrix can factor
+while singular to working precision (condition 2e16 on the real
+``xi_channel(0.45, 0.25)`` compat program), and the direction on that
+factor allows no step; the iteration is then taken once more on a factor
+with the helper's smallest jitter, and only if that step collapses too
+does the solve end in "step collapse".  Where the plain factor gives a
+step, the retry never runs.
 
 The Schur system is solved on its Cholesky factor L by block
 substitution, forward through L and back through L^T: each 64 x 64
@@ -94,28 +106,31 @@ def _herm(x):
 
 
 def _as_real(x: np.ndarray) -> np.ndarray:
-    """View complex entries as interleaved (re, im) floats.
+    """View complex entries as interleaved (re, im) floats; a float array
+    is that array.
 
     The dot product of two such views is Re<A, B>, so the Schur matrix
     Re(conj(B) B^T) of a stack of scaled blocks is one real Gram product.
     """
-    return np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    return np.ascontiguousarray(x, dtype=dtype).view(np.float64)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _chol_pd(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _chol_pd(x: np.ndarray, jittered: bool = False) -> tuple[np.ndarray, bool]:
     """Cholesky with escalating jitter; eigenvalue clip as a last resort.
 
-    Returns the factor and whether the plain factorization failed.
+    With ``jittered`` the first attempt already carries the smallest
+    jitter.  Returns the factor and whether it carries jitter or the clip.
     """
     scale = max(np.abs(np.diagonal(x)).max(), 1e-300)
-    jitter = 0.0
+    jitter = 1e-14 * scale if jittered else 0.0
     for attempt in range(4):
         try:
-            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0])), attempt > 0
+            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0])), jittered or attempt > 0
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
     w, v = np.linalg.eigh(_herm(x))
@@ -148,34 +163,46 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     """Nesterov-Todd scaling points of the stacked blocks: returns
     (R, Rinv, lam, fallbacks) with R^H Z R = R^{-1} S R^{-H} = diag(lam)
     and W^{-1} = Rinv^H Rinv on each block, and the number of the
-    factorizations that fell back."""
-    factors = [_chol_pd(x) for x in (*S, *Z)]
-    ls, lz = np.stack([l for l, _ in factors]).reshape(2, *S.shape)
+    factorizations that fell back.
+
+    One Cholesky call factors the whole (S, Z) stack; only when it fails
+    does each matrix go through ``_chol_pd``, which counts its own
+    fallback.  LAPACK factors a stack matrix by matrix, so the factors
+    are the same either way.
+    """
+    stack = np.concatenate([S, Z])
+    try:
+        factors, fell = np.linalg.cholesky(stack), 0
+    except np.linalg.LinAlgError:
+        pairs = [_chol_pd(x) for x in stack]
+        factors, fell = np.stack([l for l, _ in pairs]), sum(f for _, f in pairs)
+    ls, lz = factors.reshape(2, *S.shape)
     u, sig, vh = np.linalg.svd(_ct(lz) @ ls)
     sig = np.maximum(sig, 1e-300)
     rinv = _ct(u / np.sqrt(sig)[..., None, :]) @ _ct(lz)
     r = ls @ (_ct(vh) / np.sqrt(sig)[..., None, :])
-    return r, rinv, sig, sum(fell for _, fell in factors)
+    return r, rinv, sig, fell
 
 
-def _step_to_boundary(lam: np.ndarray, g: np.ndarray) -> float:
-    """Largest alpha <= 1 with diag(lam) + alpha g still PSD on every block.
+def _steps_to_boundary(lam: np.ndarray, gs: np.ndarray, gz: np.ndarray) -> tuple[float, float]:
+    """Largest alpha <= 1 with diag(lam) + alpha g still PSD on every
+    block, for g = ``gs`` and for g = ``gz``, from one ``eigvalsh`` over
+    both stacks.
 
     With S = R diag(lam) R^H and Z = R^{-H} diag(lam) R^{-1}, a step dS
-    keeps S PSD exactly when g = R^{-1} dS R^{-H} does here, and dZ keeps
-    Z PSD when g = R^H dZ R does, so the NT factors give both step
-    lengths without another factorization.
+    keeps S PSD exactly when gs = R^{-1} dS R^{-H} does here, and dZ
+    keeps Z PSD when gz = R^H dZ R does, so the NT factors give both
+    step lengths without another factorization.
     """
     isq = 1.0 / np.sqrt(lam)
-    wmin = np.linalg.eigvalsh(_herm(g) * (isq[..., :, None] * isq[..., None, :])).min()
-    if wmin >= -1e-14:
-        return 1.0
-    return min(1.0, -1.0 / wmin)
+    scale = isq[..., :, None] * isq[..., None, :]
+    lows = np.linalg.eigvalsh(_herm(np.stack([gs, gz])) * scale).min(axis=(1, 2))
+    return tuple(1.0 if wmin >= -1e-14 else min(1.0, -1.0 / wmin) for wmin in lows)
 
 
 def _residuals(y, S, Z, C, a_flat, b, c_scale, b_scale):
     """Dual and primal residuals, gap and both objectives at one point."""
-    Rd = C - (y @ a_flat).view(np.complex128).reshape(C.shape) - S  # C - A(y) - S
+    Rd = C - (y @ a_flat).view(C.dtype).reshape(C.shape) - S  # C - A(y) - S
     rp = b - a_flat @ _as_real(Z).ravel()  # b - A^*(Z)
     gap = _inner(Z, S)
     pobj = float(b @ y)
@@ -226,44 +253,50 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
         fallbacks += fell
         rinvh = _ct(rinv)
         schur_mat = schur(rinv)
-        schur_chol, fell = _chol_pd(schur_mat)
-        fallbacks += fell
-        schur_linvs = _block_inverses(schur_chol)
-
-        def solve_schur(rhs):
-            x = _chol_solve(schur_chol, schur_linvs, rhs)
-            # one step of iterative refinement keeps the last digits of the
-            # equality residual from stalling on ill-conditioned systems
-            return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
-
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
         h1 = a_flat @ _as_real(rinvh @ (rinv @ Rd @ rinvh) @ rinv).ravel()
 
-        def direction(e):
-            """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
-            R^H dZ R, and the step lengths to the cone boundary."""
-            dy = solve_schur(rp + h1 - a_flat @ _as_real(e).ravel())
-            dS = Rd - (dy @ a_flat).view(np.complex128).reshape(Rd.shape)
-            gs = rinv @ dS @ rinvh
-            dZ = _herm(e - rinvh @ gs @ rinv)
-            gz = _ct(r) @ dZ @ r
-            return dy, dS, dZ, gs, gz, _step_to_boundary(lam, gs), _step_to_boundary(lam, gz)
+        # a Schur matrix that factors while singular to working precision
+        # can give a direction with no step along it; the step is then
+        # taken again on a jittered factor
+        for jittered in (False, True):
+            schur_chol, fell = _chol_pd(schur_mat, jittered)
+            fallbacks += fell
+            schur_linvs = _block_inverses(schur_chol)
 
-        # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
-        _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction(-Z)
-        mu_aff = _inner(Z + alpha_z * dZ_a, S + alpha_s * dS_a) / ntot
-        ratio = min(max(mu_aff, 0.0) / max(mu, 1e-300), 1.0)
-        sigma = float(np.clip(ratio ** 3, 1e-10, 1.0))
+            def solve_schur(rhs):
+                x = _chol_solve(schur_chol, schur_linvs, rhs)
+                # one step of iterative refinement keeps the last digits of the
+                # equality residual from stalling on ill-conditioned systems
+                return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
 
-        # corrector with Mehrotra second-order term, in the scaled space
-        g = sigma * mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz_a @ gs_a)
-        gamma = 2.0 * g / (lam[:, :, None] + lam[:, None, :])
-        dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(rinvh @ _herm(gamma) @ rinv)
+            def direction(e):
+                """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
+                R^H dZ R, and the step lengths to the cone boundary."""
+                dy = solve_schur(rp + h1 - a_flat @ _as_real(e).ravel())
+                dS = Rd - (dy @ a_flat).view(Rd.dtype).reshape(Rd.shape)
+                gs = rinv @ dS @ rinvh
+                dZ = _herm(e - rinvh @ gs @ rinv)
+                gz = _ct(r) @ dZ @ r
+                return (dy, dS, dZ, gs, gz) + _steps_to_boundary(lam, gs, gz)
 
-        frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
-        step_s = min(1.0, frac * alpha_s)
-        step_z = min(1.0, frac * alpha_z)
-        if max(step_s, step_z) < 1e-10:
+            # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
+            _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction(-Z)
+            mu_aff = _inner(Z + alpha_z * dZ_a, S + alpha_s * dS_a) / ntot
+            ratio = min(max(mu_aff, 0.0) / max(mu, 1e-300), 1.0)
+            sigma = float(np.clip(ratio ** 3, 1e-10, 1.0))
+
+            # corrector with Mehrotra second-order term, in the scaled space
+            g = sigma * mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz_a @ gs_a)
+            gamma = 2.0 * g / (lam[:, :, None] + lam[:, None, :])
+            dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(rinvh @ _herm(gamma) @ rinv)
+
+            frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
+            step_s = min(1.0, frac * alpha_s)
+            step_z = min(1.0, frac * alpha_z)
+            if max(step_s, step_z) >= 1e-10:
+                break
+        else:
             note = "step collapse"
             break
         y = y + step_s * dy

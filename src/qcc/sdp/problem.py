@@ -1,14 +1,15 @@
 """Problem container and compilation for the SDP engine.
 
-A problem has one complex Hermitian variable X on a product of factors,
-affine equality constraints that fix partial traces of X (with Hermitian
-right-hand sides), and PSD blocks that are structured linear images of
-X.  Every question the package decides has this shape: the
-compatibilizer, the joint state, the k-extension, the operator A of the
-Jordan program, and a joint measurement, which is the compatibilizer of
-two measurement channels.  The objective is always "maximize t" with t
-subtracted from every block, so the underlying hard feasibility
-question reads off the sign of the optimum.
+A problem has one Hermitian variable X on a product of factors, affine
+equality constraints that fix partial traces of X (with Hermitian
+right-hand sides, checked when the problem is built), and PSD blocks
+that are structured linear images of X.  Every question the package
+decides has this shape: the compatibilizer, the joint state, the
+k-extension, the operator A of the Jordan program, and a joint
+measurement, which is the compatibilizer of two measurement channels.
+The objective is always "maximize t" with t subtracted from every block,
+so the underlying hard feasibility question reads off the sign of the
+optimum.
 
 The vectorized constraint matrix is built from the adjoints: the rows
 of a partial-trace constraint are the identity embeddings of the
@@ -43,22 +44,35 @@ chosen from the block kinds:
   per free direction plus t: 577 for the qutrit Jordan program.  Its
   Schur matrix is the Gram matrix of the NT-scaled constraint blocks.
 
-Either way the blocks stay complex Hermitian and the Schur system real,
-and the blocks are an array axis: every block's image has one side n
-(``SdpProblem`` checks it), so the objective and the starting point are
-(blocks, n, n) stacks and the constraints one (m, blocks, n, n) array.
+The field is part of a program's structure.  A program is real
+(``SdpProblem.real``) when every right-hand side and every map of a
+``map_image`` block has imaginary part exactly 0; complex conjugation
+then maps its feasible points to feasible points, so it has a real
+optimum and a real certificate (Gatermann-Parrilo 2004).  A real
+program is compiled over the real symmetric matrices: its coordinates
+are those of ``linalg.symmetric_basis``, n(n+1)/2 of them where the
+complex Hermitian matrices have n^2, the constraint matrix K is the
+complex K on its real rows and columns (K is block-diagonal in
+(re, im) for partial traces), and every array the solvers see is
+float64.  Its Schur system has about half the rows: 16 instead of 27
+for qubit compat, 83 instead of 152 for qutrit compat.  Any other
+program is compiled as complex Hermitian.  Either way the Schur
+system is real, and the blocks are an array axis: every block's image
+has one side n (``SdpProblem`` checks it), so the objective and the
+starting point are (blocks, n, n) stacks and the constraints one
+(m, blocks, n, n) array.
 
-Programs of one structure (``_plan_key``: the factors of X and the
-factors each constraint traces out) differ only in their right-hand
-sides and blocks, and sweeps and decide loops solve hundreds of them.
-One cache of 64 structures (``_structure_of``) holds, as read-only
-arrays, what the structure fixes: K, ``coords`` and ``vh`` of the
-elimination and, for standard form, e, Q, G, the constraint and
-objective blocks and the Schur plan.  Each compile computes only its
-own right-hand side b, x0 and the consistency residual K x0 - b, and in
-standard form c, b, t0 and Z0; the null-space form also builds its
-free directions and block images per problem, since the blocks change
-them.  A cached compile is bit-identical to an uncached one.
+Programs of one structure (``_plan_key``: the factors of X, the factors
+each constraint traces out and the field) differ only in their
+right-hand sides and blocks, and sweeps and decide loops solve hundreds
+of them.  One cache of 64 structures (``_structure_of``) holds, as
+read-only arrays, what the structure fixes: K, ``coords`` and ``vh`` of
+the elimination and, for standard form, e, Q, G, the constraint and
+objective blocks and the Schur plan.  Each compile computes only its own
+right-hand side b, x0 and the consistency residual K x0 - b, and in
+standard form c, b, t0 and Z0; the null-space form also builds its free
+directions and block images per problem, since the blocks change them.
+A cached compile is bit-identical to an uncached one.
 """
 
 from __future__ import annotations
@@ -71,11 +85,13 @@ import numpy as np
 
 from ..channels import LinearMapRep, apply_to_factor
 from ..linalg import (
+    HERMITICITY_TOL,
     embed_identity_array,
     herm_to_vec,
     hermitian_basis,
     ptrace_array,
     ptranspose_array,
+    symmetric_basis,
     vec_to_herm,
 )
 from ..witness import DECISION_TOL
@@ -119,15 +135,16 @@ def _kept_side(factors: tuple, traced: tuple) -> int:
 
 @dataclass
 class SdpProblem:
-    """Maximize t over one complex Hermitian X on the product of
-    ``factors``, subject to ``constraints`` and every block minus tI PSD.
+    """Maximize t over one Hermitian X on the product of ``factors``,
+    subject to ``constraints`` and every block minus tI PSD.
 
     The indices a constraint traces out, a partial transpose's factor and
-    the number of a map image's maps are checked when the problem is
-    built, and so is each right-hand side's shape: a bad one raises a
-    ``ValueError`` that names it.  Every block's image must have the
-    same side, so the blocks stack on one array axis; blocks that differ
-    raise a ``ValueError`` that names them.
+    the number of a map image's maps are checked when the problem is built,
+    and so are each right-hand side's shape and its Hermiticity (to
+    ``linalg.HERMITICITY_TOL``, scaled as ``HermitianMatrix`` scales it): a
+    bad one raises a ``ValueError`` that names it.  Every block's image must
+    have the same side, so the blocks stack on one array axis; blocks that
+    differ raise a ``ValueError`` that names them.
     """
 
     factors: tuple[int, ...]
@@ -147,6 +164,12 @@ class SdpProblem:
             if con.rhs.shape != (side, side):
                 raise ValueError(f"constraint tracing {con.traced} leaves side {side}, "
                                  f"rhs has shape {con.rhs.shape}")
+            # the coordinates read only the upper triangle, so a rhs that is
+            # not Hermitian would be solved as a different one
+            dev = np.abs(con.rhs - con.rhs.conj().T).max()
+            if dev > HERMITICITY_TOL * max(1.0, np.abs(con.rhs).max()):
+                raise ValueError(f"constraint tracing {con.traced} has a rhs that is not "
+                                 f"Hermitian: max |M - M^dag| = {dev:.3e}")
         for b, block in enumerate(self.blocks):
             if block.kind == "ptranspose" and not (block.factor is not None
                                                    and 0 <= block.factor < nf):
@@ -165,6 +188,27 @@ class SdpProblem:
     @property
     def side(self) -> int:
         return int(np.prod(self.factors))
+
+    @functools.cached_property
+    def real(self) -> bool:
+        """The program's field: real when every right-hand side and every
+        map of a ``map_image`` block has imaginary part exactly 0.
+
+        Complex conjugation then maps feasible points to feasible points,
+        so Re X of a feasible X is feasible, and the optimum and its
+        certificate are real symmetric matrices.  A real program is
+        compiled and solved over them, in float64.
+        """
+        arrays = [con.rhs for con in self.constraints] + [
+            rep.choi.array for block in self.blocks if block.kind == "map_image"
+            for rep in block.maps if rep is not None]
+        return not any(np.iscomplexobj(arr) and arr.imag.any() for arr in arrays)
+
+
+def _in_field(arr: np.ndarray, real: bool) -> np.ndarray:
+    """A matrix of a program in the program's field: its real part, all
+    there is of it on a real program, or the complex matrix."""
+    return arr.real if real else np.asarray(arr, dtype=np.complex128)
 
 
 @dataclass
@@ -259,14 +303,14 @@ class CompiledSdp:
       with t = t0 - <C, W>, and S is the certificate.
 
     Either way the certificate has trace 1 and lies in the range of the
-    constraint adjoints, and ``Z0`` is where the solver starts Z.
-    ``schur`` forms the solver's Schur matrix at each NT scaling point.
-    The blocks are an array axis: ``C_blocks`` and ``Z0`` are
-    (blocks, n, n) and ``A_blocks`` is (m, blocks, n, n), complex
-    Hermitian, with one block in standard form and one per PSD block in
-    the null-space form.  In standard form ``A_blocks``, ``C_blocks``,
-    ``gmat`` and ``plan`` are the structure cache's read-only arrays,
-    shared by every problem of the structure.
+    constraint adjoints, and ``Z0`` is where the solver starts Z.  ``schur``
+    forms the solver's Schur matrix at each NT scaling point.  The blocks are
+    an array axis: ``C_blocks`` and ``Z0`` are (blocks, n, n) and
+    ``A_blocks`` is (m, blocks, n, n), real symmetric float64 on a real
+    program and complex Hermitian otherwise, with one block in standard form
+    and one per PSD block in the null-space form.  In standard form
+    ``A_blocks``, ``C_blocks``, ``gmat`` and ``plan`` are the structure
+    cache's read-only arrays, shared by every problem of the structure.
     """
 
     problem: SdpProblem
@@ -298,7 +342,7 @@ class CompiledSdp:
         """X at the solver's point."""
         side = self.problem.side
         if self.nullbasis is not None:
-            return vec_to_herm(self.x0 + self.nullbasis @ res.y[:-1], side)
+            return vec_to_herm(self.x0 + self.nullbasis @ res.y[:-1], side, self.problem.real)
         return res.Z_blocks[0] + self.value(res) * np.eye(side)
 
     def certificate(self, res) -> np.ndarray:
@@ -331,45 +375,52 @@ class CompiledSdp:
 class _SchurPlan:
     """How to form M(V)[p, q] = Re Tr[Tr*_a(E_p) V Tr*_b(E_q) V] for all
     constraint rows p, q, where constraint a traces out the factors a and
-    E_p runs over the ``hermitian_basis`` of its right-hand side (Tr*
-    embeds it with identities on the traced factors).
+    E_p runs over the ``hermitian_basis`` of its right-hand side, or the
+    ``symmetric_basis`` on a real program (Tr* embeds it with identities
+    on the traced factors).
 
     Written out on V's factor indices, each pair of constraints is one
     matrix product of two permuted views of V,
     V[(a', t), (b, s)] V[(b', s), (a, t)] summed over the traced factors
     t of a and s of b, and its entry at (a', b, b', a) is the coefficient
     of E_p[a, a'] E_q[b, b'] in M[p, q].  ``gram`` writes those products
-    into one buffer and gathers M from it by ``index``, four entries per
-    (p, q) since every basis element has at most two.  Each basis
-    coefficient is real or purely imaginary, so ``coef`` reads one real
-    or imaginary part.  Each pair of constraints is multiplied once; the
-    mirrored pair reads it transposed.
+    into one buffer, complex or, for a real V, float, and gathers M from
+    its float view by ``index``, four entries per (p, q) since every
+    basis element has at most two.  Each basis coefficient is real or
+    purely imaginary, so ``coef`` reads one real or imaginary part.  Each
+    pair of constraints is multiplied once; the mirrored pair reads it
+    transposed.
     """
 
     shape: tuple  # V's shape as a tensor over (row, column) factors
     products: tuple  # (left axes, left shape, right axes, right shape, buffer slice)
-    size: int  # complex entries in the buffer
+    size: int  # entries in the buffer
     index: np.ndarray  # (4, rows, rows) into the buffer's float view
     coef: np.ndarray  # (4, rows, rows)
 
     def gram(self, rinv: np.ndarray) -> np.ndarray:
         """M(V) over all constraint rows, V = Rinv^H Rinv."""
-        v = (rinv.conj().T @ rinv).reshape(self.shape)
-        buf = np.empty(self.size, dtype=np.complex128)
+        v = (_ct(rinv) @ rinv).reshape(self.shape)
+        buf = np.empty(self.size, dtype=v.dtype)
         for laxes, lshape, raxes, rshape, sl in self.products:
             buf[sl] = (v.transpose(laxes).reshape(lshape)
                        @ v.transpose(raxes).reshape(rshape)).ravel()
         return (self.coef * buf.view(np.float64)[self.index]).sum(axis=0)
 
 
-def _basis_entries(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and coefficients of the two entries of each
-    ``hermitian_basis(r)`` element, a diagonal unit's second entry with
+def _basis(r: int, real: bool) -> np.ndarray:
+    """The basis of the side-r matrices of a program's field."""
+    return symmetric_basis(r) if real else hermitian_basis(r)
+
+
+def _basis_entries(r: int, real: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and coefficients of the two entries of each basis
+    element (``_basis``), a diagonal unit's second entry with
     coefficient 0."""
-    basis = hermitian_basis(r)
-    rows = np.zeros((r * r, 2), dtype=np.intp)
-    cols = np.zeros((r * r, 2), dtype=np.intp)
-    coefs = np.zeros((r * r, 2), dtype=np.complex128)
+    basis = _basis(r, real)
+    rows = np.zeros((len(basis), 2), dtype=np.intp)
+    cols = np.zeros((len(basis), 2), dtype=np.intp)
+    coefs = np.zeros((len(basis), 2), dtype=np.complex128)
     for p, e in enumerate(basis):
         i, j = np.nonzero(e)
         rows[p, : i.size], cols[p, : j.size] = i, j
@@ -393,12 +444,14 @@ def _pair_axes(factors: tuple, traced_a: tuple, traced_b: tuple) -> tuple:
     return tuple(left), (ra * rb, ta * tb), tuple(right), (ta * tb, rb * ra)
 
 
-def _schur_plan(factors: tuple, traceds: tuple) -> _SchurPlan:
+def _schur_plan(factors: tuple, traceds: tuple, real: bool) -> _SchurPlan:
     """The Schur plan of one problem structure (``_plan_key``)."""
     sides = [_kept_side(factors, traced) for traced in traceds]
-    starts = np.concatenate([[0], np.cumsum([r * r for r in sides])]).astype(int)
+    entries = {r: _basis_entries(r, real) for r in set(sides)}
+    counts = [len(entries[r][0]) for r in sides]  # constraint rows
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(int)
     nrows = starts[-1]
-    entries = {r: _basis_entries(r) for r in set(sides)}
+    width = 1 if real else 2  # float64 slots per buffer entry
     index = np.zeros((4, nrows, nrows), dtype=np.intp)
     coef = np.zeros((4, nrows, nrows))
     products = []
@@ -415,14 +468,15 @@ def _schur_plan(factors: tuple, traceds: tuple) -> _SchurPlan:
             flat = (size + (j * r2 * r2 * r1 + i)[:, :, None, None]
                     + (k * r2 * r1 + l * r1)[None, None])
             cc = ce[:, :, None, None] * cf[None, None]
-            real = cc.imag == 0
+            real_c = cc.imag == 0
             # Re(c x) reads Re x for a real c and -Im(c) Im x for an imaginary one
-            ridx = np.where(real, 2 * flat, 2 * flat + 1)
-            rcoef = np.where(real, cc.real, -cc.imag)
+            ridx = np.where(real_c, width * flat, width * flat + 1)
+            rcoef = np.where(real_c, cc.real, -cc.imag)
             p_sl = slice(starts[c1], starts[c1 + 1])
             q_sl = slice(starts[c2], starts[c2 + 1])
-            index[:, p_sl, q_sl] = ridx.transpose(1, 3, 0, 2).reshape(4, r1 * r1, r2 * r2)
-            coef[:, p_sl, q_sl] = rcoef.transpose(1, 3, 0, 2).reshape(4, r1 * r1, r2 * r2)
+            pq = (4, counts[c1], counts[c2])
+            index[:, p_sl, q_sl] = ridx.transpose(1, 3, 0, 2).reshape(pq)
+            coef[:, p_sl, q_sl] = rcoef.transpose(1, 3, 0, 2).reshape(pq)
             if c2 != c1:
                 index[:, q_sl, p_sl] = index[:, p_sl, q_sl].transpose(0, 2, 1)
                 coef[:, q_sl, p_sl] = coef[:, p_sl, q_sl].transpose(0, 2, 1)
@@ -430,21 +484,25 @@ def _schur_plan(factors: tuple, traceds: tuple) -> _SchurPlan:
     return _SchurPlan(tuple(factors) * 2, tuple(products), size, index, coef)
 
 
-def _constraint_matrix(factors: tuple, traceds: tuple) -> np.ndarray:
+def _constraint_matrix(factors: tuple, traceds: tuple, real: bool) -> np.ndarray:
     """Vectorized equality constraints: the K of K vec(X) = b, from a
-    structure's factors and traced factors (``_plan_key``).
+    structure's factors, traced factors and field (``_plan_key``).
 
     Row j of a constraint's part of K holds the coordinates of the
-    adjoint of its partial trace applied to the j-th Hermitian basis
-    element E_j of the constraint space, which embeds E_j with
-    identities on the traced factors.
+    adjoint of its partial trace applied to the j-th basis element E_j
+    of the constraint space, which embeds E_j with identities on the
+    traced factors.  The adjoint maps real symmetric matrices to real
+    symmetric ones and imaginary antisymmetric ones to imaginary
+    antisymmetric ones, so K is block-diagonal in (re, im) coordinates,
+    and the real field's K (over ``symmetric_basis``) is the complex K
+    restricted to its real rows and columns.
     """
     rows = []
     for traced in traceds:
         kept = [i for i in range(len(factors)) if i not in traced]
         kept_dims = [factors[i] for i in kept]
-        basis = hermitian_basis(int(np.prod(kept_dims)))
-        rows.append(herm_to_vec(embed_identity_array(basis, kept_dims, factors, kept)))
+        basis = _basis(int(np.prod(kept_dims)), real)
+        rows.append(herm_to_vec(embed_identity_array(basis, kept_dims, factors, kept), real))
     return np.vstack(rows)
 
 
@@ -454,9 +512,11 @@ def _constraint_matrix(factors: tuple, traceds: tuple) -> np.ndarray:
 
 
 def _plan_key(problem: SdpProblem) -> tuple:
-    """A problem's structure: the factors of X and what each constraint
-    traces out; everything but the right-hand sides and the blocks."""
-    return (tuple(problem.factors), tuple(tuple(con.traced) for con in problem.constraints))
+    """A problem's structure: the factors of X, what each constraint
+    traces out and the field (``SdpProblem.real``); everything but the
+    right-hand sides and the blocks."""
+    return (tuple(problem.factors), tuple(tuple(con.traced) for con in problem.constraints),
+            problem.real)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -472,7 +532,7 @@ class _StandardForm:
     e_norm: float  # |R vec(I)|
     q: np.ndarray  # (rank, rank - 1) orthonormal complement of e_hat
     gmat: np.ndarray  # Q^T coords: A_i = sum_p G_ip Tr*(E_p)
-    A_blocks: np.ndarray  # the one block: (rank - 1, 1, n, n) complex Hermitian
+    A_blocks: np.ndarray  # the one block: (rank - 1, 1, n, n), in the field
     C_blocks: np.ndarray  # (1, n, n)
     plan: _SchurPlan
 
@@ -493,6 +553,7 @@ class _Structure:
 
     def __init__(self, key: tuple):
         self.key = key
+        self.real = key[2]
         self.kmat = _constraint_matrix(*key)
         lam, u = np.linalg.eigh(self.kmat @ self.kmat.T)
         keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
@@ -509,12 +570,12 @@ class _Structure:
         and the objective C = mat(R^T e) / |e|^2 (``_compile_standard``)."""
         n = int(np.prod(self.key[0]))
         rows = self.vh
-        e = rows @ herm_to_vec(np.eye(n))
+        e = rows @ herm_to_vec(np.eye(n), self.real)
         e_norm = float(np.linalg.norm(e))
         e_hat = e / e_norm
         q = np.linalg.qr(e_hat[:, None], mode="complete")[0][:, 1:]
-        a_block = vec_to_herm(q.T @ rows, n)
-        c_block = vec_to_herm((e_hat @ rows) / e_norm, n)
+        a_block = vec_to_herm(q.T @ rows, n, self.real)
+        c_block = vec_to_herm((e_hat @ rows) / e_norm, n, self.real)
         gmat = q.T @ self.coords
         plan = _schur_plan(*self.key)
         _read_only(e_hat, q, gmat, a_block, c_block, plan.index, plan.coef)
@@ -531,7 +592,8 @@ def _eliminate(problem: SdpProblem) -> tuple[_Structure, np.ndarray]:
     cached structure and its minimum-norm particular solution
     x0 = vh^T (coords @ b).  Inconsistent right-hand sides raise."""
     st = _structure_of(_plan_key(problem))
-    bvec = np.concatenate([herm_to_vec(con.rhs) for con in problem.constraints])
+    bvec = np.concatenate([herm_to_vec(_in_field(con.rhs, st.real), st.real)
+                           for con in problem.constraints])
     x0 = st.vh.T @ (st.coords @ bvec)
     resid = np.abs(st.kmat @ x0 - bvec).max() if bvec.size else 0.0
     scale = max(1.0, np.abs(bvec).max() if bvec.size else 1.0)
@@ -541,9 +603,10 @@ def _eliminate(problem: SdpProblem) -> tuple[_Structure, np.ndarray]:
 
 
 def compile_ipm(problem: SdpProblem) -> CompiledSdp:
-    """Dense complex Hermitian data for the interior-point solver, in
-    standard form when the one PSD block is X itself and in null-space
-    form otherwise."""
+    """Dense data for the interior-point solver, in standard form when the
+    one PSD block is X itself and in null-space form otherwise: float64
+    real symmetric on a real program (``SdpProblem.real``), complex
+    Hermitian otherwise."""
     if [block.kind for block in problem.blocks] == ["identity"]:
         comp = _compile_standard(problem)
         # a one-dimensional constraint space fixes t and leaves standard
@@ -569,7 +632,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
 
     # start W at the particular solution, shifted into the cone by a
     # multiple of the identity
-    x = vec_to_herm(x0, problem.side)
+    x = vec_to_herm(x0, problem.side, st.real)
     x_scale = max(1.0, np.abs(x).max())
     shift = max(0.0, -np.linalg.eigvalsh(x).min()) + 0.1 * x_scale + 1.0
 
@@ -595,17 +658,19 @@ def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     nullb = np.linalg.qr(st.vh.T, mode="complete")[0][:, st.rank :]  # (P, m0) orthonormal
     m0 = nullb.shape[1]
 
-    # complex block images of the particular solution, (blocks, n, n),
-    # and of the free directions, (blocks, m0, n, n)
-    img_consts = block_images(problem, vec_to_herm(x0, problem.side))
-    img_dirs = block_images(problem, vec_to_herm(nullb.T, problem.side))
+    # block images of the particular solution, (blocks, n, n), and of the
+    # free directions, (blocks, m0, n, n)
+    img_consts = block_images(problem, vec_to_herm(x0, problem.side, st.real))
+    img_dirs = block_images(problem, vec_to_herm(nullb.T, problem.side, st.real))
     nblocks, n = img_consts.shape[:2]
 
     # reparametrize the free directions so their stacked block images are
     # orthonormal: this drops directions no block sees (maps with kernels
     # create them) and leaves the constraint operator perfectly
     # conditioned, which is what lets the solver reach 1e-9 residuals
-    stacked = herm_to_vec(img_dirs).transpose(1, 0, 2).reshape(m0, nblocks * n * n)
+    stacked = herm_to_vec(img_dirs, st.real)  # (blocks, m0, coordinates)
+    ncoord = stacked.shape[-1]
+    stacked = stacked.transpose(1, 0, 2).reshape(m0, nblocks * ncoord)
     u2, s2, vh2 = np.linalg.svd(stacked.T, full_matrices=False)
     # the threshold must see the block operator's own scale, or pure
     # kernel noise (maps annihilating the whole free space) survives
@@ -618,13 +683,13 @@ def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     rank2 = int(np.sum(s2 > CONSTRAINT_RANK_TOL * scale))
     nullb = nullb @ (vh2[:rank2].T / s2[:rank2][None, :])
     # the new directions' stacked images are the left singular vectors
-    img_dirs = vec_to_herm(u2[:, :rank2].T.reshape(rank2, nblocks, n * n), n)
+    img_dirs = vec_to_herm(u2[:, :rank2].T.reshape(rank2, nblocks, ncoord), n, st.real)
 
     m = rank2 + 1
     b = np.zeros(m)
     b[-1] = 1.0  # maximize t
     a_blocks = np.concatenate([-img_dirs, np.broadcast_to(np.eye(n), (1, nblocks, n, n))])
-    z0 = np.repeat(np.eye(n, dtype=np.complex128)[None] * (1.0 / (nblocks * n)), nblocks, axis=0)
+    z0 = np.repeat(_in_field(np.eye(n), st.real)[None] * (1.0 / (nblocks * n)), nblocks, axis=0)
 
     return CompiledSdp(
         problem=problem,

@@ -1,27 +1,32 @@
 """Dykstra alternating projections for pure feasibility questions.
 
 Alternates between the affine set of the equality constraints and the
-PSD cone (Boyle-Dykstra), with the iterate kept as the Hermitian matrix
-X.  The one block must be the variable itself; only the k-extension
-programs of the sweeps and ``qcc self-compat`` come here.  The PSD step
-clips X's negative eigenvalues (Higham 1988).  The affine step reads X's
-real coordinates (``linalg.herm_to_vec``), applies the orthonormal
+PSD cone (Boyle-Dykstra), with the iterate kept as the matrix X, in the
+program's field: real symmetric float64 when the program's data is
+real (``SdpProblem.real``), complex Hermitian otherwise.  The one block
+must be the variable itself; only the k-extension programs of the
+sweeps and ``qcc self-compat`` come here.  The PSD step clips X's
+negative eigenvalues (Higham 1988).  The affine step reads X's
+coordinates (``linalg.herm_to_vec``), applies the orthonormal
 constraint-row basis from the elimination the interior-point compile
 also uses (``problem._eliminate``, from an eigendecomposition of the
 constraint Gram matrix K K^T, cached per problem structure) as two
 matvecs, and subtracts the correction as a matrix (``vec_to_herm``).
-At side 32 (qubit k = 4, 1 BLAS thread) a sweep takes about 270 us:
-``eigh`` 165 us, the clip's matrix product 20 us and the affine step
-50 us (27 us of matvecs, 22 us of coordinate conversions), so ``eigh``
-is the floor.  The method forfeits dual certificates: the outcome is
-Feasible with a point that ``sdp.solve`` re-checks, or Inconclusive.
-On the qubit k-extension at k = 4 it settles the feasible
-``xi_channel(0.4, 0.5)`` in 0.03 s (the interior point: 0.05 s) and
-spends 0.25 s on the infeasible ``xi_channel(0.1, 0.3)`` to end
-Inconclusive, where the interior point refutes it in 0.03 s (single
-runs, 1 BLAS thread).  A stalled violation (typical of infeasible
-instances, where the iterates approach the positive gap between the two
-sets) exits early.
+At side 32 (qubit k = 4, 1 BLAS thread, best of 5 x 2000) a sweep of
+the real ``xi_channel(0.4, 0.5)`` program takes about 130 us: ``eigh``
+83 us, the clip's matrix product 7 us and the affine step 25 us (8 us
+of matvecs with 31 x 528 rows, the rest coordinate conversions).  Its
+complex phase-conjugated twin takes 210 us: ``eigh`` 130 us, the clip
+16 us and the affine step 43 us (21 us of matvecs with 52 x 1024
+rows).  So ``eigh`` is the floor in either field.  The method forfeits
+dual certificates: the outcome is Feasible with a point that
+``sdp.solve`` re-checks, or Inconclusive.  On the qubit k-extension at
+k = 4 it settles the feasible ``xi_channel(0.4, 0.5)`` in about 0.01 s
+(80 sweeps; the interior point: 0.02 s) and spends 0.09 s on the
+infeasible ``xi_channel(0.1, 0.3)`` to end Inconclusive, where the
+interior point refutes it in 0.01 s (best of 5, 1 BLAS thread).  A
+stalled violation (typical of infeasible instances, where the iterates
+approach the positive gap between the two sets) exits early.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ STALL_FACTOR = 0.95  # require >= 5 percent improvement per window
 @dataclass
 class ProjectionResult:
     feasible: bool
-    x: np.ndarray  # the Hermitian iterate X, side x side
+    x: np.ndarray  # the iterate X, side x side, in the program's field
     violation: float
     iterations: int
 
@@ -56,11 +61,12 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
 
     side = problem.side
     st, x0 = _eliminate(problem)
+    real = st.real
     rows = st.vh  # orthonormal row-space basis, (r, P), shared by the structure
     c_rows = rows @ x0
 
     def proj_affine(x):
-        return x - vec_to_herm(rows.T @ (rows @ herm_to_vec(x) - c_rows), side)
+        return x - vec_to_herm(rows.T @ (rows @ herm_to_vec(x, real) - c_rows), side, real)
 
     def proj_psd(x):
         w, v = np.linalg.eigh(x)
@@ -69,7 +75,7 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     def violation_of(x):
         return max(0.0, -float(np.linalg.eigvalsh(x).min()))
 
-    x = vec_to_herm(x0, side)
+    x = vec_to_herm(x0, side, real)
     increment = np.zeros_like(x)
     best = x
     best_viol = violation_of(x)

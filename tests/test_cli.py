@@ -124,7 +124,7 @@ class TestCheck:
 
     def test_step_collapse_exit_2_without_certificate(self, identity_file, monkeypatch,
                                                       tmp_path, capsys):
-        monkeypatch.setattr(sdp.ipm, "_step_to_boundary", lambda lam, g: 0.0)
+        monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda lam, gs, gz: (0.0, 0.0))
         cert = tmp_path / "cert.json"
         assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 2
         assert "note: step collapse" in capsys.readouterr().out

@@ -17,6 +17,7 @@ from qcc.linalg import (
     pinv_sqrt,
     support_projection_absorbs,
     swap_operator,
+    symmetric_basis,
     vec_to_herm,
 )
 from qcc.rand import random_hermitian, random_psd
@@ -280,6 +281,23 @@ class TestBasisAndEmbedding:
         # negative, so written matrices carry no -0.0
         diag = np.diagonal(vec_to_herm(-np.abs(v) - 1.0, n))
         assert not np.signbit(diag.imag).any()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_coordinates_are_the_real_hermitian_ones(self, rng, n):
+        # a real symmetric matrix's coordinates are its Hermitian ones
+        # without the imaginary elements, in the same order
+        m = random_hermitian(rng, n).real
+        keep = np.r_[0:n, n : n * n : 2]
+        v = herm_to_vec(m, real=True)
+        assert v.shape == (n * (n + 1) // 2,)
+        assert np.array_equal(v, herm_to_vec(m.astype(np.complex128))[keep])
+        back = vec_to_herm(v, n, real=True)
+        assert back.dtype == np.float64 and np.abs(back - m).max() <= 1e-15
+        b = symmetric_basis(n)
+        assert np.array_equal(b, hermitian_basis(n)[keep].real)
+        assert np.abs(np.einsum("iab,jab->ij", b, b) - np.eye(len(b))).max() < 1e-14
+        with pytest.raises(ValueError, match="coordinates"):
+            vec_to_herm(herm_to_vec(m.astype(np.complex128)), n + 1, real=True)
 
     def test_lookup_tables_are_read_only(self):
         for table in linalg._herm_coords(4):

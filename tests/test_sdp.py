@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import pickle
 import re
 
@@ -28,6 +29,7 @@ from qcc.linalg import (
     hermitian_basis,
     ptrace_array,
     ptranspose_array,
+    symmetric_basis,
     vec_to_herm,
 )
 from qcc.rand import (random_channel, random_density, random_hermitian, random_invertible_channel,
@@ -103,17 +105,34 @@ class TestSolveCompat:
             sdp.solve(sdp.build_k_extension(c, 4))
 
     def test_redundancy_reported(self):
-        # the two marginal families overlap in the total-trace component
-        f = depolarizing_channel(2)
-        out = sdp.solve(sdp.build_compat(f, f))
-        assert out.residuals["removed_redundant_rows"] == 4
+        # the two marginal families overlap in the marginal on the input
+        # factor: 4 Hermitian directions, or 3 real symmetric ones on a
+        # real program
+        problem = sdp.build_compat(depolarizing_channel(2), depolarizing_channel(2))
+        assert sdp.solve(problem).residuals["removed_redundant_rows"] == 3
+        assert sdp.solve(phase_twin(problem)).residuals["removed_redundant_rows"] == 4
+
+
+def phase_twin(problem):
+    """The program conjugated by a fixed diagonal-phase unitary on each
+    factor, X -> U X U^dag: complex right-hand sides for a real program,
+    and the same optimum t (a partial transpose of U X U^dag is a unitary
+    conjugate of the partial transpose of X)."""
+    phases = [np.exp(1j * (0.7 + 0.4 * i) * np.arange(d)) for i, d in enumerate(problem.factors)]
+    cons = []
+    for con in problem.constraints:
+        kept = [i for i in range(len(problem.factors)) if i not in con.traced]
+        u = functools.reduce(np.kron, [phases[i] for i in kept])
+        cons.append(Constraint(con.traced, u[:, None] * con.rhs * u.conj()[None, :]))
+    return SdpProblem(problem.factors, tuple(cons), problem.blocks, problem.name)
 
 
 def brute_force_constraint_matrix(problem):
     """K column by column: every basis element of X through every
-    constraint's partial trace, in the coordinates of the constraint space."""
-    basis = hermitian_basis(problem.side)
-    return np.vstack([herm_to_vec(ptrace_array(basis, problem.factors, con.traced)).T
+    constraint's partial trace, in the coordinates of the constraint space,
+    over the program's field."""
+    basis = symmetric_basis(problem.side) if problem.real else hermitian_basis(problem.side)
+    return np.vstack([herm_to_vec(ptrace_array(basis, problem.factors, con.traced), problem.real).T
                       for con in problem.constraints])
 
 
@@ -252,7 +271,7 @@ class TestStandardForm:
 
 
 STANDARD_KINDS = ["compat222", "compat223", "compat333", "ppt_relaxation", "state",
-                  "k2", "k3", "k4", "povm"]
+                  "k2", "k3", "k4", "povm", "xi_k3"]
 
 
 def _standard_program(kind):
@@ -277,12 +296,15 @@ def _standard_program(kind):
         return sdp.build_state_compat(rho1, rho2)
     if kind.startswith("k"):
         return sdp.build_k_extension(random_channel(rng, 2), int(kind[1:]))
+    if kind == "xi_k3":  # real data
+        return sdp.build_k_extension(xi_channel(0.3, 0.4), 3)
     return sdp.build_povm_compat(random_povm(rng, 2, 3), random_povm(rng, 2, 2))
 
 
 # null-space programs, with the Schur size m and dropped directions of
-# their compile
-NULL_SPACE_KINDS = {"ppt333": (577, 0), "jordan_deph3": (145, 432)}
+# their compile; jordan_deph3 has real data, so it is compiled over the
+# real symmetric matrices
+NULL_SPACE_KINDS = {"ppt333": (577, 0), "jordan_deph3": (79, 216)}
 
 
 def _null_space_program(kind):
@@ -308,7 +330,10 @@ class TestStructuredSchur:
             rinvs, gram = [], np.zeros((comp.m, comp.m))
             for a in comp.A_blocks.swapaxes(0, 1):
                 n = a.shape[-1]
-                rinv = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + n * np.eye(n)
+                # the scaling point is in the program's field
+                rinv = rng.normal(size=(n, n)) + n * np.eye(n)
+                if np.iscomplexobj(a):
+                    rinv = rinv + 1j * rng.normal(size=(n, n))
                 scaled = (rinv @ a @ rinv.conj().T).reshape(comp.m, -1)
                 gram += (scaled.conj() @ scaled.T).real
                 rinvs.append(rinv)
@@ -337,7 +362,8 @@ class TestStructuredSchur:
         null_space = kind in NULL_SPACE_KINDS
         problem = _null_space_program(kind) if null_space else _standard_program(kind)
         kmat = _constraint_matrix(*_plan_key(problem))
-        bvec = np.concatenate([herm_to_vec(con.rhs) for con in problem.constraints])
+        bvec = np.concatenate([herm_to_vec(con.rhs.real if problem.real else con.rhs, problem.real)
+                               for con in problem.constraints])
         u, s, vh = np.linalg.svd(kmat, full_matrices=False)
         rank = int(np.sum(s > CONSTRAINT_RANK_TOL * s[0]))
         x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
@@ -427,7 +453,8 @@ class TestStructureCache:
     def test_projection_and_null_space_reuse_the_elimination(self):
         rng = np.random.default_rng(8)
         xi = sdp.build_k_extension(xi_channel(0.4, 0.5), 3)
-        compile_ipm(sdp.build_k_extension(random_channel(rng, 2), 3))
+        # the field is part of the structure, so a real program warms it
+        compile_ipm(sdp.build_k_extension(partial_depolarizing_channel(0.7, 2), 3))
         ppt = [sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2), ppt=True)
                for _ in range(2)]
         compile_ipm(ppt[0])
@@ -435,6 +462,132 @@ class TestStructureCache:
         assert sdp.solve(xi, mode="projection").status == "Feasible"
         assert compile_ipm(ppt[1]).nullbasis is not None
         assert _structure_of.cache_info().misses == misses
+
+
+def _real_coordinates(n):
+    """Where the ``symmetric_basis`` coordinates sit among the
+    ``hermitian_basis`` ones."""
+    return np.r_[0:n, n : n * n : 2]
+
+
+class TestField:
+    """A program whose right-hand sides and maps have imaginary part
+    exactly 0 is compiled and solved over the real symmetric matrices,
+    in float64 and with fewer Schur rows; any other is complex."""
+
+    def test_non_hermitian_rhs_rejected(self):
+        # the coordinates read only the upper triangle: this rhs used to
+        # solve to Feasible with a marginal off its rhs by 0.6
+        j = partial_depolarizing_channel(0.9, 2).choi.array
+        bad = j.copy()
+        bad[3, 0] = 0.7
+        with pytest.raises(ValueError, match=r"constraint tracing \(2,\) has a rhs that is not "
+                                             r"Hermitian: max \|M - M\^dag\| = 6\.000e-01"):
+            sdp.two_marginal_problem(bad, j, (2, 2, 2))
+        # a real rhs is refused too, not symmetrized
+        with pytest.raises(ValueError, match=r"constraint tracing \(1,\) has a rhs that is not"):
+            SdpProblem((2, 2), (Constraint((1,), np.triu(np.ones((2, 2)))),), (Block(),))
+        # a deviation within the tolerance HermitianMatrix allows is kept
+        near = j.copy()
+        near[3, 0] += 1e-13
+        assert sdp.two_marginal_problem(near, j, (2, 2, 2)).real
+
+    def test_field_of_each_builder(self):
+        xi = xi_channel(0.3, 0.4)
+        rng = np.random.default_rng(4)
+        assert sdp.build_compat(xi, xi, ppt=True).real
+        assert sdp.build_k_extension(xi, 3).real
+        assert sdp.build_jordan_compat(dephasing_channel(3), identity_channel(3)).real
+        assert not sdp.build_compat(xi, random_channel(rng, 2)).real
+        # a map with complex entries makes the program complex, whatever
+        # the right-hand sides
+        assert not sdp.build_jordan_compat(xi, random_channel(rng, 2)).real
+
+    @pytest.mark.parametrize("ppt, ms", [(False, (16, 27)), (True, (20, 37))],
+                             ids=["standard", "null_space"])
+    def test_real_program_compiles_to_float64(self, ppt, ms):
+        xi = xi_channel(0.3, 0.4)
+        problem = sdp.build_compat(xi, xi, ppt=ppt)
+        real, cplx = compile_ipm(problem), compile_ipm(phase_twin(problem))
+        for arr in (real.A_blocks, real.C_blocks, real.Z0):
+            assert arr.dtype == np.float64
+        for arr in (cplx.A_blocks, cplx.C_blocks, cplx.Z0):
+            assert arr.dtype == np.complex128
+        assert (real.m, cplx.m) == ms
+        out = sdp.solve(problem)
+        assert out.primal.dtype == out.dual.dtype == np.complex128
+
+    def test_tiny_imaginary_part_stays_complex(self):
+        j = xi_channel(0.3, 0.4).choi.array.copy()
+        j[0, 3] += 1e-300j
+        j[3, 0] -= 1e-300j
+        problem = sdp.two_marginal_problem(j, j, (2, 2, 2))
+        assert not problem.real
+        assert compile_ipm(problem).A_blocks.dtype == np.complex128
+
+    def test_real_and_complex_structures_are_distinct_cache_entries(self):
+        xi = xi_channel(0.3, 0.4)
+        problem = sdp.build_compat(xi, xi)
+        twin = phase_twin(problem)
+        key_real, key_complex = _plan_key(problem), _plan_key(twin)
+        assert key_real[:2] == key_complex[:2] and key_real != key_complex
+        real, cplx = _structure_of(key_real), _structure_of(key_complex)
+        assert real is not cplx
+        # K is block-diagonal in (re, im): the real K is the complex one
+        # on its real rows and columns
+        rows = np.concatenate([16 * c + _real_coordinates(4) for c in range(2)])
+        cols = _real_coordinates(problem.side)
+        assert np.array_equal(real.kmat, cplx.kmat[np.ix_(rows, cols)])
+
+
+# one program of each kind the paper's real channels give, solved with its
+# complex twin: the reference pair's compat and PPT stages, and the
+# k-extension of a feasible and an infeasible xi channel
+def _twin_cases():
+    f, g = reference.channel_pair()
+    j1t = ptranspose_array(f.choi.array, (2, 2), 0)
+    j2t = ptranspose_array(g.choi.array, (2, 2), 0)
+    cases = {"compat": sdp.build_compat(f, g),
+             "ppt_stage_a": sdp.two_marginal_problem(j1t, j2t, (2, 2, 2)),
+             "ppt_stage_b": sdp.build_compat(f, g, ppt=True)}
+    for p, q in ((0.4, 0.5), (0.1, 0.3)):
+        for k in (2, 3, 4):
+            cases[f"k{k}_xi_{p}_{q}"] = sdp.build_k_extension(xi_channel(p, q), k)
+    return cases
+
+
+class TestRealComplexTwins:
+    """A real program and its phase twin have the same optimum; the real
+    one is solved over the real symmetric matrices, the twin over the
+    complex Hermitian ones."""
+
+    @pytest.mark.parametrize("kind", list(_twin_cases()))
+    def test_interior_point(self, kind):
+        problem = _twin_cases()[kind]
+        twin = phase_twin(problem)
+        assert problem.real and not twin.real
+        real, cplx = sdp.solve(problem), sdp.solve(twin)
+        assert real.status == cplx.status != "Inconclusive"
+        assert abs(real.iterations - cplx.iterations) <= 1
+        assert abs(real.value - cplx.value) <= 1e-10
+
+    @pytest.mark.parametrize("q", [0.5, 0.3], ids=["feasible", "not_settled"])
+    def test_projection(self, q):
+        problem = sdp.build_k_extension(xi_channel(0.4 if q == 0.5 else 0.1, q), 4)
+        real, cplx = (sdp.solve(p, mode="projection") for p in (problem, phase_twin(problem)))
+        assert real.status == cplx.status
+        assert (real.status == "Feasible") == (q == 0.5)
+
+    def test_singular_schur_is_retried_on_a_jittered_factor(self):
+        # at 1 BLAS thread the real program's seventh Schur matrix factors
+        # with a condition number of 2e16, and the direction on that
+        # factor has no step along it; the jittered factor gives the step
+        # its complex twin takes
+        xi = xi_channel(0.45, 0.25)
+        problem = sdp.build_compat(xi, xi)
+        real, cplx = sdp.solve(problem), sdp.solve(phase_twin(problem))
+        assert real.status == cplx.status == "Feasible"
+        assert abs(real.value - cplx.value) <= 1e-10
 
 
 class TestCholSolve:
@@ -611,8 +764,8 @@ class TestKExtension:
     def _off_psd(problem, x):
         # a step along a direction every constraint maps to zero
         rows = _eliminate(problem)[0].vh
-        h = herm_to_vec(random_hermitian(np.random.default_rng(3), problem.side))
-        kernel = vec_to_herm(h - rows.T @ (rows @ h), problem.side)
+        h = herm_to_vec(random_hermitian(np.random.default_rng(3), problem.side).real, True)
+        kernel = vec_to_herm(h - rows.T @ (rows @ h), problem.side, True)
         return x + 10 * kernel / np.abs(kernel).max()
 
     @pytest.mark.parametrize("doctor, note", [
@@ -916,7 +1069,7 @@ class TestHonestInconclusive:
 
     @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
     def test_step_collapse(self, monkeypatch, mode):
-        monkeypatch.setattr(sdp.ipm, "_step_to_boundary", lambda lam, g: 0.0)
+        monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda lam, gs, gz: (0.0, 0.0))
         ident = identity_channel(2)
         out = sdp.solve(sdp.build_compat(ident, ident))
         assert out.status == "Inconclusive" and out.note == "step collapse"
