@@ -12,6 +12,7 @@ partial trace of J over the output factors is the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,7 +67,7 @@ class LinearMapRep:
         if output_factors is None:
             output_factors = (d_out,)
         output_factors = tuple(int(d) for d in output_factors)
-        if int(np.prod(output_factors)) != d_out:
+        if math.prod(output_factors) != d_out:
             raise ValueError(f"output factors {output_factors} do not multiply to {d_out}")
         choi = HermitianMatrix(arr, TensorShape((d_in,) + output_factors))
         return cls(choi, d_in, d_out, output_factors)
@@ -344,7 +345,7 @@ def apply_to_factor(arr: np.ndarray, dims: Sequence[int], factor: int, rep: Line
     out_lbl[n + factor] = 2 * n + 1
     res = np.einsum(tens, [Ellipsis] + src, t, t_lbl, [Ellipsis] + out_lbl)
     dims[factor] = d_to
-    d_total = int(np.prod(dims))
+    d_total = math.prod(dims)
     return res.reshape(*batch, d_total, d_total), dims
 
 

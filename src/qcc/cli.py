@@ -1,8 +1,9 @@
 """Command-line surface: compatibility checks, region sweeps, certificate handling.
 
 Exit codes for decisions: 0 compatible/feasible, 1 incompatible, 2
-inconclusive; 64 for usage errors and unparseable input files, 65 for
-dimension mismatches, 66 for problems above the solver's size cap.
+inconclusive; 64 for usage errors, unparseable input files and
+unwritable output paths, 65 for dimension mismatches, 66 for problems
+above the solver's size cap.
 Sweeps write deterministic CSV (row-major grid, then a boundary section
 with the first feasible step per column).  All configuration is via
 flags; nothing reads the environment.
@@ -49,6 +50,11 @@ def _load_channel(path: str) -> Channel:
         raise SystemExit(EXIT_PARSE)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _verdict_char(status: str) -> str:
     return "10?"[EXIT_CODES[status]]
 
@@ -84,8 +90,11 @@ def cmd_check(args) -> int:
                 return 2
             if dec.witness is not None:
                 payload["margin"] = report.margin
-        with open(args.cert, "w") as f:
-            json.dump(payload, f, indent=1)
+        try:
+            with open(args.cert, "w") as f:
+                json.dump(payload, f, indent=1)
+        except OSError as exc:
+            return _cannot_write(args.cert, exc)
         print(f"certificate written to {args.cert}")
     return dec.exit_code
 
@@ -195,6 +204,10 @@ def cmd_sweep(args) -> int:
         return EXIT_PARSE
     axis = [i / (n - 1) for i in range(n)]
     tasks = [(a, b) + params for a in axis for b in axis]
+    try:  # before the grid, so an unwritable path costs no solves; "a" truncates nothing
+        open(args.out, "a").close()
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     verdicts = _run_grid(globals()[worker], tasks, args.jobs)
     rows = []
     for task, v in zip(tasks, verdicts):

@@ -12,6 +12,7 @@ Everything here is a pure function of immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -43,7 +44,7 @@ class TensorShape:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.factors))
+        return math.prod(self.factors)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -130,7 +131,7 @@ def ptrace_array(arr: np.ndarray, dims: Sequence[int], traced: Iterable[int]) ->
         labels[n + t] = labels[t]
     kept = [i for i in range(n) if i not in traced]
     out_labels = kept + [n + k for k in kept]
-    d_out = int(np.prod([dims[k] for k in kept])) if kept else 1
+    d_out = math.prod(dims[k] for k in kept)
     out = np.einsum(tens, [Ellipsis] + labels, [Ellipsis] + out_labels)
     return out.reshape(*batch, d_out, d_out)
 
@@ -181,7 +182,7 @@ def embed_identity_array(
         row_axes[f] = nb + 2 * k + 2 * i
         col_axes[f] = nb + 2 * k + 2 * i + 1
     perm = list(range(nb)) + [row_axes[i] for i in range(n)] + [col_axes[i] for i in range(n)]
-    d = int(np.prod(full_dims))
+    d = math.prod(full_dims)
     return np.ascontiguousarray(tens.transpose(perm)).reshape(*batch, d, d)
 
 
@@ -391,7 +392,7 @@ def support_projection_absorbs(a: HermitianMatrix) -> bool:
         raise ValueError("need at least two tensor factors")
     marg = ptrace_array(a.array, dims, range(1, len(dims)))
     proj = support_projector_array(marg)
-    d_rest = int(np.prod(dims[1:]))
+    d_rest = math.prod(dims[1:])
     big = np.kron(proj, np.eye(d_rest))
     resid = np.abs(a.array - big @ a.array @ big).max()
     return bool(resid <= SUPPORT_ABSORB_TOL * max(1.0, np.abs(a.array).max()))

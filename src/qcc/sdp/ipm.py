@@ -20,8 +20,8 @@ same side n (``SdpProblem`` refuses blocks whose images differ in
 side).  So A(y), A^*(Z), the residuals, the scaled products, the NT
 Cholesky factors of S and Z, both step lengths and the update are one
 numpy call each over the whole stack; a stack that does not factor
-goes through the jittered helper one matrix at a time, each counting
-its own fallback.
+goes through the Cholesky helper one matrix at a time, from a plain
+first attempt, each counting its own fallback.
 The Schur complement has the side m of y, which the compile sets: the
 constraint dimension less one for standard-form programs, the free
 directions plus one otherwise (see ``problem``).  Sizes up to a few
@@ -35,37 +35,34 @@ complex qutrit compat iteration (m = 152, 27 x 27 blocks, one BLAS
 thread of a 2-core VM), where the dense form takes 4.5 ms.  For
 null-space programs it is the Gram matrix of the scaled constraint
 blocks, m n^3 to form.  The NT factors of each iteration also give its
-step lengths, and every Cholesky factorization that fails goes through
-one jittered helper, which counts the factorizations that needed jitter
-or an eigenvalue clip.  Each iteration takes one Newton step and nothing
-repairs the iterate after it: the infeasible-start step already shrinks
-each equality residual by the factor (1 - step) of its own step length.
-Near the optimum of a degenerate program the Schur matrix can factor
-while singular to working precision (condition 2e16 on the real
-``xi_channel(0.45, 0.25)`` compat program), and the direction on that
-factor allows no step; the iteration is then taken once more on a factor
-with the helper's smallest jitter, and only if that step collapses too
-does the solve end in "step collapse".  Where the plain factor gives a
-step, the retry never runs.
+step lengths.  Each iteration takes one Newton step and nothing repairs
+the iterate after it: the infeasible-start step already shrinks each
+equality residual by the factor (1 - step) of its own step length.
+
+Every Schur matrix is factored once per iteration, with the smallest
+jitter of the Cholesky helper (1e-14 times its largest diagonal entry)
+on its first attempt.  Near the optimum of a degenerate program a real
+Schur matrix factors without that jitter at condition 1e16-1e18, and
+the direction on the plain factor allows no step (the real
+``xi_channel(0.45, 0.25)`` compat program) or misses its equations by
+more than ``TOL``, so the solve wanders (the real xi(0.5, 0.15) k = 2
+program: 31 iterations, 7 on jittered factors).  One step of iterative
+refinement against the unjittered Schur matrix removes the jitter's
+bias.  The helper counts a factorization as a fallback only when it
+needs more than its first attempt: a larger jitter or the eigenvalue
+clip.
 
 The Schur system is solved on its Cholesky factor L by block
 substitution, forward through L and back through L^T: each 64 x 64
 diagonal block of L is inverted once per factor (``_block_inverses``),
-and every solve with that factor, up to four per iteration, is then
-matrix products with those inverses and the off-diagonal panels.
-numpy exposes no triangular solve, and a general solve on a block runs
-an LU of it on every call: 24 LUs per qutrit iteration (m = 152) where
-three inverses now serve.  The Schur matrix itself is never inverted.
-Solving with the inverse Schur matrix L^-T L^-1 ends a qutrit Jordan
-solve in a step collapse: near the optimum the Schur matrix reaches
-condition numbers of 1e13 and beyond (1e19-1e21 in the last qutrit
-iterations), and forming it would cost an LU with m right-hand sides.
-The block inverses keep the decisions of substitution by LU solves:
-on 162 decides (54 qubit and qutrit pairs in the compat, Jordan and PPT
-modes) verdicts, iteration counts and fallback counts are unchanged and
-the optimal values move by at most 3.8e-12, and each solve agrees with
-two general solves on the whole factor within 1e-12, relative, up to
-Schur condition numbers of 1e16.
+and every solve with that factor, four per iteration, is then matrix
+products with those inverses and the off-diagonal panels.  numpy
+exposes no triangular solve, and a general solve on a block runs an LU
+of it on every call.  The Schur matrix itself is never inverted:
+solving with the inverse Schur matrix L^-T L^-1 ends a qutrit Jordan
+solve in a step collapse, since near the optimum the Schur matrix
+reaches condition numbers of 1e13 and beyond (1e19-1e21 in the last
+qutrit iterations).
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ class IpmResult:
     iterations: int
     converged: bool
     note: str = ""
-    chol_fallbacks: int = 0  # factorizations that needed jitter or the eigenvalue clip
+    chol_fallbacks: int = 0  # factorizations that needed more than their first attempt
 
 
 def _ct(x: np.ndarray) -> np.ndarray:
@@ -124,13 +121,15 @@ def _chol_pd(x: np.ndarray, jittered: bool = False) -> tuple[np.ndarray, bool]:
     """Cholesky with escalating jitter; eigenvalue clip as a last resort.
 
     With ``jittered`` the first attempt already carries the smallest
-    jitter.  Returns the factor and whether it carries jitter or the clip.
+    jitter, 1e-14 times the largest diagonal entry.  Returns the factor
+    and whether it needed more than its first attempt: a larger jitter
+    or the clip.
     """
     scale = max(np.abs(np.diagonal(x)).max(), 1e-300)
     jitter = 1e-14 * scale if jittered else 0.0
     for attempt in range(4):
         try:
-            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0])), jittered or attempt > 0
+            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0])), attempt > 0
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
     w, v = np.linalg.eigh(_herm(x))
@@ -256,47 +255,44 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
         h1 = a_flat @ _as_real(rinvh @ (rinv @ Rd @ rinvh) @ rinv).ravel()
 
-        # a Schur matrix that factors while singular to working precision
-        # can give a direction with no step along it; the step is then
-        # taken again on a jittered factor
-        for jittered in (False, True):
-            schur_chol, fell = _chol_pd(schur_mat, jittered)
-            fallbacks += fell
-            schur_linvs = _block_inverses(schur_chol)
+        # every Schur matrix carries the helper's smallest jitter: near a
+        # degenerate optimum a plain factor can be singular to working precision
+        schur_chol, fell = _chol_pd(schur_mat, jittered=True)
+        fallbacks += fell
+        schur_linvs = _block_inverses(schur_chol)
 
-            def solve_schur(rhs):
-                x = _chol_solve(schur_chol, schur_linvs, rhs)
-                # one step of iterative refinement keeps the last digits of the
-                # equality residual from stalling on ill-conditioned systems
-                return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
+        def solve_schur(rhs):
+            x = _chol_solve(schur_chol, schur_linvs, rhs)
+            # one step of iterative refinement against the unjittered matrix
+            # removes the jitter's bias and keeps the last digits of the
+            # equality residual from stalling on ill-conditioned systems
+            return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
 
-            def direction(e):
-                """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
-                R^H dZ R, and the step lengths to the cone boundary."""
-                dy = solve_schur(rp + h1 - a_flat @ _as_real(e).ravel())
-                dS = Rd - (dy @ a_flat).view(Rd.dtype).reshape(Rd.shape)
-                gs = rinv @ dS @ rinvh
-                dZ = _herm(e - rinvh @ gs @ rinv)
-                gz = _ct(r) @ dZ @ r
-                return (dy, dS, dZ, gs, gz) + _steps_to_boundary(lam, gs, gz)
+        def direction(e):
+            """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
+            R^H dZ R, and the step lengths to the cone boundary."""
+            dy = solve_schur(rp + h1 - a_flat @ _as_real(e).ravel())
+            dS = Rd - (dy @ a_flat).view(Rd.dtype).reshape(Rd.shape)
+            gs = rinv @ dS @ rinvh
+            dZ = _herm(e - rinvh @ gs @ rinv)
+            gz = _ct(r) @ dZ @ r
+            return (dy, dS, dZ, gs, gz) + _steps_to_boundary(lam, gs, gz)
 
-            # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
-            _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction(-Z)
-            mu_aff = _inner(Z + alpha_z * dZ_a, S + alpha_s * dS_a) / ntot
-            ratio = min(max(mu_aff, 0.0) / max(mu, 1e-300), 1.0)
-            sigma = float(np.clip(ratio ** 3, 1e-10, 1.0))
+        # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
+        _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction(-Z)
+        mu_aff = _inner(Z + alpha_z * dZ_a, S + alpha_s * dS_a) / ntot
+        ratio = min(max(mu_aff, 0.0) / max(mu, 1e-300), 1.0)
+        sigma = float(np.clip(ratio ** 3, 1e-10, 1.0))
 
-            # corrector with Mehrotra second-order term, in the scaled space
-            g = sigma * mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz_a @ gs_a)
-            gamma = 2.0 * g / (lam[:, :, None] + lam[:, None, :])
-            dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(rinvh @ _herm(gamma) @ rinv)
+        # corrector with Mehrotra second-order term, in the scaled space
+        g = sigma * mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz_a @ gs_a)
+        gamma = 2.0 * g / (lam[:, :, None] + lam[:, None, :])
+        dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(rinvh @ _herm(gamma) @ rinv)
 
-            frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
-            step_s = min(1.0, frac * alpha_s)
-            step_z = min(1.0, frac * alpha_z)
-            if max(step_s, step_z) >= 1e-10:
-                break
-        else:
+        frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
+        step_s = min(1.0, frac * alpha_s)
+        step_z = min(1.0, frac * alpha_z)
+        if max(step_s, step_z) < 1e-10:
             note = "step collapse"
             break
         y = y + step_s * dy

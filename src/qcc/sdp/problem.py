@@ -78,6 +78,7 @@ A cached compile is bit-identical to an uncached one.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -130,7 +131,7 @@ class Block:
 
 
 def _kept_side(factors: tuple, traced: tuple) -> int:
-    return int(np.prod([d for i, d in enumerate(factors) if i not in traced]))
+    return math.prod(d for i, d in enumerate(factors) if i not in traced)
 
 
 @dataclass
@@ -178,8 +179,8 @@ class SdpProblem:
             n_maps = len(block.maps or ())
             if block.kind == "map_image" and n_maps != nf:
                 raise ValueError(f"map_image block {b} has {n_maps} maps for {nf} factors")
-        sides = [int(np.prod([d if rep is None else rep.d_out
-                              for d, rep in zip(self.factors, block.maps)]))
+        sides = [math.prod(d if rep is None else rep.d_out
+                           for d, rep in zip(self.factors, block.maps))
                  if block.kind == "map_image" else self.side for block in self.blocks]
         for b, side in enumerate(sides):
             if side != sides[0]:
@@ -187,7 +188,7 @@ class SdpProblem:
 
     @property
     def side(self) -> int:
-        return int(np.prod(self.factors))
+        return math.prod(self.factors)
 
     @functools.cached_property
     def real(self) -> bool:
@@ -436,7 +437,7 @@ def _pair_axes(factors: tuple, traced_a: tuple, traced_b: tuple) -> tuple:
     kept_b = [i for i in range(f) if i not in traced_b]
 
     def size(axes):
-        return int(np.prod([factors[i] for i in axes]))
+        return math.prod(factors[i] for i in axes)
 
     ra, rb, ta, tb = size(kept_a), size(kept_b), size(traced_a), size(traced_b)
     left = kept_a + [f + i for i in kept_b] + list(traced_a) + [f + i for i in traced_b]
@@ -501,7 +502,7 @@ def _constraint_matrix(factors: tuple, traceds: tuple, real: bool) -> np.ndarray
     for traced in traceds:
         kept = [i for i in range(len(factors)) if i not in traced]
         kept_dims = [factors[i] for i in kept]
-        basis = _basis(int(np.prod(kept_dims)), real)
+        basis = _basis(math.prod(kept_dims), real)
         rows.append(herm_to_vec(embed_identity_array(basis, kept_dims, factors, kept), real))
     return np.vstack(rows)
 
@@ -568,7 +569,7 @@ class _Structure:
         """With the orthonormal constraint rows R, e = R vec(I), Q
         completing e to an orthonormal basis, the rows A_i = mat(R^T q_i)
         and the objective C = mat(R^T e) / |e|^2 (``_compile_standard``)."""
-        n = int(np.prod(self.key[0]))
+        n = math.prod(self.key[0])
         rows = self.vh
         e = rows @ herm_to_vec(np.eye(n), self.real)
         e_norm = float(np.linalg.norm(e))

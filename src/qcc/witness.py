@@ -13,6 +13,7 @@ witness should be decisively valid, not borderline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -212,7 +213,7 @@ def certificate_to_json(w) -> dict:
     HermitianMatrix, whose mode the caller sets) or a jordan.GenJordanOperator."""
     if isinstance(w, HermitianMatrix):  # a compatibilizer, in channel JSON; the caller sets its mode
         d_in, *outs = w.shape.factors
-        data = {"compatibilizer": {"d_in": d_in, "d_out": int(np.prod(outs)),
+        data = {"compatibilizer": {"d_in": d_in, "d_out": math.prod(outs),
                                    "output_factors": outs, "choi": _matrix_to_json(w.array)}}
     elif isinstance(w, Witness):
         data = {

@@ -157,6 +157,14 @@ class TestCheck:
         p.write_text(json.dumps(channel_to_json(identity_channel(7))))
         assert main(["check", str(p), str(p)]) == 66
 
+    def test_unwritable_certificate_path_exits_64(self, identity_file, tmp_path, capsys):
+        # exit 1 would read as Incompatible, whatever the verdict
+        cert = tmp_path / "missing" / "cert.json"
+        assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 64
+        captured = capsys.readouterr()
+        assert "verdict: Incompatible" in captured.out
+        assert f"error: cannot write {str(cert)!r}" in captured.err
+
     def test_unknown_flag_exits_64(self, ref_files, capsys):
         a, b = ref_files
         assert main(["check", a, b, "--bogus"]) == 64
@@ -197,6 +205,12 @@ class TestSelfCompat:
         # Dykstra finds no point of the identity's infeasible k = 4 extension
         assert main(["self-compat", identity_file, "--k", "4", "--solver", "projection"]) == 2
         assert "self-compatibility: Inconclusive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("solver", ["ipm", "projection"])
+    def test_size_cap_beyond_int64_exit_66(self, identity_file, capsys, solver):
+        # in int64 a side of 2**64 is 0, below both caps
+        assert main(["self-compat", identity_file, "--k", "63", "--solver", solver]) == 66
+        assert str(2 ** 64) in capsys.readouterr().err
 
     def test_half_depolarizing_k2(self, tmp_path):
         p = tmp_path / "o.json"
@@ -331,6 +345,22 @@ class TestSweep:
         assert main(["sweep", "bogus", "--grid", "2", "--out", str(out)]) == 64
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_size_cap_beyond_int64_exit_66(self, tmp_path, capsys):
+        # k >= 4 defaults to projection; in int64 a side of 2**64 is 0,
+        # below its cap
+        out = str(tmp_path / "cap.csv")
+        assert main(["sweep", "xi_self_k", "--grid", "2", "--k", "63", "--out", out]) == 66
+        assert str(2 ** 64) in capsys.readouterr().err
+
+    def test_unwritable_out_path_exits_64_before_the_grid(self, tmp_path, monkeypatch, capsys):
+        def no_grid(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "_run_grid", no_grid)
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(["sweep", "depol_pair", "--grid", "2", "--out", str(out)]) == 64
+        assert f"error: cannot write {str(out)!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_size_cap_exit_66(self, tmp_path, capsys, jobs):

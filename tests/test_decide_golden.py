@@ -95,12 +95,12 @@ def _jordan_program(family: str, pair: int):
     return sdp.solve(sdp.build_jordan_compat(f, g))
 
 
-def test_qutrit_jordan_counts_cholesky_fallbacks():
-    # the Jordan program's Schur matrix needs jitter near the optimum on
-    # this pair, so the count reaches the outcome; test_sdp.py::TestCholPd
-    # checks the flag itself, and this bound goes once the Schur jitter is
-    # no longer needed
-    assert _jordan_program("qutrit3", 0).residuals["chol_fallbacks"] >= 1
+def test_qutrit_jordan_program_needs_no_cholesky_escalation():
+    # near its optimum the Jordan program's Schur matrix is singular to
+    # working precision on this pair; its fixed first jitter rung factors
+    # every one of them (test_sdp.py::TestCholPd checks that a forced
+    # escalation is counted)
+    assert _jordan_program("qutrit3", 0).residuals["chol_fallbacks"] == 0
 
 
 @pytest.mark.parametrize("family, pair",

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import pickle
 import re
 
@@ -103,6 +104,16 @@ class TestSolveCompat:
         c = random_channel(np.random.default_rng(0), 4, 4)
         with pytest.raises(ValueError, match="cap"):
             sdp.solve(sdp.build_k_extension(c, 4))
+
+    @pytest.mark.parametrize("k", [62, 63, 64])
+    def test_solver_cap_beyond_int64(self, k):
+        # an int64 product of the factors is -2**63 at k = 62 and 0 above,
+        # below both caps
+        problem = sdp.build_k_extension(identity_channel(2), k)
+        assert problem.side == TensorShape(problem.factors).dim == 2 ** (k + 1)
+        for mode in ("interior_point", "projection"):
+            with pytest.raises(sdp.SizeCapError, match=str(2 ** (k + 1))):
+                sdp.solve(problem, mode=mode)
 
     def test_redundancy_reported(self):
         # the two marginal families overlap in the marginal on the input
@@ -578,15 +589,31 @@ class TestRealComplexTwins:
         assert real.status == cplx.status
         assert (real.status == "Feasible") == (q == 0.5)
 
-    def test_singular_schur_is_retried_on_a_jittered_factor(self):
+    def test_singular_schur_is_factored_with_jitter(self):
         # at 1 BLAS thread the real program's seventh Schur matrix factors
-        # with a condition number of 2e16, and the direction on that
-        # factor has no step along it; the jittered factor gives the step
-        # its complex twin takes
+        # without jitter at a condition number of 2e16, and the direction
+        # on that factor has no step along it; the jittered factor gives
+        # the step its complex twin takes
         xi = xi_channel(0.45, 0.25)
         problem = sdp.build_compat(xi, xi)
         real, cplx = sdp.solve(problem), sdp.solve(phase_twin(problem))
         assert real.status == cplx.status == "Feasible"
+        assert abs(real.value - cplx.value) <= 1e-10
+
+    @pytest.mark.parametrize("k", [None, 2], ids=["compat", "k2"])
+    def test_near_singular_schur_does_not_stall(self, k):
+        # xi(0.5, 0.15), with linspace's q = 0.15000000000000002: plain
+        # factors of its Schur matrices, at condition 1e16-1e18, give
+        # directions that miss the primal equations by more than the
+        # solver's tolerance, and the real program wanders for 31
+        # iterations to its twin's 7
+        grid = np.linspace(0, 1, 21)
+        xi = xi_channel(grid[10], grid[3])
+        problem = sdp.build_compat(xi, xi) if k is None else sdp.build_k_extension(xi, k)
+        real, cplx = sdp.solve(problem), sdp.solve(phase_twin(problem))
+        assert real.status == cplx.status == "Feasible"
+        assert real.iterations <= 10
+        assert abs(real.iterations - cplx.iterations) <= 1
         assert abs(real.value - cplx.value) <= 1e-10
 
 
@@ -641,6 +668,37 @@ class TestCholPd:
         l, fell = _chol_pd(x)
         assert fell
         assert np.all(np.isfinite(l))
+
+    def test_jittered_first_attempt_is_not_a_fallback(self, rng):
+        g = rng.normal(size=(6, 6))
+        x = g @ g.T + 6 * np.eye(6)
+        l, fell = _chol_pd(x, jittered=True)
+        assert not fell
+        assert np.array_equal(l, np.linalg.cholesky(x + 1e-14 * np.diagonal(x).max() * np.eye(6)))
+        # an indefinite matrix takes more than the first rung
+        _l, fell = _chol_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), jittered=True)
+        assert fell
+
+    def test_escalation_inside_solve_reaches_the_outcome(self, monkeypatch):
+        # every other single-matrix factorization fails, so each Schur
+        # matrix, factored once per iteration, needs the helper's second
+        # rung; the NT factors of the stacked (S, Z) are one stacked call
+        # and factor as usual
+        cholesky = np.linalg.cholesky
+        calls = itertools.count()
+
+        def every_other_fails(x):
+            if x.ndim == 2 and next(calls) % 2 == 0:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(x)
+
+        problem = sdp.build_compat(identity_channel(2), identity_channel(2))
+        plain = sdp.solve(problem)
+        monkeypatch.setattr(np.linalg, "cholesky", every_other_fails)
+        out = sdp.solve(problem)
+        assert out.status == plain.status == "Infeasible"
+        assert plain.residuals["chol_fallbacks"] == 0
+        assert out.residuals["chol_fallbacks"] == out.iterations >= 1
 
 
 class TestDualitySandwich:
