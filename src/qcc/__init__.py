@@ -5,7 +5,8 @@ representation and named channel families), ``jordan`` (products of
 channels and their generalization), ``marginal`` (state-problem
 reductions), ``sdp`` (the embedded solver, problem builders and the
 decider), ``witness`` (certificate construction and verification),
-``analytic`` (closed-form qubit criteria) and ``cli``.
+``analytic`` (closed-form qubit criteria), ``tolerances`` (every
+acceptance tolerance, defined once) and ``cli``.
 """
 
 from .channels import (

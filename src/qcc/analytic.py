@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    Channel,
     LinearMapRep,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
+    in_xi_domain,
 )
 from .linalg import HermitianMatrix, ptrace_array
-
-DET_CLAMP = -1e-12
+from .tolerances import DET_CLAMP, DOMAIN_SLACK
 
 
 @dataclass(frozen=True)
@@ -32,26 +33,22 @@ class XiParams:
     q: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ValueError(f"p, q must lie in [0, 1], got {self.p}, {self.q}")
-        if self.p + self.q > 1.0 + 1e-12:
-            raise ValueError(f"the family requires p + q <= 1, got {self.p + self.q}")
+        if not in_xi_domain(self.p, self.q):
+            raise ValueError(f"need p, q in [0, 1] with p + q <= 1, got p={self.p}, q={self.q}")
 
 
 def qubit_self_compatible(j: HermitianMatrix) -> bool:
     """Self-compatibility of a qubit channel from its Choi matrix.
 
     Criterion: Tr((Tr_X J)^2) >= Tr(J^2) - 4 sqrt(det J), the symmetric-
-    extendibility condition for two-qubit states.  Tiny negative
-    determinants from validated Choi matrices are clamped to zero.
+    extendibility condition for two-qubit states.  J must pass the
+    channel validation (``Channel``); tiny negative determinants are
+    clamped to zero.
     """
     if j.shape.factors != (2, 2):
         raise ValueError("expected a qubit-channel Choi matrix with factors (2, 2)")
+    Channel(LinearMapRep(j, 2, 2, (2,)))
     arr = j.array
-    if np.linalg.eigvalsh(arr).min() < -1e-8:
-        raise ValueError("Choi matrix is not PSD")
-    if np.abs(ptrace_array(arr, (2, 2), [1]) - np.eye(2)).max() > 1e-8:
-        raise ValueError("Choi matrix is not trace preserving")
     out_marg = ptrace_array(arr, (2, 2), [0])
     lhs = float(np.trace(out_marg @ out_marg).real)
     det = float(np.linalg.det(arr).real)
@@ -94,7 +91,7 @@ def xi_inverse(xp: XiParams, d: int = 2) -> LinearMapRep:
     inverse is trace preserving but not completely positive in general.
     """
     p, q = xp.p, xp.q
-    if p + q >= 1.0 - 1e-12 or q >= 1.0 - 1e-12:
+    if p + q >= 1.0 - DOMAIN_SLACK or q >= 1.0 - DOMAIN_SLACK:
         raise ValueError("parameters on the singular boundary; no inverse exists")
     a = 1.0 - p - q
     c_id = 1.0 / a

@@ -27,12 +27,7 @@ from .linalg import (
     ptranspose_array,
     vec_to_herm,
 )
-
-CP_TOL = 1e-8
-TP_TOL = 1e-8
-POVM_TOL = 1e-10
-INVERT_MAX_COND = 1e12
-JSON_HERMITIAN_TOL = 1e-10  # on a matrix payload read from JSON
+from .tolerances import CHANNEL_TOL, DOMAIN_SLACK, INVERT_MAX_COND, MARGINAL_TOL, OPERATOR_TOL
 
 
 class SingularMapError(ValueError):
@@ -127,10 +122,10 @@ class Povm:
         for e in effects:
             if e.shape != (d, d):
                 raise ValueError("POVM effects must share one space")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -POVM_TOL:
+            if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -OPERATOR_TOL:
                 raise ValueError("POVM effect is not PSD")
             total += e
-        if np.abs(total - np.eye(d)).max() > POVM_TOL:
+        if np.abs(total - np.eye(d)).max() > OPERATOR_TOL:
             raise ValueError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
 
@@ -154,11 +149,31 @@ class MeasurePrepare:
         if len(preps) != len(self.povm):
             raise ValueError("need one preparation per POVM effect")
         for p in preps:
-            if abs(np.trace(p).real - 1.0) > POVM_TOL or abs(np.trace(p).imag) > POVM_TOL:
-                raise ValueError("preparation state must have unit trace")
-            if np.linalg.eigvalsh((p + p.conj().T) / 2).min() < -POVM_TOL:
-                raise ValueError("preparation state must be PSD")
+            require_density(p, "preparation state")
         object.__setattr__(self, "preps", preps)
+
+
+def require_density(rho: np.ndarray, what: str, tol: float = OPERATOR_TOL) -> None:
+    """Refuse a matrix whose trace is off 1 or whose least eigenvalue is below -``tol``."""
+    if abs(np.trace(rho) - 1.0) > tol:
+        raise ValueError(f"{what} must have unit trace")
+    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -tol:
+        raise ValueError(f"{what} must be PSD")
+
+
+def check_projectors(projs) -> None:
+    """Refuse a family unless P^2 - P and P_a P_b are within ``MARGINAL_TOL``."""
+    for a, pa in enumerate(projs):
+        if np.abs(pa @ pa - pa).max() > MARGINAL_TOL:
+            raise ValueError("family member is not an orthogonal projection")
+        for pb in projs[a + 1 :]:
+            if np.abs(pa @ pb).max() > MARGINAL_TOL:
+                raise ValueError("projections are not pairwise orthogonal")
+
+
+def in_xi_domain(p: float, q: float) -> bool:
+    """p, q in [0, 1] with p + q <= 1 (+ ``DOMAIN_SLACK``), ``xi_channel``'s domain."""
+    return 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 and p + q <= 1.0 + DOMAIN_SLACK
 
 
 @dataclass(frozen=True)
@@ -209,7 +224,7 @@ def partial_depolarizing_channel(q: float, d: int = 2) -> Channel:
 
 def xi_channel(p: float, q: float, d: int = 2) -> Channel:
     """Partially dephasing-depolarizing channel: (1-p-q) id + p dephasing + q depolarizing."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 and p + q <= 1.0 + 1e-12):
+    if not in_xi_domain(p, q):
         raise ValueError(f"need p, q in [0, 1] with p + q <= 1, got p={p}, q={q}")
     j = (1.0 - p - q) * _choi_identity(d) + p * dephasing_channel(d).choi.array
     j = j + q * np.eye(d * d) / d
@@ -219,7 +234,7 @@ def xi_channel(p: float, q: float, d: int = 2) -> Channel:
 def unitary_channel(u) -> Channel:
     u = np.asarray(u, dtype=np.complex128)
     d = u.shape[0]
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
+    if np.abs(u @ u.conj().T - np.eye(d)).max() > OPERATOR_TOL:
         raise ValueError("matrix is not unitary")
     m = u.T.reshape(-1)
     j = np.outer(m, m.conj())
@@ -228,17 +243,14 @@ def unitary_channel(u) -> Channel:
 
 def constant_channel(rho, d_in: int) -> Channel:
     rho = np.asarray(rho, dtype=np.complex128)
-    if abs(np.trace(rho) - 1.0) > 1e-10 or np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-10:
-        raise ValueError("output must be a density matrix")
+    require_density(rho, "output")
     return Channel.from_choi(np.kron(np.eye(d_in), rho), d_in)
 
 
 def pinching_channel(pvm: Povm) -> Channel:
     """X -> sum_i P_i X P_i for a projective measurement."""
     d = pvm.dim
-    for e in pvm.effects:
-        if np.abs(e @ e - e).max() > 1e-9:
-            raise ValueError("pinching requires orthogonal projections")
+    check_projectors(pvm.effects)
     j = np.zeros((d * d, d * d), dtype=np.complex128)
     for e in pvm.effects:
         m = e.T.reshape(-1)
@@ -354,16 +366,16 @@ def validate(rep: LinearMapRep) -> ValidationReport:
     arr = rep.choi.array
     w = np.linalg.eigvalsh(arr)
     min_eig = float(w[0])
-    cp = bool(min_eig >= -CP_TOL)
+    cp = bool(min_eig >= -CHANNEL_TOL)
     marg_in = ptrace_array(arr, rep.dims, range(1, len(rep.dims)))
     tp_dev = float(np.abs(marg_in - np.eye(rep.d_in)).max())
-    tp = bool(tp_dev <= TP_TOL)
+    tp = bool(tp_dev <= CHANNEL_TOL)
     marg_out = ptrace_array(arr, rep.dims, [0])
-    unital = bool(np.abs(marg_out - np.eye(rep.d_out)).max() <= TP_TOL)
+    unital = bool(np.abs(marg_out - np.eye(rep.d_out)).max() <= CHANNEL_TOL)
     eb = None
     if rep.d_in == 2 and rep.d_out == 2:
         pt = ptranspose_array(arr, (2, 2), 0)
-        eb = bool(cp and np.linalg.eigvalsh(pt).min() >= -CP_TOL)
+        eb = bool(cp and np.linalg.eigvalsh(pt).min() >= -CHANNEL_TOL)
     return ValidationReport(cp, tp, unital, eb, min_eig, tp_dev)
 
 
@@ -481,13 +493,9 @@ def measure_prepare_decomposition(rep: LinearMapRep) -> MeasurePrepare:
     """
     if rep.d_in != 2 or rep.d_out != 2:
         raise ValueError("decomposition implemented for qubit-to-qubit maps only")
-    arr = rep.choi.array
-    w, v = np.linalg.eigh(arr)
-    if w[0] < -CP_TOL:
-        raise ValueError("Choi matrix is not PSD")
-    pt = ptranspose_array(arr, (2, 2), 0)
-    if np.linalg.eigvalsh(pt).min() < -CP_TOL:
-        raise ValueError("Choi matrix is not PPT, so the map is not measure-and-prepare")
+    if not validate(rep).eb_2x2:
+        raise ValueError("Choi matrix is not PSD and PPT, so the map is not measure-and-prepare")
+    w, v = np.linalg.eigh(rep.choi.array)
     vecs = [v[:, k] * np.sqrt(max(w[k], 0.0)) for k in range(4) if w[k] > 1e-13 * max(w[-1], 1.0)]
     r = len(vecs)
     tau = np.zeros((r, r), dtype=np.complex128)
@@ -573,8 +581,10 @@ def _matrix_from_json(data) -> np.ndarray:
     arr = np.array([[complex(re, im) for re, im in row] for row in data])
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix payload must be square")
-    if np.abs(arr - arr.conj().T).max() > JSON_HERMITIAN_TOL:
-        raise ValueError(f"matrix payload is not Hermitian within {JSON_HERMITIAN_TOL:g}")
+    if not np.isfinite(arr).all():  # json reads NaN and Infinity
+        raise ValueError("matrix payload has a non-finite entry (NaN or Infinity)")
+    if np.abs(arr - arr.conj().T).max() > OPERATOR_TOL:
+        raise ValueError(f"matrix payload is not Hermitian within {OPERATOR_TOL:g}")
     return arr
 
 

@@ -24,12 +24,14 @@ from . import sdp, verify
 from .channels import (
     Channel,
     channel_from_json,
+    in_xi_domain,
     partial_depolarizing_channel,
     validate,
     xi_channel,
 )
 from .jordan import jordan_channel, verify_gen_jordan_operator
 from .sdp.decide import EXIT_CODES, decide
+from .tolerances import DOMAIN_SLACK, OPERATOR_TOL
 from .witness import (WitnessReport, certificate_from_json, certificate_to_json, verify_compatibilizer,
                       verify_jordan_witness, verify_witness)
 
@@ -115,7 +117,7 @@ def cmd_self_compat(args) -> int:
 
 def _point_xi_self_k(task):
     p, q, k, solver = task
-    if p + q > 1.0 + 1e-12:
+    if not in_xi_domain(p, q):
         return "x"
     xi = xi_channel(p, q)
     out = sdp.solve(sdp.build_k_extension(xi, k), mode=_SOLVER_MODES[solver])
@@ -124,12 +126,13 @@ def _point_xi_self_k(task):
 
 def _jordan_std_char(f: Channel, g: Channel) -> str:
     """'1' when the standard Jordan product of the pair is completely positive."""
-    return "1" if np.linalg.eigvalsh(jordan_channel(f.rep, g.rep).choi.array).min() >= -1e-10 else "0"
+    low = np.linalg.eigvalsh(jordan_channel(f.rep, g.rep).choi.array).min()
+    return "1" if low >= -OPERATOR_TOL else "0"
 
 
 def _point_xi_jordan_vs_self(task):
     p, q = task
-    if p + q > 1.0 + 1e-12:
+    if not in_xi_domain(p, q):
         return ("x", "x", "x")
     xi = xi_channel(p, q)
     mp = "1" if validate(xi.rep).eb_2x2 else "0"
@@ -140,7 +143,7 @@ def _point_depol_pair(task):
     q0, q1 = task
     f = partial_depolarizing_channel(q0, 2)
     g = partial_depolarizing_channel(q1, 2)
-    hull = "1" if (2 * q0 + q1 >= 1 - 1e-12 and q0 + 2 * q1 >= 1 - 1e-12) else "0"
+    hull = "1" if (2 * q0 + q1 >= 1 - DOMAIN_SLACK and q0 + 2 * q1 >= 1 - DOMAIN_SLACK) else "0"
     return (_verdict_char(decide(f, g).verdict), _jordan_std_char(f, g), hull)
 
 

@@ -18,11 +18,8 @@ import numpy as np
 
 from .channels import Channel, LinearMapRep, SingularMapError, _choi_identity, apply_to_factor, invert_map
 from .linalg import HermitianMatrix, TensorShape, ptrace_array
-from .witness import DECISION_TOL, WitnessReport, adjoint_sum, split_adjoint_pair, verify_compatibilizer
-
-# the read-out's projection leaves marginal deviations near 1e-14, also
-# through inverse maps of condition 1e7
-GEN_JORDAN_TOL = 1e-8
+from .tolerances import DECISION_TOL, GEN_JORDAN_TOL, OPERATOR_TOL
+from .witness import WitnessReport, adjoint_sum, split_adjoint_pair, verify_compatibilizer
 
 
 def _marginal_deviation(arr: np.ndarray, d: int) -> float:
@@ -108,7 +105,7 @@ def jordan_matrix(a, b, anchor: Optional[np.ndarray] = None) -> HermitianMatrix:
     out = (a_arr @ b_arr + b_arr @ a_arr) / 2
     if anchor is not None:
         x = np.asarray(anchor, dtype=np.complex128)
-        if abs(np.trace(x)) > 1e-10:
+        if abs(np.trace(x)) > OPERATOR_TOL:
             raise ValueError("anchor must be traceless")
         coeff = np.trace(x @ a_arr) * np.trace(x @ b_arr)
         out = out + coeff * np.eye(a_arr.shape[0])

@@ -19,13 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-# Relative eigenvalue cutoff shared by every support-projector /
-# pseudo-inverse computation in the package.  An absolute cutoff breaks
-# on scaled inputs.
-RANK_CUTOFF = 1e-10
-# relative residual of A - (P (x) I) A (P (x) I) in support_projection_absorbs
-SUPPORT_ABSORB_TOL = 1e-9
+from .tolerances import CHANNEL_TOL, HERMITICITY_TOL, MARGINAL_TOL, RANK_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -352,7 +346,7 @@ def pinv_sqrt(m: HermitianMatrix) -> HermitianMatrix:
     zero, so sigma^{-1/2} sigma sigma^{-1/2} is the support projector.
     """
     w, v = hermitian_eig(m)
-    if w[0] < -1e-8 * max(1.0, abs(w[-1])):
+    if w[0] < -CHANNEL_TOL * max(1.0, abs(w[-1])):
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     cutoff = RANK_CUTOFF * max(w[-1], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
@@ -395,4 +389,4 @@ def support_projection_absorbs(a: HermitianMatrix) -> bool:
     d_rest = math.prod(dims[1:])
     big = np.kron(proj, np.eye(d_rest))
     resid = np.abs(a.array - big @ a.array @ big).max()
-    return bool(resid <= SUPPORT_ABSORB_TOL * max(1.0, np.abs(a.array).max()))
+    return bool(resid <= MARGINAL_TOL * max(1.0, np.abs(a.array).max()))

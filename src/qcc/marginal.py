@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, LinearMapRep, Povm, apply_adjoint_array
+from .channels import Channel, LinearMapRep, Povm, apply_adjoint_array, check_projectors, require_density
 from .linalg import (
     HermitianMatrix,
     TensorShape,
@@ -23,8 +23,7 @@ from .linalg import (
     ptrace_array,
     support_projector_array,
 )
-
-MARGINAL_TOL = 1e-9
+from .tolerances import MARGINAL_TOL
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,7 @@ class StatePair:
         if self.sigma.side != f1[0]:
             raise ValueError("sigma must live on the overlap factor")
         for name, mat in (("rho1", self.rho1), ("rho2", self.rho2), ("sigma", self.sigma)):
-            if abs(np.trace(mat.array).real - 1.0) > MARGINAL_TOL:
-                raise ValueError(f"{name} must have unit trace")
-            if np.linalg.eigvalsh(mat.array).min() < -MARGINAL_TOL:
-                raise ValueError(f"{name} must be PSD")
+            require_density(mat.array, name, MARGINAL_TOL)
         m1 = ptrace_array(self.rho1.array, f1, [1])
         m2 = ptrace_array(self.rho2.array, f2, [1])
         dev = max(np.abs(m1 - self.sigma.array).max(), np.abs(m2 - self.sigma.array).max())
@@ -132,16 +128,9 @@ def lift_povm_compatibilizer(parts, preps1, preps2) -> Channel:
 def _complete_projectors(projs, dim: int):
     """Validate pairwise-orthogonal projectors and append the completion."""
     projs = [np.asarray(p, dtype=np.complex128) for p in projs]
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for a, pa in enumerate(projs):
-        if np.abs(pa @ pa - pa).max() > 1e-9:
-            raise ValueError("family member is not a projector")
-        for pb in projs[a + 1 :]:
-            if np.abs(pa @ pb).max() > 1e-9:
-                raise ValueError("projector family is not pairwise orthogonal")
-        total += pa
-    rest = np.eye(dim) - total
-    if np.abs(rest).max() > 1e-9:
+    check_projectors(projs)
+    rest = np.eye(dim) - sum(projs)
+    if np.abs(rest).max() > MARGINAL_TOL:
         projs = projs + [rest]
     return projs
 

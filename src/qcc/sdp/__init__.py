@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..witness import DECISION_TOL
+from ..tolerances import DECISION_TOL
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -14,16 +14,9 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import SdpOutcome, SdpProblem, compile_ipm, primal_failure
+from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError,
+                      compile_ipm, primal_failure)
 from .projection import solve_dykstra
-
-# caps on the side of the complex variable, checked before compiling
-IPM_SIDE_CAP = 256
-PROJECTION_SIDE_CAP = 1024
-
-
-class SizeCapError(ValueError):
-    """The problem is larger than the solver's dense-size cap."""
 
 
 def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:

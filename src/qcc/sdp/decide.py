@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..channels import Channel
-from ..jordan import (GEN_JORDAN_TOL, GenJordanOperator, gen_jordan, inverse_pair, read_out_operator,
+from ..jordan import (GenJordanOperator, gen_jordan, inverse_pair, read_out_operator,
                       verify_gen_jordan_operator)
 from ..linalg import HermitianMatrix, TensorShape, ptranspose_array
+from ..tolerances import GEN_JORDAN_TOL
 from ..witness import (JordanWitness, Witness, jordan_witness_from_dual, verify_compatibilizer,
                        verify_jordan_witness, verify_witness, witness_from_dual)
 from . import solve

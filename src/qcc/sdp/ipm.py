@@ -30,9 +30,10 @@ hundred are the design point, so it is formed explicitly, by the
 iteration.  For standard-form programs it is formed from the
 partial-trace structure of the constraints as G M(V) G^T: a few
 products of the NT-scaled block with itself, a gather into the
-constraint rows and two products with G: about 1.2 ms of a 6.5 ms
-complex qutrit compat iteration (m = 152, 27 x 27 blocks, one BLAS
-thread of a 2-core VM), where the dense form takes 4.5 ms.  For
+constraint rows and two products with G.  At complex qutrit compat
+(m = 152) that costs about a sixth of the dense Gram form; at qubit
+size (m of 16 to 23) its Python overhead makes it about twice as
+costly as the dense form, a few tens of microseconds.  For
 null-space programs it is the Gram matrix of the scaled constraint
 blocks, m n^3 to form.  The NT factors of each iteration also give its
 step lengths.  Each iteration takes one Newton step and nothing repairs

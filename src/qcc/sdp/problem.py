@@ -86,7 +86,6 @@ import numpy as np
 
 from ..channels import LinearMapRep, apply_to_factor
 from ..linalg import (
-    HERMITICITY_TOL,
     embed_identity_array,
     herm_to_vec,
     hermitian_basis,
@@ -95,16 +94,16 @@ from ..linalg import (
     symmetric_basis,
     vec_to_herm,
 )
-from ..witness import DECISION_TOL
+from ..tolerances import DECISION_TOL, HERMITICITY_TOL, MARGINAL_TOL, PSD_TOL, RANK_CUTOFF
 from .ipm import _as_real, _ct
 
-CONSTRAINT_RANK_TOL = 1e-10  # on the null-space form's block-image singular values, relative
-# on eigenvalues of K K^T (squared singular values), relative to the
-# largest: the null ones come out at ~1e-15 and the smallest nonzero one
-# is 3 against 6 at qutrit compat, so this cut gives the rank of an SVD
-# of K at a 1e-10 cut on every builder, where (1e-10)^2 would sit below
-# the Gram matrix's rounding
-GRAM_RANK_TOL = 1e-10
+# caps on the side of the complex variable, checked before compiling
+IPM_SIDE_CAP = 256
+PROJECTION_SIDE_CAP = 1024
+
+
+class SizeCapError(ValueError):
+    """The problem is larger than the solver's dense-size cap."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ class SdpProblem:
     The indices a constraint traces out, a partial transpose's factor and
     the number of a map image's maps are checked when the problem is built,
     and so are each right-hand side's shape and its Hermiticity (to
-    ``linalg.HERMITICITY_TOL``, scaled as ``HermitianMatrix`` scales it): a
+    ``tolerances.HERMITICITY_TOL``, scaled as ``HermitianMatrix`` scales it): a
     bad one raises a ``ValueError`` that names it.  Every block's image must
     have the same side, so the blocks stack on one array axis; blocks that
     differ raise a ``ValueError`` that names them.
@@ -258,17 +257,13 @@ def block_images(problem: SdpProblem, arrs: np.ndarray) -> np.ndarray:
     return np.stack([image(block) for block in problem.blocks])
 
 
-# least eigenvalue a projection point may have and still count as PSD
-FEAS_PSD_TOL = 1e-9
-
-
 def primal_failure(problem: SdpProblem, x: np.ndarray) -> str:
     """Why X is not a feasible point of ``problem``, or "" when it is one.
 
     Checked from the problem alone, without the solver's arrays: every
     constraint's partial trace of X must be within ``DECISION_TOL`` of its
     right-hand side in every entry, and every block's image of X must have
-    its least eigenvalue at or above ``-FEAS_PSD_TOL``.  The first failing
+    its least eigenvalue at or above ``-PSD_TOL``.  The first failing
     check is returned.
     """
     for con in problem.constraints:
@@ -277,11 +272,11 @@ def primal_failure(problem: SdpProblem, x: np.ndarray) -> str:
             return (f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, "
                     f"above {DECISION_TOL:g}")
     lows = np.linalg.eigvalsh(block_images(problem, x)).min(axis=-1)
-    fails = ~(lows >= -FEAS_PSD_TOL)
+    fails = ~(lows >= -PSD_TOL)
     if fails.any():
         b = int(fails.argmax())
         return (f"{problem.blocks[b].kind} block {b} has least eigenvalue {lows[b]:.3g}, "
-                f"below {-FEAS_PSD_TOL:g}")
+                f"below {-PSD_TOL:g}")
     return ""
 
 
@@ -557,7 +552,7 @@ class _Structure:
         self.real = key[2]
         self.kmat = _constraint_matrix(*key)
         lam, u = np.linalg.eigh(self.kmat @ self.kmat.T)
-        keep = lam > GRAM_RANK_TOL * (lam[-1] if lam.size else 1.0)
+        keep = lam > RANK_CUTOFF * (lam[-1] if lam.size else 1.0)
         self.coords = (u[:, keep] / np.sqrt(lam[keep])).T
         self.vh = self.coords @ self.kmat  # (rank, P)
         self.rank = self.vh.shape[0]
@@ -598,7 +593,7 @@ def _eliminate(problem: SdpProblem) -> tuple[_Structure, np.ndarray]:
     x0 = st.vh.T @ (st.coords @ bvec)
     resid = np.abs(st.kmat @ x0 - bvec).max() if bvec.size else 0.0
     scale = max(1.0, np.abs(bvec).max() if bvec.size else 1.0)
-    if resid > 1e-9 * scale:
+    if resid > MARGINAL_TOL * scale:
         raise ValueError(f"equality constraints are inconsistent (residual {resid:.3e})")
     return st, x0
 
@@ -681,7 +676,7 @@ def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
         float(np.linalg.norm(img_consts, axis=(-2, -1)).max()),
         1e-300,
     )
-    rank2 = int(np.sum(s2 > CONSTRAINT_RANK_TOL * scale))
+    rank2 = int(np.sum(s2 > RANK_CUTOFF * scale))
     nullb = nullb @ (vh2[:rank2].T / s2[:rank2][None, :])
     # the new directions' stacked images are the left singular vectors
     img_dirs = vec_to_herm(u2[:, :rank2].T.reshape(rank2, nblocks, ncoord), n, st.real)

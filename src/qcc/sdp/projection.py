@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..linalg import herm_to_vec, vec_to_herm
-from .problem import FEAS_PSD_TOL, SdpProblem, _eliminate
+from ..tolerances import PSD_TOL
+from .problem import SdpProblem, _eliminate
 
 MAX_ITER = 50000
 CHECK_EVERY = 8
@@ -53,7 +54,7 @@ class ProjectionResult:
 
 
 def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
-    """Project until the PSD violation is at most ``FEAS_PSD_TOL``, checking
+    """Project until the PSD violation is at most ``PSD_TOL``, checking
     every ``CHECK_EVERY`` sweeps, for at most ``MAX_ITER`` sweeps; all three
     are read at call time."""
     if [block.kind for block in problem.blocks] != ["identity"]:
@@ -90,10 +91,10 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
             viol = violation_of(x)
             if viol < best_viol:
                 best, best_viol = x, viol
-            if viol <= FEAS_PSD_TOL:
+            if viol <= PSD_TOL:
                 return ProjectionResult(True, x, viol, it)
             if it % STALL_WINDOW == 0:
-                if best_viol > window_best * STALL_FACTOR and best_viol > 100 * FEAS_PSD_TOL:
+                if best_viol > window_best * STALL_FACTOR and best_viol > 100 * PSD_TOL:
                     break
                 window_best = best_viol
     return ProjectionResult(False, best, best_viol, it)

@@ -21,15 +21,7 @@ import numpy as np
 
 from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json, apply_to_factor
 from .linalg import HermitianMatrix, TensorShape, embed_identity_array, ptrace_array, ptranspose_array
-
-# The sign band of the optimum t and decide()'s certificate tolerance, in
-# one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
-# which the certificate check must accept.  It bounds no residual: a solve
-# that misses ipm.TOL is Inconclusive.
-DECISION_TOL = 1e-7
-PSD_TOL = 1e-9
-PAIRING_TOL = 1e-9
-JORDAN_CONSTRAINT_TOL = 1e-8
+from .tolerances import DECISION_TOL, JORDAN_CONSTRAINT_TOL, PAIRING_TOL, PSD_TOL
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from qcc.channels import (
     MeasurePrepare,
     Povm,
     SingularMapError,
+    _matrix_from_json,
+    _matrix_to_json,
     apply,
     apply_array,
     apply_adjoint_array,
@@ -302,6 +304,21 @@ class TestChannelJson:
         comp = reference.compatibilizer()
         back = channel_from_json(channel_to_json(comp))
         assert back.rep.output_factors == (2, 2)
+
+    def test_hermiticity_rule_of_payloads(self):
+        # every payload becomes a HermitianMatrix, whose bound
+        # 1e-12 * max(1, max |M|) decides for entries up to 100; above
+        # that the reader's own 1e-10 decides
+        small = np.eye(2, dtype=complex)
+        small[0, 1] = 5e-11
+        arr = _matrix_from_json(_matrix_to_json(small))
+        with pytest.raises(ValueError, match="not Hermitian: max"):
+            HermitianMatrix(arr)
+        big = 1000 * np.eye(2, dtype=complex)
+        big[0, 1] = 5e-10
+        HermitianMatrix(big)
+        with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
+            _matrix_from_json(_matrix_to_json(big))
 
     def test_rejects_non_hermitian_payload(self):
         data = channel_to_json(identity_channel(2))

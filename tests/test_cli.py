@@ -146,6 +146,35 @@ class TestCheck:
         bad.write_text("{not json")
         assert main(["check", str(bad), identity_file]) == 64
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_channel_entry_exits_64(self, tmp_path, identity_file, capsys, entry):
+        data = channel_to_json(identity_channel(2))
+        data["choi"][1][1] = [entry, 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # as NaN or Infinity, which json reads back
+        assert main(["check", str(bad), identity_file]) == 64
+        assert "non-finite entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_certificate_entry_exits_64(self, tmp_path, identity_file, capsys, entry):
+        cert = tmp_path / "cert.json"
+        assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 1
+        data = json.loads(cert.read_text())
+        data["Z1"][0][0] = [entry, 0.0]
+        cert.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["witness", "verify", str(cert), identity_file, identity_file]) == 64
+        assert "non-finite entry" in capsys.readouterr().err
+
+    def test_asymmetric_channel_entry_exits_64(self, tmp_path, identity_file, capsys):
+        # within the JSON reader's 1e-10, beyond the 1e-12 of HermitianMatrix
+        data = channel_to_json(identity_channel(2))
+        data["choi"][0][1] = [5e-11, 0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad), identity_file]) == 64
+        assert "not Hermitian: max |M - M^dag| = 5.000e-11" in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_65(self, tmp_path, identity_file):
         other = tmp_path / "id3.json"
         other.write_text(json.dumps(channel_to_json(identity_channel(3))))
@@ -211,6 +240,10 @@ class TestSelfCompat:
         # in int64 a side of 2**64 is 0, below both caps
         assert main(["self-compat", identity_file, "--k", "63", "--solver", solver]) == 66
         assert str(2 ** 64) in capsys.readouterr().err
+
+    def test_size_cap_refused_before_building_exit_66(self, identity_file, capsys):
+        assert main(["self-compat", identity_file, "--k", str(10 ** 6)]) == 66
+        assert "2 * 2^1000000" in capsys.readouterr().err
 
     def test_half_depolarizing_k2(self, tmp_path):
         p = tmp_path / "o.json"
@@ -352,6 +385,11 @@ class TestSweep:
         out = str(tmp_path / "cap.csv")
         assert main(["sweep", "xi_self_k", "--grid", "2", "--k", "63", "--out", out]) == 66
         assert str(2 ** 64) in capsys.readouterr().err
+
+    def test_size_cap_refused_before_building_exit_66(self, tmp_path, capsys):
+        out = str(tmp_path / "cap.csv")
+        assert main(["sweep", "xi_self_k", "--grid", "2", "--k", str(10 ** 6), "--out", out]) == 66
+        assert "2 * 2^1000000" in capsys.readouterr().err
 
     def test_unwritable_out_path_exits_64_before_the_grid(self, tmp_path, monkeypatch, capsys):
         def no_grid(*args):

@@ -39,7 +39,6 @@ import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import decide
 from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve
 from qcc.sdp.problem import (
-    CONSTRAINT_RANK_TOL,
     Block,
     Constraint,
     SdpProblem,
@@ -52,6 +51,7 @@ from qcc.sdp.problem import (
 )
 from qcc.sdp.ipm import solve_ipm
 from qcc.sdp.projection import ProjectionResult
+from qcc.tolerances import RANK_CUTOFF
 from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
                          verify_witness, witness_from_dual)
 
@@ -108,12 +108,30 @@ class TestSolveCompat:
     @pytest.mark.parametrize("k", [62, 63, 64])
     def test_solver_cap_beyond_int64(self, k):
         # an int64 product of the factors is -2**63 at k = 62 and 0 above,
-        # below both caps
-        problem = sdp.build_k_extension(identity_channel(2), k)
+        # below both caps: the builder refuses the side, and each solver
+        # refuses the same program built without it
+        with pytest.raises(sdp.SizeCapError, match=str(2 ** (k + 1))):
+            sdp.build_k_extension(identity_channel(2), k)
+        jid = identity_channel(2).choi.array
+        cons = tuple(Constraint(tuple(i for i in range(1, k + 1) if i != a), jid)
+                     for a in range(1, k + 1))
+        problem = SdpProblem((2,) * (k + 1), cons, (Block("identity"),))
         assert problem.side == TensorShape(problem.factors).dim == 2 ** (k + 1)
         for mode in ("interior_point", "projection"):
             with pytest.raises(sdp.SizeCapError, match=str(2 ** (k + 1))):
                 sdp.solve(problem, mode=mode)
+
+    @pytest.mark.parametrize("k", [300, 10 ** 6])
+    def test_k_extension_over_cap_refused_before_building(self, k):
+        # refused before the k constraints, O(k^3) to check, are built
+        with pytest.raises(sdp.SizeCapError, match=f"2 \\* 2\\^{k}"):
+            sdp.build_k_extension(identity_channel(2), k)
+
+    def test_k_extension_at_projection_cap_builds(self):
+        problem = sdp.build_k_extension(identity_channel(2), 9)
+        assert problem.side == sdp.PROJECTION_SIDE_CAP
+        with pytest.raises(sdp.SizeCapError, match="interior-point"):
+            sdp.solve(problem)
 
     def test_redundancy_reported(self):
         # the two marginal families overlap in the marginal on the input
@@ -376,7 +394,7 @@ class TestStructuredSchur:
         bvec = np.concatenate([herm_to_vec(con.rhs.real if problem.real else con.rhs, problem.real)
                                for con in problem.constraints])
         u, s, vh = np.linalg.svd(kmat, full_matrices=False)
-        rank = int(np.sum(s > CONSTRAINT_RANK_TOL * s[0]))
+        rank = int(np.sum(s > RANK_CUTOFF * s[0]))
         x0 = vh[:rank].T @ ((u[:, :rank].T @ bvec) / s[:rank])
         st, elim_x0 = _eliminate(problem)
         assert st.rank == rank
