@@ -328,37 +328,39 @@ def apply_adjoint_array(rep: LinearMapRep, y: np.ndarray) -> np.ndarray:
     return np.einsum("ab,xyab->xy", y, rep.transfer_tensor().conj())
 
 
-def apply_to_factor(arr: np.ndarray, dims: Sequence[int], factor: int, rep: LinearMapRep,
-                    adjoint: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Apply a map to one tensor factor of a dense matrix on a product space.
+def apply_to_factors(arr: np.ndarray, dims: Sequence[int], maps: Sequence[Optional[LinearMapRep]],
+                     adjoint: bool = False) -> np.ndarray:
+    """Apply maps factor-wise to a dense matrix on the product of ``dims``,
+    the maps' input factors (``None`` leaves a factor alone), or with
+    ``adjoint`` their adjoints to a matrix on the maps' output factors.
 
-    Leading axes of ``arr`` are batch axes.  Returns the new matrix (or
-    stack) and the updated factor dimension list; a float ``arr`` through
-    a map whose Choi matrix is real gives a float result.
+    Leading axes of ``arr`` are batch axes; a float ``arr`` through maps
+    whose Choi matrices are real gives a float result.
     """
-    dims = list(dims)
+    for factor, (d, rep) in enumerate(zip(dims, maps)):
+        if rep is not None and d != rep.d_in:
+            raise ValueError(f"factor {factor} has dim {d}, map expects {rep.d_in}")
+    dims = [rep.d_out if adjoint and rep is not None else d for d, rep in zip(dims, maps)]
     n = len(dims)
-    d_from = rep.d_out if adjoint else rep.d_in
-    d_to = rep.d_in if adjoint else rep.d_out
-    if dims[factor] != d_from:
-        raise ValueError(f"factor {factor} has dim {dims[factor]}, map expects {d_from}")
-    t = rep.transfer_tensor()
-    if adjoint:
-        t = t.conj().transpose(2, 3, 0, 1)
-    if not np.iscomplexobj(arr) and not t.imag.any():
-        t = t.real  # a real matrix through a real map stays real
     batch = arr.shape[:-2]
-    tens = arr.reshape(*batch, *dims, *dims)
-    # contract (row, col) indices of the chosen factor against T[m, n, y, w]
-    src = list(range(2 * n))
-    t_lbl = [factor, n + factor, 2 * n, 2 * n + 1]
-    out_lbl = src.copy()
-    out_lbl[factor] = 2 * n
-    out_lbl[n + factor] = 2 * n + 1
-    res = np.einsum(tens, [Ellipsis] + src, t, t_lbl, [Ellipsis] + out_lbl)
-    dims[factor] = d_to
-    d_total = math.prod(dims)
-    return res.reshape(*batch, d_total, d_total), dims
+    for factor, rep in enumerate(maps):
+        if rep is None:
+            continue
+        t = rep.transfer_tensor()
+        if adjoint:
+            t = t.conj().transpose(2, 3, 0, 1)
+        if not np.iscomplexobj(arr) and not t.imag.any():
+            t = t.real  # a real matrix through a real map stays real
+        tens = arr.reshape(*batch, *dims, *dims)
+        # contract (row, col) indices of this factor against T[m, n, y, w]
+        src = list(range(2 * n))
+        out_lbl = src.copy()
+        out_lbl[factor], out_lbl[n + factor] = 2 * n, 2 * n + 1
+        res = np.einsum(tens, [Ellipsis] + src, t, [factor, n + factor, 2 * n, 2 * n + 1],
+                        [Ellipsis] + out_lbl)
+        dims[factor] = rep.d_in if adjoint else rep.d_out
+        arr = res.reshape(*batch, math.prod(dims), math.prod(dims))
+    return arr
 
 
 def validate(rep: LinearMapRep) -> ValidationReport:

@@ -6,7 +6,8 @@ the canonical choice recovers (AB + BA)/2 at the matrix level.  Replacing
 the canonical operator by any Hermitian A with the same two middle
 marginals gives the generalized product, and the existence of such an A
 making the product completely positive is a compatibility criterion;
-such an A is the certificate of a Jordan-compatible verdict.
+such an A is the certificate of a Jordan-compatible verdict, checked as
+a point of the program it certifies (``sdp.build_jordan_compat``).
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Channel, LinearMapRep, SingularMapError, _choi_identity, apply_to_factor, invert_map
+from .channels import (Channel, LinearMapRep, SingularMapError, _choi_identity, apply_to_factors,
+                       invert_map)
 from .linalg import HermitianMatrix, TensorShape, ptrace_array
 from .tolerances import DECISION_TOL, GEN_JORDAN_TOL, OPERATOR_TOL
-from .witness import WitnessReport, adjoint_sum, split_adjoint_pair, verify_compatibilizer
+from .sdp.builders import build_jordan_compat
+from .sdp.problem import WitnessReport, constraints_adjoint, primal_check
+from .witness import split_adjoint_pair, verify_compatibilizer
 
 
 def _marginal_deviation(arr: np.ndarray, d: int) -> float:
@@ -50,14 +54,6 @@ class GenJordanOperator:
         return self.matrix.shape.factors[0]
 
 
-def _image(arr: np.ndarray, f: LinearMapRep, g: LinearMapRep) -> np.ndarray:
-    """Choi matrix of the product: A pushed through (id (x) f (x) g)."""
-    d = f.d_in
-    arr, dims = apply_to_factor(arr, (d, d, d), 1, f)
-    arr, _ = apply_to_factor(arr, dims, 2, g)
-    return arr
-
-
 def inverse_pair(f: Channel, g: Channel) -> Optional[tuple[LinearMapRep, LinearMapRep]]:
     """(f^-1, g^-1), or None when either map is singular."""
     try:
@@ -66,29 +62,28 @@ def inverse_pair(f: Channel, g: Channel) -> Optional[tuple[LinearMapRep, LinearM
         return None
 
 
-def read_out_operator(arr: np.ndarray, d: int,
+def read_out_operator(arr: np.ndarray, f: Channel, g: Channel,
                       inverses: Optional[tuple[LinearMapRep, LinearMapRep]]) -> HermitianMatrix:
     """The operator A of the Jordan program's point ``arr`` (with ``inverses``,
     A = (id (x) f^-1 (x) g^-1)(X) of the compat program's X), projected onto the
     identity-marginal set: the inverses multiply X's residual by their condition."""
-    factors = (d, d, d)
+    factors = (f.d_in,) * 3
     if inverses is not None:
-        arr = _image(arr, *inverses)
-    excess = arr - a_jp(d).matrix.array
-    arr = arr - adjoint_sum(*split_adjoint_pair(excess, factors), factors)
+        arr = apply_to_factors(arr, factors, (None, *inverses))
+    w1, w2 = split_adjoint_pair(arr - a_jp(f.d_in).matrix.array, factors)
+    # the program's first constraint traces out factor 1, so W2 is its multiplier
+    arr = arr - constraints_adjoint(build_jordan_compat(f, g), (w2, w1))
     return HermitianMatrix(arr, TensorShape(factors))
 
 
 def verify_gen_jordan_operator(a: HermitianMatrix, f: Channel, g: Channel) -> WitnessReport:
-    """Check A: its two middle marginals are J(id) within ``GEN_JORDAN_TOL``
-    (``constraint_residual``) and (id (x) f (x) g)(A) is PSD within
-    ``DECISION_TOL`` (``min_eig``)."""
+    """Check A as a point of the Jordan program: its two middle marginals
+    are J(id) within ``GEN_JORDAN_TOL`` (``constraint_residual``) and
+    (id (x) f (x) g)(A) is PSD within ``DECISION_TOL`` (``min_eig``)."""
     d = f.d_in
     if g.d_in != d or a.shape.factors != (d, d, d):
         raise ValueError(f"operator shape {a.shape.factors} does not match inputs ({d}, {g.d_in})")
-    dev = _marginal_deviation(a.array, d)
-    min_eig = float(np.linalg.eigvalsh(_image(a.array, f.rep, g.rep)).min())
-    return WitnessReport(bool(dev <= GEN_JORDAN_TOL and min_eig >= -DECISION_TOL), 0.0, min_eig, dev)
+    return primal_check(build_jordan_compat(f, g), a.array, GEN_JORDAN_TOL, DECISION_TOL)
 
 
 def jordan_matrix(a, b, anchor: Optional[np.ndarray] = None) -> HermitianMatrix:
@@ -143,7 +138,8 @@ def gen_jordan(f: LinearMapRep, g: LinearMapRep, a: GenJordanOperator) -> Linear
     d = a.d
     if f.d_in != d or g.d_in != d:
         raise ValueError("map input dimensions must match the operator")
-    return LinearMapRep.from_choi(_image(a.matrix.array, f, g), d, (f.d_out, g.d_out))
+    product = apply_to_factors(a.matrix.array, (d, d, d), (None, f, g))
+    return LinearMapRep.from_choi(product, d, (f.d_out, g.d_out))
 
 
 def jordan_channel(f: LinearMapRep, g: LinearMapRep) -> LinearMapRep:
@@ -167,4 +163,4 @@ def gen_jordan_from_compatibilizer(f: Channel, g: Channel, comp: Channel) -> Gen
         raise ValueError("channel is not a compatibilizer of the pair "
                          f"(deviation {report.constraint_residual:.3e})")
     inverses = (invert_map(f.rep), invert_map(g.rep))
-    return GenJordanOperator(read_out_operator(comp.choi.array, f.d_in, inverses))
+    return GenJordanOperator(read_out_operator(comp.choi.array, f, g, inverses))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tolerances import DECISION_TOL
+from ..tolerances import DECISION_TOL, PSD_TOL
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -15,13 +15,13 @@ from .builders import (
 )
 from .ipm import solve_ipm
 from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError,
-                      compile_ipm, primal_failure)
+                      compile_ipm, primal_check, side_text)
 from .projection import solve_dykstra
 
 
 def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
     if problem.side > cap:
-        raise SizeCapError(f"{solver} cap is a variable side of {cap}, got {problem.side}")
+        raise SizeCapError(f"{solver} cap is a variable side of {cap}, got {side_text(problem.side)}")
 
 
 def _complex(arr: np.ndarray) -> np.ndarray:
@@ -36,8 +36,8 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     certificate extraction, or Inconclusive with the solver's note when
     it did not converge.  projection runs Dykstra alternating
     projections and reports Feasible with a primal point, re-checked by
-    ``primal_failure`` against the problem itself, or Inconclusive with
-    the reason.  Real programs (``SdpProblem.real``) are solved over
+    ``problem.primal_check`` against the problem itself, or Inconclusive
+    with the reason.  Real programs (``SdpProblem.real``) are solved over
     real symmetric matrices; the outcome's matrices are complex128
     either way.
     """
@@ -68,7 +68,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
-        note = (primal_failure(problem, res.x) if res.feasible
+        note = (primal_check(problem, res.x, DECISION_TOL, PSD_TOL).note if res.feasible
                 else "projection did not reach feasibility")
         if note:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,

@@ -6,7 +6,8 @@ import numpy as np
 
 from ..channels import Channel, Povm, _choi_identity, measurement_channel
 from ..linalg import HermitianMatrix
-from .problem import IPM_SIDE_CAP, PROJECTION_SIDE_CAP, Block, Constraint, SdpProblem, SizeCapError
+from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, Block, Constraint, SdpProblem, SizeCapError,
+                      side_text)
 
 
 def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int, int, int],
@@ -65,9 +66,8 @@ def build_k_extension(f: Channel, k: int) -> SdpProblem:
     dx, dy = f.d_in, f.d_out
     side, cap = dx * dy ** k, max(IPM_SIDE_CAP, PROJECTION_SIDE_CAP)
     if side > cap:
-        exact = f" = {side}" if side.bit_length() < 10000 else ""  # str() refuses ~4300 digits
-        raise SizeCapError(f"a k = {k} extension has variable side {dx} * {dy}^{k}{exact}, "
-                           f"above every solver's cap (a side of {cap})")
+        raise SizeCapError(f"a k = {k} extension has variable side {dx} * {dy}^{k} = "
+                           f"{side_text(side)}, above every solver's cap (a side of {cap})")
     factors = (dx,) + (dy,) * k
     cons = tuple(Constraint(tuple(i for i in range(1, k + 1) if i != a), f.choi.array)
                  for a in range(1, k + 1))

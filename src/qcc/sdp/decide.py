@@ -16,9 +16,10 @@ out of the compatibilizer through the inverse maps, and the compat
 certificate is the dual the Jordan witness is built from.  When a map is
 singular (or its output differs in size) the Jordan program itself runs.
 
-This module does no certificate math: each certificate is read out and
-checked by the functions beside its type, in ``qcc.witness`` (witnesses,
-compatibilizers) and ``qcc.jordan`` (the operator A).
+This module does no certificate math: each certificate is read out by
+the functions beside its type, in ``qcc.witness`` (witnesses,
+compatibilizers) and ``qcc.jordan`` (the operator A), which check it
+against the program it certifies.
 """
 
 from __future__ import annotations
@@ -77,16 +78,15 @@ def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
     Inconclusive when the solve is or the witness fails verification."""
     if out.status == "Inconclusive":
         return Decision("Inconclusive", out.value, outcome=out, note=out.note)
-    if out.dual is not None:
-        if mode == "jordan":
-            w = jordan_witness_from_dual(out.dual[0], f, g)
-            report = verify_jordan_witness(w, f, g)
-        else:
-            w = witness_from_dual(out.dual[0], f, g, mode)
-            report = verify_witness(w, f, g)
-        if report.valid:
-            return Decision("Incompatible", out.value, witness=w,
-                            witness_margin=report.margin, outcome=out)
+    if mode == "jordan":
+        w = jordan_witness_from_dual(out.dual[0], f, g)
+        report = verify_jordan_witness(w, f, g)
+    else:
+        w = witness_from_dual(out.dual[0], f, g, mode)
+        report = verify_witness(w, f, g)
+    if report.valid:
+        return Decision("Incompatible", out.value, witness=w,
+                        witness_margin=report.margin, outcome=out)
     return Decision("Inconclusive", out.value, outcome=out,
                     note="dual certificate failed verification")
 
@@ -105,7 +105,7 @@ def _decide_jordan(f: Channel, g: Channel) -> Decision:
     inverses = inverse_pair(f, g)
     out = solve(build_jordan_compat(f, g) if inverses is None else build_compat(f, g))
     if out.status == "Feasible":
-        a = read_out_operator(out.primal, f.d_in, inverses)
+        a = read_out_operator(out.primal, f, g, inverses)
         report = verify_gen_jordan_operator(a, f, g)
         if report.valid:
             op = GenJordanOperator(a)

@@ -9,7 +9,9 @@ k-extension, the operator A of the Jordan program, and a joint
 measurement, which is the compatibilizer of two measurement channels.
 The objective is always "maximize t" with t subtracted from every block,
 so the underlying hard feasibility question reads off the sign of the
-optimum.
+optimum.  A certificate is checked against the program it certifies,
+from the problem alone: a point by ``primal_check``, a Farkas
+certificate (constraint multipliers, block duals) by ``farkas_check``.
 
 The vectorized constraint matrix is built from the adjoints: the rows
 of a partial-trace constraint are the identity embeddings of the
@@ -84,7 +86,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..channels import LinearMapRep, apply_to_factor
+from ..channels import LinearMapRep, apply_to_factors
 from ..linalg import (
     embed_identity_array,
     herm_to_vec,
@@ -94,7 +96,8 @@ from ..linalg import (
     symmetric_basis,
     vec_to_herm,
 )
-from ..tolerances import DECISION_TOL, HERMITICITY_TOL, MARGINAL_TOL, PSD_TOL, RANK_CUTOFF
+from ..tolerances import (FARKAS_RESIDUAL_TOL, HERMITICITY_TOL, MARGINAL_TOL, PAIRING_TOL, PSD_TOL,
+                          RANK_CUTOFF)
 from .ipm import _as_real, _ct
 
 # caps on the side of the complex variable, checked before compiling
@@ -104,6 +107,11 @@ PROJECTION_SIDE_CAP = 1024
 
 class SizeCapError(ValueError):
     """The problem is larger than the solver's dense-size cap."""
+
+
+def side_text(side: int) -> str:
+    """A side for a message, as its bit length where ``str`` refuses it."""
+    return str(side) if side.bit_length() < 10000 else f"a {side.bit_length()}-bit number"
 
 
 @dataclass(frozen=True)
@@ -236,48 +244,86 @@ class SdpOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _block_map(problem: SdpProblem, block: Block, arrs: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """A block's image of a matrix or a stack of them or, with ``adjoint``,
+    the image's adjoint, from the image's factors to the problem's."""
+    if block.kind == "identity":
+        return arrs
+    if block.kind == "ptranspose":  # its own adjoint
+        return ptranspose_array(arrs, problem.factors, block.factor)
+    if block.kind == "map_image":
+        return apply_to_factors(arrs, problem.factors, block.maps, adjoint)
+    raise ValueError(f"unknown block kind {block.kind!r}")
+
+
 def block_images(problem: SdpProblem, arrs: np.ndarray) -> np.ndarray:
     """Every block's image of a matrix, or of a stack of matrices, on the
     problem's factors: (blocks, ..., n, n)."""
-
-    def image(block):
-        if block.kind == "identity":
-            return arrs
-        if block.kind == "ptranspose":
-            return ptranspose_array(arrs, problem.factors, block.factor)
-        if block.kind == "map_image":
-            dims = list(problem.factors)
-            out = arrs
-            for pos, rep in enumerate(block.maps):
-                if rep is not None:
-                    out, dims = apply_to_factor(out, dims, pos, rep)
-            return out
-        raise ValueError(f"unknown block kind {block.kind!r}")
-
-    return np.stack([image(block) for block in problem.blocks])
+    return np.stack([_block_map(problem, block, arrs) for block in problem.blocks])
 
 
-def primal_failure(problem: SdpProblem, x: np.ndarray) -> str:
-    """Why X is not a feasible point of ``problem``, or "" when it is one.
+def blocks_adjoint(problem: SdpProblem, zs: np.ndarray) -> np.ndarray:
+    """sum_l img_l^*(Z_l) of one matrix Z_l per block."""
+    terms = [_block_map(problem, block, z, adjoint=True) for block, z in zip(problem.blocks, zs)]
+    return sum(terms[1:], terms[0])
 
-    Checked from the problem alone, without the solver's arrays: every
-    constraint's partial trace of X must be within ``DECISION_TOL`` of its
-    right-hand side in every entry, and every block's image of X must have
-    its least eigenvalue at or above ``-PSD_TOL``.  The first failing
-    check is returned.
-    """
-    for con in problem.constraints:
-        dev = float(np.abs(ptrace_array(x, problem.factors, con.traced) - con.rhs).max())
-        if not dev <= DECISION_TOL:
-            return (f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, "
-                    f"above {DECISION_TOL:g}")
+
+def constraints_adjoint(problem: SdpProblem, ys) -> np.ndarray:
+    """sum_c Tr_c^*(Y_c) of one matrix Y_c per constraint, each embedded
+    with identities on the factors its constraint traces out."""
+    terms = []
+    for con, y in zip(problem.constraints, ys):
+        kept = [i for i in range(len(problem.factors)) if i not in con.traced]
+        terms.append(embed_identity_array(y, [problem.factors[i] for i in kept], problem.factors, kept))
+    return sum(terms[1:], terms[0])
+
+
+@dataclass(frozen=True)
+class WitnessReport:
+    """A certificate check's verdict and measures; ``margin`` is a Farkas
+    pairing (0 for a point), ``note`` a point's first failing condition."""
+
+    valid: bool
+    margin: float
+    min_eig: float
+    constraint_residual: float = 0.0
+    note: str = ""
+
+
+def primal_check(problem: SdpProblem, x: np.ndarray, constraint_bound: float,
+                 psd_bound: float) -> WitnessReport:
+    """Whether X is a point of ``problem`` with t >= 0: every constraint's
+    partial trace within ``constraint_bound`` of its rhs in every entry,
+    every block's image with least eigenvalue at or above ``-psd_bound``."""
+    devs = [float(np.abs(ptrace_array(x, problem.factors, con.traced) - con.rhs).max())
+            for con in problem.constraints]
     lows = np.linalg.eigvalsh(block_images(problem, x)).min(axis=-1)
-    fails = ~(lows >= -PSD_TOL)
-    if fails.any():
-        b = int(fails.argmax())
-        return (f"{problem.blocks[b].kind} block {b} has least eigenvalue {lows[b]:.3g}, "
-                f"below {-PSD_TOL:g}")
-    return ""
+    fails = [f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, above {constraint_bound:g}"
+             for con, dev in zip(problem.constraints, devs) if not dev <= constraint_bound]
+    fails += [f"{block.kind} block {b} has least eigenvalue {low:.3g}, below {-psd_bound:g}"
+              for b, (block, low) in enumerate(zip(problem.blocks, lows)) if not low >= -psd_bound]
+    return WitnessReport(not fails, 0.0, float(lows.min()), max(devs, default=0.0),
+                         fails[0] if fails else "")
+
+
+def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> WitnessReport:
+    """Whether multipliers ``ys``, one per constraint, and duals ``zs``, one
+    per block, prove that ``problem`` has no point with t >= 0, which would
+    give sum_c <Y_c, rhs_c> = sum_l <Z_l, img_l(X)> >= 0: sum_l img_l^*(Z_l)
+    = sum_c Tr_c^*(Y_c), every Z_l PSD and sum_c <Y_c, rhs_c> < 0.  Without
+    ``zs`` the one block is X itself, with dual sum_c Tr_c^*(Y_c)."""
+    adj = constraints_adjoint(problem, ys)
+    if zs is None:
+        if [block.kind for block in problem.blocks] != ["identity"]:
+            raise ValueError("a program with blocks other than X needs one dual per block")
+        zs, residual = adj[None], 0.0
+    else:
+        residual = float(np.linalg.norm(blocks_adjoint(problem, zs) - adj))
+    min_eig = float(np.linalg.eigvalsh(zs).min())
+    margin = sum(float(np.tensordot(y.conj(), con.rhs, axes=2).real)
+                 for con, y in zip(problem.constraints, ys))
+    valid = residual <= FARKAS_RESIDUAL_TOL and min_eig >= -PSD_TOL and margin <= -PAIRING_TOL
+    return WitnessReport(bool(valid), margin, min_eig, residual)
 
 
 # ---------------------------------------------------------------------------

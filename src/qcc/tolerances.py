@@ -13,35 +13,36 @@ This module imports nothing from ``qcc``, so every module can read it.
 # The sign band of the optimum t and decide()'s certificate tolerance, in
 # one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
 # which the certificate check must accept.  It bounds no residual: a solve
-# that misses ipm.TOL is Inconclusive.  Read by sdp.solve (the verdict and
-# its band note), witness.verify_compatibilizer (marginals and PSD),
-# jordan.verify_gen_jordan_operator (the product image's PSD) and
-# sdp.problem.primal_failure (the constraint deviation).
+# that misses ipm.TOL is Inconclusive.  Read by sdp.solve (the verdict, its
+# band note, projection's constraint bound) and as primal-check bounds by
+# witness.verify_compatibilizer (marginals and PSD) and
+# jordan.verify_gen_jordan_operator (the product image's PSD).
 DECISION_TOL = 1e-7
 
-# Least eigenvalue of a certificate's PSD part: the witness adjoint sum
-# (witness.verify_witness), the Jordan witness's rho
-# (verify_jordan_witness), and every block of a projection point
-# (the stopping rule of sdp.projection.solve_dykstra and
-# sdp.problem.primal_failure).  Tighter than DECISION_TOL on purpose: a
+# Least eigenvalue of a certificate's PSD part: every dual of a Farkas
+# certificate (sdp.problem.farkas_check: verify_witness's adjoint sum,
+# verify_jordan_witness's rho) and every block of a projection point (the
+# stopping rule of sdp.projection.solve_dykstra and the PSD bound of
+# sdp.solve's primal check).  Tighter than DECISION_TOL on purpose: a
 # witness should be decisively valid, not borderline.
 PSD_TOL = 1e-9
 
-# How far below 0 a witness's pairing must lie (verify_witness,
-# verify_jordan_witness): a pairing at roundoff size refutes nothing.
+# How far below 0 a Farkas certificate's pairing must lie
+# (sdp.problem.farkas_check): a pairing at roundoff size refutes nothing.
 PAIRING_TOL = 1e-9
 
-# Frobenius norm of a Jordan witness's equality residual, the pull-back
-# of rho less the multipliers' adjoint sum (verify_jordan_witness).  The
-# read-out splits the pull-back of the solver's dual, so the residual is
-# that dual's own.  Kept apart from GEN_JORDAN_TOL: the two bound
-# different norms of different residuals, a whole-matrix norm of a
-# solver's dual against one entry of a projected read-out.
-JORDAN_CONSTRAINT_TOL = 1e-8
+# Frobenius norm of a Farkas certificate's equality residual
+# (sdp.problem.farkas_check), nonzero where a block is not X: a Jordan
+# witness's pull-back of rho less Tr*(W1) + Tr*(W2).  The read-out splits
+# the pull-back of the solver's dual, so the residual is that dual's own.
+# Kept apart from GEN_JORDAN_TOL: the two bound different norms of
+# different residuals, a whole-matrix norm of a solver's dual against one
+# entry of a projected read-out.
+FARKAS_RESIDUAL_TOL = 1e-8
 
 # Largest entry of a Jordan operator A's two middle marginals less J(id)
-# (jordan.GenJordanOperator, verify_gen_jordan_operator, the note of
-# decide's jordan mode).  The read-out projects A onto that set, leaving
+# (jordan.GenJordanOperator, verify_gen_jordan_operator's constraint bound,
+# decide's jordan-mode note).  The read-out projects A onto that set, leaving
 # deviations near 1e-14, also through inverse maps of condition 1e7.
 GEN_JORDAN_TOL = 1e-8
 

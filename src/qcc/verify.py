@@ -14,7 +14,7 @@ from . import analytic, channels, jordan, reference, sdp
 from .linalg import ptranspose_array
 from .rand import random_channel, random_density
 from .sdp.decide import decide
-from .witness import adjoint_sum, no_broadcast_witness, verify_compatibilizer, verify_witness
+from .witness import no_broadcast_witness, verify_compatibilizer, verify_witness
 
 Check = tuple[str, bool, str]
 
@@ -107,15 +107,15 @@ def run_checks() -> list[Check]:
         wd = no_broadcast_witness(d)
         idd = channels.identity_channel(d)
         omega = channels.depolarizing_channel(d)
-        m0 = verify_witness(wd, idd, idd).margin
-        m1 = verify_witness(wd, omega, omega).margin
+        rep_d = verify_witness(wd, idd, idd)
+        m0, m1 = rep_d.margin, verify_witness(wd, omega, omega).margin
         crossing = -m0 / (m1 - m0)
         target = d / (2.0 * (d + 1.0))
         ok = abs(crossing - target) <= 1e-10
         out.append((f"witness pairing crosses zero at d/(2(d+1)) for d={d}", ok,
                     f"crossing {crossing:.12f}, target {target:.12f}"))
-        psd = np.linalg.eigvalsh(adjoint_sum(wd.z1.array, wd.z2.array, (d, d, d))).min()
-        out.append((f"witness adjoint sum is PSD for d={d}", psd >= -1e-12, f"min eig {psd:.2e}"))
+        out.append((f"witness adjoint sum is PSD for d={d}", rep_d.min_eig >= -1e-12,
+                    f"min eig {rep_d.min_eig:.2e}"))
 
     o13 = channels.partial_depolarizing_channel(1.0 / 3.0, 2)
     outc = sdp.solve(sdp.build_compat(o13, o13))

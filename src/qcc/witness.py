@@ -4,11 +4,11 @@ A witness against compatibility of a pair of channels is a pair of
 Hermitian operators whose partial-trace adjoints sum to a PSD operator
 while pairing negatively with the channels' Choi matrices (in ppt mode,
 with their partial transposes); a compatibilizer certifies the converse.
-Each kind has one read-out from a solver's point and one check here (the
-Jordan operator's are in ``qcc.jordan``).  Verification uses only dense
-linear algebra, never a solver, so certificates are auditable artifacts.
-Witness thresholds are tighter than solver tolerances on purpose: a
-witness should be decisively valid, not borderline.
+Each kind has one read-out (the Jordan operator's is in ``qcc.jordan``)
+and is checked, without a solver, against the program it certifies: a
+point by ``sdp.problem.primal_check``, a Farkas certificate by
+``sdp.problem.farkas_check``.  Witness thresholds are tighter than solver
+tolerances on purpose: a witness should be decisively valid, not borderline.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ from typing import Union
 
 import numpy as np
 
-from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json, apply_to_factor
-from .linalg import HermitianMatrix, TensorShape, embed_identity_array, ptrace_array, ptranspose_array
-from .tolerances import DECISION_TOL, JORDAN_CONSTRAINT_TOL, PAIRING_TOL, PSD_TOL
+from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json
+from .linalg import HermitianMatrix, TensorShape, ptrace_array, ptranspose_array
+from .sdp.builders import build_compat, build_jordan_compat, two_marginal_problem
+from .sdp.problem import WitnessReport, blocks_adjoint, farkas_check, primal_check
+from .tolerances import DECISION_TOL
 
 
 @dataclass(frozen=True)
@@ -46,30 +48,6 @@ class JordanWitness:
     w1: HermitianMatrix
     w2: HermitianMatrix
     rho: HermitianMatrix
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    valid: bool
-    margin: float
-    min_eig: float
-    constraint_residual: float = 0.0
-
-
-def _hs(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.tensordot(a.conj(), b, axes=2).real)
-
-
-def adjoint_sum(z1: np.ndarray, z2: np.ndarray, factors: tuple[int, int, int]) -> np.ndarray:
-    """Tr*_{Y2}(Z1) + Tr*_{Y1}(Z2) on X (x) Y1 (x) Y2.
-
-    The embeddings insert identities at the traced positions, preserving
-    the ordering of the spaces.
-    """
-    dx, d1, d2 = factors
-    big1 = embed_identity_array(z1, (dx, d1), factors, (0, 1))
-    big2 = embed_identity_array(z2, (dx, d2), factors, (0, 2))
-    return big1 + big2
 
 
 def split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -99,28 +77,21 @@ def witness_from_dual(s: np.ndarray, f: Channel, g: Channel, mode: str) -> Witne
                    HermitianMatrix(z2, TensorShape(factors[::2])), mode=mode)
 
 
-def _pull_back(rho: np.ndarray, f: Channel, g: Channel) -> np.ndarray:
-    """(id (x) f* (x) g*)(rho), from X (x) Y1 (x) Y2 back to X (x) X (x) X."""
-    lhs, cur = apply_to_factor(rho, (f.d_in, f.d_out, g.d_out), 1, f.rep, adjoint=True)
-    return apply_to_factor(lhs, cur, 2, g.rep, adjoint=True)[0]
-
-
 def jordan_witness_from_dual(rho: np.ndarray, f: Channel, g: Channel) -> JordanWitness:
     """The (W1, W2, rho) witness from the dual rho of the compat or Jordan
-    program: (W1, W2) splits the pull-back of rho."""
+    program: (W1, W2) splits the pull-back (id (x) f* (x) g*)(rho), the
+    adjoint of the Jordan program's block."""
     d = f.d_in
-    w1, w2 = split_adjoint_pair(_pull_back(rho, f, g), (d, d, d))
+    w1, w2 = split_adjoint_pair(blocks_adjoint(build_jordan_compat(f, g), rho[None]), (d, d, d))
     return JordanWitness(HermitianMatrix(w1, TensorShape((d, d))),
                          HermitianMatrix(w2, TensorShape((d, d))),
                          HermitianMatrix(rho, TensorShape((d, f.d_out, g.d_out))))
 
 
 def verify_witness(w: Witness, f: Channel, g: Channel) -> WitnessReport:
-    """Check the two sides of the alternative: PSD adjoint sum, negative pairing.
-
-    The pairing (reported as ``margin``) is against the Choi matrices in
-    plain mode and against their partial transposes on X in ppt mode.
-    """
+    """Check (Z1, Z2) as a Farkas certificate of the two-marginal program on
+    the Choi matrices (in ppt mode, on their partial transposes on X): a
+    PSD adjoint sum (``min_eig``) and a negative pairing (``margin``)."""
     dx, d1, d2 = f.d_in, f.d_out, g.d_out
     if g.d_in != dx:
         raise ValueError("channels must share the input space")
@@ -129,38 +100,28 @@ def verify_witness(w: Witness, f: Channel, g: Channel) -> WitnessReport:
             f"witness shapes {w.z1.shape.factors}, {w.z2.shape.factors} do not match "
             f"the channel spaces ({dx},{d1}), ({dx},{d2})"
         )
-    big = adjoint_sum(w.z1.array, w.z2.array, (dx, d1, d2))
-    min_eig = float(np.linalg.eigvalsh(big).min())
     j1, j2 = f.choi.array, g.choi.array
     if w.mode == "ppt":
         j1 = ptranspose_array(j1, (dx, d1), 0)
         j2 = ptranspose_array(j2, (dx, d2), 0)
-    margin = _hs(w.z1.array, j1) + _hs(w.z2.array, j2)
-    valid = bool(min_eig >= -PSD_TOL and margin <= -PAIRING_TOL)
-    return WitnessReport(valid, margin, min_eig)
+    return farkas_check(two_marginal_problem(j1, j2, (dx, d1, d2)), (w.z1.array, w.z2.array))
 
 
 def verify_compatibilizer(x: np.ndarray, f: Channel, g: Channel, ppt: bool = False) -> WitnessReport:
-    """Check that X on X (x) Y1 (x) Y2 has the Choi marginals J(f), J(g) and is
-    PSD (with ``ppt``, also under the partial transpose on X), within the solver's
-    feasibility band ``DECISION_TOL``; ``constraint_residual`` is the deviation."""
-    factors = (f.d_in, f.d_out, g.d_out)
-    dev = float(max(np.abs(ptrace_array(x, factors, [2]) - f.choi.array).max(),
-                    np.abs(ptrace_array(x, factors, [1]) - g.choi.array).max()))
-    min_eig = float(np.linalg.eigvalsh(x).min())
-    if ppt:
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(ptranspose_array(x, factors, 0)).min()))
-    valid = bool(dev <= DECISION_TOL and min_eig >= -DECISION_TOL)
-    return WitnessReport(valid, 0.0, min_eig, dev)
+    """Check X on X (x) Y1 (x) Y2 as a point of the compat program (with
+    ``ppt``, of the PPT one): marginals J(f), J(g) (``constraint_residual``)
+    and PSD blocks within the solver's feasibility band ``DECISION_TOL``."""
+    problem = build_compat(f, g, ppt)
+    if x.shape != (problem.side, problem.side):
+        raise ValueError(f"compatibilizer of shape {x.shape} does not match the channel spaces "
+                         f"({f.d_in},{f.d_out}), ({g.d_in},{g.d_out})")
+    return primal_check(problem, x, DECISION_TOL, DECISION_TOL)
 
 
 def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel) -> WitnessReport:
-    """Check a certificate against Jordan compatibility.
-
-    Conditions: rho PSD, the adjoint maps applied to rho match the
-    embedded multipliers, and the pairing of W1 + W2 with the identity
-    map's Choi matrix is negative.
-    """
+    """Check (W1, W2, rho) as a Farkas certificate of the Jordan program:
+    rho PSD, its pull-back equal to Tr*(W1) + Tr*(W2) (``constraint_residual``)
+    and the pairing of W1 + W2 with the identity map's Choi matrix negative."""
     d = f.d_in
     if g.d_in != d:
         raise ValueError("channels must share the input space")
@@ -168,17 +129,8 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel) -> WitnessRe
         raise ValueError("multiplier shapes must be (d, d) factors")
     if w.rho.shape.factors != (d, f.d_out, g.d_out):
         raise ValueError("rho must live on X (x) Y1 (x) Y2")
-    lhs = _pull_back(w.rho.array, f, g)
-    rhs = adjoint_sum(w.w1.array, w.w2.array, (d, d, d))
-    constraint_residual = float(np.linalg.norm(lhs - rhs))
-    rho_min = float(np.linalg.eigvalsh(w.rho.array).min())
-    margin = _hs(w.w1.array + w.w2.array, _choi_identity(d))
-    valid = bool(
-        constraint_residual <= JORDAN_CONSTRAINT_TOL
-        and rho_min >= -PSD_TOL
-        and margin <= -PAIRING_TOL
-    )
-    return WitnessReport(valid, margin, rho_min, constraint_residual)
+    # the program's first constraint traces out factor 1, so W2 is its multiplier
+    return farkas_check(build_jordan_compat(f, g), (w.w2.array, w.w1.array), w.rho.array[None])
 
 
 def no_broadcast_witness(d: int) -> Witness:

@@ -180,6 +180,18 @@ class TestCheck:
         other.write_text(json.dumps(channel_to_json(identity_channel(3))))
         assert main(["check", identity_file, str(other)]) == 65
 
+    def test_compatibilizer_of_other_channel_spaces_exits_65(self, tmp_path, capsys):
+        # refused by its shape, as the other certificate kinds are
+        p2, p3 = tmp_path / "o2.json", tmp_path / "id3.json"
+        p2.write_text(json.dumps(channel_to_json(partial_depolarizing_channel(0.8, 2))))
+        p3.write_text(json.dumps(channel_to_json(identity_channel(3))))
+        cert = str(tmp_path / "cert.json")
+        assert main(["check", str(p2), str(p2), "--cert", cert]) == 0
+        capsys.readouterr()
+        assert main(["witness", "verify", cert, str(p3), str(p3)]) == 65
+        assert ("compatibilizer of shape (8, 8) does not match the channel spaces (3,3), (3,3)"
+                in capsys.readouterr().err)
+
     def test_size_cap_exit_66(self, tmp_path):
         # compat of two 7 -> 7 channels has side 343, above the interior-point cap
         p = tmp_path / "id7.json"

@@ -47,13 +47,14 @@ from qcc.sdp.problem import (
     _plan_key,
     _structure_of,
     compile_ipm,
-    primal_failure,
+    constraints_adjoint,
+    primal_check,
 )
 from qcc.sdp.ipm import solve_ipm
 from qcc.sdp.projection import ProjectionResult
-from qcc.tolerances import RANK_CUTOFF
-from qcc.witness import (adjoint_sum, no_broadcast_witness, split_adjoint_pair, verify_jordan_witness,
-                         verify_witness, witness_from_dual)
+from qcc.tolerances import DECISION_TOL, PSD_TOL, RANK_CUTOFF
+from qcc.witness import (no_broadcast_witness, split_adjoint_pair, verify_jordan_witness, verify_witness,
+                         witness_from_dual)
 
 
 class TestSolveCompat:
@@ -120,6 +121,13 @@ class TestSolveCompat:
         for mode in ("interior_point", "projection"):
             with pytest.raises(sdp.SizeCapError, match=str(2 ** (k + 1))):
                 sdp.solve(problem, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    def test_solver_cap_names_a_side_str_refuses(self, mode):
+        # a side of 4516 digits, above what str() converts
+        problem = SdpProblem((2,) * 15000, (), (Block("identity"),))
+        with pytest.raises(sdp.SizeCapError, match="got a 15001-bit number"):
+            sdp.solve(problem, mode=mode)
 
     @pytest.mark.parametrize("k", [300, 10 ** 6])
     def test_k_extension_over_cap_refused_before_building(self, k):
@@ -287,7 +295,8 @@ class TestStandardForm:
         s = out.dual[0]
         assert abs(np.trace(s).real - 1.0) <= 1e-9
         z1, z2 = split_adjoint_pair(s, (2, 2, 2))
-        assert np.abs(adjoint_sum(z1, z2, (2, 2, 2)) - s).max() <= 1e-9
+        problem = sdp.build_compat(ident, ident)
+        assert np.abs(constraints_adjoint(problem, (z1, z2)) - s).max() <= 1e-9
 
     def test_state_compat_dual_objective_matches_value(self, rng):
         # marginals of one state, so the two share their X marginal
@@ -853,7 +862,7 @@ class TestKExtension:
         # reads only the problem and X, not the solver's elimination
         problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 4)
         x = sdp.solve(problem, mode="projection").primal
-        assert primal_failure(problem, x) == ""
+        assert primal_check(problem, x, DECISION_TOL, PSD_TOL).valid
         bad = getattr(self, doctor)(problem, x)
         monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 8))
         out = sdp.solve(problem, mode="projection")
@@ -1000,9 +1009,10 @@ class TestDecide:
         z2 = random_hermitian(rng, 8)
         f = random_channel(rng, 2, 3)
         g = random_channel(rng, 2, 4)
-        big = adjoint_sum(z1, z2, factors)
+        problem = sdp.build_compat(f, g)
+        big = constraints_adjoint(problem, (z1, z2))
         s1, s2 = split_adjoint_pair(big, factors)
-        assert np.abs(adjoint_sum(s1, s2, factors) - big).max() < 1e-12
+        assert np.abs(constraints_adjoint(problem, (s1, s2)) - big).max() < 1e-12
 
         def margin(a, b):
             return (np.vdot(a, f.choi.array) + np.vdot(b, g.choi.array)).real
