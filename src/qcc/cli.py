@@ -31,7 +31,8 @@ from .channels import (
 )
 from .jordan import jordan_channel, verify_gen_jordan_operator
 from .sdp.decide import EXIT_CODES, decide
-from .tolerances import DOMAIN_SLACK, OPERATOR_TOL
+from .sdp.problem import farkas_check, multipliers, primal_check
+from .tolerances import DECISION_TOL, DOMAIN_SLACK, OPERATOR_TOL
 from .witness import (WitnessReport, certificate_from_json, certificate_to_json, verify_compatibilizer,
                       verify_jordan_witness, verify_witness)
 
@@ -106,10 +107,17 @@ def cmd_self_compat(args) -> int:
         print("error: k must be at least 2", file=sys.stderr)
         return EXIT_PARSE
     c = _load_channel(args.channel)
-    out = sdp.solve(sdp.build_k_extension(c, args.k), mode=_SOLVER_MODES[args.solver])
-    print(f"k={args.k} self-compatibility: {out.status}"
-          + (f" (optimum {out.value:.3e})" if out.status != "Inconclusive" else ""))
-    return EXIT_CODES[out.status]
+    problem = sdp.build_k_extension(c, args.k)
+    out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver])
+    status, note = out.status, out.note
+    if status != "Inconclusive":  # a verdict stands only with its certificate checked
+        report = (primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL) if status == "Feasible"
+                  else farkas_check(problem, multipliers(problem, out.dual[0])))
+        if not report.valid:
+            status, note = "Inconclusive", report.note
+    print(f"k={args.k} self-compatibility: {status}"
+          + (f" (optimum {out.value:.3e})" if status != "Inconclusive" else f"\nnote: {note}"))
+    return EXIT_CODES[status]
 
 
 # --- sweep workers (module level so process pools can pickle them) ---------

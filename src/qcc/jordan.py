@@ -6,8 +6,9 @@ the canonical choice recovers (AB + BA)/2 at the matrix level.  Replacing
 the canonical operator by any Hermitian A with the same two middle
 marginals gives the generalized product, and the existence of such an A
 making the product completely positive is a compatibility criterion;
-such an A is the certificate of a Jordan-compatible verdict, checked as
-a point of the program it certifies (``sdp.build_jordan_compat``).
+such an A is the certificate of a Jordan-compatible verdict, read out
+of a solve by ``sdp.problem.project_point`` and checked as a point of the
+program it certifies (``sdp.build_jordan_compat``).
 """
 
 from __future__ import annotations
@@ -17,21 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import (Channel, LinearMapRep, SingularMapError, _choi_identity, apply_to_factors,
-                       invert_map)
-from .linalg import HermitianMatrix, TensorShape, ptrace_array
+from .channels import Channel, LinearMapRep, SingularMapError, apply_to_factors, invert_map
+from .linalg import HermitianMatrix, TensorShape
 from .tolerances import DECISION_TOL, GEN_JORDAN_TOL, OPERATOR_TOL
-from .sdp.builders import build_jordan_compat
-from .sdp.problem import WitnessReport, constraints_adjoint, primal_check
-from .witness import split_adjoint_pair, verify_compatibilizer
-
-
-def _marginal_deviation(arr: np.ndarray, d: int) -> float:
-    """Largest entry of A's two middle marginals minus J(id)."""
-    jid = _choi_identity(d)
-    factors = (d, d, d)
-    return float(max(np.abs(ptrace_array(arr, factors, [1]) - jid).max(),
-                     np.abs(ptrace_array(arr, factors, [2]) - jid).max()))
+from .sdp.builders import build_jordan_compat, jordan_constraints
+from .sdp.problem import SdpProblem, WitnessReport, constraint_deviations, primal_check, project_point
+from .witness import verify_compatibilizer
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,7 @@ class GenJordanOperator:
         factors = self.matrix.shape.factors
         if len(factors) != 3 or len(set(factors)) != 1:
             raise ValueError(f"expected shape [d, d, d], got {factors}")
-        dev = _marginal_deviation(self.matrix.array, factors[0])
+        dev = max(constraint_deviations(factors, jordan_constraints(factors[0]), self.matrix.array))
         if dev > GEN_JORDAN_TOL:
             raise ValueError(f"marginal constraints violated: deviation {dev:.3e}")
 
@@ -62,18 +54,14 @@ def inverse_pair(f: Channel, g: Channel) -> Optional[tuple[LinearMapRep, LinearM
         return None
 
 
-def read_out_operator(arr: np.ndarray, f: Channel, g: Channel,
+def read_out_operator(arr: np.ndarray, jordan: SdpProblem,
                       inverses: Optional[tuple[LinearMapRep, LinearMapRep]]) -> HermitianMatrix:
-    """The operator A of the Jordan program's point ``arr`` (with ``inverses``,
-    A = (id (x) f^-1 (x) g^-1)(X) of the compat program's X), projected onto the
-    identity-marginal set: the inverses multiply X's residual by their condition."""
-    factors = (f.d_in,) * 3
+    """A at the Jordan program's point ``arr`` (with ``inverses``, of the compat
+    program's X, through (id (x) f^-1 (x) g^-1)), projected onto the program's
+    constraints: the inverses multiply X's residual by their condition."""
     if inverses is not None:
-        arr = apply_to_factors(arr, factors, (None, *inverses))
-    w1, w2 = split_adjoint_pair(arr - a_jp(f.d_in).matrix.array, factors)
-    # the program's first constraint traces out factor 1, so W2 is its multiplier
-    arr = arr - constraints_adjoint(build_jordan_compat(f, g), (w2, w1))
-    return HermitianMatrix(arr, TensorShape(factors))
+        arr = apply_to_factors(arr, jordan.factors, (None, *inverses))
+    return HermitianMatrix(project_point(jordan, arr), TensorShape(jordan.factors))
 
 
 def verify_gen_jordan_operator(a: HermitianMatrix, f: Channel, g: Channel) -> WitnessReport:
@@ -114,19 +102,12 @@ def a_jp(d: int) -> GenJordanOperator:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    n = d ** 3
-    arr = np.zeros((n, n), dtype=np.complex128)
-
-    def idx(a, b, c):
-        return (a * d + b) * d + c
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                arr[idx(i, i, k), idx(j, k, j)] += 0.5
-                arr[idx(i, k, i), idx(j, j, k)] += 0.5
-    mat = HermitianMatrix(arr, TensorShape((d, d, d)))
-    return GenJordanOperator(mat)
+    arr = np.zeros((d ** 3, d ** 3), dtype=np.complex128)
+    i, j, k = (ax.ravel() for ax in np.indices((d, d, d)))
+    # E_ij (x) E_ik (x) E_kj and E_ij (x) E_kj (x) E_ik, which meet at i = j = k
+    np.add.at(arr, ((i * d + i) * d + k, (j * d + k) * d + j), 0.5)
+    np.add.at(arr, ((i * d + k) * d + i, (j * d + j) * d + k), 0.5)
+    return GenJordanOperator(HermitianMatrix(arr, TensorShape((d, d, d))))
 
 
 def gen_jordan(f: LinearMapRep, g: LinearMapRep, a: GenJordanOperator) -> LinearMapRep:
@@ -163,4 +144,4 @@ def gen_jordan_from_compatibilizer(f: Channel, g: Channel, comp: Channel) -> Gen
         raise ValueError("channel is not a compatibilizer of the pair "
                          f"(deviation {report.constraint_residual:.3e})")
     inverses = (invert_map(f.rep), invert_map(g.rep))
-    return GenJordanOperator(read_out_operator(comp.choi.array, f, g, inverses))
+    return GenJordanOperator(read_out_operator(comp.choi.array, build_jordan_compat(f, g), inverses))

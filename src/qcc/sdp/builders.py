@@ -46,15 +46,21 @@ def build_state_compat(rho1: HermitianMatrix, rho2: HermitianMatrix) -> SdpProbl
     return two_marginal_problem(rho1.array, rho2.array, factors, name="state_compat")
 
 
+def jordan_constraints(d: int) -> tuple[Constraint, Constraint]:
+    """Both middle marginals of an operator on X (x) X1 (x) X2 equal J(id),
+    in the compat program's order, so the two programs of an invertible pair
+    share one structure (``problem._plan_key``)."""
+    jid = _choi_identity(d)
+    return Constraint((2,), jid), Constraint((1,), jid)
+
+
 def build_jordan_compat(f: Channel, g: Channel) -> SdpProblem:
     """Jordan-compatibility program over operators with identity-Choi marginals."""
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")
     d = f.d_in
-    jid = _choi_identity(d)
-    cons = (Constraint((1,), jid), Constraint((2,), jid))
     blocks = (Block("map_image", maps=(None, f.rep, g.rep)),)
-    return SdpProblem((d, d, d), cons, blocks, name="jordan_compat")
+    return SdpProblem((d, d, d), jordan_constraints(d), blocks, name="jordan_compat")
 
 
 def build_k_extension(f: Channel, k: int) -> SdpProblem:

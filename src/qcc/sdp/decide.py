@@ -1,25 +1,22 @@
 """Three-valued compatibility decisions backed by verified certificates.
 
-A Compatible verdict carries a primal certificate (a compatibilizer Choi
-matrix, or the operator behind a generalized Jordan product) that passes
-the channel validation checks; an Incompatible verdict carries a witness
-that re-verifies in the witness module.  The two never coexist.  When
-the solver cannot produce either at the required quality the verdict is
-Inconclusive, with residual diagnostics attached.
+A Compatible verdict carries a point (a compatibilizer Choi matrix, or
+the operator A behind a generalized Jordan product) and an Incompatible
+verdict a witness; the two never coexist.  Every certificate is read out
+over the program it certifies, as its ``multipliers`` (a witness) or
+``project_point`` (the operator A), by the functions beside its type in
+``qcc.witness`` and ``qcc.jordan``, and re-checked against that program.
+When the solver or the check fails the verdict is Inconclusive, with the
+reason in ``note``.
 
 Jordan mode solves the compat program when both channels are invertible
-as linear maps.  The substitution X = (id (x) f (x) g)(A) maps the Jordan
-program onto the compat program with the same t: the maps are trace
-preserving, so they carry the identity-Choi marginals of A onto J(f) and
-J(g), and their inverses carry them back.  The operator A is then read
-out of the compatibilizer through the inverse maps, and the compat
-certificate is the dual the Jordan witness is built from.  When a map is
-singular (or its output differs in size) the Jordan program itself runs.
-
-This module does no certificate math: each certificate is read out by
-the functions beside its type, in ``qcc.witness`` (witnesses,
-compatibilizers) and ``qcc.jordan`` (the operator A), which check it
-against the program it certifies.
+as linear maps: the substitution X = (id (x) f (x) g)(A) maps the Jordan
+program onto it with the same t, since the trace-preserving maps carry
+the identity-Choi marginals of A onto J(f) and J(g) and their inverses
+carry them back.  A is read out of the compatibilizer through the inverse
+maps and the Jordan witness out of the compat dual, both over the Jordan
+program, built once per decision.  When a map is singular (or its output
+differs in size) the Jordan program itself runs.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from ..witness import (JordanWitness, Witness, jordan_witness_from_dual, verify_
                        verify_jordan_witness, verify_witness, witness_from_dual)
 from . import solve
 from .builders import build_compat, build_jordan_compat, two_marginal_problem
-from .problem import SdpOutcome
+from .problem import SdpOutcome, SdpProblem
 
 # the CLI exit code of each verdict, and of the solver status it rests on
 EXIT_CODES = {"Compatible": 0, "Feasible": 0, "Incompatible": 1, "Infeasible": 1, "Inconclusive": 2}
@@ -72,17 +69,17 @@ def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) 
     return Decision("Inconclusive", out.value, outcome=out, note=note)
 
 
-def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
+def _refute(out: SdpOutcome, problem: SdpProblem, f: Channel, g: Channel, mode: str) -> Decision:
     """The decision on a solve that is not Feasible: Incompatible with the
-    witness (of ``mode``) read out of the solver dual and re-verified, or
-    Inconclusive when the solve is or the witness fails verification."""
+    witness (of ``mode``) read out of the solver dual over ``problem`` and
+    re-verified, or Inconclusive when the solve is or the witness fails it."""
     if out.status == "Inconclusive":
         return Decision("Inconclusive", out.value, outcome=out, note=out.note)
     if mode == "jordan":
-        w = jordan_witness_from_dual(out.dual[0], f, g)
+        w = jordan_witness_from_dual(out.dual[0], problem)
         report = verify_jordan_witness(w, f, g)
     else:
-        w = witness_from_dual(out.dual[0], f, g, mode)
+        w = witness_from_dual(out.dual[0], problem, mode)
         report = verify_witness(w, f, g)
     if report.valid:
         return Decision("Incompatible", out.value, witness=w,
@@ -92,20 +89,22 @@ def _refute(out: SdpOutcome, f: Channel, g: Channel, mode: str) -> Decision:
 
 
 def _decide_compat(f: Channel, g: Channel) -> Decision:
-    out = solve(build_compat(f, g))
+    problem = build_compat(f, g)
+    out = solve(problem)
     if out.status == "Feasible":
         return _certify_compatibilizer(out, f, g, ppt=False)
-    return _refute(out, f, g, "plain")
+    return _refute(out, problem, f, g, "plain")
 
 
 def _decide_jordan(f: Channel, g: Channel) -> Decision:
     """Jordan compatibility, by the compat program when f and g are
     invertible and by the Jordan program otherwise (see the module
-    docstring); A is read out of either program's point."""
+    docstring); A and the witness are read out over the Jordan program."""
     inverses = inverse_pair(f, g)
-    out = solve(build_jordan_compat(f, g) if inverses is None else build_compat(f, g))
+    jordan = build_jordan_compat(f, g)
+    out = solve(jordan if inverses is None else build_compat(f, g))
     if out.status == "Feasible":
-        a = read_out_operator(out.primal, f, g, inverses)
+        a = read_out_operator(out.primal, jordan, inverses)
         report = verify_gen_jordan_operator(a, f, g)
         if report.valid:
             op = GenJordanOperator(a)
@@ -116,7 +115,7 @@ def _decide_jordan(f: Channel, g: Channel) -> Decision:
                 if report.constraint_residual > GEN_JORDAN_TOL
                 else f"product image not PSD at certificate tolerance ({report.min_eig:.2e})")
         return Decision("Inconclusive", out.value, outcome=out, note=note)
-    return _refute(out, f, g, "jordan")
+    return _refute(out, jordan, f, g, "jordan")
 
 
 def _decide_ppt(f: Channel, g: Channel) -> Decision:
@@ -129,7 +128,7 @@ def _decide_ppt(f: Channel, g: Channel) -> Decision:
     relax = two_marginal_problem(j1t, j2t, (dx, d1, d2), name="ppt_relaxation")
     out_a = solve(relax)
     if out_a.status != "Feasible":
-        return _refute(out_a, f, g, "ppt")
+        return _refute(out_a, relax, f, g, "ppt")
 
     out_b = solve(build_compat(f, g, ppt=True))
     if out_b.status == "Feasible":

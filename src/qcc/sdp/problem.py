@@ -1,4 +1,4 @@
-"""Problem container and compilation for the SDP engine.
+"""Problem container, compilation and certificate read-out for the SDP engine.
 
 A problem has one Hermitian variable X on a product of factors, affine
 equality constraints that fix partial traces of X (with Hermitian
@@ -9,19 +9,21 @@ k-extension, the operator A of the Jordan program, and a joint
 measurement, which is the compatibilizer of two measurement channels.
 The objective is always "maximize t" with t subtracted from every block,
 so the underlying hard feasibility question reads off the sign of the
-optimum.  A certificate is checked against the program it certifies,
-from the problem alone: a point by ``primal_check``, a Farkas
-certificate (constraint multipliers, block duals) by ``farkas_check``.
+optimum.
 
-The vectorized constraint matrix is built from the adjoints: the rows
+The vectorized constraint matrix K is built from the adjoints: the rows
 of a partial-trace constraint are the identity embeddings of the
 constraint space's Hermitian basis, so no variable basis is ever traced.
-The elimination (``_eliminate``) yields a particular solution and an
-orthonormal basis of the constraint rows from an eigendecomposition of
-the constraint Gram matrix K K^T.  The projection solver and both
-interior-point forms use it; the null-space form completes the rows to
-an orthonormal basis by a QR factorization and keeps the rest as the
-free directions.
+The elimination (``_eliminate``) yields a particular solution x0 and
+orthonormal constraint rows vh = coords K from an eigendecomposition of
+the Gram matrix K K^T.  Every solver form and both read-outs use it:
+
+- ``multipliers`` reads a Farkas certificate out of any program: one
+  Y_c per constraint, whose adjoint sum is the projection of a solve's
+  dual (or of its block duals' adjoint sum) onto the range of the
+  constraint adjoints, checked by ``farkas_check``;
+- ``project_point`` reads a point out: the nearest point of the
+  constraints' affine set, checked by ``primal_check``.
 
 Compilation for the interior-point solver takes one of two forms,
 chosen from the block kinds:
@@ -29,52 +31,40 @@ chosen from the block kinds:
 - standard form, when the one PSD block is X itself (compat, the PPT
   relaxation, state compat, the k-extension and POVM compat).  The
   solver's Z is W = X - tI, t is eliminated along the identity
-  direction, and the Schur system has one row per constraint dimension
-  less one, rank(K) - 1: 152 for qutrit compat.  Its rows are
-  A_i = sum_p G_ip Tr*(E_p) over the constraint rows p, so the Schur
-  matrix is G M(V) G^T with M(V) read off a few products of the
-  NT-scaled block V with itself (``_SchurPlan``), never from the
-  (m, 1, n, n) constraint tensor, which stays for A(y) and A^*(Z).
+  direction, and the Schur system has rank(K) - 1 rows (152 for qutrit
+  compat).  Its rows are A_i = sum_p G_ip Tr*(E_p) over the constraint
+  rows p, so the Schur matrix is G M(V) G^T with M(V) read off a few
+  products of the NT-scaled block V with itself (``_SchurPlan``).
 - null-space form, when a block is a partial transpose or a map image:
-  the full PPT program (stage B of a PPT decision), and the Jordan
-  program, which ``decide`` runs only when a channel map is singular
-  (for an invertible pair it solves the compat program instead).
-  Standard form would need a W per block, linked to X by n^2 more rows
-  each (881 for qutrit PPT) or by inverses of the channel maps.  The
-  PSD blocks are affine in the free coordinates, reparametrized so that
-  their block images are orthonormal, and the Schur system has one row
-  per free direction plus t: 577 for the qutrit Jordan program.  Its
-  Schur matrix is the Gram matrix of the NT-scaled constraint blocks.
+  the full PPT program and the Jordan program (which ``decide`` runs
+  only when a channel map is singular).  Standard form would need a W
+  per block, linked to X by n^2 more rows each (881 for qutrit PPT) or
+  by inverses of the channel maps.  The PSD blocks are affine in
+  the free coordinates, reparametrized so that their block images are
+  orthonormal; the Schur system has one row per free direction plus t
+  (577 for the qutrit Jordan program) and is the Gram matrix of the
+  NT-scaled constraint blocks.
 
 The field is part of a program's structure.  A program is real
 (``SdpProblem.real``) when every right-hand side and every map of a
 ``map_image`` block has imaginary part exactly 0; complex conjugation
 then maps its feasible points to feasible points, so it has a real
-optimum and a real certificate (Gatermann-Parrilo 2004).  A real
-program is compiled over the real symmetric matrices: its coordinates
-are those of ``linalg.symmetric_basis``, n(n+1)/2 of them where the
-complex Hermitian matrices have n^2, the constraint matrix K is the
-complex K on its real rows and columns (K is block-diagonal in
-(re, im) for partial traces), and every array the solvers see is
-float64.  Its Schur system has about half the rows: 16 instead of 27
-for qubit compat, 83 instead of 152 for qutrit compat.  Any other
-program is compiled as complex Hermitian.  Either way the Schur
-system is real, and the blocks are an array axis: every block's image
-has one side n (``SdpProblem`` checks it), so the objective and the
-starting point are (blocks, n, n) stacks and the constraints one
-(m, blocks, n, n) array.
+optimum and a real certificate (Gatermann-Parrilo 2004), and it is
+compiled over the real symmetric matrices (``linalg.symmetric_basis``,
+n(n+1)/2 coordinates, float64 throughout).  Either way the Schur system
+is real, and the blocks are an array axis: every block's image has one
+side n, so the objective and the starting point are (blocks, n, n)
+stacks and the constraints one (m, blocks, n, n) array.
 
 Programs of one structure (``_plan_key``: the factors of X, the factors
 each constraint traces out and the field) differ only in their
-right-hand sides and blocks, and sweeps and decide loops solve hundreds
-of them.  One cache of 64 structures (``_structure_of``) holds, as
-read-only arrays, what the structure fixes: K, ``coords`` and ``vh`` of
-the elimination and, for standard form, e, Q, G, the constraint and
-objective blocks and the Schur plan.  Each compile computes only its own
-right-hand side b, x0 and the consistency residual K x0 - b, and in
-standard form c, b, t0 and Z0; the null-space form also builds its free
-directions and block images per problem, since the blocks change them.
-A cached compile is bit-identical to an uncached one.
+right-hand sides and blocks.  One cache of 64 structures
+(``_structure_of``) holds, read-only, what the structure fixes: K,
+``coords`` and ``vh`` and, for standard form, e, Q, G, the constraint
+and objective blocks and the Schur plan.  Each compile computes only its
+own x0, b and consistency residual K x0 - b (in standard form also c,
+t0 and Z0; the null-space form also its free directions and block
+images).  A cached compile is bit-identical to an uncached one.
 """
 
 from __future__ import annotations
@@ -290,13 +280,17 @@ class WitnessReport:
     note: str = ""
 
 
+def constraint_deviations(factors: tuple, constraints, x: np.ndarray) -> list[float]:
+    """The largest entry of each constraint's partial trace of X minus its rhs."""
+    return [float(np.abs(ptrace_array(x, factors, con.traced) - con.rhs).max()) for con in constraints]
+
+
 def primal_check(problem: SdpProblem, x: np.ndarray, constraint_bound: float,
                  psd_bound: float) -> WitnessReport:
     """Whether X is a point of ``problem`` with t >= 0: every constraint's
     partial trace within ``constraint_bound`` of its rhs in every entry,
     every block's image with least eigenvalue at or above ``-psd_bound``."""
-    devs = [float(np.abs(ptrace_array(x, problem.factors, con.traced) - con.rhs).max())
-            for con in problem.constraints]
+    devs = constraint_deviations(problem.factors, problem.constraints, x)
     lows = np.linalg.eigvalsh(block_images(problem, x)).min(axis=-1)
     fails = [f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, above {constraint_bound:g}"
              for con, dev in zip(problem.constraints, devs) if not dev <= constraint_bound]
@@ -323,7 +317,28 @@ def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> Wi
     margin = sum(float(np.tensordot(y.conj(), con.rhs, axes=2).real)
                  for con, y in zip(problem.constraints, ys))
     valid = residual <= FARKAS_RESIDUAL_TOL and min_eig >= -PSD_TOL and margin <= -PAIRING_TOL
-    return WitnessReport(bool(valid), margin, min_eig, residual)
+    note = "" if valid else (f"Farkas certificate fails: pairing {margin:.3g}, "
+                             f"least eigenvalue {min_eig:.3g}, residual {residual:.3g}")
+    return WitnessReport(bool(valid), margin, min_eig, residual, note)
+
+
+def multipliers(problem: SdpProblem, m: np.ndarray) -> list[np.ndarray]:
+    """One Y_c per constraint, with sum_c Tr_c^*(Y_c) the projection of M onto
+    the range of the constraint adjoints in the program's field, vh^T vh vec(M)
+    = K^T lam for lam = coords^T (vh vec(M)): each constraint's part is Y_c."""
+    st = _structure_of(_plan_key(problem))
+    lam = st.coords.T @ (st.vh @ herm_to_vec(_in_field(m, st.real), st.real))
+    sides = [_kept_side(problem.factors, con.traced) for con in problem.constraints]
+    ends = np.cumsum([r * (r + 1) // 2 if st.real else r * r for r in sides])
+    return [vec_to_herm(part, r, st.real) for part, r in zip(np.split(lam, ends[:-1]), sides)]
+
+
+def project_point(problem: SdpProblem, x: np.ndarray) -> np.ndarray:
+    """The projection of X onto the constraints' affine set in the program's
+    field, X - mat(vh^T (vh vec(X) - vh x0))."""
+    st, x0 = _eliminate(problem)
+    v = herm_to_vec(_in_field(x, st.real), st.real)
+    return vec_to_herm(v - st.vh.T @ (st.vh @ (v - x0)), problem.side, st.real)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from . import analytic, channels, jordan, reference, sdp
 from .linalg import ptranspose_array
 from .rand import random_channel, random_density
 from .sdp.decide import decide
+from .sdp.problem import farkas_check, multipliers, primal_check
+from .tolerances import DECISION_TOL
 from .witness import no_broadcast_witness, verify_compatibilizer, verify_witness
 
 Check = tuple[str, bool, str]
@@ -118,9 +120,11 @@ def run_checks() -> list[Check]:
                     f"min eig {rep_d.min_eig:.2e}"))
 
     o13 = channels.partial_depolarizing_channel(1.0 / 3.0, 2)
-    outc = sdp.solve(sdp.build_compat(o13, o13))
-    out.append(("depolarizing pair at the boundary q=1/3 is feasible",
-                outc.status == "Feasible", f"{outc.status}, optimum {outc.value:.3e}"))
+    prob = sdp.build_compat(o13, o13)
+    outc = sdp.solve(prob)
+    ok = outc.status == "Feasible" and primal_check(prob, outc.primal, DECISION_TOL, DECISION_TOL).valid
+    out.append(("depolarizing pair at the boundary q=1/3 is feasible and certified", ok,
+                f"{outc.status}, optimum {outc.value:.3e}"))
     o6 = channels.partial_depolarizing_channel(0.6, 2)
     dec = decide(o6, o6)
     out.append(("depolarizing pair at (0.6, 0.6) is compatible", dec.verdict == "Compatible",
@@ -172,16 +176,20 @@ def run_checks() -> list[Check]:
     out.append(("product with a constant channel factorizes", dev <= 1e-12, f"dev {dev:.2e}"))
 
     ident3 = channels.identity_channel(2)
-    k3 = sdp.solve(sdp.build_k_extension(ident3, 3))
-    out.append(("three copies of the identity are infeasible", k3.status == "Infeasible",
+    prob = sdp.build_k_extension(ident3, 3)
+    k3 = sdp.solve(prob)
+    ok = k3.status == "Infeasible" and farkas_check(prob, multipliers(prob, k3.dual[0])).valid
+    out.append(("three copies of the identity are infeasible, with a Farkas certificate", ok,
                 f"{k3.status}, optimum {k3.value:.4f}"))
 
     p = 0.4
     xi_b = channels.xi_channel(p, 2 * (1 - p) / 3)
     for k in (2, 3, 4):
-        outk = sdp.solve(sdp.build_k_extension(xi_b, k))
-        out.append((f"measure-and-prepare boundary point extends to k={k}",
-                    outk.status == "Feasible", f"{outk.status}, optimum {outk.value:.4f}"))
+        prob = sdp.build_k_extension(xi_b, k)
+        outk = sdp.solve(prob)
+        ok = outk.status == "Feasible" and primal_check(prob, outk.primal, DECISION_TOL, DECISION_TOL).valid
+        out.append((f"measure-and-prepare boundary point extends to k={k}, certified", ok,
+                    f"{outk.status}, optimum {outk.value:.4f}"))
     return out
 
 

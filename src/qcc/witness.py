@@ -4,10 +4,10 @@ A witness against compatibility of a pair of channels is a pair of
 Hermitian operators whose partial-trace adjoints sum to a PSD operator
 while pairing negatively with the channels' Choi matrices (in ppt mode,
 with their partial transposes); a compatibilizer certifies the converse.
-Each kind has one read-out (the Jordan operator's is in ``qcc.jordan``)
-and is checked, without a solver, against the program it certifies: a
-point by ``sdp.problem.primal_check``, a Farkas certificate by
-``sdp.problem.farkas_check``.  Witness thresholds are tighter than solver
+A witness is read out of a solve's dual as the multipliers of the program
+it certifies (``sdp.problem.multipliers``) and checked against that
+program without a solver: a Farkas certificate by ``farkas_check``, a
+point by ``primal_check``.  Witness thresholds are tighter than solver
 tolerances on purpose: a witness should be decisively valid, not borderline.
 """
 
@@ -20,9 +20,9 @@ from typing import Union
 import numpy as np
 
 from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json
-from .linalg import HermitianMatrix, TensorShape, ptrace_array, ptranspose_array
+from .linalg import HermitianMatrix, TensorShape, ptranspose_array
 from .sdp.builders import build_compat, build_jordan_compat, two_marginal_problem
-from .sdp.problem import WitnessReport, blocks_adjoint, farkas_check, primal_check
+from .sdp.problem import SdpProblem, WitnessReport, blocks_adjoint, farkas_check, multipliers, primal_check
 from .tolerances import DECISION_TOL
 
 
@@ -50,42 +50,25 @@ class JordanWitness:
     rho: HermitianMatrix
 
 
-def split_adjoint_pair(z: np.ndarray, factors: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Split Z on X (x) Y1 (x) Y2 into (Z1, Z2) whose adjoint sum
-    Tr*_{Y2}(Z1) + Tr*_{Y1}(Z2) is the orthogonal projection of Z onto the
-    range of the two embeddings.
-
-    The projectors onto the two ranges commute, so the projection onto
-    their sum is P1 + P2 - P1 P2; the shared X part goes to Z1.  Any other
-    split differs by (C (x) I, -C (x) I), which leaves the pairing with
-    trace-preserving Choi matrices unchanged.
-    """
-    dx, d1, d2 = factors
-    z1 = ptrace_array(z, factors, [2]) / d2
-    shared = ptrace_array(z, factors, [1, 2]) / (d1 * d2)
-    z2 = ptrace_array(z, factors, [1]) / d1 - np.kron(shared, np.eye(d2))
-    return z1, z2
-
-
-def witness_from_dual(s: np.ndarray, f: Channel, g: Channel, mode: str) -> Witness:
-    """The (Z1, Z2) split of a compat-type program's dual slack S.  S is the
-    solver's interior slack, so the adjoint sum of its split is PSD up to
-    roundoff, which ``verify_witness`` accepts."""
-    factors = (f.d_in, f.d_out, g.d_out)
-    z1, z2 = split_adjoint_pair(s, factors)
+def witness_from_dual(s: np.ndarray, problem: SdpProblem, mode: str) -> Witness:
+    """The (Z1, Z2) multipliers of the two-marginal program ``problem`` read
+    out of its dual S.  S is the solver's interior slack, so their adjoint
+    sum, S projected onto the constraint adjoints, is PSD up to roundoff,
+    which ``verify_witness`` accepts."""
+    (z1, z2), factors = multipliers(problem, s), problem.factors
     return Witness(HermitianMatrix(z1, TensorShape(factors[:2])),
                    HermitianMatrix(z2, TensorShape(factors[::2])), mode=mode)
 
 
-def jordan_witness_from_dual(rho: np.ndarray, f: Channel, g: Channel) -> JordanWitness:
+def jordan_witness_from_dual(rho: np.ndarray, jordan: SdpProblem) -> JordanWitness:
     """The (W1, W2, rho) witness from the dual rho of the compat or Jordan
-    program: (W1, W2) splits the pull-back (id (x) f* (x) g*)(rho), the
-    adjoint of the Jordan program's block."""
-    d = f.d_in
-    w1, w2 = split_adjoint_pair(blocks_adjoint(build_jordan_compat(f, g), rho[None]), (d, d, d))
+    program: the multipliers of the Jordan program ``jordan`` read out of
+    the pull-back (id (x) f* (x) g*)(rho), the adjoint of its block."""
+    w1, w2 = multipliers(jordan, blocks_adjoint(jordan, rho[None]))
+    d, f_rep, g_rep = jordan.factors[0], *jordan.blocks[0].maps[1:]
     return JordanWitness(HermitianMatrix(w1, TensorShape((d, d))),
                          HermitianMatrix(w2, TensorShape((d, d))),
-                         HermitianMatrix(rho, TensorShape((d, f.d_out, g.d_out))))
+                         HermitianMatrix(rho, TensorShape((d, f_rep.d_out, g_rep.d_out))))
 
 
 def verify_witness(w: Witness, f: Channel, g: Channel) -> WitnessReport:
@@ -129,8 +112,7 @@ def verify_jordan_witness(w: JordanWitness, f: Channel, g: Channel) -> WitnessRe
         raise ValueError("multiplier shapes must be (d, d) factors")
     if w.rho.shape.factors != (d, f.d_out, g.d_out):
         raise ValueError("rho must live on X (x) Y1 (x) Y2")
-    # the program's first constraint traces out factor 1, so W2 is its multiplier
-    return farkas_check(build_jordan_compat(f, g), (w.w2.array, w.w1.array), w.rho.array[None])
+    return farkas_check(build_jordan_compat(f, g), (w.w1.array, w.w2.array), w.rho.array[None])
 
 
 def no_broadcast_witness(d: int) -> Witness:

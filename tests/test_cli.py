@@ -10,6 +10,7 @@ from qcc.analytic import xi_self_threshold
 from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
 from qcc.cli import main
 from qcc.rand import random_channel
+from qcc.sdp.problem import WitnessReport
 
 
 @pytest.fixture
@@ -256,6 +257,17 @@ class TestSelfCompat:
     def test_size_cap_refused_before_building_exit_66(self, identity_file, capsys):
         assert main(["self-compat", identity_file, "--k", str(10 ** 6)]) == 66
         assert "2 * 2^1000000" in capsys.readouterr().err
+
+    def test_identity_k3_is_certified(self, identity_file, monkeypatch, capsys):
+        assert main(["self-compat", identity_file, "--k", "3"]) == 1
+        assert "self-compatibility: Infeasible" in capsys.readouterr().out
+        # a certificate that fails its check leaves no verdict
+        failed = WitnessReport(False, 0.5, 0.0, 0.0, "Farkas certificate fails: pairing 0.5")
+        monkeypatch.setattr(cli, "farkas_check", lambda problem, ys: failed)
+        assert main(["self-compat", identity_file, "--k", "3"]) == 2
+        out = capsys.readouterr().out
+        assert "self-compatibility: Inconclusive" in out
+        assert "note: Farkas certificate fails: pairing 0.5" in out
 
     def test_half_depolarizing_k2(self, tmp_path):
         p = tmp_path / "o.json"

@@ -79,6 +79,17 @@ class TestCanonicalOperator:
     def test_degenerate_dimension(self):
         assert np.array_equal(a_jp(1).matrix.array, [[1.0]])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_defining_sum(self, d):
+        # A = (1/2) sum_ijk E_ij (x) (E_ik (x) E_kj + E_kj (x) E_ik), entry by entry
+        ref = np.zeros((d ** 3, d ** 3), dtype=np.complex128)
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    ref[(i * d + i) * d + k, (j * d + k) * d + j] += 0.5
+                    ref[(i * d + k) * d + i, (j * d + j) * d + k] += 0.5
+        assert np.array_equal(a_jp(d).matrix.array, ref)
+
     def test_marginals_exact(self):
         for d in (2, 3):
             op = a_jp(d)

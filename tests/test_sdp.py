@@ -46,15 +46,18 @@ from qcc.sdp.problem import (
     _eliminate,
     _plan_key,
     _structure_of,
+    blocks_adjoint,
     compile_ipm,
     constraints_adjoint,
+    farkas_check,
+    multipliers,
     primal_check,
+    project_point,
 )
 from qcc.sdp.ipm import solve_ipm
 from qcc.sdp.projection import ProjectionResult
 from qcc.tolerances import DECISION_TOL, PSD_TOL, RANK_CUTOFF
-from qcc.witness import (no_broadcast_witness, split_adjoint_pair, verify_jordan_witness, verify_witness,
-                         witness_from_dual)
+from qcc.witness import no_broadcast_witness, verify_jordan_witness, verify_witness, witness_from_dual
 
 
 class TestSolveCompat:
@@ -288,15 +291,14 @@ class TestStandardForm:
             assert np.abs(ptrace_array(x, factors, traced) - xi.choi.array).max() <= 1e-8
         assert np.linalg.eigvalsh(x).min() >= 0
 
-    def test_infeasible_certificate_is_a_split_adjoint_sum(self):
+    def test_infeasible_certificate_is_a_multiplier_sum(self):
         ident = identity_channel(2)
-        out = sdp.solve(sdp.build_compat(ident, ident))
+        problem = sdp.build_compat(ident, ident)
+        out = sdp.solve(problem)
         assert out.status == "Infeasible"
         s = out.dual[0]
         assert abs(np.trace(s).real - 1.0) <= 1e-9
-        z1, z2 = split_adjoint_pair(s, (2, 2, 2))
-        problem = sdp.build_compat(ident, ident)
-        assert np.abs(constraints_adjoint(problem, (z1, z2)) - s).max() <= 1e-9
+        assert np.abs(constraints_adjoint(problem, multipliers(problem, s)) - s).max() <= 1e-9
 
     def test_state_compat_dual_objective_matches_value(self, rng):
         # marginals of one state, so the two share their X marginal
@@ -871,6 +873,68 @@ class TestKExtension:
         assert re.match(note, out.note), out.note
 
 
+def _adjoint_range_projection(problem, m):
+    """M projected onto the span of the constraint adjoints Tr_c^*(E_p), by
+    least squares over the complex Hermitian coordinates of every E_p."""
+    cols = []
+    for con in problem.constraints:
+        kept = [i for i in range(len(problem.factors)) if i not in con.traced]
+        dims = [problem.factors[i] for i in kept]
+        basis = hermitian_basis(int(np.prod(dims)))
+        cols.append(herm_to_vec(embed_identity_array(basis, dims, problem.factors, kept)))
+    k = np.vstack(cols).T
+    return vec_to_herm(k @ np.linalg.lstsq(k, herm_to_vec(m), rcond=None)[0], problem.side)
+
+
+def _rng7_ppt_pair():
+    rng = np.random.default_rng(7)
+    return random_channel(rng, 2), random_channel(rng, 2)
+
+
+class TestReadOut:
+    """``multipliers`` reads a Farkas certificate out of any program's
+    solve: standard form (k-extensions) and null-space form (the Jordan
+    program, the full PPT program with its two blocks)."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: sdp.build_k_extension(xi_channel(0.0, 0.1), 2), id="k2"),
+        pytest.param(lambda: sdp.build_k_extension(xi_channel(0.0, 0.1), 3), id="k3"),
+        pytest.param(lambda: sdp.build_k_extension(xi_channel(0.0, 0.1), 4), id="k4"),
+        pytest.param(lambda: sdp.build_jordan_compat(identity_channel(2), identity_channel(2)),
+                     id="jordan-identity"),
+        pytest.param(lambda: sdp.build_compat(*_rng7_ppt_pair(), ppt=True), id="ppt-stage-b"),
+    ])
+    def test_multipliers_certify_infeasible_solves(self, build):
+        problem = build()
+        out = sdp.solve(problem)
+        assert out.status == "Infeasible"
+        m = blocks_adjoint(problem, out.dual)
+        ys = multipliers(problem, m)
+        proj = _adjoint_range_projection(problem, m)
+        assert np.linalg.norm(constraints_adjoint(problem, ys) - proj) <= 1e-12
+        report = farkas_check(problem, ys, out.dual)
+        assert report.valid, report.note
+        assert abs(report.margin - out.value) <= 1e-8
+
+    def test_farkas_failure_is_named(self):
+        problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 2)
+        out = sdp.solve(problem)
+        assert out.status == "Feasible"
+        report = farkas_check(problem, multipliers(problem, out.dual[0]))
+        assert not report.valid and report.note.startswith("Farkas certificate fails: pairing 0.")
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_projected_point_meets_the_constraints(self, rng, k):
+        f = random_channel(rng, 2)
+        problem = sdp.build_k_extension(f, k)
+        x = random_hermitian(rng, problem.side)
+        p = project_point(problem, x)
+        assert primal_check(problem, p, 1e-12, np.inf).valid
+        # the step is orthogonal to the constraints' affine set
+        other = project_point(problem, random_hermitian(rng, problem.side))
+        assert abs(np.vdot(x - p, other - p)) <= 1e-10
+
+
 class TestPovmCompat:
     def test_computational_pvm_self_compatible(self):
         pvm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
@@ -930,7 +994,8 @@ class TestPovmReadOut:
         else:
             assert out.status == "Infeasible"
             f, g = measurement_channel(m), measurement_channel(n)
-            report = verify_witness(witness_from_dual(out.dual[0], f, g, "plain"), f, g)
+            problem = sdp.build_povm_compat(m, n)
+            report = verify_witness(witness_from_dual(out.dual[0], problem, "plain"), f, g)
             assert report.valid and report.margin < 0
 
     @pytest.mark.parametrize("eta, status", [(0.3, "Feasible"), (0.7, "Feasible"),
@@ -1002,16 +1067,15 @@ class TestDecide:
         assert dec.verdict == "Incompatible"
         assert verify_jordan_witness(dec.witness, ident, ident).valid
 
-    def test_split_reproduces_adjoint_sum_and_margin(self, rng):
-        # every factor a different size, so a swapped factor order fails
-        factors = (2, 3, 4)
+    def test_multipliers_reproduce_adjoint_sum_and_margin(self, rng):
+        # every factor a different size (2, 3, 4), so a swapped factor order fails
         z1 = random_hermitian(rng, 6)
         z2 = random_hermitian(rng, 8)
         f = random_channel(rng, 2, 3)
         g = random_channel(rng, 2, 4)
         problem = sdp.build_compat(f, g)
         big = constraints_adjoint(problem, (z1, z2))
-        s1, s2 = split_adjoint_pair(big, factors)
+        s1, s2 = multipliers(problem, big)
         assert np.abs(constraints_adjoint(problem, (s1, s2)) - big).max() < 1e-12
 
         def margin(a, b):
