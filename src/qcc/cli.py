@@ -31,8 +31,8 @@ from .channels import (
 )
 from .jordan import jordan_channel, verify_gen_jordan_operator
 from .sdp.decide import EXIT_CODES, decide
-from .sdp.problem import farkas_check, multipliers, primal_check
-from .tolerances import DECISION_TOL, DOMAIN_SLACK, OPERATOR_TOL
+from .sdp.problem import certify
+from .tolerances import DOMAIN_SLACK, OPERATOR_TOL
 from .witness import (WitnessReport, certificate_from_json, certificate_to_json, verify_compatibilizer,
                       verify_jordan_witness, verify_witness)
 
@@ -111,8 +111,7 @@ def cmd_self_compat(args) -> int:
     out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver])
     status, note = out.status, out.note
     if status != "Inconclusive":  # a verdict stands only with its certificate checked
-        report = (primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL) if status == "Feasible"
-                  else farkas_check(problem, multipliers(problem, out.dual[0])))
+        report = certify(problem, out)
         if not report.valid:
             status, note = "Inconclusive", report.note
     print(f"k={args.k} self-compatibility: {status}"

@@ -25,6 +25,9 @@ the Gram matrix K K^T.  Every solver form and both read-outs use it:
 - ``project_point`` reads a point out: the nearest point of the
   constraints' affine set, checked by ``primal_check``.
 
+Both read a matrix with an imaginary part over the complex field, also on
+a real program.  ``certify`` checks a solve of a program whose block is X.
+
 Compilation for the interior-point solver takes one of two forms,
 chosen from the block kinds:
 
@@ -86,8 +89,8 @@ from ..linalg import (
     symmetric_basis,
     vec_to_herm,
 )
-from ..tolerances import (FARKAS_RESIDUAL_TOL, HERMITICITY_TOL, MARGINAL_TOL, PAIRING_TOL, PSD_TOL,
-                          RANK_CUTOFF)
+from ..tolerances import (DECISION_TOL, FARKAS_RESIDUAL_TOL, HERMITICITY_TOL, MARGINAL_TOL,
+                          PAIRING_TOL, PSD_TOL, RANK_CUTOFF)
 from .ipm import _as_real, _ct
 
 # caps on the side of the complex variable, checked before compiling
@@ -322,11 +325,19 @@ def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> Wi
     return WitnessReport(bool(valid), margin, min_eig, residual, note)
 
 
+def certify(problem: SdpProblem, out: SdpOutcome) -> WitnessReport:
+    """The check of a Feasible solve's point within ``DECISION_TOL``, or of the
+    multipliers of an Infeasible solve's dual, on a program whose block is X."""
+    if out.status == "Feasible":
+        return primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL)
+    return farkas_check(problem, multipliers(problem, out.dual[0]))
+
+
 def multipliers(problem: SdpProblem, m: np.ndarray) -> list[np.ndarray]:
     """One Y_c per constraint, with sum_c Tr_c^*(Y_c) the projection of M onto
-    the range of the constraint adjoints in the program's field, vh^T vh vec(M)
+    the range of the constraint adjoints (in ``_plan_key``'s field), vh^T vh vec(M)
     = K^T lam for lam = coords^T (vh vec(M)): each constraint's part is Y_c."""
-    st = _structure_of(_plan_key(problem))
+    st = _structure_of(_plan_key(problem, m))
     lam = st.coords.T @ (st.vh @ herm_to_vec(_in_field(m, st.real), st.real))
     sides = [_kept_side(problem.factors, con.traced) for con in problem.constraints]
     ends = np.cumsum([r * (r + 1) // 2 if st.real else r * r for r in sides])
@@ -334,9 +345,9 @@ def multipliers(problem: SdpProblem, m: np.ndarray) -> list[np.ndarray]:
 
 
 def project_point(problem: SdpProblem, x: np.ndarray) -> np.ndarray:
-    """The projection of X onto the constraints' affine set in the program's
-    field, X - mat(vh^T (vh vec(X) - vh x0))."""
-    st, x0 = _eliminate(problem)
+    """The projection of X onto the constraints' affine set (in ``_plan_key``'s
+    field), X - mat(vh^T (vh vec(X) - vh x0))."""
+    st, x0 = _eliminate(problem, x)
     v = herm_to_vec(_in_field(x, st.real), st.real)
     return vec_to_herm(v - st.vh.T @ (st.vh @ (v - x0)), problem.side, st.real)
 
@@ -568,12 +579,13 @@ def _constraint_matrix(factors: tuple, traceds: tuple, real: bool) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _plan_key(problem: SdpProblem) -> tuple:
-    """A problem's structure: the factors of X, what each constraint
-    traces out and the field (``SdpProblem.real``); everything but the
-    right-hand sides and the blocks."""
-    return (tuple(problem.factors), tuple(tuple(con.traced) for con in problem.constraints),
-            problem.real)
+def _plan_key(problem: SdpProblem, read: Optional[np.ndarray] = None) -> tuple:
+    """A problem's structure: the factors of X, what each constraint traces
+    out and the field, ``SdpProblem.real`` or complex for a matrix ``read``
+    out with an imaginary part, which the real field would drop; everything
+    but the right-hand sides and the blocks."""
+    real = problem.real and not (np.iscomplexobj(read) and read.imag.any())
+    return tuple(problem.factors), tuple(tuple(con.traced) for con in problem.constraints), real
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -644,11 +656,11 @@ def _structure_of(key: tuple) -> _Structure:
     return _Structure(key)
 
 
-def _eliminate(problem: SdpProblem) -> tuple[_Structure, np.ndarray]:
-    """Solve the equality constraints, for both solvers: the problem's
-    cached structure and its minimum-norm particular solution
+def _eliminate(problem: SdpProblem, read: Optional[np.ndarray] = None) -> tuple[_Structure, np.ndarray]:
+    """Solve the equality constraints: the problem's cached structure (in
+    ``_plan_key``'s field) and its minimum-norm particular solution
     x0 = vh^T (coords @ b).  Inconsistent right-hand sides raise."""
-    st = _structure_of(_plan_key(problem))
+    st = _structure_of(_plan_key(problem, read))
     bvec = np.concatenate([herm_to_vec(_in_field(con.rhs, st.real), st.real)
                            for con in problem.constraints])
     x0 = st.vh.T @ (st.coords @ bvec)

@@ -14,8 +14,7 @@ from . import analytic, channels, jordan, reference, sdp
 from .linalg import ptranspose_array
 from .rand import random_channel, random_density
 from .sdp.decide import decide
-from .sdp.problem import farkas_check, multipliers, primal_check
-from .tolerances import DECISION_TOL
+from .sdp.problem import certify
 from .witness import no_broadcast_witness, verify_compatibilizer, verify_witness
 
 Check = tuple[str, bool, str]
@@ -122,7 +121,7 @@ def run_checks() -> list[Check]:
     o13 = channels.partial_depolarizing_channel(1.0 / 3.0, 2)
     prob = sdp.build_compat(o13, o13)
     outc = sdp.solve(prob)
-    ok = outc.status == "Feasible" and primal_check(prob, outc.primal, DECISION_TOL, DECISION_TOL).valid
+    ok = outc.status == "Feasible" and certify(prob, outc).valid
     out.append(("depolarizing pair at the boundary q=1/3 is feasible and certified", ok,
                 f"{outc.status}, optimum {outc.value:.3e}"))
     o6 = channels.partial_depolarizing_channel(0.6, 2)
@@ -178,7 +177,7 @@ def run_checks() -> list[Check]:
     ident3 = channels.identity_channel(2)
     prob = sdp.build_k_extension(ident3, 3)
     k3 = sdp.solve(prob)
-    ok = k3.status == "Infeasible" and farkas_check(prob, multipliers(prob, k3.dual[0])).valid
+    ok = k3.status == "Infeasible" and certify(prob, k3).valid
     out.append(("three copies of the identity are infeasible, with a Farkas certificate", ok,
                 f"{k3.status}, optimum {k3.value:.4f}"))
 
@@ -187,7 +186,7 @@ def run_checks() -> list[Check]:
     for k in (2, 3, 4):
         prob = sdp.build_k_extension(xi_b, k)
         outk = sdp.solve(prob)
-        ok = outk.status == "Feasible" and primal_check(prob, outk.primal, DECISION_TOL, DECISION_TOL).valid
+        ok = outk.status == "Feasible" and certify(prob, outk).valid
         out.append((f"measure-and-prepare boundary point extends to k={k}, certified", ok,
                     f"{outk.status}, optimum {outk.value:.4f}"))
     return out

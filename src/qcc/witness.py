@@ -162,35 +162,24 @@ def certificate_to_json(w) -> dict:
     return data
 
 
+def _on(arr: np.ndarray, factors) -> HermitianMatrix:
+    return HermitianMatrix(arr, TensorShape(tuple(int(d) for d in factors)))
+
+
 def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, HermitianMatrix]:
     mode = data["mode"]
     if mode in ("compat", "ppt-compat"):
         comp = data["compatibilizer"]
-        factors = (int(comp["d_in"]),) + tuple(int(d) for d in comp["output_factors"])
-        return HermitianMatrix(_matrix_from_json(comp["choi"]), TensorShape(factors))
+        return _on(_matrix_from_json(comp["choi"]), (comp["d_in"], *comp["output_factors"]))
     if mode in ("plain", "ppt"):
-        z1 = _matrix_from_json(data["Z1"])
-        z2 = _matrix_from_json(data["Z2"])
-        s1 = tuple(int(d) for d in data["shape1"])
-        s2 = tuple(int(d) for d in data["shape2"])
-        return Witness(
-            HermitianMatrix(z1, TensorShape(s1)),
-            HermitianMatrix(z2, TensorShape(s2)),
-            mode=mode,
-        )
+        z1, z2 = _matrix_from_json(data["Z1"]), _matrix_from_json(data["Z2"])
+        return Witness(_on(z1, data["shape1"]), _on(z2, data["shape2"]), mode=mode)
     if mode == "jordan-operator":
         a = _matrix_from_json(data["A"])
         d = int(round(a.shape[0] ** (1 / 3)))
-        return HermitianMatrix(a, TensorShape((d, d, d)))
+        return _on(a, (d, d, d))
     if mode == "jordan":
-        w1 = _matrix_from_json(data["W1"])
-        w2 = _matrix_from_json(data["W2"])
-        rho = _matrix_from_json(data["rho"])
+        w1, w2, rho = (_matrix_from_json(data[key]) for key in ("W1", "W2", "rho"))
         d = int(round(np.sqrt(w1.shape[0])))
-        rho_shape = tuple(int(d) for d in data["rho_shape"])
-        return JordanWitness(
-            HermitianMatrix(w1, TensorShape((d, d))),
-            HermitianMatrix(w2, TensorShape((d, d))),
-            HermitianMatrix(rho, TensorShape(rho_shape)),
-        )
+        return JordanWitness(_on(w1, (d, d)), _on(w2, (d, d)), _on(rho, data["rho_shape"]))
     raise ValueError(f"unknown certificate mode {mode!r}")

@@ -9,6 +9,7 @@ from qcc import cli, reference, sdp
 from qcc.analytic import xi_self_threshold
 from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
 from qcc.cli import main
+import qcc.sdp.problem as problem_mod
 from qcc.rand import random_channel
 from qcc.sdp.problem import WitnessReport
 
@@ -263,7 +264,7 @@ class TestSelfCompat:
         assert "self-compatibility: Infeasible" in capsys.readouterr().out
         # a certificate that fails its check leaves no verdict
         failed = WitnessReport(False, 0.5, 0.0, 0.0, "Farkas certificate fails: pairing 0.5")
-        monkeypatch.setattr(cli, "farkas_check", lambda problem, ys: failed)
+        monkeypatch.setattr(problem_mod, "farkas_check", lambda problem, ys: failed)
         assert main(["self-compat", identity_file, "--k", "3"]) == 2
         out = capsys.readouterr().out
         assert "self-compatibility: Inconclusive" in out

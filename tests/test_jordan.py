@@ -206,6 +206,18 @@ class TestGenJordan:
             back = gen_jordan(f.rep, f.rep, op)
             assert np.abs(back.choi.array - comp.choi.array).max() < 1e-7
 
+    def test_roundtrip_from_complex_compatibilizer(self):
+        # a real pair, a compatibilizer with an imaginary part of zero marginals
+        from qcc.sdp.decide import decide
+
+        f = xi_channel(0.1, 0.5)
+        x = decide(f, f).compatibilizer.array
+        isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        comp = Channel.from_choi(x + 0.05j * np.kron(np.eye(2), np.kron(isy, SZ)), 2, (2, 2))
+        op = gen_jordan_from_compatibilizer(f, f, comp)
+        back = gen_jordan(f.rep, f.rep, op)
+        assert np.abs(back.choi.array - comp.choi.array).max() < 1e-7
+
     def test_singular_map_rejected(self):
         deph = dephasing_channel(2)
         comp = Channel(jordan_channel(deph.rep, deph.rep))

@@ -47,6 +47,7 @@ from qcc.sdp.problem import (
     _plan_key,
     _structure_of,
     blocks_adjoint,
+    certify,
     compile_ipm,
     constraints_adjoint,
     farkas_check,
@@ -933,6 +934,27 @@ class TestReadOut:
         # the step is orthogonal to the constraints' affine set
         other = project_point(problem, random_hermitian(rng, problem.side))
         assert abs(np.vdot(x - p, other - p)) <= 1e-10
+
+    def test_complex_matrix_on_a_real_program_is_read_over_the_complex_field(self, rng):
+        # the real field would drop the imaginary part of the point and of M
+        problem = sdp.build_k_extension(xi_channel(0.1, 0.3), 2)
+        assert problem.real
+        x = random_hermitian(rng, problem.side)
+        p = project_point(problem, x)
+        assert np.abs(p.imag).max() > 0.1
+        assert primal_check(problem, p, 1e-12, np.inf).valid
+        other = project_point(problem, random_hermitian(rng, problem.side))
+        assert abs(np.vdot(x - p, other - p)) <= 1e-10
+        m = constraints_adjoint(problem, [random_hermitian(rng, 4) for _ in problem.constraints])
+        assert np.abs(constraints_adjoint(problem, multipliers(problem, m)) - m).max() <= 1e-12
+
+    def test_certify_checks_the_certificate_of_the_status(self):
+        problem = sdp.build_k_extension(identity_channel(2), 3)
+        out = sdp.solve(problem)
+        assert out.status == "Infeasible"
+        assert certify(problem, out).valid
+        # the same dual read as a point's certificate is no point of the program
+        assert not certify(problem, dataclasses.replace(out, status="Feasible", primal=out.dual[0])).valid
 
 
 class TestPovmCompat:
