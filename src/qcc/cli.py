@@ -102,20 +102,31 @@ def cmd_check(args) -> int:
     return dec.exit_code
 
 
+def _certified_k_extension(c: Channel, k: int, solver: str):
+    """The solve of c's k-extension, its status and its note, a verdict
+    standing only with its certificate checked (``certify``): a failed
+    check is Inconclusive with the check's note."""
+    problem = sdp.build_k_extension(c, k)
+    out = sdp.solve(problem, mode=_SOLVER_MODES[solver])
+    if out.status != "Inconclusive":
+        report = certify(problem, out)
+        if not report.valid:
+            return out, "Inconclusive", report.note
+    return out, out.status, out.note
+
+
 def cmd_self_compat(args) -> int:
     if args.k < 2:
         print("error: k must be at least 2", file=sys.stderr)
         return EXIT_PARSE
-    c = _load_channel(args.channel)
-    problem = sdp.build_k_extension(c, args.k)
-    out = sdp.solve(problem, mode=_SOLVER_MODES[args.solver])
-    status, note = out.status, out.note
-    if status != "Inconclusive":  # a verdict stands only with its certificate checked
-        report = certify(problem, out)
-        if not report.valid:
-            status, note = "Inconclusive", report.note
-    print(f"k={args.k} self-compatibility: {status}"
-          + (f" (optimum {out.value:.3e})" if status != "Inconclusive" else f"\nnote: {note}"))
+    out, status, note = _certified_k_extension(_load_channel(args.channel), args.k, args.solver)
+    if status == "Inconclusive":
+        detail = f"\nnote: {note}"
+    elif args.solver == "ipm":
+        detail = f" (optimum {out.value:.3e})"
+    else:  # a projection point has no optimum, a refutation a Farkas pairing that bounds it
+        detail = f" (Farkas pairing {out.value:.3e})" if status == "Infeasible" else ""
+    print(f"k={args.k} self-compatibility: {status}{detail}")
     return EXIT_CODES[status]
 
 
@@ -126,9 +137,7 @@ def _point_xi_self_k(task):
     p, q, k, solver = task
     if not in_xi_domain(p, q):
         return "x"
-    xi = xi_channel(p, q)
-    out = sdp.solve(sdp.build_k_extension(xi, k), mode=_SOLVER_MODES[solver])
-    return _verdict_char(out.status)
+    return _verdict_char(_certified_k_extension(xi_channel(p, q), k, solver)[1])
 
 
 def _jordan_std_char(f: Channel, g: Channel) -> str:

@@ -15,7 +15,7 @@ from .builders import (
 )
 from .ipm import solve_ipm
 from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError,
-                      compile_ipm, primal_check, side_text)
+                      compile_ipm, farkas_check, multipliers, primal_check, side_text)
 from .projection import solve_dykstra
 
 
@@ -36,10 +36,13 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     certificate extraction, or Inconclusive with the solver's note when
     it did not converge.  projection runs Dykstra alternating
     projections and reports Feasible with a primal point, re-checked by
-    ``problem.primal_check`` against the problem itself, or Inconclusive
-    with the reason.  Real programs (``SdpProblem.real``) are solved over
-    real symmetric matrices; the outcome's matrices are complex128
-    either way.
+    ``problem.primal_check`` against the problem itself, or Infeasible
+    with the Farkas dual read from the iterates' displacement, re-checked
+    by ``problem.farkas_check`` of its ``multipliers``; its value is then
+    the check's pairing, an upper bound on the optimum.  Anything else,
+    and a check that fails, is Inconclusive with the reason.  Real
+    programs (``SdpProblem.real``) are solved over real symmetric
+    matrices; the outcome's matrices are complex128 either way.
     """
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
@@ -68,8 +71,18 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
-        note = (primal_check(problem, res.x, DECISION_TOL, PSD_TOL).note if res.feasible
-                else "projection did not reach feasibility")
+        if res.certificate is not None:
+            report = farkas_check(problem, multipliers(problem, res.certificate))
+            if report.valid:
+                return SdpOutcome("Infeasible", report.margin, dual=_complex(res.certificate[None]),
+                                  residuals=residuals, iterations=res.iterations,
+                                  note="projection mode: the value is a Farkas pairing, "
+                                       "an upper bound on the optimum")
+            note = report.note
+        elif res.feasible:
+            note = primal_check(problem, res.x, DECISION_TOL, PSD_TOL).note
+        else:
+            note = "projection did not reach feasibility"
         if note:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
                               iterations=res.iterations, note=note)

@@ -308,7 +308,16 @@ def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> Wi
     per block, prove that ``problem`` has no point with t >= 0, which would
     give sum_c <Y_c, rhs_c> = sum_l <Z_l, img_l(X)> >= 0: sum_l img_l^*(Z_l)
     = sum_c Tr_c^*(Y_c), every Z_l PSD and sum_c <Y_c, rhs_c> < 0.  Without
-    ``zs`` the one block is X itself, with dual sum_c Tr_c^*(Y_c)."""
+    ``zs`` the one block is X itself, with dual sum_c Tr_c^*(Y_c).
+
+    The pairing must stay below ``-PAIRING_TOL`` after the most that the
+    certificate's misses can move it: every block adjoint maps I to I and
+    Tr X = Tr rhs_0, so a least eigenvalue -e of the Z_l lowers the right
+    side by at most blocks * e * Tr rhs_0, and a residual R moves it by
+    <R, X>, at most |R|_F Tr rhs_0 for a PSD X (the Jordan program's X
+    need not be PSD; there the term is a first-order guard).  Without it
+    Y_1 = -0.9e-9 I, Y_2 = 0 would pass on every qubit compat program, the
+    compatible ones too: pairing -1.8e-9, least eigenvalue -9e-10."""
     adj = constraints_adjoint(problem, ys)
     if zs is None:
         if [block.kind for block in problem.blocks] != ["identity"]:
@@ -319,9 +328,12 @@ def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> Wi
     min_eig = float(np.linalg.eigvalsh(zs).min())
     margin = sum(float(np.tensordot(y.conj(), con.rhs, axes=2).real)
                  for con, y in zip(problem.constraints, ys))
-    valid = residual <= FARKAS_RESIDUAL_TOL and min_eig >= -PSD_TOL and margin <= -PAIRING_TOL
+    slack = float(np.trace(problem.constraints[0].rhs).real) * (len(zs) * max(0.0, -min_eig) + residual)
+    valid = (residual <= FARKAS_RESIDUAL_TOL and min_eig >= -PSD_TOL
+             and margin + slack <= -PAIRING_TOL)
     note = "" if valid else (f"Farkas certificate fails: pairing {margin:.3g}, "
-                             f"least eigenvalue {min_eig:.3g}, residual {residual:.3g}")
+                             f"least eigenvalue {min_eig:.3g}, residual {residual:.3g}, "
+                             f"their effect on the pairing up to {slack:.3g}")
     return WitnessReport(bool(valid), margin, min_eig, residual, note)
 
 

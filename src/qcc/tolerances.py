@@ -14,7 +14,8 @@ This module imports nothing from ``qcc``, so every module can read it.
 # one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
 # which the certificate check must accept.  It bounds no residual: a solve
 # that misses ipm.TOL is Inconclusive.  Read by sdp.solve (the verdict, its
-# band note, projection's constraint bound) and as primal-check bounds by
+# band note, projection's constraint bound), by sdp.projection.solve_dykstra
+# (how far below 0 a refutation's pairing must lie) and as primal-check bounds by
 # witness.verify_compatibilizer (marginals and PSD) and
 # jordan.verify_gen_jordan_operator (the product image's PSD).
 DECISION_TOL = 1e-7
@@ -28,7 +29,8 @@ DECISION_TOL = 1e-7
 PSD_TOL = 1e-9
 
 # How far below 0 a Farkas certificate's pairing must lie
-# (sdp.problem.farkas_check): a pairing at roundoff size refutes nothing.
+# (sdp.problem.farkas_check), after the most its duals' least eigenvalue
+# and its residual can move it: a pairing at roundoff size refutes nothing.
 PAIRING_TOL = 1e-9
 
 # Frobenius norm of a Farkas certificate's equality residual

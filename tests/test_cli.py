@@ -9,9 +9,11 @@ from qcc import cli, reference, sdp
 from qcc.analytic import xi_self_threshold
 from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
 from qcc.cli import main
+from qcc.linalg import HermitianMatrix, TensorShape
 import qcc.sdp.problem as problem_mod
 from qcc.rand import random_channel
 from qcc.sdp.problem import WitnessReport
+from qcc.witness import Witness, certificate_to_json
 
 
 @pytest.fixture
@@ -109,6 +111,19 @@ class TestCheck:
         bad = tmp_path / "negated.json"
         bad.write_text(json.dumps(negated))
         assert main(["witness", "verify", str(bad), str(pa), str(pb)]) == 1
+
+    def test_tiny_negative_identity_is_no_witness(self, tmp_path, capsys):
+        # Z1 = -0.9e-9 I, Z2 = 0 meets the absolute bounds (pairing -1.8e-9,
+        # least eigenvalue -9e-10) against a compatible pair; the pairing
+        # does not survive the least eigenvalue's effect on it
+        p = tmp_path / "o.json"
+        p.write_text(json.dumps(channel_to_json(partial_depolarizing_channel(0.9, 2))))
+        z = lambda s: HermitianMatrix(s * np.eye(4), TensorShape((2, 2)))
+        cert = tmp_path / "forged.json"
+        cert.write_text(json.dumps(certificate_to_json(Witness(z(-0.9e-9), z(0.0), "plain"))))
+        assert main(["witness", "verify", str(cert), str(p), str(p)]) == 1
+        assert capsys.readouterr().out.startswith("valid: False  margin: -1.8e-09  min_eig: -9.000e-10")
+        assert main(["check", str(p), str(p)]) == 0
 
     @pytest.mark.parametrize("mode, key", [("compat", "shape1"), ("compat", "shape2"),
                                            ("ppt-compat", "shape1"), ("jordan", "rho_shape")])
@@ -244,10 +259,13 @@ class TestSelfCompat:
         assert main(["self-compat", identity_file, "--k", "2", "--tol", "0.5"]) == 64
         assert "Feasible" not in capsys.readouterr().out
 
-    def test_projection_not_feasible_exits_2(self, identity_file, capsys):
-        # Dykstra finds no point of the identity's infeasible k = 4 extension
-        assert main(["self-compat", identity_file, "--k", "4", "--solver", "projection"]) == 2
-        assert "self-compatibility: Inconclusive" in capsys.readouterr().out
+    def test_projection_refutes_exits_1(self, identity_file, capsys):
+        # Dykstra refutes the identity's infeasible k = 4 extension with a
+        # checked Farkas dual, whose pairing bounds the optimum
+        assert main(["self-compat", identity_file, "--k", "4", "--solver", "projection"]) == 1
+        out = capsys.readouterr().out
+        assert "self-compatibility: Infeasible (Farkas pairing -" in out
+        assert "optimum" not in out
 
     @pytest.mark.parametrize("solver", ["ipm", "projection"])
     def test_size_cap_beyond_int64_exit_66(self, identity_file, capsys, solver):
@@ -384,6 +402,17 @@ class TestSweep:
         assert started == workers
         assert main(["sweep", "depol_pair", "--grid", str(grid), "--out", str(serial)]) == 0
         assert out.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("k", ["2", "4"])
+    def test_xi_self_k_verdict_stands_only_with_its_certificate(self, tmp_path, monkeypatch, k):
+        out = tmp_path / "k.csv"
+        argv = ["sweep", "xi_self_k", "--grid", "3", "--k", k, "--out", str(out)]
+        assert main(argv) == 0
+        assert {row[2] for row in read_sections(out)[0][1:]} == {"0", "1", "x"}
+        failed = WitnessReport(False, 0.0, 0.0, 0.0, "check fails")
+        monkeypatch.setattr(cli, "certify", lambda problem, outcome: failed)
+        assert main(argv) == 0
+        assert {row[2] for row in read_sections(out)[0][1:]} == {"?", "x"}
 
     def test_first_flip_of_a_column_without_feasible_point_is_empty(self):
         col = [["0.5", "0", "0", "?"], ["0.5", "0.5", "?", "1"], ["0.5", "1", "0", "1"]]

@@ -56,6 +56,7 @@ from qcc.sdp.problem import (
     project_point,
 )
 from qcc.sdp.ipm import solve_ipm
+import qcc.sdp.projection as projection_mod
 from qcc.sdp.projection import ProjectionResult
 from qcc.tolerances import DECISION_TOL, PSD_TOL, RANK_CUTOFF
 from qcc.witness import no_broadcast_witness, verify_jordan_witness, verify_witness, witness_from_dual
@@ -836,12 +837,63 @@ class TestKExtension:
             assert np.linalg.eigvalsh(x).min() >= -1e-8
             assert np.abs(ptrace_array(x, (2, 2, 2), [2]) - f.choi.array).max() < 1e-7
 
-    def test_projection_not_feasible_is_inconclusive(self):
-        # the identity has no k = 4 extension, and Dykstra cannot refute
+    def test_projection_refutes_infeasible(self):
+        # the identity has no k = 4 extension; the displacement between the
+        # iterates is a trace-1 Farkas dual whose pairing bounds the optimum
+        problem = sdp.build_k_extension(identity_channel(2), 4)
+        out = sdp.solve(problem, mode="projection")
+        assert out.status == "Infeasible" and out.primal is None
+        assert out.iterations == projection_mod.CHECK_EVERY
+        report = certify(problem, out)
+        assert report.valid, report.note
+        assert out.value == report.margin
+        assert abs(np.trace(out.dual[0]) - 1) <= 1e-12
+        assert out.value >= sdp.solve(problem).value - 1e-9
+
+    def test_projection_without_point_or_refutation_is_inconclusive(self, monkeypatch):
+        # a refutation is formed first at sweep CHECK_EVERY
+        monkeypatch.setattr(projection_mod, "MAX_ITER", projection_mod.CHECK_EVERY - 1)
         out = sdp.solve(sdp.build_k_extension(identity_channel(2), 4), mode="projection")
         assert out.status == "Inconclusive"
         assert out.note == "projection did not reach feasibility"
-        assert np.isnan(out.value) and out.primal is None
+        assert np.isnan(out.value) and out.primal is None and out.dual is None
+
+    @pytest.mark.parametrize("doctor, note", [
+        (lambda w: np.eye(len(w)) / len(w), r"Farkas certificate fails: pairing 0\.\d"),
+        (lambda w: w - 0.1 * np.eye(len(w)), r"Farkas certificate fails: pairing -.*least eigenvalue -0\.1,"),
+    ], ids=["pairs_positive", "not_psd"])
+    def test_projection_refutation_is_rechecked(self, monkeypatch, doctor, note):
+        # an Infeasible verdict from projection must survive farkas_check
+        problem = sdp.build_k_extension(xi_channel(0.1, 0.3), 4)
+        res = projection_mod.solve_dykstra(problem)
+        assert res.certificate is not None
+        bad = ProjectionResult(False, res.x, res.violation, res.iterations, doctor(res.certificate))
+        monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: bad)
+        out = sdp.solve(problem, mode="projection")
+        assert out.status == "Inconclusive" and out.dual is None
+        assert out.iterations == res.iterations
+        assert re.match(note, out.note), out.note
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_projection_refutations_on_the_xi_grid(self, monkeypatch, k):
+        # grid 6: projection is never Infeasible where the interior point is
+        # Feasible, and every refutation is certified with a pairing at or
+        # above the optimum.  Refutations are formed at sweep CHECK_EVERY and
+        # at each STALL_WINDOW boundary; the cap keeps the first two and the
+        # slow feasible points (up to 26000 sweeps at k = 3) out of the suite.
+        monkeypatch.setattr(projection_mod, "MAX_ITER", projection_mod.STALL_WINDOW)
+        refuted = 0
+        for p, q in itertools.product(np.linspace(0, 1, 6), repeat=2):
+            if p + q > 1 + 1e-12:
+                continue
+            problem = sdp.build_k_extension(xi_channel(p, q), k)
+            ipm, proj = sdp.solve(problem), sdp.solve(problem, mode="projection")
+            if proj.status == "Infeasible":
+                refuted += 1
+                assert ipm.status == "Infeasible", (p, q)
+                assert certify(problem, proj).valid, (p, q)
+                assert proj.value >= ipm.value - 1e-9, (p, q)
+        assert refuted == {3: 8, 4: 9, 5: 9}[k]
 
     @staticmethod
     def _off_affine(problem, x):

@@ -72,8 +72,12 @@ class TestVerifyWitness:
         # wherever a witness verifies, the corresponding program is infeasible
         from qcc.rand import random_channel
 
-        count = 0
+        # a capped number of draws, so a decider that never refutes fails
+        # the test instead of hanging it
+        count = draws = 0
         while count < 20:
+            assert draws < 200, f"only {count} of {draws} random pairs decided Incompatible"
+            draws += 1
             f = random_channel(rng, 2)
             g = random_channel(rng, 2)
             dec = decide(f, g)
