@@ -31,7 +31,6 @@ from .channels import (
 )
 from .jordan import jordan_channel, verify_gen_jordan_operator
 from .sdp.decide import EXIT_CODES, decide
-from .sdp.problem import certify
 from .tolerances import DOMAIN_SLACK, OPERATOR_TOL
 from .witness import (WitnessReport, certificate_from_json, certificate_to_json, verify_compatibilizer,
                       verify_jordan_witness, verify_witness)
@@ -102,32 +101,20 @@ def cmd_check(args) -> int:
     return dec.exit_code
 
 
-def _certified_k_extension(c: Channel, k: int, solver: str):
-    """The solve of c's k-extension, its status and its note, a verdict
-    standing only with its certificate checked (``certify``): a failed
-    check is Inconclusive with the check's note."""
-    problem = sdp.build_k_extension(c, k)
-    out = sdp.solve(problem, mode=_SOLVER_MODES[solver])
-    if out.status != "Inconclusive":
-        report = certify(problem, out)
-        if not report.valid:
-            return out, "Inconclusive", report.note
-    return out, out.status, out.note
-
-
 def cmd_self_compat(args) -> int:
     if args.k < 2:
         print("error: k must be at least 2", file=sys.stderr)
         return EXIT_PARSE
-    out, status, note = _certified_k_extension(_load_channel(args.channel), args.k, args.solver)
-    if status == "Inconclusive":
-        detail = f"\nnote: {note}"
+    out = sdp.solve(sdp.build_k_extension(_load_channel(args.channel), args.k),
+                    mode=_SOLVER_MODES[args.solver])
+    if out.status == "Inconclusive":
+        detail = f"\nnote: {out.note}"
     elif args.solver == "ipm":
         detail = f" (optimum {out.value:.3e})"
     else:  # a projection point has no optimum, a refutation a Farkas pairing that bounds it
-        detail = f" (Farkas pairing {out.value:.3e})" if status == "Infeasible" else ""
-    print(f"k={args.k} self-compatibility: {status}{detail}")
-    return EXIT_CODES[status]
+        detail = f" (Farkas pairing {out.value:.3e})" if out.status == "Infeasible" else ""
+    print(f"k={args.k} self-compatibility: {out.status}{detail}")
+    return EXIT_CODES[out.status]
 
 
 # --- sweep workers (module level so process pools can pickle them) ---------
@@ -137,7 +124,8 @@ def _point_xi_self_k(task):
     p, q, k, solver = task
     if not in_xi_domain(p, q):
         return "x"
-    return _verdict_char(_certified_k_extension(xi_channel(p, q), k, solver)[1])
+    return _verdict_char(sdp.solve(sdp.build_k_extension(xi_channel(p, q), k),
+                                   mode=_SOLVER_MODES[solver]).status)
 
 
 def _jordan_std_char(f: Channel, g: Channel) -> str:

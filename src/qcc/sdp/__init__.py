@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tolerances import DECISION_TOL, PSD_TOL
+from ..tolerances import DECISION_TOL
 from .builders import (
     build_compat,
     build_jordan_compat,
@@ -15,7 +15,7 @@ from .builders import (
 )
 from .ipm import solve_ipm
 from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError,
-                      compile_ipm, farkas_check, multipliers, primal_check, side_text)
+                      certify, compile_ipm, side_text)
 from .projection import solve_dykstra
 
 
@@ -29,20 +29,20 @@ def _complex(arr: np.ndarray) -> np.ndarray:
 
 
 def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
-    """Solve a compatibility program.
+    """Solve a compatibility program, and report Feasible or Infeasible only
+    with a certificate that passes ``problem.certify`` on ``problem``.
 
     interior_point maximizes t and reports Feasible/Infeasible by the sign
-    of the optimum (within ``DECISION_TOL``), with dual multipliers for
-    certificate extraction, or Inconclusive with the solver's note when
-    it did not converge.  projection runs Dykstra alternating
-    projections and reports Feasible with a primal point, re-checked by
-    ``problem.primal_check`` against the problem itself, or Infeasible
-    with the Farkas dual read from the iterates' displacement, re-checked
-    by ``problem.farkas_check`` of its ``multipliers``; its value is then
-    the check's pairing, an upper bound on the optimum.  Anything else,
-    and a check that fails, is Inconclusive with the reason.  Real
-    programs (``SdpProblem.real``) are solved over real symmetric
-    matrices; the outcome's matrices are complex128 either way.
+    of the optimum (within ``DECISION_TOL``), with the point X and the dual
+    multipliers, or Inconclusive with the solver's note when it did not
+    converge.  projection runs Dykstra alternating projections and reports
+    Feasible with a point, or Infeasible with the Farkas dual read from the
+    iterates' displacement; its value is then the check's pairing, an upper
+    bound on the optimum.  Anything else is Inconclusive with the reason,
+    and so is a certificate that fails its check, with the check's note
+    and neither point nor dual.  Real programs (``SdpProblem.real``) are
+    solved over real symmetric matrices; the outcome's matrices are
+    complex128 either way.
     """
     if mode == "interior_point":
         _check_cap(problem, IPM_SIDE_CAP, "interior-point")
@@ -63,33 +63,34 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
                               iterations=res.iterations, note=res.note)
         note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
         status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
-        return SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
-                          dual=_complex(comp.certificate(res)), residuals=residuals,
-                          iterations=res.iterations, note=note)
-
-    if mode == "projection":
+        out = SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
+                         dual=_complex(comp.certificate(res)), residuals=residuals,
+                         iterations=res.iterations, note=note)
+    elif mode == "projection":
         _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
-        if res.certificate is not None:
-            report = farkas_check(problem, multipliers(problem, res.certificate))
-            if report.valid:
-                return SdpOutcome("Infeasible", report.margin, dual=_complex(res.certificate[None]),
-                                  residuals=residuals, iterations=res.iterations,
-                                  note="projection mode: the value is a Farkas pairing, "
-                                       "an upper bound on the optimum")
-            note = report.note
+        if res.certificate is not None:  # its value is the check's pairing, set below
+            out = SdpOutcome("Infeasible", float("nan"), dual=_complex(res.certificate[None]),
+                             residuals=residuals, iterations=res.iterations,
+                             note="projection mode: the value is a Farkas pairing, "
+                                  "an upper bound on the optimum")
         elif res.feasible:
-            note = primal_check(problem, res.x, DECISION_TOL, PSD_TOL).note
+            out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
+                             iterations=res.iterations, note="projection mode: feasibility only")
         else:
-            note = "projection did not reach feasibility"
-        if note:
             return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
-                              iterations=res.iterations, note=note)
-        return SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
-                          iterations=res.iterations, note="projection mode: feasibility only")
+                              iterations=res.iterations, note="projection did not reach feasibility")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
-    raise ValueError(f"unknown mode {mode!r}")
+    report = certify(problem, out)
+    if not report.valid:
+        return SdpOutcome("Inconclusive", out.value if mode == "interior_point" else float("nan"),
+                          residuals=out.residuals, iterations=out.iterations, note=report.note)
+    if mode == "projection" and out.status == "Infeasible":
+        out.value = report.margin
+    return out
 
 
 __all__ = [

@@ -2,12 +2,17 @@
 
 A Compatible verdict carries a point (a compatibilizer Choi matrix, or
 the operator A behind a generalized Jordan product) and an Incompatible
-verdict a witness; the two never coexist.  Every certificate is read out
-over the program it certifies, as its ``multipliers`` (a witness) or
-``project_point`` (the operator A), by the functions beside its type in
-``qcc.witness`` and ``qcc.jordan``, and re-checked against that program.
-When the solver or the check fails the verdict is Inconclusive, with the
-reason in ``note``.
+verdict a witness; the two never coexist.  ``sdp.solve`` reports a
+Feasible or Infeasible solve only with its point or Farkas certificate
+checked on the program it solved (``problem.certify``), so a
+compatibilizer is a Feasible solve's point as it stands.  The other
+certificates are read out over the program they certify, as its
+``multipliers`` (a witness) or ``project_point`` (the operator A), by the
+functions beside their type in ``qcc.witness`` and ``qcc.jordan``, and
+checked on that program: A by ``primal_check``, a witness by
+``verify_witness`` or ``verify_jordan_witness`` in the form the Decision
+hands out.  When the solver or a check fails the verdict is Inconclusive,
+with the reason in ``note``.
 
 Jordan mode solves the compat program when both channels are invertible
 as linear maps: the substitution X = (id (x) f (x) g)(A) maps the Jordan
@@ -21,19 +26,18 @@ differs in size) the Jordan program itself runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..channels import Channel
-from ..jordan import (GenJordanOperator, gen_jordan, inverse_pair, read_out_operator,
-                      verify_gen_jordan_operator)
+from ..jordan import GenJordanOperator, gen_jordan, inverse_pair, read_out_operator
 from ..linalg import HermitianMatrix, TensorShape, ptranspose_array
-from ..tolerances import GEN_JORDAN_TOL
-from ..witness import (JordanWitness, Witness, jordan_witness_from_dual, verify_compatibilizer,
-                       verify_jordan_witness, verify_witness, witness_from_dual)
+from ..tolerances import DECISION_TOL, GEN_JORDAN_TOL
+from ..witness import (JordanWitness, Witness, jordan_witness_from_dual, verify_jordan_witness,
+                       verify_witness, witness_from_dual)
 from . import solve
 from .builders import build_compat, build_jordan_compat, two_marginal_problem
-from .problem import SdpOutcome, SdpProblem
+from .problem import SdpOutcome, SdpProblem, primal_check
 
 # the CLI exit code of each verdict, and of the solver status it rests on
 EXIT_CODES = {"Compatible": 0, "Feasible": 0, "Incompatible": 1, "Infeasible": 1, "Inconclusive": 2}
@@ -49,24 +53,16 @@ class Decision:
     witness_margin: float = 0.0
     outcome: Optional[SdpOutcome] = None
     note: str = ""
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.verdict]
 
 
-def _certify_compatibilizer(out: SdpOutcome, f: Channel, g: Channel, ppt: bool) -> Decision:
-    """Compatible when the solver's X passes ``verify_compatibilizer``."""
-    x = out.primal
-    report = verify_compatibilizer(x, f, g, ppt)
-    dev = report.constraint_residual
-    if report.valid:
-        return Decision("Compatible", out.value, outcome=out,
-                        compatibilizer=HermitianMatrix(x, TensorShape((f.d_in, f.d_out, g.d_out))),
-                        diagnostics={"marginal_dev": dev, "min_eig": report.min_eig})
-    note = "primal certificate failed validation" + ("" if ppt else f" (dev {dev:.2e})")
-    return Decision("Inconclusive", out.value, outcome=out, note=note)
+def _compatible(out: SdpOutcome, f: Channel, g: Channel) -> Decision:
+    """Compatible with a Feasible solve's point, checked in the solve."""
+    return Decision("Compatible", out.value, outcome=out,
+                    compatibilizer=HermitianMatrix(out.primal, TensorShape((f.d_in, f.d_out, g.d_out))))
 
 
 def _refute(out: SdpOutcome, problem: SdpProblem, f: Channel, g: Channel, mode: str) -> Decision:
@@ -92,7 +88,7 @@ def _decide_compat(f: Channel, g: Channel) -> Decision:
     problem = build_compat(f, g)
     out = solve(problem)
     if out.status == "Feasible":
-        return _certify_compatibilizer(out, f, g, ppt=False)
+        return _compatible(out, f, g)
     return _refute(out, problem, f, g, "plain")
 
 
@@ -105,12 +101,11 @@ def _decide_jordan(f: Channel, g: Channel) -> Decision:
     out = solve(jordan if inverses is None else build_compat(f, g))
     if out.status == "Feasible":
         a = read_out_operator(out.primal, jordan, inverses)
-        report = verify_gen_jordan_operator(a, f, g)
+        report = primal_check(jordan, a.array, GEN_JORDAN_TOL, DECISION_TOL)
         if report.valid:
             op = GenJordanOperator(a)
             return Decision("Compatible", out.value, gen_jordan_op=op,
-                            compatibilizer=gen_jordan(f.rep, g.rep, op).choi, outcome=out,
-                            diagnostics={"min_eig": report.min_eig})
+                            compatibilizer=gen_jordan(f.rep, g.rep, op).choi, outcome=out)
         note = (f"marginal constraints violated: deviation {report.constraint_residual:.3e}"
                 if report.constraint_residual > GEN_JORDAN_TOL
                 else f"product image not PSD at certificate tolerance ({report.min_eig:.2e})")
@@ -121,7 +116,8 @@ def _decide_jordan(f: Channel, g: Channel) -> Decision:
 def _decide_ppt(f: Channel, g: Channel) -> Decision:
     """Two stages: a transposed-marginal relaxation whose dual is the ppt
     witness, then (if that is feasible) the full program with both the
-    variable and its partial transpose PSD."""
+    variable and its partial transpose PSD.  A refutation of the full
+    program has no ppt-format witness, so it stays Inconclusive."""
     dx, d1, d2 = f.d_in, f.d_out, g.d_out
     j1t = ptranspose_array(f.choi.array, (dx, d1), 0)
     j2t = ptranspose_array(g.choi.array, (dx, d2), 0)
@@ -132,19 +128,20 @@ def _decide_ppt(f: Channel, g: Channel) -> Decision:
 
     out_b = solve(build_compat(f, g, ppt=True))
     if out_b.status == "Feasible":
-        return _certify_compatibilizer(out_b, f, g, ppt=True)
-    return Decision(
-        "Inconclusive", out_b.value, outcome=out_b,
-        note="transposed-marginal relaxation is feasible but no PPT compatibilizer "
-        "was certified; no witness exists in the ppt certificate format",
-    )
+        return _compatible(out_b, f, g)
+    # the dual objective is the pairing of the certificate's multipliers
+    note = out_b.note if out_b.status == "Inconclusive" else (
+        "transposed-marginal relaxation is feasible but the full PPT program is refuted by a "
+        f"checked Farkas certificate with pairing {out_b.residuals['dual_objective']:.3e}, "
+        "which has no witness in the ppt certificate format yet")
+    return Decision("Inconclusive", out_b.value, outcome=out_b, note=note)
 
 
 def decide(f: Channel, g: Channel, mode: str = "compat") -> Decision:
     """Decide compatibility of a channel pair in the requested sense.
 
     Verdicts are Compatible, Incompatible or Inconclusive; the first two
-    always carry a certificate that was re-verified after the solve.
+    always carry a certificate that was checked after the solve.
     """
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")

@@ -26,7 +26,9 @@ the Gram matrix K K^T.  Every solver form and both read-outs use it:
   constraints' affine set, checked by ``primal_check``.
 
 Both read a matrix with an imaginary part over the complex field, also on
-a real program.  ``certify`` checks a solve of a program whose block is X.
+a real program.  ``certify`` checks a solve's point or reads and checks its
+Farkas certificate, on any program; ``sdp.solve`` runs it on every
+Feasible or Infeasible outcome, of either solver.
 
 Compilation for the interior-point solver takes one of two forms,
 chosen from the block kinds:
@@ -338,11 +340,15 @@ def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> Wi
 
 
 def certify(problem: SdpProblem, out: SdpOutcome) -> WitnessReport:
-    """The check of a Feasible solve's point within ``DECISION_TOL``, or of the
-    multipliers of an Infeasible solve's dual, on a program whose block is X."""
+    """The check ``sdp.solve`` runs on each of its Feasible or Infeasible
+    outcomes: a Feasible solve's point within ``DECISION_TOL``, or the
+    multipliers of an Infeasible solve's dual with that dual, one matrix per
+    block; when the one block is X, the multipliers of its one dual alone."""
     if out.status == "Feasible":
         return primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL)
-    return farkas_check(problem, multipliers(problem, out.dual[0]))
+    if [block.kind for block in problem.blocks] == ["identity"]:
+        return farkas_check(problem, multipliers(problem, out.dual[0]))
+    return farkas_check(problem, multipliers(problem, blocks_adjoint(problem, out.dual)), out.dual)
 
 
 def multipliers(problem: SdpProblem, m: np.ndarray) -> list[np.ndarray]:

@@ -30,7 +30,7 @@ constraint), so W shifted to PSD and scaled to trace 1 is a dual whose
 pairing bounds the optimum t from above.  It is formed at the first
 check and at each ``STALL_WINDOW`` boundary, and the solve stops when it
 pairs at or below ``-DECISION_TOL``; forming it changes no iterate.
-``sdp.solve`` checks it by ``farkas_check``.  On the qubit k-extension
+``sdp.solve`` checks it, as every certificate, by ``problem.certify``.  On the qubit k-extension
 at k = 4 the feasible ``xi_channel(0.4, 0.5)`` settles in 9 ms (80
 sweeps; the interior point: 10 ms) and the infeasible
 ``xi_channel(0.1, 0.3)`` is refuted at sweep 8 in 1.3 ms (the interior

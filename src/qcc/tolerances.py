@@ -13,18 +13,20 @@ This module imports nothing from ``qcc``, so every module can read it.
 # The sign band of the optimum t and decide()'s certificate tolerance, in
 # one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
 # which the certificate check must accept.  It bounds no residual: a solve
-# that misses ipm.TOL is Inconclusive.  Read by sdp.solve (the verdict, its
-# band note, projection's constraint bound), by sdp.projection.solve_dykstra
-# (how far below 0 a refutation's pairing must lie) and as primal-check bounds by
-# witness.verify_compatibilizer (marginals and PSD) and
-# jordan.verify_gen_jordan_operator (the product image's PSD).
+# that misses ipm.TOL is Inconclusive.  Read by sdp.solve (the verdict and
+# its band note), by sdp.projection.solve_dykstra (how far below 0 a
+# refutation's pairing must lie) and as primal-check bounds by
+# sdp.problem.certify (constraints and PSD of every Feasible solve's point),
+# witness.verify_compatibilizer (the same, of a compatibilizer) and
+# jordan.verify_gen_jordan_operator and decide's jordan mode (the product
+# image's PSD).
 DECISION_TOL = 1e-7
 
 # Least eigenvalue of a certificate's PSD part: every dual of a Farkas
 # certificate (sdp.problem.farkas_check: verify_witness's adjoint sum,
-# verify_jordan_witness's rho) and every block of a projection point (the
-# stopping rule of sdp.projection.solve_dykstra and the PSD bound of
-# sdp.solve's primal check).  Tighter than DECISION_TOL on purpose: a
+# verify_jordan_witness's rho, every solve's dual in sdp.problem.certify)
+# and every block of a projection point (the stopping rule of
+# sdp.projection.solve_dykstra).  Tighter than DECISION_TOL on purpose: a
 # witness should be decisively valid, not borderline.
 PSD_TOL = 1e-9
 
@@ -43,8 +45,8 @@ PAIRING_TOL = 1e-9
 FARKAS_RESIDUAL_TOL = 1e-8
 
 # Largest entry of a Jordan operator A's two middle marginals less J(id)
-# (jordan.GenJordanOperator, verify_gen_jordan_operator's constraint bound,
-# decide's jordan-mode note).  The read-out projects A onto that set, leaving
+# (jordan.GenJordanOperator, the constraint bound of verify_gen_jordan_operator
+# and of decide's check of the operator it reads out).  The read-out projects A onto that set, leaving
 # deviations near 1e-14, also through inverse maps of condition 1e7.
 GEN_JORDAN_TOL = 1e-8
 

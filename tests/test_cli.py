@@ -410,7 +410,7 @@ class TestSweep:
         assert main(argv) == 0
         assert {row[2] for row in read_sections(out)[0][1:]} == {"0", "1", "x"}
         failed = WitnessReport(False, 0.0, 0.0, 0.0, "check fails")
-        monkeypatch.setattr(cli, "certify", lambda problem, outcome: failed)
+        monkeypatch.setattr(sdp, "certify", lambda problem, outcome: failed)
         assert main(argv) == 0
         assert {row[2] for row in read_sections(out)[0][1:]} == {"?", "x"}
 

@@ -41,6 +41,7 @@ from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve
 from qcc.sdp.problem import (
     Block,
     Constraint,
+    SdpOutcome,
     SdpProblem,
     _constraint_matrix,
     _eliminate,
@@ -939,9 +940,12 @@ def _adjoint_range_projection(problem, m):
     return vec_to_herm(k @ np.linalg.lstsq(k, herm_to_vec(m), rcond=None)[0], problem.side)
 
 
-def _rng7_ppt_pair():
+def _rng7_ppt_pair(index=0):
+    """Pair ``index`` of the ``default_rng(7)`` qubit pairs.  Pair 0 fails the
+    transposed-marginal relaxation; pair 9, the first of seven in 140, passes
+    it and fails the full PPT program."""
     rng = np.random.default_rng(7)
-    return random_channel(rng, 2), random_channel(rng, 2)
+    return [(random_channel(rng, 2), random_channel(rng, 2)) for _ in range(index + 1)][-1]
 
 
 class TestReadOut:
@@ -1007,6 +1011,65 @@ class TestReadOut:
         assert certify(problem, out).valid
         # the same dual read as a point's certificate is no point of the program
         assert not certify(problem, dataclasses.replace(out, status="Feasible", primal=out.dual[0])).valid
+        # two blocks: the duals of X and X^Gamma with the multipliers of their adjoint sum
+        problem = sdp.build_compat(*_rng7_ppt_pair(9), ppt=True)
+        out = sdp.solve(problem)
+        assert out.status == "Infeasible" and out.dual.shape[0] == 2
+        report = certify(problem, out)
+        assert report.valid, report.note
+        flipped = certify(problem, dataclasses.replace(out, dual=-out.dual))
+        assert not flipped.valid and flipped.note.startswith("Farkas certificate fails: pairing 0.")
+
+
+def _shift_duals(res):
+    """Both sides of an interior-point result 0.1 below PSD, so the dual
+    certificate of either form is no Farkas certificate."""
+    shift = 0.1 * np.eye(res.S_blocks.shape[-1])
+    return dataclasses.replace(res, S_blocks=res.S_blocks - shift, Z_blocks=res.Z_blocks - shift)
+
+
+def _move_point(res):
+    """An interior-point result's point moved: in standard form X = 2W + tI,
+    off its constraints; in null-space form a free coordinate 100 further,
+    along a traceless direction, so off PSD."""
+    y = res.y.copy()
+    y[0] += 100.0
+    return dataclasses.replace(res, y=y, Z_blocks=2 * res.Z_blocks)
+
+
+class TestSolveCertifies:
+    """``sdp.solve`` reports an interior-point verdict only with its
+    certificate checked on the program, for every block kind: a doctored
+    point or dual ends Inconclusive with the check's note."""
+
+    @pytest.mark.parametrize("build, status, doctor, note", [
+        pytest.param(lambda: sdp.build_compat(identity_channel(2), identity_channel(2)),
+                     "Infeasible", _shift_duals, "Farkas certificate fails", id="compat-dual"),
+        pytest.param(lambda: sdp.build_compat(*(partial_depolarizing_channel(0.8, 2),) * 2),
+                     "Feasible", _move_point, "constraint tracing", id="compat-point"),
+        pytest.param(lambda: sdp.build_compat(*_rng7_ppt_pair(9), ppt=True),
+                     "Infeasible", _shift_duals, "Farkas certificate fails", id="ppt-stage-b-dual"),
+        pytest.param(lambda: sdp.build_compat(*(partial_depolarizing_channel(0.8, 2),) * 2, ppt=True),
+                     "Feasible", _move_point, "(identity|ptranspose) block", id="ppt-stage-b-point"),
+        pytest.param(lambda: sdp.build_jordan_compat(identity_channel(2), identity_channel(2)),
+                     "Infeasible", _shift_duals, "Farkas certificate fails", id="jordan-dual"),
+        pytest.param(lambda: sdp.build_jordan_compat(dephasing_channel(2), dephasing_channel(2)),
+                     "Feasible", _move_point, "map_image block 0", id="jordan-point"),
+        pytest.param(lambda: sdp.build_k_extension(identity_channel(2), 3),
+                     "Infeasible", _shift_duals, "Farkas certificate fails", id="k3-dual"),
+        pytest.param(lambda: sdp.build_k_extension(xi_channel(0.4, 0.4), 3),
+                     "Feasible", _move_point, "constraint tracing", id="k3-point"),
+    ])
+    def test_doctored_interior_point_certificate_is_inconclusive(self, monkeypatch, build, status,
+                                                                 doctor, note):
+        problem = build()
+        honest = sdp.solve(problem)
+        assert honest.status == status, honest.note
+        monkeypatch.setattr(sdp, "solve_ipm", lambda *args: doctor(solve_ipm(*args)))
+        out = sdp.solve(problem)
+        assert out.status == "Inconclusive" and re.match(note, out.note), out.note
+        assert out.primal is None and out.dual is None
+        assert out.iterations == honest.iterations
 
 
 class TestPovmCompat:
@@ -1233,9 +1296,10 @@ class TestUnconvergedIsInconclusive:
 
 
 class TestHonestInconclusive:
-    """Each exit where decide() finds the solver's answer unusable, forced
-    by doctoring one solve's outcome: Inconclusive with a reason, exit
-    code 2 and no certificate."""
+    """Each exit where decide() or the check in sdp.solve finds the
+    solver's answer unusable, forced by doctoring one solve's outcome or
+    its interior-point result: Inconclusive with a reason, exit code 2 and
+    no certificate."""
 
     @staticmethod
     def _doctor(monkeypatch, name, change):
@@ -1249,16 +1313,24 @@ class TestHonestInconclusive:
 
         monkeypatch.setattr(decide_mod, "solve", doctored)
 
-    @pytest.mark.parametrize("mode, program, note", [
-        ("compat", "compat", "primal certificate failed validation (dev"),
-        ("ppt_compat", "ppt_compat", "primal certificate failed validation"),
-    ])
-    def test_primal_check_fails(self, monkeypatch, mode, program, note):
+    @pytest.mark.parametrize("mode, blocks, note", [
+        ("compat", 1, "constraint tracing"),
+        ("ppt_compat", 2, "(identity|ptranspose) block"),
+    ], ids=["compat", "ppt_compat"])
+    def test_primal_check_fails(self, monkeypatch, mode, blocks, note):
+        # the point of the solve of the program with ``blocks`` blocks is
+        # moved; the check in sdp.solve refuses it and decide hands on its note
         noisy = partial_depolarizing_channel(0.8, 2)
         assert decide(noisy, noisy, mode).verdict == "Compatible"
-        self._doctor(monkeypatch, program,
-                     lambda out: dataclasses.replace(out, primal=2 * out.primal))
-        _assert_inconclusive(decide(noisy, noisy, mode), note)
+
+        def doctored(C_blocks, *args):
+            res = solve_ipm(C_blocks, *args)
+            return _move_point(res) if len(C_blocks) == blocks else res
+
+        monkeypatch.setattr(sdp, "solve_ipm", doctored)
+        dec = decide(noisy, noisy, mode)
+        _assert_inconclusive(dec, "")
+        assert re.match(note, dec.note), dec.note
 
     @pytest.mark.parametrize("mode, program", [("compat", "compat"),
                                                ("ppt_compat", "ppt_relaxation"),
@@ -1290,6 +1362,22 @@ class TestHonestInconclusive:
         self._doctor(monkeypatch, "jordan_compat",
                      lambda out: dataclasses.replace(out, primal=a))
         _assert_inconclusive(decide(deph, deph, "jordan"), "product image not PSD")
+
+    def test_refuted_ppt_program_is_named(self):
+        # stage A is feasible and stage B refuted by a checked Farkas
+        # certificate, which no ppt-format witness carries yet
+        dec = decide(*_rng7_ppt_pair(9), "ppt_compat")
+        assert dec.outcome.status == "Infeasible"
+        _assert_inconclusive(dec, "transposed-marginal relaxation is feasible but the full PPT "
+                                  "program is refuted by a checked Farkas certificate with "
+                                  "pairing -1.003e-02, which has no witness")
+
+    def test_inconclusive_ppt_program_keeps_its_note(self, monkeypatch):
+        self._doctor(monkeypatch, "ppt_compat", lambda out: SdpOutcome(
+            "Inconclusive", out.value, iterations=out.iterations, note="iteration cap exceeded"))
+        dec = decide(*_rng7_ppt_pair(9), "ppt_compat")
+        _assert_inconclusive(dec, "iteration cap exceeded")
+        assert dec.note == "iteration cap exceeded"
 
     @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
     def test_step_collapse(self, monkeypatch, mode):
