@@ -109,7 +109,7 @@ def cmd_self_compat(args) -> int:
                     mode=_SOLVER_MODES[args.solver])
     if out.status == "Inconclusive":
         detail = f"\nnote: {out.note}"
-    elif args.solver == "ipm":
+    elif "psd_violation" not in out.residuals:  # the interior point answered
         detail = f" (optimum {out.value:.3e})"
     else:  # a projection point has no optimum, a refutation a Farkas pairing that bounds it
         detail = f" (Farkas pairing {out.value:.3e})" if out.status == "Infeasible" else ""
@@ -203,7 +203,7 @@ def cmd_sweep(args) -> int:
         if k < 2:
             print("error: k must be at least 2", file=sys.stderr)
             return EXIT_PARSE
-        params = (k, args.solver or ("ipm" if k <= 3 else "projection"))
+        params = (k, args.solver or "projection")
         header = header + ["k"]
         extra = [str(k)]
     elif args.k is not None or args.solver is not None:

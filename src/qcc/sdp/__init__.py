@@ -14,14 +14,8 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError,
-                      certify, compile_ipm, side_text)
+from .problem import IPM_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError, certify, compile_ipm, side_text
 from .projection import solve_dykstra
-
-
-def _check_cap(problem: SdpProblem, cap: int, solver: str) -> None:
-    if problem.side > cap:
-        raise SizeCapError(f"{solver} cap is a variable side of {cap}, got {side_text(problem.side)}")
 
 
 def _complex(arr: np.ndarray) -> np.ndarray:
@@ -35,17 +29,37 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     interior_point maximizes t and reports Feasible/Infeasible by the sign
     of the optimum (within ``DECISION_TOL``), with the point X and the dual
     multipliers, or Inconclusive with the solver's note when it did not
-    converge.  projection runs Dykstra alternating projections and reports
-    Feasible with a point, or Infeasible with the Farkas dual read from the
-    iterates' displacement; its value is then the check's pairing, an upper
-    bound on the optimum.  Anything else is Inconclusive with the reason,
-    and so is a certificate that fails its check, with the check's note
-    and neither point nor dual.  Real programs (``SdpProblem.real``) are
-    solved over real symmetric matrices; the outcome's matrices are
-    complex128 either way.
+    converge.  projection first runs ``projection.SWEEPS`` Dykstra sweeps
+    and reports Feasible with their point, or Infeasible with the Farkas
+    dual read from the iterates' displacement, whose value is then the
+    check's pairing, an upper bound on the optimum; when the sweeps settle
+    neither, it is the interior point's solve.  An outcome whose residuals
+    hold ``psd_violation`` came from the sweeps.  A certificate that fails
+    its check makes the solve Inconclusive, with the check's note and
+    neither point nor dual.  A program whose variable side exceeds
+    ``IPM_SIDE_CAP`` raises ``SizeCapError`` in either mode.  Real programs
+    (``SdpProblem.real``) are solved over real symmetric matrices; the
+    outcome's matrices are complex128 either way.
     """
-    if mode == "interior_point":
-        _check_cap(problem, IPM_SIDE_CAP, "interior-point")
+    if mode not in ("interior_point", "projection"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if problem.side > IPM_SIDE_CAP:
+        raise SizeCapError(f"the size cap is a variable side of {IPM_SIDE_CAP}, "
+                           f"got {side_text(problem.side)}")
+    out = None
+    if mode == "projection":
+        res = solve_dykstra(problem)
+        residuals = {"psd_violation": res.violation}
+        if res.certificate is not None:  # its value is the check's pairing, set below
+            out = SdpOutcome("Infeasible", float("nan"), dual=_complex(res.certificate[None]),
+                             residuals=residuals, iterations=res.iterations,
+                             note="projection mode: the value is a Farkas pairing, "
+                                  "an upper bound on the optimum")
+        elif res.feasible:
+            out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
+                             iterations=res.iterations, note="projection mode: feasibility only")
+    projected = out is not None
+    if not projected:  # also where the sweeps settle nothing
         comp = compile_ipm(problem)
         res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur)
         alpha = comp.value(res)
@@ -66,29 +80,12 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         out = SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
                          dual=_complex(comp.certificate(res)), residuals=residuals,
                          iterations=res.iterations, note=note)
-    elif mode == "projection":
-        _check_cap(problem, PROJECTION_SIDE_CAP, "projection")
-        res = solve_dykstra(problem)
-        residuals = {"psd_violation": res.violation}
-        if res.certificate is not None:  # its value is the check's pairing, set below
-            out = SdpOutcome("Infeasible", float("nan"), dual=_complex(res.certificate[None]),
-                             residuals=residuals, iterations=res.iterations,
-                             note="projection mode: the value is a Farkas pairing, "
-                                  "an upper bound on the optimum")
-        elif res.feasible:
-            out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
-                             iterations=res.iterations, note="projection mode: feasibility only")
-        else:
-            return SdpOutcome("Inconclusive", float("nan"), residuals=residuals,
-                              iterations=res.iterations, note="projection did not reach feasibility")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     report = certify(problem, out)
     if not report.valid:
-        return SdpOutcome("Inconclusive", out.value if mode == "interior_point" else float("nan"),
+        return SdpOutcome("Inconclusive", float("nan") if projected else out.value,
                           residuals=out.residuals, iterations=out.iterations, note=report.note)
-    if mode == "projection" and out.status == "Infeasible":
+    if projected and out.status == "Infeasible":
         out.value = report.margin
     return out
 

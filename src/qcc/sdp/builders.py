@@ -6,8 +6,7 @@ import numpy as np
 
 from ..channels import Channel, Povm, _choi_identity, measurement_channel
 from ..linalg import HermitianMatrix
-from .problem import (IPM_SIDE_CAP, PROJECTION_SIDE_CAP, Block, Constraint, SdpProblem, SizeCapError,
-                      side_text)
+from .problem import IPM_SIDE_CAP, Block, Constraint, SdpProblem, SizeCapError, side_text
 
 
 def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int, int, int],
@@ -65,15 +64,15 @@ def build_jordan_compat(f: Channel, g: Channel) -> SdpProblem:
 
 def build_k_extension(f: Channel, k: int) -> SdpProblem:
     """k-fold self-compatibility: k marginals of one variable all equal J(f).
-    A side above every solver's cap raises ``SizeCapError`` before the
+    A side above ``IPM_SIDE_CAP`` raises ``SizeCapError`` before the
     k constraints, O(k^2) memory and O(k^3) checks, are built."""
     if k < 2:
         raise ValueError("k must be at least 2")
     dx, dy = f.d_in, f.d_out
-    side, cap = dx * dy ** k, max(IPM_SIDE_CAP, PROJECTION_SIDE_CAP)
-    if side > cap:
+    side = dx * dy ** k
+    if side > IPM_SIDE_CAP:
         raise SizeCapError(f"a k = {k} extension has variable side {dx} * {dy}^{k} = "
-                           f"{side_text(side)}, above every solver's cap (a side of {cap})")
+                           f"{side_text(side)}, above the size cap (a side of {IPM_SIDE_CAP})")
     factors = (dx,) + (dy,) * k
     cons = tuple(Constraint(tuple(i for i in range(1, k + 1) if i != a), f.choi.array)
                  for a in range(1, k + 1))

@@ -95,13 +95,12 @@ from ..tolerances import (DECISION_TOL, FARKAS_RESIDUAL_TOL, HERMITICITY_TOL, MA
                           PAIRING_TOL, PSD_TOL, RANK_CUTOFF)
 from .ipm import _as_real, _ct
 
-# caps on the side of the complex variable, checked before compiling
+# the cap on the side of the variable, checked before a program is solved
 IPM_SIDE_CAP = 256
-PROJECTION_SIDE_CAP = 1024
 
 
 class SizeCapError(ValueError):
-    """The problem is larger than the solver's dense-size cap."""
+    """The problem is larger than the dense-size cap."""
 
 
 def side_text(side: int) -> str:

@@ -20,23 +20,23 @@ complex phase-conjugated twin takes 210 us: ``eigh`` 130 us, the clip
 16 us and the affine step 43 us (21 us of matvecs with 52 x 1024
 rows).  So ``eigh`` is the floor in either field.
 
-An infeasible program ends with a Farkas certificate.  There the PSD
-iterate y and the affine iterate x = P_A(y) converge to the nearest pair
-of the two sets (Bauschke-Borwein 1994), where W = y - x is PSD,
-orthogonal to y, and pairs with every point of the affine set at
--|W|^2 < 0.  W lies in the range of the constraint adjoints, since x is y's
-projection, and so does W + sI (I = Tr_c^*(I) for a partial-trace
-constraint), so W shifted to PSD and scaled to trace 1 is a dual whose
-pairing bounds the optimum t from above.  It is formed at the first
-check and at each ``STALL_WINDOW`` boundary, and the solve stops when it
-pairs at or below ``-DECISION_TOL``; forming it changes no iterate.
-``sdp.solve`` checks it, as every certificate, by ``problem.certify``.  On the qubit k-extension
-at k = 4 the feasible ``xi_channel(0.4, 0.5)`` settles in 9 ms (80
-sweeps; the interior point: 10 ms) and the infeasible
-``xi_channel(0.1, 0.3)`` is refuted at sweep 8 in 1.3 ms (the interior
-point: 8 ms; best of 5, 1 BLAS thread).  Without a certificate the solve
-ends Inconclusive, also when the violation stalls (fewer than 5 percent
-gained over a window).
+Projection only settles what it settles quickly: ``sdp.solve`` runs
+``SWEEPS`` sweeps and solves by the interior point when they end with
+neither a point nor a refutation.  After the last sweep the affine
+iterate x is a point when its least eigenvalue is at least
+``-PSD_TOL``.  Otherwise the PSD iterate y and x = P_A(y) converge, on
+an infeasible program, to the nearest pair of the two sets
+(Bauschke-Borwein 1994), where W = y - x is PSD, orthogonal to y, and
+pairs with every point of the affine set at -|W|^2 < 0.  W lies in the
+range of the constraint adjoints, since x is y's projection, and so
+does W + sI (I = Tr_c^*(I) for a partial-trace constraint), so W
+shifted to PSD and scaled to trace 1 is a dual whose pairing bounds the
+optimum t from above; it refutes when it pairs at or below
+``-DECISION_TOL``.  ``sdp.solve`` checks it, as every certificate, by
+``problem.certify``.  Over the grid-6 xi points at k = 3, 4 and 5 every
+infeasible point is refuted at sweep 8; on the qubit k-extension at
+k = 4 the refutation of ``xi_channel(0.1, 0.3)`` takes 1.3 ms (the
+interior point: 8 ms; best of 5, 1 BLAS thread).
 """
 
 from __future__ import annotations
@@ -50,10 +50,7 @@ from ..linalg import herm_to_vec, vec_to_herm
 from ..tolerances import DECISION_TOL, PSD_TOL
 from .problem import SdpProblem, _eliminate
 
-MAX_ITER = 50000
-CHECK_EVERY = 8
-STALL_WINDOW = 400
-STALL_FACTOR = 0.95  # require >= 5 percent improvement per window
+SWEEPS = 8
 
 
 @dataclass
@@ -66,9 +63,9 @@ class ProjectionResult:
 
 
 def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
-    """Project until the PSD violation is at most ``PSD_TOL``, checking
-    every ``CHECK_EVERY`` sweeps, for at most ``MAX_ITER`` sweeps, or until
-    a Farkas dual is found; all three are read at call time."""
+    """Project for ``SWEEPS`` sweeps (read at call time) and report the last
+    affine iterate, feasible when its PSD violation is at most ``PSD_TOL``,
+    or else with the Farkas dual, when one refutes."""
     if [block.kind for block in problem.blocks] != ["identity"]:
         raise ValueError("projection mode supports one PSD block, the variable itself")
 
@@ -78,49 +75,24 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     rows = st.vh  # orthonormal row-space basis, (r, P), shared by the structure
     c_rows = rows @ x0
 
-    def proj_affine(x):
-        return x - vec_to_herm(rows.T @ (rows @ herm_to_vec(x, real) - c_rows), side, real)
-
-    def proj_psd(x):
-        w, v = np.linalg.eigh(x)
-        return (v * np.maximum(w, 0.0)) @ v.conj().T
-
     def violation_of(x):
         return max(0.0, -float(np.linalg.eigvalsh(x).min()))
 
-    def refutation(y, x):
-        # y - x shifted to PSD and scaled to trace 1, if it pairs with x,
-        # a point of the affine set, at or below -DECISION_TOL
-        w = y - x
-        w = w + violation_of(w) * np.eye(side)
-        trace = float(np.trace(w).real)
-        if trace > 0 and float(np.vdot(w, x).real) <= -DECISION_TOL * trace:
-            return w / trace
-        return None
-
     x = vec_to_herm(x0, side, real)
     increment = np.zeros_like(x)
-    best = x
-    best_viol = violation_of(x)
-    window_best = best_viol
-    it = 0
-    for it in range(1, MAX_ITER + 1):
+    for _ in range(SWEEPS):
         z = x + increment
-        y = proj_psd(z)
+        w, v = np.linalg.eigh(z)
+        y = (v * np.maximum(w, 0.0)) @ v.conj().T
         increment = z - y
-        x = proj_affine(y)
-        if it % CHECK_EVERY == 0 or it == MAX_ITER:
-            viol = violation_of(x)
-            if viol < best_viol:
-                best, best_viol = x, viol
-            if viol <= PSD_TOL:
-                return ProjectionResult(True, x, viol, it)
-            if it == CHECK_EVERY or it % STALL_WINDOW == 0:
-                w = refutation(y, x)
-                if w is not None:
-                    return ProjectionResult(False, best, best_viol, it, w)
-            if it % STALL_WINDOW == 0:
-                if best_viol > window_best * STALL_FACTOR and best_viol > 100 * PSD_TOL:
-                    break
-                window_best = best_viol
-    return ProjectionResult(False, best, best_viol, it)
+        x = y - vec_to_herm(rows.T @ (rows @ herm_to_vec(y, real) - c_rows), side, real)
+    viol = violation_of(x)
+    if viol <= PSD_TOL:
+        return ProjectionResult(True, x, viol, SWEEPS)
+    # y - x shifted to PSD and scaled to trace 1 refutes if it pairs with x,
+    # a point of the affine set, at or below -DECISION_TOL
+    w = y - x
+    w = w + violation_of(w) * np.eye(side)
+    trace = float(np.trace(w).real)
+    refuted = trace > 0 and float(np.vdot(w, x).real) <= -DECISION_TOL * trace
+    return ProjectionResult(False, x, viol, SWEEPS, w / trace if refuted else None)

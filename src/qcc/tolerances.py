@@ -14,7 +14,7 @@ This module imports nothing from ``qcc``, so every module can read it.
 # one: a Feasible t >= -band gives X = W + tI with lambda_min(X) >= -band,
 # which the certificate check must accept.  It bounds no residual: a solve
 # that misses ipm.TOL is Inconclusive.  Read by sdp.solve (the verdict and
-# its band note), by sdp.projection.solve_dykstra (how far below 0 a
+# its band note), by sdp.projection.solve_dykstra (how far below 0 its
 # refutation's pairing must lie) and as primal-check bounds by
 # sdp.problem.certify (constraints and PSD of every Feasible solve's point),
 # witness.verify_compatibilizer (the same, of a compatibilizer) and
@@ -25,9 +25,10 @@ DECISION_TOL = 1e-7
 # Least eigenvalue of a certificate's PSD part: every dual of a Farkas
 # certificate (sdp.problem.farkas_check: verify_witness's adjoint sum,
 # verify_jordan_witness's rho, every solve's dual in sdp.problem.certify)
-# and every block of a projection point (the stopping rule of
-# sdp.projection.solve_dykstra).  Tighter than DECISION_TOL on purpose: a
-# witness should be decisively valid, not borderline.
+# and every block of a projection point (whether the last of
+# sdp.projection.solve_dykstra's sweeps ends at a point).  Tighter than
+# DECISION_TOL on purpose: a witness should be decisively valid, not
+# borderline.
 PSD_TOL = 1e-9
 
 # How far below 0 a Farkas certificate's pairing must lie

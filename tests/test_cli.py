@@ -7,7 +7,7 @@ import pytest
 
 from qcc import cli, reference, sdp
 from qcc.analytic import xi_self_threshold
-from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel
+from qcc.channels import channel_to_json, identity_channel, partial_depolarizing_channel, xi_channel
 from qcc.cli import main
 from qcc.linalg import HermitianMatrix, TensorShape
 import qcc.sdp.problem as problem_mod
@@ -267,9 +267,25 @@ class TestSelfCompat:
         assert "self-compatibility: Infeasible (Farkas pairing -" in out
         assert "optimum" not in out
 
+    def test_projection_labels_an_interior_point_answer_the_optimum(self, tmp_path, capsys):
+        # the sweeps neither reach a point nor refute xi(0.8, 0) at k = 2,
+        # so the interior point answers, with its optimum
+        p = tmp_path / "xi.json"
+        p.write_text(json.dumps(channel_to_json(xi_channel(0.8, 0.0))))
+        assert main(["self-compat", str(p), "--k", "2", "--solver", "projection"]) == 1
+        out = capsys.readouterr().out
+        assert "self-compatibility: Infeasible (optimum -5.000e-03)" in out
+        assert "Farkas" not in out
+
+    @pytest.mark.parametrize("solver", ["ipm", "projection"])
+    def test_qubit_k8_refused_before_building_exit_66(self, identity_file, capsys, solver):
+        # side 2 * 2^8 = 512: one cap, for either solver
+        assert main(["self-compat", identity_file, "--k", "8", "--solver", solver]) == 66
+        assert "2 * 2^8 = 512, above the size cap (a side of 256)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("solver", ["ipm", "projection"])
     def test_size_cap_beyond_int64_exit_66(self, identity_file, capsys, solver):
-        # in int64 a side of 2**64 is 0, below both caps
+        # in int64 a side of 2**64 is 0, below the cap
         assert main(["self-compat", identity_file, "--k", "63", "--solver", solver]) == 66
         assert str(2 ** 64) in capsys.readouterr().err
 
@@ -294,7 +310,7 @@ class TestSelfCompat:
         assert main(["self-compat", str(p), "--k", "2"]) == 0
 
     def test_size_cap_exit_66(self, tmp_path):
-        # a total variable side of 4 * 4**4 = 1024 is above the interior-point cap
+        # a total variable side of 4 * 4**4 = 1024 is above the size cap
         p = tmp_path / "c4.json"
         p.write_text(json.dumps(channel_to_json(random_channel(np.random.default_rng(0), 4, 4))))
         assert main(["self-compat", str(p), "--k", "4"]) == 66
@@ -434,8 +450,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_size_cap_beyond_int64_exit_66(self, tmp_path, capsys):
-        # k >= 4 defaults to projection; in int64 a side of 2**64 is 0,
-        # below its cap
+        # in int64 a side of 2**64 is 0, below the cap
         out = str(tmp_path / "cap.csv")
         assert main(["sweep", "xi_self_k", "--grid", "2", "--k", "63", "--out", out]) == 66
         assert str(2 ** 64) in capsys.readouterr().err
@@ -456,7 +471,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_size_cap_exit_66(self, tmp_path, capsys, jobs):
-        # k = 8 has a total variable side of 2 * 2**8 = 512, above the interior-point cap
+        # k = 8 has a total variable side of 2 * 2**8 = 512, above the size cap
         out = str(tmp_path / "cap.csv")
         argv = ["sweep", "xi_self_k", "--grid", "2", "--k", "8", "--solver", "ipm",
                 "--jobs", jobs, "--out", out]

@@ -15,6 +15,7 @@ from qcc.jordan import jordan_channel
 from qcc.linalg import HermitianMatrix, TensorShape, ptrace_array
 from qcc.marginal import (
     StatePair,
+    _complete_projectors,
     compatibilizer_from_joint_state,
     extract_povm_compatibilizer,
     instrument_from_compatibilizer,
@@ -235,6 +236,19 @@ class TestPovmLevel:
             for j in range(2):
                 expected = np.diag([float(i == 0 and j == 0), float(i == 1 and j == 1)])
                 assert np.abs(parts[i][j] - expected).max() < 1e-10
+
+    def test_family_short_of_the_identity_is_completed(self):
+        # one projector on C^2 gets I - P appended; a family that resolves
+        # the identity gets nothing
+        completed = _complete_projectors([E00], 2)
+        assert len(completed) == 2 and np.array_equal(completed[1], E11)
+        assert len(_complete_projectors([E00, E11], 2)) == 2
+        deph = dephasing_channel(2)
+        comp = Channel.from_choi(jordan_channel(deph.rep, deph.rep).choi.array, 2, (2, 2))
+        parts = extract_povm_compatibilizer(comp, [E00], [E00, E11])
+        full = extract_povm_compatibilizer(comp, [E00, E11], [E00, E11])
+        assert all(np.array_equal(a, b) for row, full_row in zip(parts, full)
+                   for a, b in zip(row, full_row))
 
     def test_extract_roundtrip_marginals(self, rng):
         # distinguishable preparations: the extracted joint POVM has the

@@ -37,8 +37,9 @@ from qcc.rand import (random_channel, random_density, random_hermitian, random_i
                       random_povm, random_pvm)
 import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import decide
-from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve
+from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve, _nt_scaling
 from qcc.sdp.problem import (
+    IPM_SIDE_CAP,
     Block,
     Constraint,
     SdpOutcome,
@@ -141,11 +142,12 @@ class TestSolveCompat:
         with pytest.raises(sdp.SizeCapError, match=f"2 \\* 2\\^{k}"):
             sdp.build_k_extension(identity_channel(2), k)
 
-    def test_k_extension_at_projection_cap_builds(self):
-        problem = sdp.build_k_extension(identity_channel(2), 9)
-        assert problem.side == sdp.PROJECTION_SIDE_CAP
-        with pytest.raises(sdp.SizeCapError, match="interior-point"):
-            sdp.solve(problem)
+    def test_k_extension_at_the_size_cap_builds(self):
+        # one cap for both modes: qubit k = 7 (side 256) is built, and
+        # k = 8 (side 512) is refused before its constraints are
+        assert sdp.build_k_extension(identity_channel(2), 7).side == IPM_SIDE_CAP
+        with pytest.raises(sdp.SizeCapError, match=r"2 \* 2\^8 = 512, above the size cap"):
+            sdp.build_k_extension(identity_channel(2), 8)
 
     def test_redundancy_reported(self):
         # the two marginal families overlap in the marginal on the input
@@ -733,6 +735,22 @@ class TestCholPd:
         assert out.residuals["chol_fallbacks"] == out.iterations >= 1
 
 
+class TestNtScaling:
+    def test_singular_block_falls_back_alone(self, rng):
+        # the stacked Cholesky fails on the one PSD-singular block, so each
+        # matrix is factored alone and only that one falls back; the PD
+        # blocks come out as from a stack without it
+        pd = [g @ g.T + 3 * np.eye(3) for g in rng.normal(size=(3, 3, 3))]
+        s = np.stack([pd[0], np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])])
+        z = np.stack([pd[1], pd[2]])
+        r, rinv, lam, fell = _nt_scaling(s, z)
+        assert fell == 1
+        r0, rinv0, lam0, fell0 = _nt_scaling(s[:1], z[:1])
+        assert fell0 == 0
+        for full, alone in ((r, r0), (rinv, rinv0), (lam, lam0)):
+            np.testing.assert_array_equal(full[0], alone[0])
+
+
 class TestDualitySandwich:
     def test_compat_sandwich(self, rng):
         # lam_min(explicit affine point) <= alpha = beta <= 1/dim(Y1 (x) Y2)
@@ -844,20 +862,39 @@ class TestKExtension:
         problem = sdp.build_k_extension(identity_channel(2), 4)
         out = sdp.solve(problem, mode="projection")
         assert out.status == "Infeasible" and out.primal is None
-        assert out.iterations == projection_mod.CHECK_EVERY
+        assert out.iterations == projection_mod.SWEEPS
         report = certify(problem, out)
         assert report.valid, report.note
         assert out.value == report.margin
         assert abs(np.trace(out.dual[0]) - 1) <= 1e-12
         assert out.value >= sdp.solve(problem).value - 1e-9
 
-    def test_projection_without_point_or_refutation_is_inconclusive(self, monkeypatch):
-        # a refutation is formed first at sweep CHECK_EVERY
-        monkeypatch.setattr(projection_mod, "MAX_ITER", projection_mod.CHECK_EVERY - 1)
-        out = sdp.solve(sdp.build_k_extension(identity_channel(2), 4), mode="projection")
-        assert out.status == "Inconclusive"
-        assert out.note == "projection did not reach feasibility"
-        assert np.isnan(out.value) and out.primal is None and out.dual is None
+    @pytest.mark.parametrize("channel, optimum", [(xi_channel(0.1, 0.3), -0.0175),
+                                                  (identity_channel(2), -0.1)], ids=["xi", "identity"])
+    def test_zero_padded_witness_certifies_every_larger_k(self, channel, optimum):
+        # zero multipliers on the added copies: the adjoint sum is the k = 3
+        # one tensored with the identity, and the pairing is unchanged
+        problem = sdp.build_k_extension(channel, 3)
+        out = sdp.solve(problem)
+        assert out.status == "Infeasible" and abs(out.value - optimum) <= 1e-6
+        ys = multipliers(problem, out.dual[0])
+        margin = farkas_check(problem, ys).margin
+        for k in (4, 5, 6):
+            report = farkas_check(sdp.build_k_extension(channel, k),
+                                  ys + [np.zeros_like(ys[0])] * (k - 3))
+            assert report.valid, (k, report.note)
+            assert report.margin == margin
+
+    def test_projection_falls_back_to_the_interior_point(self):
+        # the sweeps neither reach a point nor refute xi(0.8, 0) at k = 2,
+        # whose optimum is -5e-3, so the interior point answers
+        problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
+        res = projection_mod.solve_dykstra(problem)
+        assert not res.feasible and res.certificate is None
+        out, ipm = sdp.solve(problem, mode="projection"), sdp.solve(problem)
+        assert out.status == ipm.status == "Infeasible"
+        assert (out.value, out.iterations, out.residuals) == (ipm.value, ipm.iterations, ipm.residuals)
+        assert "psd_violation" not in out.residuals
 
     @pytest.mark.parametrize("doctor, note", [
         (lambda w: np.eye(len(w)) / len(w), r"Farkas certificate fails: pairing 0\.\d"),
@@ -876,22 +913,20 @@ class TestKExtension:
         assert re.match(note, out.note), out.note
 
     @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_projection_refutations_on_the_xi_grid(self, monkeypatch, k):
-        # grid 6: projection is never Infeasible where the interior point is
-        # Feasible, and every refutation is certified with a pairing at or
-        # above the optimum.  Refutations are formed at sweep CHECK_EVERY and
-        # at each STALL_WINDOW boundary; the cap keeps the first two and the
-        # slow feasible points (up to 26000 sweeps at k = 3) out of the suite.
-        monkeypatch.setattr(projection_mod, "MAX_ITER", projection_mod.STALL_WINDOW)
+    def test_projection_refutations_on_the_xi_grid(self, k):
+        # grid 6: projection's verdict is the interior point's, every
+        # Infeasible point is refuted by the sweeps, and every refutation is
+        # certified with a pairing at or above the optimum
         refuted = 0
         for p, q in itertools.product(np.linspace(0, 1, 6), repeat=2):
             if p + q > 1 + 1e-12:
                 continue
             problem = sdp.build_k_extension(xi_channel(p, q), k)
             ipm, proj = sdp.solve(problem), sdp.solve(problem, mode="projection")
+            assert proj.status == ipm.status, (p, q)
             if proj.status == "Infeasible":
                 refuted += 1
-                assert ipm.status == "Infeasible", (p, q)
+                assert "psd_violation" in proj.residuals, (p, q)
                 assert certify(problem, proj).valid, (p, q)
                 assert proj.value >= ipm.value - 1e-9, (p, q)
         assert refuted == {3: 8, 4: 9, 5: 9}[k]
