@@ -1,9 +1,10 @@
-"""Closed-form compatibility criteria for qubit channel families.
+"""Closed-form compatibility criteria for qubit, and some qudit, channel families.
 
 These are the ground-truth oracles the SDP engine is checked against:
 the symmetric-extendibility criterion for qubit channel self-
 compatibility, the dephasing-depolarizing family's self-compatibility
-and measure-and-prepare thresholds, and the depolarizing-pair region.
+and measure-and-prepare thresholds, the k-self-compatibility threshold
+of the partially depolarizing channel, and the depolarizing-pair region.
 All inequalities are evaluated boundary-inclusive.
 """
 
@@ -66,6 +67,16 @@ def xi_self_compatible(xp: XiParams) -> bool:
 
 def xi_self_threshold(p: float) -> float:
     return (2.0 - p - np.sqrt(1.0 + 2.0 * p * (1.0 - p))) / 3.0
+
+
+def xi_k_threshold(d: int, k: int) -> float:
+    """Least q at which the partially depolarizing channel (1-q) id + q
+    depolarizing on C^d (``xi_channel(0, q, d)``) is k-self-compatible:
+    d(k-1) / (k(d+1)).  Werner's optimal 1 -> k cloner (1998) shrinks each
+    copy's Bloch part by (k+d) / (k(d+1)), the most any k-extension can
+    keep, and 1 - q at most that is this bound; at k = 2, d = 2 it is
+    ``xi_self_threshold(0)`` = 1/3."""
+    return d * (k - 1) / (k * (d + 1))
 
 
 def xi_measure_prepare(xp: XiParams) -> bool:

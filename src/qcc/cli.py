@@ -109,9 +109,9 @@ def cmd_self_compat(args) -> int:
                     mode=_SOLVER_MODES[args.solver])
     if out.status == "Inconclusive":
         detail = f"\nnote: {out.note}"
-    elif "psd_violation" not in out.residuals:  # the interior point answered
+    elif out.primal is not None and out.dual is not None:  # the interior point converged
         detail = f" (optimum {out.value:.3e})"
-    else:  # a projection point has no optimum, a refutation a Farkas pairing that bounds it
+    else:  # a point alone gives no optimum, a refutation a Farkas pairing that bounds it
         detail = f" (Farkas pairing {out.value:.3e})" if out.status == "Infeasible" else ""
     print(f"k={args.k} self-compatibility: {out.status}{detail}")
     return EXIT_CODES[out.status]

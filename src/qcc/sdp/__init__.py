@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..tolerances import DECISION_TOL
@@ -22,6 +24,21 @@ def _complex(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.complex128)
 
 
+def _iterate_candidate(comp, res) -> Optional[SdpOutcome]:
+    """The certificate an unconverged interior-point iterate offers: the
+    point X once its t = ``comp.value`` is at least ``-DECISION_TOL``, or
+    else the dual, scaled to trace 1, once its bound ``comp.dual_objective``
+    is at or below ``-DECISION_TOL``; None while it offers neither."""
+    t = comp.value(res)
+    if t >= -DECISION_TOL:
+        return SdpOutcome("Feasible", t, primal=_complex(comp.primal(res)))
+    if comp.dual_objective(res) <= -DECISION_TOL:
+        dual = comp.certificate(res)
+        return SdpOutcome("Infeasible", float("nan"),
+                          dual=_complex(dual / np.trace(dual, axis1=-2, axis2=-1).real.sum()))
+    return None
+
+
 def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     """Solve a compatibility program, and report Feasible or Infeasible only
     with a certificate that passes ``problem.certify`` on ``problem``.
@@ -31,13 +48,19 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     multipliers, or Inconclusive with the solver's note when it did not
     converge.  projection first runs ``projection.SWEEPS`` Dykstra sweeps
     and reports Feasible with their point, or Infeasible with the Farkas
-    dual read from the iterates' displacement, whose value is then the
-    check's pairing, an upper bound on the optimum; when the sweeps settle
-    neither, it is the interior point's solve.  An outcome whose residuals
-    hold ``psd_violation`` came from the sweeps.  A certificate that fails
-    its check makes the solve Inconclusive, with the check's note and
-    neither point nor dual.  A program whose variable side exceeds
-    ``IPM_SIDE_CAP`` raises ``SizeCapError`` in either mode.  Real programs
+    dual read from the iterates' displacement.  When the sweeps settle
+    neither, the interior point checks the candidate of each iterate
+    (``_iterate_candidate``) and stops at the first that passes; with none,
+    it is the interior point's solve.  An outcome with both X and a dual is
+    a converged interior-point solve, and its value is the optimum.  One
+    settled by a single certificate carries only that: a point's value is
+    a lower bound on the optimum (t at an early-stopped iterate, 0 from the
+    sweeps), and a refutation's value is the check's Farkas pairing, an
+    upper bound.  An outcome whose residuals hold ``psd_violation`` came
+    from the sweeps.  Each certificate is checked once; one that fails
+    makes the solve Inconclusive, with the check's note and neither point
+    nor dual.  A program whose variable side exceeds ``IPM_SIDE_CAP``
+    raises ``SizeCapError`` in either mode.  Real programs
     (``SdpProblem.real``) are solved over real symmetric matrices; the
     outcome's matrices are complex128 either way.
     """
@@ -46,7 +69,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     if problem.side > IPM_SIDE_CAP:
         raise SizeCapError(f"the size cap is a variable side of {IPM_SIDE_CAP}, "
                            f"got {side_text(problem.side)}")
-    out = None
+    out = report = None
     if mode == "projection":
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
@@ -58,10 +81,21 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         elif res.feasible:
             out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
                              iterations=res.iterations, note="projection mode: feasibility only")
-    projected = out is not None
-    if not projected:  # also where the sweeps settle nothing
+    if out is None:  # also where the sweeps settle nothing
         comp = compile_ipm(problem)
-        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur)
+        passed = []  # the iterate candidate that passed its check, with the report
+
+        def certified(iterate) -> bool:
+            cand = _iterate_candidate(comp, iterate)
+            if cand is None:
+                return False
+            check = certify(problem, cand)
+            if check.valid:
+                passed.append((cand, check))
+            return check.valid
+
+        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur,
+                        certified if mode == "projection" else None)
         alpha = comp.value(res)
         residuals = {
             "primal": res.res_primal,
@@ -72,20 +106,29 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
             "dropped_directions": comp.dropped_directions,
             "chol_fallbacks": res.chol_fallbacks,
         }
-        if not res.converged:
+        if passed:
+            out, report = passed[0]
+            bound = ("t there, a lower bound" if out.status == "Feasible"
+                     else "a Farkas pairing, an upper bound")
+            out.residuals, out.iterations = residuals, res.iterations
+            out.note = f"{res.note}: the value is {bound} on the optimum"
+        elif not res.converged:
             return SdpOutcome("Inconclusive", alpha, residuals=residuals,
                               iterations=res.iterations, note=res.note)
-        note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
-        status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
-        out = SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
-                         dual=_complex(comp.certificate(res)), residuals=residuals,
-                         iterations=res.iterations, note=note)
+        else:
+            note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
+            status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
+            out = SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
+                             dual=_complex(comp.certificate(res)), residuals=residuals,
+                             iterations=res.iterations, note=note)
 
-    report = certify(problem, out)
+    if report is None:
+        report = certify(problem, out)
     if not report.valid:
-        return SdpOutcome("Inconclusive", float("nan") if projected else out.value,
+        bounded = out.primal is None or out.dual is None
+        return SdpOutcome("Inconclusive", float("nan") if bounded else out.value,
                           residuals=out.residuals, iterations=out.iterations, note=report.note)
-    if projected and out.status == "Infeasible":
+    if out.primal is None:  # a refutation's value is its pairing
         out.value = report.margin
     return out
 

@@ -213,7 +213,7 @@ def _residuals(y, S, Z, C, a_flat, b, c_scale, b_scale):
     return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
 
 
-def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
+def solve_ipm(C_blocks, A_blocks, b, Z0, schur, stop=None) -> IpmResult:
     """Solve the pair of the module docstring from y = 0, S = C shifted
     into the cone and Z = ``Z0``, to the residual and gap target ``TOL``
     in at most ``MAX_ITER`` iterations, both read at call time.
@@ -222,6 +222,12 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
     (m, blocks, n, n).  ``schur(rinvs)`` returns the Schur matrix
     Re Tr(A_i V A_j V), summed over the blocks, at the inverse NT
     scalings V = Rinv^H Rinv of the (blocks, n, n) stack ``rinvs``.
+
+    ``stop``, when given, is called once per iteration on the iterate
+    that misses ``TOL``, as an unconverged result, before the step; the
+    first iterate for which it returns true ends the solve, and is
+    returned with ``converged`` false and the note "stopped at a
+    certified iterate".  ``sdp.solve`` passes one in projection mode.
     """
     m = b.shape[0]
     nblocks, n = C_blocks.shape[:2]
@@ -247,6 +253,11 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur) -> IpmResult:
         if res_d <= TOL and res_p <= TOL and rel_gap <= TOL:
             return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
                              chol_fallbacks=fallbacks)
+        if stop is not None:
+            here = IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, False,
+                             "stopped at a certified iterate", fallbacks)
+            if stop(here):
+                return here
 
         # Nesterov-Todd scaling and Schur complement
         r, rinv, lam, fell = _nt_scaling(S, Z)

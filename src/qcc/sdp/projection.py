@@ -22,7 +22,13 @@ rows).  So ``eigh`` is the floor in either field.
 
 Projection only settles what it settles quickly: ``sdp.solve`` runs
 ``SWEEPS`` sweeps and solves by the interior point when they end with
-neither a point nor a refutation.  After the last sweep the affine
+neither a point nor a refutation, stopping at the first iterate whose
+point or trace-1 dual passes ``problem.certify``.  The sweeps stay in
+front because they are the cheaper answer where they settle: over the
+grid-6 xi points at k = 2, 3 and 4, sweeps then the early-stopping
+interior point take 24, 40 and 73 ms in all, that interior point alone
+28, 50 and 97 ms, and the converged interior point 62, 111 and 204 ms
+(best of 5, 1 BLAS thread).  After the last sweep the affine
 iterate x is a point when its least eigenvalue is at least
 ``-PSD_TOL``.  Otherwise the PSD iterate y and x = P_A(y) converge, on
 an infeasible program, to the nearest pair of the two sets

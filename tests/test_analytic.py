@@ -7,6 +7,7 @@ from qcc.analytic import (
     depol_pair_compatible,
     qubit_self_compatible,
     xi_inverse,
+    xi_k_threshold,
     xi_measure_prepare,
     xi_mp_threshold,
     xi_self_compatible,
@@ -87,6 +88,20 @@ class TestXiRegions:
                 analytic = xi_measure_prepare(XiParams(p, q))
                 ppt = validate(xi_channel(p, q).rep).eb_2x2
                 assert analytic == ppt, (p, q)
+
+
+class TestXiKThreshold:
+    def test_qubit_k2_is_the_self_threshold(self):
+        assert xi_k_threshold(2, 2) == pytest.approx(xi_self_threshold(0.0), abs=1e-15)
+
+    @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    def test_both_modes_bracket_the_threshold(self, d, k, mode):
+        # Werner's cloner bound is exact: 1e-4 either side of it decides
+        q = xi_k_threshold(d, k)
+        for dq, status in ((-1e-4, "Infeasible"), (1e-4, "Feasible")):
+            problem = sdp.build_k_extension(xi_channel(0.0, q + dq, d), k)
+            assert sdp.solve(problem, mode=mode).status == status, dq
 
 
 class TestDepolPair:

@@ -267,15 +267,28 @@ class TestSelfCompat:
         assert "self-compatibility: Infeasible (Farkas pairing -" in out
         assert "optimum" not in out
 
-    def test_projection_labels_an_interior_point_answer_the_optimum(self, tmp_path, capsys):
-        # the sweeps neither reach a point nor refute xi(0.8, 0) at k = 2,
-        # so the interior point answers, with its optimum
+    def test_projection_early_stop_labels_its_farkas_pairing(self, tmp_path, capsys):
+        # the sweeps neither reach a point nor refute xi(0.8, 0) at k = 2, so
+        # the interior point stops at a checked trace-1 dual, whose pairing
+        # bounds the optimum -5e-3 from above; the converged solve prints it
         p = tmp_path / "xi.json"
         p.write_text(json.dumps(channel_to_json(xi_channel(0.8, 0.0))))
+        assert main(["self-compat", str(p), "--k", "2", "--solver", "ipm"]) == 1
+        assert "self-compatibility: Infeasible (optimum -5.000e-03)" in capsys.readouterr().out
         assert main(["self-compat", str(p), "--k", "2", "--solver", "projection"]) == 1
         out = capsys.readouterr().out
-        assert "self-compatibility: Infeasible (optimum -5.000e-03)" in out
-        assert "Farkas" not in out
+        assert "self-compatibility: Infeasible (Farkas pairing -" in out
+        assert "optimum" not in out
+        pairing = float(out.split("Farkas pairing ")[1].split(")")[0])
+        assert -5e-3 - 1e-9 <= pairing < 0
+
+    def test_projection_early_stop_point_prints_no_number(self, tmp_path, capsys):
+        # just above the k = 2 threshold 1/3 the interior point stops at a
+        # point whose t is only a lower bound on the optimum
+        p = tmp_path / "depol.json"
+        p.write_text(json.dumps(channel_to_json(partial_depolarizing_channel(1 / 3 + 1e-4, 2))))
+        assert main(["self-compat", str(p), "--k", "2", "--solver", "projection"]) == 0
+        assert capsys.readouterr().out == "k=2 self-compatibility: Feasible\n"
 
     @pytest.mark.parametrize("solver", ["ipm", "projection"])
     def test_qubit_k8_refused_before_building_exit_66(self, identity_file, capsys, solver):

@@ -885,16 +885,106 @@ class TestKExtension:
             assert report.valid, (k, report.note)
             assert report.margin == margin
 
-    def test_projection_falls_back_to_the_interior_point(self):
+    def test_projection_stops_the_interior_point_at_a_certified_iterate(self):
         # the sweeps neither reach a point nor refute xi(0.8, 0) at k = 2,
-        # whose optimum is -5e-3, so the interior point answers
+        # whose optimum is -5e-3; the interior point stops at the first
+        # iterate whose trace-1 dual passes its check, and its pairing
+        # bounds the optimum from above
         problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
         res = projection_mod.solve_dykstra(problem)
         assert not res.feasible and res.certificate is None
         out, ipm = sdp.solve(problem, mode="projection"), sdp.solve(problem)
         assert out.status == ipm.status == "Infeasible"
-        assert (out.value, out.iterations, out.residuals) == (ipm.value, ipm.iterations, ipm.residuals)
+        report = certify(problem, out)
+        assert report.valid, report.note
+        assert out.value == report.margin
+        assert out.iterations < ipm.iterations
+        assert ipm.value - 1e-9 <= out.value <= -DECISION_TOL
+        assert out.primal is None and abs(np.trace(out.dual[0]) - 1) <= 1e-12
         assert "psd_violation" not in out.residuals
+        assert out.note.startswith("stopped at a certified iterate")
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_projection_early_stop_on_the_xi_grid(self, k):
+        # grid 6: every projection verdict is the converged interior point's,
+        # and where the sweeps settle nothing the interior point stops early,
+        # with its value on the certificate's side of the optimum
+        stopped = converged = 0
+        for p, q in itertools.product(np.linspace(0, 1, 6), repeat=2):
+            if p + q > 1 + 1e-12:
+                continue
+            problem = sdp.build_k_extension(xi_channel(p, q), k)
+            ipm, proj = sdp.solve(problem), sdp.solve(problem, mode="projection")
+            assert proj.status == ipm.status, (p, q)
+            if "psd_violation" in proj.residuals:
+                continue
+            assert proj.note.startswith("stopped at a certified iterate"), (p, q)
+            if proj.status == "Feasible":
+                assert proj.value <= ipm.value + 1e-9, (p, q)
+            else:
+                assert proj.value >= ipm.value - 1e-9, (p, q)
+            stopped += proj.iterations
+            converged += ipm.iterations
+        assert 0 < stopped < converged
+
+    def test_refused_candidates_run_to_convergence(self, monkeypatch):
+        # a check that refuses every single-certificate candidate leaves the
+        # interior point to converge, and the outcome is the converged solve
+        problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
+        ipm = sdp.solve(problem)
+        checked = []
+
+        def refusing(prob, out):
+            report = certify(prob, out)
+            if out.primal is None or out.dual is None:
+                checked.append(out.status)
+                return dataclasses.replace(report, valid=False, note="refused")
+            return report
+
+        monkeypatch.setattr(sdp, "certify", refusing)
+        out = sdp.solve(problem, mode="projection")
+        assert checked
+        assert (out.status, out.value, out.iterations, out.note) == (
+            ipm.status, ipm.value, ipm.iterations, ipm.note)
+        assert out.residuals == ipm.residuals
+        assert out.primal is not None and out.dual is not None
+
+    def test_a_refused_first_candidate_stops_later(self, monkeypatch):
+        problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
+        first = sdp.solve(problem, mode="projection")
+        calls = []
+
+        def refusing_first(prob, out):
+            calls.append(out.status)
+            report = certify(prob, out)
+            return dataclasses.replace(report, valid=False) if len(calls) == 1 else report
+
+        monkeypatch.setattr(sdp, "certify", refusing_first)
+        out = sdp.solve(problem, mode="projection")
+        assert len(calls) == 2  # the passing candidate is checked once, and only there
+        assert out.status == first.status and out.iterations == first.iterations + 1
+        assert out.note.startswith("stopped at a certified iterate")
+
+    def test_interior_point_mode_passes_no_stop(self, monkeypatch):
+        # interior_point mode is the converged solve it was: no predicate,
+        # and a predicate that never stops changes nothing in the result
+        problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
+        stops = []
+
+        def spied(*args):
+            stops.append(args[5:])
+            return solve_ipm(*args)
+
+        monkeypatch.setattr(sdp, "solve_ipm", spied)
+        out = sdp.solve(problem)
+        assert stops == [(None,)]
+        assert out.iterations == 7 and abs(out.value + 5e-3) <= 1e-9
+        comp = compile_ipm(problem)
+        args = (comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur)
+        plain, never = solve_ipm(*args), solve_ipm(*args, stop=lambda res: False)
+        for f in dataclasses.fields(plain):
+            a, b = getattr(plain, f.name), getattr(never, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
     @pytest.mark.parametrize("doctor, note", [
         (lambda w: np.eye(len(w)) / len(w), r"Farkas certificate fails: pairing 0\.\d"),
