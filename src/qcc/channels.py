@@ -279,28 +279,6 @@ def measure_prepare_channel(mp: MeasurePrepare) -> Channel:
     return Channel.from_choi(j, d_in)
 
 
-_STANDARD_KINDS = {
-    "identity": lambda d, **kw: identity_channel(d),
-    "dephasing": lambda d, **kw: dephasing_channel(d),
-    "depolarizing": lambda d, **kw: depolarizing_channel(d),
-    "partial_depolarizing": lambda d, q, **kw: partial_depolarizing_channel(q, d),
-    "xi": lambda d, p, q, **kw: xi_channel(p, q, d),
-    "unitary": lambda d, U, **kw: unitary_channel(U),
-    "constant": lambda d, rho, **kw: constant_channel(rho, d),
-    "pinching": lambda d, pvm, **kw: pinching_channel(pvm),
-    "measurement": lambda d, povm, **kw: measurement_channel(povm),
-}
-
-
-def standard_channel(kind: str, d_in: int, **params) -> Channel:
-    """Dispatch on a named channel family; see ``_STANDARD_KINDS``."""
-    try:
-        maker = _STANDARD_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown channel kind {kind!r}") from None
-    return maker(d_in, **params)
-
-
 # ---------------------------------------------------------------------------
 # action, validation, composition
 # ---------------------------------------------------------------------------
@@ -601,11 +579,23 @@ def channel_to_json(ch: Channel) -> dict:
     return data
 
 
+def _dims_from_json(data: dict, key: str):
+    """``data[key]``, a dimension (an int) or a list of them (a tuple of
+    ints).  Each must be a whole, finite, positive number: 2.0 reads as 2,
+    and 2.7, 1e400 (infinity to JSON) or 0 raise ValueError naming the key."""
+    value = data[key]
+    for d in value if isinstance(value, list) else [value]:
+        if (isinstance(d, bool) or not isinstance(d, (int, float))
+                or not (math.isfinite(d) and d == int(d) >= 1)):
+            raise ValueError(f"{key!r} must hold whole positive numbers, got {value!r}")
+    return tuple(int(d) for d in value) if isinstance(value, list) else int(value)
+
+
 def channel_from_json(data: dict) -> Channel:
-    d_in = int(data["d_in"])
-    d_out = int(data["d_out"])
+    d_in = _dims_from_json(data, "d_in")
+    d_out = _dims_from_json(data, "d_out")
     arr = _matrix_from_json(data["choi"])
     if arr.shape[0] != d_in * d_out:
         raise ValueError("Choi side does not match d_in * d_out")
-    factors = data.get("output_factors")
+    factors = _dims_from_json(data, "output_factors") if "output_factors" in data else None
     return Channel.from_choi(arr, d_in, factors)

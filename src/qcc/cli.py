@@ -39,6 +39,8 @@ EXIT_PARSE = 64
 EXIT_DIMENSION = 65
 EXIT_SIZE_CAP = 66
 
+# the sdp.solve mode a xi_self_k grid task names: the sweep's tasks name
+# projection, which settles a sign; "ipm" converges to the optimum
 _SOLVER_MODES = {"ipm": "interior_point", "projection": "projection"}
 
 
@@ -105,14 +107,8 @@ def cmd_self_compat(args) -> int:
     if args.k < 2:
         print("error: k must be at least 2", file=sys.stderr)
         return EXIT_PARSE
-    out = sdp.solve(sdp.build_k_extension(_load_channel(args.channel), args.k),
-                    mode=_SOLVER_MODES[args.solver])
-    if out.status == "Inconclusive":
-        detail = f"\nnote: {out.note}"
-    elif out.primal is not None and out.dual is not None:  # the interior point converged
-        detail = f" (optimum {out.value:.3e})"
-    else:  # a point alone gives no optimum, a refutation a Farkas pairing that bounds it
-        detail = f" (Farkas pairing {out.value:.3e})" if out.status == "Infeasible" else ""
+    out = sdp.solve(sdp.build_k_extension(_load_channel(args.channel), args.k))
+    detail = f"\nnote: {out.note}" if out.status == "Inconclusive" else f" (optimum {out.value:.3e})"
     print(f"k={args.k} self-compatibility: {out.status}{detail}")
     return EXIT_CODES[out.status]
 
@@ -203,11 +199,11 @@ def cmd_sweep(args) -> int:
         if k < 2:
             print("error: k must be at least 2", file=sys.stderr)
             return EXIT_PARSE
-        params = (k, args.solver or "projection")
+        params = (k, "projection")
         header = header + ["k"]
         extra = [str(k)]
-    elif args.k is not None or args.solver is not None:
-        print("error: --k and --solver apply only to xi_self_k", file=sys.stderr)
+    elif args.k is not None:
+        print("error: --k applies only to xi_self_k", file=sys.stderr)
         return EXIT_PARSE
     axis = [i / (n - 1) for i in range(n)]
     tasks = [(a, b) + params for a in axis for b in axis]
@@ -280,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("self-compat", help="k-fold self-compatibility")
     p_self.add_argument("channel")
     p_self.add_argument("--k", type=int, default=2)
-    p_self.add_argument("--solver", choices=list(_SOLVER_MODES), default="ipm")
     p_self.set_defaults(func=cmd_self_compat)
 
     p_sweep = sub.add_parser("sweep", help="region sweep emitting CSV curve data")
@@ -288,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=int, default=21)
     p_sweep.add_argument("--k", type=int)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--solver", choices=list(_SOLVER_MODES))
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 

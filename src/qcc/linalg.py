@@ -181,34 +181,20 @@ def embed_identity_array(
 
 
 def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of the n x n Hermitian matrices, shape (n^2, n, n).
+    """Orthonormal real basis of the n x n Hermitian matrices, shape (n^2, n, n):
+    the matrices of the unit coordinate vectors (``vec_to_herm``).
 
     Ordering: diagonal units first, then (E_ij + E_ji)/sqrt(2) and
     i(E_ij - E_ji)/sqrt(2) for i < j.  Orthonormal under <A, B> = Tr(AB).
     """
-    basis = np.zeros((n * n, n, n), dtype=np.complex128)
-    k = 0
-    for i in range(n):
-        basis[k, i, i] = 1.0
-        k += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis[k, i, j] = inv_sqrt2
-            basis[k, j, i] = inv_sqrt2
-            k += 1
-            basis[k, i, j] = 1j * inv_sqrt2
-            basis[k, j, i] = -1j * inv_sqrt2
-            k += 1
-    return basis
+    return vec_to_herm(np.eye(n * n), n)
 
 
 def symmetric_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the n x n real symmetric matrices, shape
     (n(n+1)/2, n, n), float64: ``hermitian_basis`` without its imaginary
     elements, in the same order."""
-    keep = np.r_[0:n, n : n * n : 2]
-    return np.ascontiguousarray(hermitian_basis(n)[keep].real)
+    return vec_to_herm(np.eye(n * (n + 1) // 2), n, real=True)
 
 
 @lru_cache(maxsize=32)

@@ -5,7 +5,7 @@ PSD cone (Boyle-Dykstra), with the iterate kept as the matrix X, in the
 program's field: real symmetric float64 when the program's data is
 real (``SdpProblem.real``), complex Hermitian otherwise.  The one block
 must be the variable itself; only the k-extension programs of the
-sweeps and ``qcc self-compat`` come here.  The PSD step clips X's
+``xi_self_k`` sweep come here.  The PSD step clips X's
 negative eigenvalues (Higham 1988).  The affine step reads X's
 coordinates (``linalg.herm_to_vec``), applies the orthonormal
 constraint-row basis from the elimination the interior-point compile

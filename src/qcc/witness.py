@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .channels import Channel, _choi_identity, _matrix_from_json, _matrix_to_json
+from .channels import Channel, _choi_identity, _dims_from_json, _matrix_from_json, _matrix_to_json
 from .linalg import HermitianMatrix, TensorShape, ptranspose_array
 from .sdp.builders import build_compat, build_jordan_compat, two_marginal_problem
 from .sdp.problem import SdpProblem, WitnessReport, blocks_adjoint, farkas_check, multipliers, primal_check
@@ -162,18 +162,20 @@ def certificate_to_json(w) -> dict:
     return data
 
 
-def _on(arr: np.ndarray, factors) -> HermitianMatrix:
-    return HermitianMatrix(arr, TensorShape(tuple(int(d) for d in factors)))
+def _on(arr: np.ndarray, factors: tuple[int, ...]) -> HermitianMatrix:
+    return HermitianMatrix(arr, TensorShape(factors))
 
 
 def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, HermitianMatrix]:
     mode = data["mode"]
     if mode in ("compat", "ppt-compat"):
         comp = data["compatibilizer"]
-        return _on(_matrix_from_json(comp["choi"]), (comp["d_in"], *comp["output_factors"]))
+        return _on(_matrix_from_json(comp["choi"]),
+                   (_dims_from_json(comp, "d_in"), *_dims_from_json(comp, "output_factors")))
     if mode in ("plain", "ppt"):
         z1, z2 = _matrix_from_json(data["Z1"]), _matrix_from_json(data["Z2"])
-        return Witness(_on(z1, data["shape1"]), _on(z2, data["shape2"]), mode=mode)
+        return Witness(_on(z1, _dims_from_json(data, "shape1")), _on(z2, _dims_from_json(data, "shape2")),
+                       mode=mode)
     if mode == "jordan-operator":
         a = _matrix_from_json(data["A"])
         d = int(round(a.shape[0] ** (1 / 3)))
@@ -181,5 +183,5 @@ def certificate_from_json(data: dict) -> Union[Witness, JordanWitness, Hermitian
     if mode == "jordan":
         w1, w2, rho = (_matrix_from_json(data[key]) for key in ("W1", "W2", "rho"))
         d = int(round(np.sqrt(w1.shape[0])))
-        return JordanWitness(_on(w1, (d, d)), _on(w2, (d, d)), _on(rho, data["rho_shape"]))
+        return JordanWitness(_on(w1, (d, d)), _on(w2, (d, d)), _on(rho, _dims_from_json(data, "rho_shape")))
     raise ValueError(f"unknown certificate mode {mode!r}")

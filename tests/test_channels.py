@@ -28,7 +28,6 @@ from qcc.channels import (
     measurement_channel,
     partial_depolarizing_channel,
     pinching_channel,
-    standard_channel,
     tensor,
     unitary_channel,
     validate,
@@ -97,12 +96,6 @@ class TestConstructors:
         out = apply_array(c.rep, rho)
         probs = [np.trace(m @ rho) for m in povm.effects]
         assert np.abs(out - np.diag(probs)).max() < 1e-12
-
-    def test_dispatcher_and_unknown_kind(self):
-        c = standard_channel("partial_depolarizing", 2, q=0.5)
-        assert np.abs(c.choi.array - partial_depolarizing_channel(0.5, 2).choi.array).max() == 0
-        with pytest.raises(ValueError, match="unknown"):
-            standard_channel("teleport", 2)
 
 
 class TestMeasurePrepare:
@@ -319,6 +312,17 @@ class TestChannelJson:
         HermitianMatrix(big)
         with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
             _matrix_from_json(_matrix_to_json(big))
+
+    def test_dimensions_are_whole_positive_numbers(self):
+        data = channel_to_json(reference.compatibilizer())
+        data["d_in"], data["output_factors"] = 2.0, [2.0, 2]
+        back = channel_from_json(data)
+        assert (back.d_in, back.rep.output_factors) == (2, (2, 2))
+        assert type(back.d_in) is int
+        for key, value in [("d_in", 2.5), ("d_out", float("inf")), ("d_in", 0), ("d_out", "4"),
+                           ("d_in", True), ("output_factors", [2, float("nan")])]:
+            with pytest.raises(ValueError, match=f"'{key}' must hold whole positive numbers"):
+                channel_from_json({**data, key: value})
 
     def test_rejects_non_hermitian_payload(self):
         data = channel_to_json(identity_channel(2))

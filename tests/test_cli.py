@@ -1,5 +1,6 @@
 import csv
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,28 @@ class TestCheck:
         assert main(["witness", "verify", str(cert), identity_file, identity_file]) == 64
         assert "non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d_in", ["2.7", "1e400"])
+    def test_non_whole_channel_dimension_exits_64(self, tmp_path, capsys, d_in):
+        # int() would read 2.7 as 2, and raise OverflowError (exit 1, the
+        # Incompatible code) on 1e400, which JSON reads as infinity
+        text = (files("qcc") / "data" / "qubit_pair_a.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"d_in": 2', f'"d_in": {d_in}', 1))
+        assert main(["self-compat", str(bad)]) == 64
+        assert "'d_in' must hold whole positive numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape1", ["[2.9, 2.2]", "[1e400, 2]"])
+    def test_non_whole_certificate_shape_exits_64(self, tmp_path, capsys, shape1):
+        # int() would read [2.9, 2.2] as [2, 2], and raise on 1e400 with
+        # the exit code of an invalid certificate
+        data = files("qcc") / "data"
+        cert = json.loads((data / "qubit_pair_ppt_witness.json").read_text())
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(cert).replace(json.dumps(cert["shape1"]), shape1, 1))
+        pair = [str(data / "qubit_pair_a.json"), str(data / "qubit_pair_b.json")]
+        assert main(["witness", "verify", str(bad)] + pair) == 64
+        assert "'shape1' must hold whole positive numbers" in capsys.readouterr().err
+
     def test_asymmetric_channel_entry_exits_64(self, tmp_path, identity_file, capsys):
         # within the JSON reader's 1e-10, beyond the 1e-12 of HermitianMatrix
         data = channel_to_json(identity_channel(2))
@@ -244,7 +267,7 @@ class TestSelfCompat:
 
         p = tmp_path / "deph.json"
         p.write_text(json.dumps(channel_to_json(dephasing_channel(2))))
-        assert main(["self-compat", str(p), "--k", "4", "--solver", "projection"]) == 0
+        assert main(["self-compat", str(p), "--k", "4"]) == 0
 
     def test_identity_k2(self, identity_file):
         assert main(["self-compat", identity_file, "--k", "2"]) == 1
@@ -259,47 +282,25 @@ class TestSelfCompat:
         assert main(["self-compat", identity_file, "--k", "2", "--tol", "0.5"]) == 64
         assert "Feasible" not in capsys.readouterr().out
 
-    def test_projection_refutes_exits_1(self, identity_file, capsys):
-        # Dykstra refutes the identity's infeasible k = 4 extension with a
-        # checked Farkas dual, whose pairing bounds the optimum
-        assert main(["self-compat", identity_file, "--k", "4", "--solver", "projection"]) == 1
-        out = capsys.readouterr().out
-        assert "self-compatibility: Infeasible (Farkas pairing -" in out
-        assert "optimum" not in out
+    def test_solver_is_not_an_option(self, identity_file, capsys):
+        assert main(["self-compat", identity_file, "--k", "2", "--solver", "projection"]) == 64
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
-    def test_projection_early_stop_labels_its_farkas_pairing(self, tmp_path, capsys):
-        # the sweeps neither reach a point nor refute xi(0.8, 0) at k = 2, so
-        # the interior point stops at a checked trace-1 dual, whose pairing
-        # bounds the optimum -5e-3 from above; the converged solve prints it
+    def test_xi_08_0_k2_prints_its_optimum(self, tmp_path, capsys):
+        # the converged interior point's value is the optimum, -5e-3
         p = tmp_path / "xi.json"
         p.write_text(json.dumps(channel_to_json(xi_channel(0.8, 0.0))))
-        assert main(["self-compat", str(p), "--k", "2", "--solver", "ipm"]) == 1
-        assert "self-compatibility: Infeasible (optimum -5.000e-03)" in capsys.readouterr().out
-        assert main(["self-compat", str(p), "--k", "2", "--solver", "projection"]) == 1
-        out = capsys.readouterr().out
-        assert "self-compatibility: Infeasible (Farkas pairing -" in out
-        assert "optimum" not in out
-        pairing = float(out.split("Farkas pairing ")[1].split(")")[0])
-        assert -5e-3 - 1e-9 <= pairing < 0
+        assert main(["self-compat", str(p), "--k", "2"]) == 1
+        assert capsys.readouterr().out == "k=2 self-compatibility: Infeasible (optimum -5.000e-03)\n"
 
-    def test_projection_early_stop_point_prints_no_number(self, tmp_path, capsys):
-        # just above the k = 2 threshold 1/3 the interior point stops at a
-        # point whose t is only a lower bound on the optimum
-        p = tmp_path / "depol.json"
-        p.write_text(json.dumps(channel_to_json(partial_depolarizing_channel(1 / 3 + 1e-4, 2))))
-        assert main(["self-compat", str(p), "--k", "2", "--solver", "projection"]) == 0
-        assert capsys.readouterr().out == "k=2 self-compatibility: Feasible\n"
-
-    @pytest.mark.parametrize("solver", ["ipm", "projection"])
-    def test_qubit_k8_refused_before_building_exit_66(self, identity_file, capsys, solver):
-        # side 2 * 2^8 = 512: one cap, for either solver
-        assert main(["self-compat", identity_file, "--k", "8", "--solver", solver]) == 66
+    def test_qubit_k8_refused_before_building_exit_66(self, identity_file, capsys):
+        # side 2 * 2^8 = 512
+        assert main(["self-compat", identity_file, "--k", "8"]) == 66
         assert "2 * 2^8 = 512, above the size cap (a side of 256)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver", ["ipm", "projection"])
-    def test_size_cap_beyond_int64_exit_66(self, identity_file, capsys, solver):
+    def test_size_cap_beyond_int64_exit_66(self, identity_file, capsys):
         # in int64 a side of 2**64 is 0, below the cap
-        assert main(["self-compat", identity_file, "--k", "63", "--solver", solver]) == 66
+        assert main(["self-compat", identity_file, "--k", "63"]) == 66
         assert str(2 ** 64) in capsys.readouterr().err
 
     def test_size_cap_refused_before_building_exit_66(self, identity_file, capsys):
@@ -449,12 +450,32 @@ class TestSweep:
         assert cli._first_flip(col, 3) == "0.5"
 
     @pytest.mark.parametrize("family", ["xi_jordan_vs_self", "depol_pair"])
-    @pytest.mark.parametrize("flag", [["--k", "3"], ["--solver", "projection"]])
+    # an explicit --k 2, the xi_self_k default, is refused as well
+    @pytest.mark.parametrize("flag", [["--k", "3"], ["--k", "2"]])
     def test_xi_self_k_flags_on_other_families_exit_64(self, tmp_path, capsys, family, flag):
         out = tmp_path / "other.csv"
         assert main(["sweep", family, "--grid", "2", "--out", str(out)] + flag) == 64
-        assert "apply only to xi_self_k" in capsys.readouterr().err
+        assert "--k applies only to xi_self_k" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_solver_is_not_an_option(self, tmp_path, capsys):
+        out = tmp_path / "k2.csv"
+        argv = ["sweep", "xi_self_k", "--grid", "2", "--solver", "ipm", "--out", str(out)]
+        assert main(argv) == 64
+        assert "unrecognized arguments: --solver ipm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_tasks_solve_by_projection_and_ipm_converges(self, tmp_path, monkeypatch):
+        # the sweep's tasks name projection mode; a task naming "ipm", as
+        # the benchmark's warm-up does, runs the converged interior point
+        modes = []
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda problem, mode: modes.append(mode) or solve(problem, mode))
+        assert cli._point_xi_self_k((0.4, 0.4, 3, "ipm")) == "1"
+        assert modes == ["interior_point"]
+        modes.clear()
+        assert main(["sweep", "xi_self_k", "--grid", "2", "--out", str(tmp_path / "k2.csv")]) == 0
+        assert modes == ["projection"] * 3  # three of the four grid points lie in the domain
 
     def test_unknown_family_exits_64(self, tmp_path, capsys):
         out = tmp_path / "bogus.csv"
@@ -486,8 +507,7 @@ class TestSweep:
     def test_size_cap_exit_66(self, tmp_path, capsys, jobs):
         # k = 8 has a total variable side of 2 * 2**8 = 512, above the size cap
         out = str(tmp_path / "cap.csv")
-        argv = ["sweep", "xi_self_k", "--grid", "2", "--k", "8", "--solver", "ipm",
-                "--jobs", jobs, "--out", out]
+        argv = ["sweep", "xi_self_k", "--grid", "2", "--k", "8", "--jobs", jobs, "--out", out]
         assert main(argv) == 66
         assert "cap" in capsys.readouterr().err
 

@@ -1,10 +1,11 @@
 """Golden sweeps: grid-6 ``qcc sweep`` CSVs against stored files.
 
 ``tests/data/sweep_golden`` holds the CSV of each sweep below at
-``--grid 6 --jobs 1`` with the default solver (Dykstra projection's
-eight sweeps, then the interior point, at every k).  Each ``xi_self_k``
-file also equals the interior point's ``--solver ipm`` sweep byte for
-byte.  A solver change that keeps
+``--grid 6 --jobs 1``.  An ``xi_self_k`` sweep solves each point in
+``sdp.solve``'s projection mode (Dykstra projection's eight sweeps,
+then the interior point stopped at its first certified iterate), and
+each of its files also equals the sweep of converged interior-point
+solves byte for byte.  A solver change that keeps
 every grid verdict keeps these files byte for byte.  The ``depol_pair``
 sweep is compared in ``test_cli.py::TestSweep::test_depol_pair_small_grid``,
 which runs it for its analytic oracle anyway.  Regenerate them
