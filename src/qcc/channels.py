@@ -203,11 +203,15 @@ def identity_channel(d: int) -> Channel:
     return Channel.from_choi(_choi_identity(d), d)
 
 
-def dephasing_channel(d: int) -> Channel:
+def _choi_dephasing(d: int) -> np.ndarray:
     j = np.zeros((d * d, d * d), dtype=np.complex128)
     for i in range(d):
         j[i * d + i, i * d + i] = 1.0
-    return Channel.from_choi(j, d)
+    return j
+
+
+def dephasing_channel(d: int) -> Channel:
+    return Channel.from_choi(_choi_dephasing(d), d)
 
 
 def depolarizing_channel(d: int) -> Channel:
@@ -226,7 +230,7 @@ def xi_channel(p: float, q: float, d: int = 2) -> Channel:
     """Partially dephasing-depolarizing channel: (1-p-q) id + p dephasing + q depolarizing."""
     if not in_xi_domain(p, q):
         raise ValueError(f"need p, q in [0, 1] with p + q <= 1, got p={p}, q={q}")
-    j = (1.0 - p - q) * _choi_identity(d) + p * dephasing_channel(d).choi.array
+    j = (1.0 - p - q) * _choi_identity(d) + p * _choi_dephasing(d)
     j = j + q * np.eye(d * d) / d
     return Channel.from_choi(j, d)
 

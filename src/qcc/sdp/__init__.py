@@ -46,18 +46,18 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     interior_point maximizes t and reports Feasible/Infeasible by the sign
     of the optimum (within ``DECISION_TOL``), with the point X and the dual
     multipliers, or Inconclusive with the solver's note when it did not
-    converge.  projection first runs ``projection.SWEEPS`` Dykstra sweeps
-    and reports Feasible with their point, or Infeasible with the Farkas
-    dual read from the iterates' displacement.  When the sweeps settle
-    neither, the interior point checks the candidate of each iterate
-    (``_iterate_candidate``) and stops at the first that passes; with none,
-    it is the interior point's solve.  An outcome with both X and a dual is
+    converge.  projection first runs one alternating-projection round trip
+    (``projection.solve_dykstra``) and reports Feasible with its point, or
+    Infeasible with the Farkas dual read from the iterates' displacement.
+    When the round trip settles neither, the interior point checks the
+    candidate of each iterate (``_iterate_candidate``) and stops at the
+    first that passes; with none, it is the interior point's solve.  An outcome with both X and a dual is
     a converged interior-point solve, and its value is the optimum.  One
     settled by a single certificate carries only that: a point's value is
     a lower bound on the optimum (t at an early-stopped iterate, 0 from the
-    sweeps), and a refutation's value is the check's Farkas pairing, an
-    upper bound.  An outcome whose residuals hold ``psd_violation`` came
-    from the sweeps.  Each certificate is checked once; one that fails
+    round trip), and a refutation's value is the check's Farkas pairing,
+    an upper bound.  An outcome whose residuals hold ``psd_violation`` came
+    from the round trip.  Each certificate is checked once; one that fails
     makes the solve Inconclusive, with the check's note and neither point
     nor dual.  A program whose variable side exceeds ``IPM_SIDE_CAP``
     raises ``SizeCapError`` in either mode.  Real programs
@@ -81,7 +81,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
         elif res.feasible:
             out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
                              iterations=res.iterations, note="projection mode: feasibility only")
-    if out is None:  # also where the sweeps settle nothing
+    if out is None:  # also where the round trip settles nothing
         comp = compile_ipm(problem)
         passed = []  # the iterate candidate that passed its check, with the report
 

@@ -168,7 +168,9 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     One Cholesky call factors the whole (S, Z) stack; only when it fails
     does each matrix go through ``_chol_pd``, which counts its own
     fallback.  LAPACK factors a stack matrix by matrix, so the factors
-    are the same either way.
+    are the same either way.  When the SVD of Lz^H Ls does not converge
+    (gesdd failed on a well-conditioned qubit k = 6 iterate), the factors
+    come from the SVD of its conjugate transpose.
     """
     stack = np.concatenate([S, Z])
     try:
@@ -177,7 +179,12 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
         pairs = [_chol_pd(x) for x in stack]
         factors, fell = np.stack([l for l, _ in pairs]), sum(f for _, f in pairs)
     ls, lz = factors.reshape(2, *S.shape)
-    u, sig, vh = np.linalg.svd(_ct(lz) @ ls)
+    m = _ct(lz) @ ls
+    try:
+        u, sig, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError:  # gesdd can fail where it converges on M^H
+        v, sig, uh = np.linalg.svd(_ct(m))
+        u, vh = _ct(uh), _ct(v)
     sig = np.maximum(sig, 1e-300)
     rinv = _ct(u / np.sqrt(sig)[..., None, :]) @ _ct(lz)
     r = ls @ (_ct(vh) / np.sqrt(sig)[..., None, :])

@@ -2,9 +2,9 @@
 a certificate or an input is accepted, each defined once.
 
 Each entry names the checks that read it and the reason for its value.
-The solvers' iteration controls (``sdp.ipm``, ``sdp.projection``), the
-size caps and the internals of the 2 x 2 measure-and-prepare
-decomposition are not acceptance tolerances and stay beside their code.
+The interior point's iteration controls (``sdp.ipm``), the size caps
+and the internals of the 2 x 2 measure-and-prepare decomposition are
+not acceptance tolerances and stay beside their code.
 This module imports nothing from ``qcc``, so every module can read it.
 """
 
@@ -25,8 +25,8 @@ DECISION_TOL = 1e-7
 # Least eigenvalue of a certificate's PSD part: every dual of a Farkas
 # certificate (sdp.problem.farkas_check: verify_witness's adjoint sum,
 # verify_jordan_witness's rho, every solve's dual in sdp.problem.certify)
-# and every block of a projection point (whether the last of
-# sdp.projection.solve_dykstra's sweeps ends at a point).  Tighter than
+# and every block of a projection point (whether
+# sdp.projection.solve_dykstra's round trip ends at a point).  Tighter than
 # DECISION_TOL on purpose: a witness should be decisively valid, not
 # borderline.
 PSD_TOL = 1e-9

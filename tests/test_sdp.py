@@ -37,7 +37,7 @@ from qcc.rand import (random_channel, random_density, random_hermitian, random_i
                       random_povm, random_pvm)
 import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import decide
-from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve, _nt_scaling
+from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve, _ct, _nt_scaling
 from qcc.sdp.problem import (
     IPM_SIDE_CAP,
     Block,
@@ -750,6 +750,29 @@ class TestNtScaling:
         for full, alone in ((r, r0), (rinv, rinv0), (lam, lam0)):
             np.testing.assert_array_equal(full[0], alone[0])
 
+    def test_svd_failure_factors_the_conjugate_transpose(self, rng, monkeypatch):
+        # gesdd can fail to converge on Lz^H Ls; the factors then come from
+        # the SVD of its conjugate transpose and still scale both blocks
+        g = rng.normal(size=(4, 5, 5)) + 1j * rng.normal(size=(4, 5, 5))
+        pd = g @ _ct(g) + np.eye(5)
+        s, z = pd[:2], pd[2:]
+        svd, calls = np.linalg.svd, []
+
+        def failing_first(a, *args, **kwargs):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_first)
+        r, rinv, lam, fell = _nt_scaling(s, z)
+        assert len(calls) == 2 and fell == 0
+        for i in range(2):
+            diag = np.diag(lam[i])
+            assert np.abs(_ct(r[i]) @ z[i] @ r[i] - diag).max() <= 1e-12
+            assert np.abs(rinv[i] @ s[i] @ _ct(rinv[i]) - diag).max() <= 1e-12
+            assert np.abs(rinv[i] @ r[i] - np.eye(5)).max() <= 1e-12
+
 
 class TestDualitySandwich:
     def test_compat_sandwich(self, rng):
@@ -862,12 +885,33 @@ class TestKExtension:
         problem = sdp.build_k_extension(identity_channel(2), 4)
         out = sdp.solve(problem, mode="projection")
         assert out.status == "Infeasible" and out.primal is None
-        assert out.iterations == projection_mod.SWEEPS
+        assert out.iterations == 1
         report = certify(problem, out)
         assert report.valid, report.note
         assert out.value == report.margin
         assert abs(np.trace(out.dual[0]) - 1) <= 1e-12
         assert out.value >= sdp.solve(problem).value - 1e-9
+
+    @pytest.mark.parametrize("p, q, feasible, refuted", [
+        (0.2, 0.8, True, False), (0.1, 0.3, False, True), (0.4, 0.2, False, False)])
+    def test_solve_dykstra_runs_one_round_trip(self, p, q, feasible, refuted):
+        # a point, a refutation and neither: each after one round trip,
+        # whose iterate x lies on the affine set
+        problem = sdp.build_k_extension(xi_channel(p, q), 4)
+        res = projection_mod.solve_dykstra(problem)
+        assert res.iterations == 1
+        assert (res.feasible, res.certificate is not None) == (feasible, refuted)
+        for con in problem.constraints:
+            assert np.abs(ptrace_array(res.x, problem.factors, con.traced) - con.rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    def test_xi_k6_point_where_gesdd_failed(self, mode):
+        # xi(0.8, 0.2) at k = 6 (side 128): LAPACK's gesdd failed on an NT
+        # scaling product of this solve, which crashed the k = 6 sweep
+        problem = sdp.build_k_extension(xi_channel(0.8, 0.2), 6)
+        out = sdp.solve(problem, mode=mode)
+        assert out.status == "Feasible", out.note
+        assert certify(problem, out).valid
 
     @pytest.mark.parametrize("channel, optimum", [(xi_channel(0.1, 0.3), -0.0175),
                                                   (identity_channel(2), -0.1)], ids=["xi", "identity"])
@@ -1004,10 +1048,11 @@ class TestKExtension:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_projection_refutations_on_the_xi_grid(self, k):
-        # grid 6: projection's verdict is the interior point's, every
-        # Infeasible point is refuted by the sweeps, and every refutation is
-        # certified with a pairing at or above the optimum
-        refuted = 0
+        # grid 6: projection's verdict is the interior point's, the round
+        # trip refutes every Infeasible point but xi(0.4, 0.2) at k = 4 and
+        # 5, which the early-stopped interior point refutes, and every
+        # refutation is certified with a pairing at or above the optimum
+        refuted, by_round_trip = 0, []
         for p, q in itertools.product(np.linspace(0, 1, 6), repeat=2):
             if p + q > 1 + 1e-12:
                 continue
@@ -1016,10 +1061,15 @@ class TestKExtension:
             assert proj.status == ipm.status, (p, q)
             if proj.status == "Infeasible":
                 refuted += 1
-                assert "psd_violation" in proj.residuals, (p, q)
+                if "psd_violation" in proj.residuals:
+                    by_round_trip.append((p, q))
+                else:
+                    assert proj.note.startswith("stopped at a certified iterate"), (p, q)
+                    assert (round(p, 12), round(q, 12)) == (0.4, 0.2), (p, q)
                 assert certify(problem, proj).valid, (p, q)
                 assert proj.value >= ipm.value - 1e-9, (p, q)
         assert refuted == {3: 8, 4: 9, 5: 9}[k]
+        assert len(by_round_trip) == 8
 
     @staticmethod
     def _off_affine(problem, x):
@@ -1045,10 +1095,10 @@ class TestKExtension:
         x = sdp.solve(problem, mode="projection").primal
         assert primal_check(problem, x, DECISION_TOL, PSD_TOL).valid
         bad = getattr(self, doctor)(problem, x)
-        monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 8))
+        monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 1))
         out = sdp.solve(problem, mode="projection")
         assert out.status == "Inconclusive" and out.primal is None
-        assert out.iterations == 8
+        assert out.iterations == 1
         assert re.match(note, out.note), out.note
 
 
