@@ -84,11 +84,11 @@ class Channel:
     rep: LinearMapRep
 
     def __post_init__(self):
-        report = validate(self.rep)
-        if not report.cp:
-            raise ValueError(f"map is not completely positive (min eig {report.min_eig:.3e})")
-        if not report.tp:
-            raise ValueError(f"map is not trace preserving (marginal dev {report.tp_dev:.3e})")
+        cp, tp, min_eig, tp_dev = _cp_tp(self.rep)
+        if not cp:
+            raise ValueError(f"map is not completely positive (min eig {min_eig:.3e})")
+        if not tp:
+            raise ValueError(f"map is not trace preserving (marginal dev {tp_dev:.3e})")
 
     @classmethod
     def from_choi(cls, arr, d_in: int, output_factors: Optional[Sequence[int]] = None):
@@ -345,15 +345,21 @@ def apply_to_factors(arr: np.ndarray, dims: Sequence[int], maps: Sequence[Option
     return arr
 
 
-def validate(rep: LinearMapRep) -> ValidationReport:
-    """CP / TP / unital report; at 2x2 also entanglement breaking via PPT."""
+def _cp_tp(rep: LinearMapRep) -> tuple[bool, bool, float, float]:
+    """CP and TP, with the least eigenvalue of the Choi matrix and the
+    deviation of its input marginal from the identity: what ``Channel``
+    requires, and the first fields of ``validate``'s report."""
     arr = rep.choi.array
-    w = np.linalg.eigvalsh(arr)
-    min_eig = float(w[0])
-    cp = bool(min_eig >= -CHANNEL_TOL)
+    min_eig = float(np.linalg.eigvalsh(arr)[0])
     marg_in = ptrace_array(arr, rep.dims, range(1, len(rep.dims)))
     tp_dev = float(np.abs(marg_in - np.eye(rep.d_in)).max())
-    tp = bool(tp_dev <= CHANNEL_TOL)
+    return bool(min_eig >= -CHANNEL_TOL), bool(tp_dev <= CHANNEL_TOL), min_eig, tp_dev
+
+
+def validate(rep: LinearMapRep) -> ValidationReport:
+    """CP / TP / unital report; at 2x2 also entanglement breaking via PPT."""
+    cp, tp, min_eig, tp_dev = _cp_tp(rep)
+    arr = rep.choi.array
     marg_out = ptrace_array(arr, rep.dims, [0])
     unital = bool(np.abs(marg_out - np.eye(rep.d_out)).max() <= CHANNEL_TOL)
     eb = None

@@ -62,13 +62,24 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
     nor dual.  A program whose variable side exceeds ``IPM_SIDE_CAP``
     raises ``SizeCapError`` in either mode.  Real programs
     (``SdpProblem.real``) are solved over real symmetric matrices; the
-    outcome's matrices are complex128 either way.
+    outcome's matrices are complex128 either way.  A LAPACK routine that
+    fails inside the solve (numpy's ``LinAlgError``, in the round trip,
+    the compile, the interior point or a check) makes it Inconclusive,
+    with a note that names the failure.
     """
     if mode not in ("interior_point", "projection"):
         raise ValueError(f"unknown mode {mode!r}")
     if problem.side > IPM_SIDE_CAP:
         raise SizeCapError(f"the size cap is a variable side of {IPM_SIDE_CAP}, "
                            f"got {side_text(problem.side)}")
+    try:
+        return _solve(problem, mode)
+    except np.linalg.LinAlgError as exc:
+        return SdpOutcome("Inconclusive", float("nan"), note=f"LAPACK failure: {exc}")
+
+
+def _solve(problem: SdpProblem, mode: str) -> SdpOutcome:
+    """``solve`` on a program within the size cap."""
     out = report = None
     if mode == "projection":
         res = solve_dykstra(problem)
@@ -94,7 +105,7 @@ def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
                 passed.append((cand, check))
             return check.valid
 
-        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur,
+        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.S0, comp.Z0, comp.schur,
                         certified if mode == "projection" else None)
         alpha = comp.value(res)
         residuals = {

@@ -96,7 +96,7 @@ class IpmResult:
 
 def _ct(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
-    return x.conj().swapaxes(-1, -2)
+    return (x.conj() if x.dtype.kind == "c" else x).swapaxes(-1, -2)
 
 
 def _herm(x):
@@ -118,6 +118,16 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
+def start_slack(C_blocks: np.ndarray) -> np.ndarray:
+    """The solver's starting S: each block of C shifted into the cone by
+    a multiple of the identity, 1 + 0.1 max(1, max |C|) past its least
+    eigenvalue.  The compile supplies it (``CompiledSdp.S0``)."""
+    c_scale = max(1.0, np.abs(C_blocks).max())
+    wmin = np.linalg.eigvalsh(C_blocks).min(axis=-1)
+    shift = np.maximum(0.0, -wmin) + 0.1 * c_scale + 1.0
+    return C_blocks + shift[:, None, None] * np.eye(C_blocks.shape[-1])
+
+
 def _chol_pd(x: np.ndarray, jittered: bool = False) -> tuple[np.ndarray, bool]:
     """Cholesky with escalating jitter; eigenvalue clip as a last resort.
 
@@ -126,11 +136,13 @@ def _chol_pd(x: np.ndarray, jittered: bool = False) -> tuple[np.ndarray, bool]:
     and whether it needed more than its first attempt: a larger jitter
     or the clip.
     """
-    scale = max(np.abs(np.diagonal(x)).max(), 1e-300)
+    scale = max(abs(x.diagonal()).max(), 1e-300)
     jitter = 1e-14 * scale if jittered else 0.0
     for attempt in range(4):
+        shifted = np.array(x)
+        shifted.reshape(-1)[:: x.shape[0] + 1] += jitter
         try:
-            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0])), attempt > 0
+            return np.linalg.cholesky(shifted), attempt > 0
         except np.linalg.LinAlgError:
             jitter = max(jitter * 100.0, 1e-14 * scale)
     w, v = np.linalg.eigh(_herm(x))
@@ -147,23 +159,27 @@ def _block_inverses(l: np.ndarray) -> list:
 def _chol_solve(l: np.ndarray, linvs: list, rhs: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = rhs for a real Cholesky factor L by block
     substitution, with the inverses ``linvs`` of its diagonal blocks
-    (``_block_inverses``)."""
-    starts = list(enumerate(range(0, l.shape[0], CHOL_BLOCK)))
-    x = np.array(rhs, dtype=np.float64)
-    for k, i in starts:
+    (``_block_inverses``).  The solution grows by one block per step,
+    so the first block of each sweep is one product with its inverse."""
+    x = linvs[0] @ rhs[:CHOL_BLOCK]
+    for k in range(1, len(linvs)):
+        i = k * CHOL_BLOCK
         j = i + CHOL_BLOCK
-        x[i:j] = linvs[k] @ (x[i:j] - l[i:j, :i] @ x[:i])
-    for k, i in reversed(starts):
+        x = np.concatenate([x, linvs[k] @ (rhs[i:j] - l[i:j, :i] @ x)])
+    last = (len(linvs) - 1) * CHOL_BLOCK
+    z = linvs[-1].T @ x[last:]
+    for k in range(len(linvs) - 2, -1, -1):
+        i = k * CHOL_BLOCK
         j = i + CHOL_BLOCK
-        x[i:j] = linvs[k].T @ (x[i:j] - l[j:, i:j].T @ x[j:])
-    return x
+        z = np.concatenate([linvs[k].T @ (x[i:j] - l[j:, i:j].T @ z), z])
+    return z
 
 
-def _nt_scaling(S: np.ndarray, Z: np.ndarray):
-    """Nesterov-Todd scaling points of the stacked blocks: returns
-    (R, Rinv, lam, fallbacks) with R^H Z R = R^{-1} S R^{-H} = diag(lam)
-    and W^{-1} = Rinv^H Rinv on each block, and the number of the
-    factorizations that fell back.
+def _nt_scaling(sz: np.ndarray):
+    """Nesterov-Todd scaling points of the stacked blocks ``sz`` = (S, Z),
+    a (2, blocks, n, n) array: returns (R, Rinv, lam, fallbacks) with
+    R^H Z R = R^{-1} S R^{-H} = diag(lam) and W^{-1} = Rinv^H Rinv on each
+    block, and the number of the factorizations that fell back.
 
     One Cholesky call factors the whole (S, Z) stack; only when it fails
     does each matrix go through ``_chol_pd``, which counts its own
@@ -172,63 +188,81 @@ def _nt_scaling(S: np.ndarray, Z: np.ndarray):
     (gesdd failed on a well-conditioned qubit k = 6 iterate), the factors
     come from the SVD of its conjugate transpose.
     """
-    stack = np.concatenate([S, Z])
     try:
-        factors, fell = np.linalg.cholesky(stack), 0
+        factors, fell = np.linalg.cholesky(sz), 0
     except np.linalg.LinAlgError:
-        pairs = [_chol_pd(x) for x in stack]
-        factors, fell = np.stack([l for l, _ in pairs]), sum(f for _, f in pairs)
-    ls, lz = factors.reshape(2, *S.shape)
-    m = _ct(lz) @ ls
+        pairs = [_chol_pd(x) for x in sz.reshape(-1, *sz.shape[-2:])]
+        factors = np.stack([l for l, _ in pairs]).reshape(sz.shape)
+        fell = sum(f for _, f in pairs)
+    ls, lz = factors
+    lzh = _ct(lz)
+    m = lzh @ ls
     try:
         u, sig, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError:  # gesdd can fail where it converges on M^H
         v, sig, uh = np.linalg.svd(_ct(m))
         u, vh = _ct(uh), _ct(v)
     sig = np.maximum(sig, 1e-300)
-    rinv = _ct(u / np.sqrt(sig)[..., None, :]) @ _ct(lz)
-    r = ls @ (_ct(vh) / np.sqrt(sig)[..., None, :])
+    root = np.sqrt(sig)[..., None, :]
+    rinv = _ct(u / root) @ lzh
+    r = ls @ (_ct(vh) / root)
     return r, rinv, sig, fell
 
 
-def _steps_to_boundary(lam: np.ndarray, gs: np.ndarray, gz: np.ndarray) -> tuple[float, float]:
+def _steps_to_boundary(scale: np.ndarray, g: np.ndarray) -> list:
     """Largest alpha <= 1 with diag(lam) + alpha g still PSD on every
-    block, for g = ``gs`` and for g = ``gz``, from one ``eigvalsh`` over
-    both stacks.
+    block, for g = gs and for g = gz, the two halves of the
+    (2, blocks, n, n) stack ``g``, from one ``eigvalsh`` over both;
+    ``scale`` is lam^{-1/2} lam^{-1/2}^T on each block.
 
     With S = R diag(lam) R^H and Z = R^{-H} diag(lam) R^{-1}, a step dS
     keeps S PSD exactly when gs = R^{-1} dS R^{-H} does here, and dZ
     keeps Z PSD when gz = R^H dZ R does, so the NT factors give both
-    step lengths without another factorization.
+    step lengths without another factorization.  ``eigvalsh`` reads one
+    triangle of each matrix.
     """
-    isq = 1.0 / np.sqrt(lam)
-    scale = isq[..., :, None] * isq[..., None, :]
-    lows = np.linalg.eigvalsh(_herm(np.stack([gs, gz])) * scale).min(axis=(1, 2))
-    return tuple(1.0 if wmin >= -1e-14 else min(1.0, -1.0 / wmin) for wmin in lows)
+    lows = np.linalg.eigvalsh(g * scale)[..., 0].tolist()
+    return [1.0 if wmin >= -1e-14 else min(1.0, -1.0 / wmin) for wmin in map(min, lows)]
 
 
-def _residuals(y, S, Z, C, a_flat, b, c_scale, b_scale):
-    """Dual and primal residuals, gap and both objectives at one point."""
+def _corrector_rhs(lam: np.ndarray, gs: np.ndarray, gz: np.ndarray, sigma_mu: float,
+                   eye: np.ndarray) -> np.ndarray:
+    """The corrector's right-hand side in the scaled space,
+    gamma = 2 g / (lam_i + lam_j) with the Mehrotra target
+    g = sigma mu I - diag(lam)^2 - herm(gz gs) of the predictor's scaled
+    steps ``gs`` and ``gz``.  2 herm(P) = P + P^H exactly, so 2 g is
+    formed as one diagonal less that sum."""
+    p = gz @ gs
+    twice_g = (2.0 * (sigma_mu - lam * lam))[..., None] * eye - (p + _ct(p))
+    return twice_g / (lam[..., :, None] + lam[..., None, :])
+
+
+def _residuals(y, sz, C, a_flat, b, c_scale, b_scale):
+    """Dual and primal residuals, A^*(Z), gap and both objectives at one
+    point ``sz`` = (S, Z), a contiguous (2, blocks, n, n) stack."""
+    S, Z = sz
     Rd = C - (y @ a_flat).view(C.dtype).reshape(C.shape) - S  # C - A(y) - S
-    rp = b - a_flat @ _as_real(Z).ravel()  # b - A^*(Z)
+    az = a_flat @ Z.view(np.float64).ravel()
+    rp = b - az  # b - A^*(Z)
     gap = _inner(Z, S)
     pobj = float(b @ y)
     dobj = _inner(C, Z)
     res_d = np.abs(Rd).max() / c_scale
     res_p = np.abs(rp).max() / b_scale
     rel_gap = max(abs(pobj - dobj), abs(gap)) / (1.0 + abs(pobj) + abs(dobj))
-    return Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap
+    return Rd, rp, az, gap, pobj, dobj, res_d, res_p, rel_gap
 
 
-def solve_ipm(C_blocks, A_blocks, b, Z0, schur, stop=None) -> IpmResult:
-    """Solve the pair of the module docstring from y = 0, S = C shifted
-    into the cone and Z = ``Z0``, to the residual and gap target ``TOL``
-    in at most ``MAX_ITER`` iterations, both read at call time.
+def solve_ipm(C_blocks, A_blocks, b, S0, Z0, schur, stop=None) -> IpmResult:
+    """Solve the pair of the module docstring from y = 0, S = ``S0`` and
+    Z = ``Z0``, to the residual and gap target ``TOL`` in at most
+    ``MAX_ITER`` iterations, both read at call time.
 
-    ``C_blocks`` and ``Z0`` are (blocks, n, n) and ``A_blocks`` is
-    (m, blocks, n, n).  ``schur(rinvs)`` returns the Schur matrix
-    Re Tr(A_i V A_j V), summed over the blocks, at the inverse NT
-    scalings V = Rinv^H Rinv of the (blocks, n, n) stack ``rinvs``.
+    ``C_blocks``, ``S0`` and ``Z0`` are (blocks, n, n), with ``S0`` the
+    ``start_slack`` of ``C_blocks``, and ``A_blocks`` is (m, blocks, n, n).
+    ``schur(rinvs)`` returns the Schur matrix Re Tr(A_i V A_j V), summed
+    over the blocks, at the inverse NT scalings V = Rinv^H Rinv of the
+    (blocks, n, n) stack ``rinvs``.
 
     ``stop``, when given, is called once per iteration on the iterate
     that misses ``TOL``, as an unconverged result, before the step; the
@@ -241,38 +275,43 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur, stop=None) -> IpmResult:
     ntot = nblocks * n
     eye = np.eye(n)
     a_flat = _as_real(A_blocks).reshape(m, -1)
+    dtype, shape = C_blocks.dtype, C_blocks.shape
 
     c_scale = max(1.0, np.abs(C_blocks).max())
     b_scale = max(1.0, np.abs(b).max())
 
     y = np.zeros(m)
-    wmin = np.linalg.eigvalsh(C_blocks).min(axis=-1)
-    S = C_blocks + (np.maximum(0.0, -wmin) + 0.1 * c_scale + 1.0)[:, None, None] * eye
-    Z = Z0
+    sz = np.stack([S0, Z0])  # S and Z, stepped as one stack
+    d = np.empty_like(sz)  # a direction (dS, dZ)
+    g = np.empty_like(sz)  # its NT-scaled parts (R^{-1} dS R^{-H}, R^H dZ R)
+    dS, dZ = d
+    gs, gz = g
 
     fallbacks = 0
     note = ""
     it = 0
     for it in range(1, MAX_ITER + 1):
-        Rd, rp, gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
-            y, S, Z, C_blocks, a_flat, b, c_scale, b_scale)
+        Rd, rp, az, gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
+            y, sz, C_blocks, a_flat, b, c_scale, b_scale)
         mu = gap / ntot
         if res_d <= TOL and res_p <= TOL and rel_gap <= TOL:
-            return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
+            return IpmResult(y, sz[0], sz[1], pobj, dobj, res_p, res_d, rel_gap, it - 1, True,
                              chol_fallbacks=fallbacks)
         if stop is not None:
-            here = IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it - 1, False,
+            here = IpmResult(y, sz[0], sz[1], pobj, dobj, res_p, res_d, rel_gap, it - 1, False,
                              "stopped at a certified iterate", fallbacks)
             if stop(here):
                 return here
 
         # Nesterov-Todd scaling and Schur complement
-        r, rinv, lam, fell = _nt_scaling(S, Z)
+        r, rinv, lam, fell = _nt_scaling(sz)
         fallbacks += fell
-        rinvh = _ct(rinv)
+        rinvh, rh = _ct(rinv), _ct(r)
+        isq = 1.0 / np.sqrt(lam)
+        scale = isq[..., :, None] * isq[..., None, :]
         schur_mat = schur(rinv)
         # W^{-1} Rd W^{-1} contribution, shared by predictor and corrector
-        h1 = a_flat @ _as_real(rinvh @ (rinv @ Rd @ rinvh) @ rinv).ravel()
+        rp_h1 = rp + a_flat @ (rinvh @ (rinv @ Rd @ rinvh) @ rinv).view(np.float64).ravel()
 
         # every Schur matrix carries the helper's smallest jitter: near a
         # degenerate optimum a plain factor can be singular to working precision
@@ -280,33 +319,35 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur, stop=None) -> IpmResult:
         fallbacks += fell
         schur_linvs = _block_inverses(schur_chol)
 
-        def solve_schur(rhs):
-            x = _chol_solve(schur_chol, schur_linvs, rhs)
+        def direction(e, rhs):
+            """Search direction dy for the target ``e`` and the right-hand
+            side ``rhs`` = rp + h1 - A^*(e), with (dS, dZ) in ``d`` and
+            their NT-scaled parts R^{-1} dS R^{-H} and R^H dZ R in ``g``,
+            and the step lengths to the cone boundary."""
+            dy = _chol_solve(schur_chol, schur_linvs, rhs)
             # one step of iterative refinement against the unjittered matrix
             # removes the jitter's bias and keeps the last digits of the
             # equality residual from stalling on ill-conditioned systems
-            return x + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ x)
+            dy = dy + _chol_solve(schur_chol, schur_linvs, rhs - schur_mat @ dy)
+            np.subtract(Rd, (dy @ a_flat).view(dtype).reshape(shape), out=dS)
+            np.matmul(rinv @ dS, rinvh, out=gs)
+            dz = e - rinvh @ gs @ rinv
+            np.add(dz, _ct(dz), out=dZ)
+            np.divide(dZ, 2, out=dZ)
+            np.matmul(rh @ dZ, r, out=gz)
+            return dy, _steps_to_boundary(scale, g)
 
-        def direction(e):
-            """Search direction, its NT-scaled parts R^{-1} dS R^{-H} and
-            R^H dZ R, and the step lengths to the cone boundary."""
-            dy = solve_schur(rp + h1 - a_flat @ _as_real(e).ravel())
-            dS = Rd - (dy @ a_flat).view(Rd.dtype).reshape(Rd.shape)
-            gs = rinv @ dS @ rinvh
-            dZ = _herm(e - rinvh @ gs @ rinv)
-            gz = _ct(r) @ dZ @ r
-            return (dy, dS, dZ, gs, gz) + _steps_to_boundary(lam, gs, gz)
-
-        # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z
-        _dy_a, dS_a, dZ_a, gs_a, gz_a, alpha_s, alpha_z = direction(-Z)
-        mu_aff = _inner(Z + alpha_z * dZ_a, S + alpha_s * dS_a) / ntot
+        # predictor: target 0 complementarity; R^{-H}(-Lam)R^{-1} = -Z, and
+        # A^*(-Z) is -A^*(Z), the residual's product
+        S, Z = sz
+        _dy, (alpha_s, alpha_z) = direction(-Z, rp_h1 + az)
+        mu_aff = _inner(Z + alpha_z * dZ, S + alpha_s * dS) / ntot
         ratio = min(max(mu_aff, 0.0) / max(mu, 1e-300), 1.0)
-        sigma = float(np.clip(ratio ** 3, 1e-10, 1.0))
+        sigma = min(max(ratio ** 3, 1e-10), 1.0)
 
         # corrector with Mehrotra second-order term, in the scaled space
-        g = sigma * mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz_a @ gs_a)
-        gamma = 2.0 * g / (lam[:, :, None] + lam[:, None, :])
-        dy, dS, dZ, _gs, _gz, alpha_s, alpha_z = direction(rinvh @ _herm(gamma) @ rinv)
+        e = rinvh @ _corrector_rhs(lam, gs, gz, sigma * mu, eye) @ rinv
+        dy, (alpha_s, alpha_z) = direction(e, rp_h1 - a_flat @ e.view(np.float64).ravel())
 
         frac = min(STEP_FRACTION + 0.01 * min(alpha_s, alpha_z), 0.995)
         step_s = min(1.0, frac * alpha_s)
@@ -315,13 +356,12 @@ def solve_ipm(C_blocks, A_blocks, b, Z0, schur, stop=None) -> IpmResult:
             note = "step collapse"
             break
         y = y + step_s * dy
-        S = _herm(S + step_s * dS)
-        Z = _herm(Z + step_z * dZ)
+        sz = _herm(sz + np.array([step_s, step_z]).reshape(2, 1, 1, 1) * d)
 
-    _Rd, _rp, _gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
-        y, S, Z, C_blocks, a_flat, b, c_scale, b_scale)
+    _Rd, _rp, _az, _gap, pobj, dobj, res_d, res_p, rel_gap = _residuals(
+        y, sz, C_blocks, a_flat, b, c_scale, b_scale)
     converged = res_d <= TOL and res_p <= TOL and rel_gap <= TOL
     if not converged and not note:
         note = "iteration cap exceeded"
-    return IpmResult(y, S, Z, pobj, dobj, res_p, res_d, rel_gap, it, converged, note,
+    return IpmResult(y, sz[0], sz[1], pobj, dobj, res_p, res_d, rel_gap, it, converged, note,
                      chol_fallbacks=fallbacks)

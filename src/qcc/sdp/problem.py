@@ -93,7 +93,7 @@ from ..linalg import (
 )
 from ..tolerances import (DECISION_TOL, FARKAS_RESIDUAL_TOL, HERMITICITY_TOL, MARGINAL_TOL,
                           PAIRING_TOL, PSD_TOL, RANK_CUTOFF)
-from .ipm import _as_real, _ct
+from .ipm import _as_real, _ct, start_slack
 
 # the cap on the side of the variable, checked before a program is solved
 IPM_SIDE_CAP = 256
@@ -388,14 +388,16 @@ class CompiledSdp:
       with t = t0 - <C, W>, and S is the certificate.
 
     Either way the certificate has trace 1 and lies in the range of the
-    constraint adjoints, and ``Z0`` is where the solver starts Z.  ``schur``
+    constraint adjoints, and ``S0`` and ``Z0`` are where the solver starts
+    S and Z, ``S0`` the ``ipm.start_slack`` of ``C_blocks``.  ``schur``
     forms the solver's Schur matrix at each NT scaling point.  The blocks are
     an array axis: ``C_blocks`` and ``Z0`` are (blocks, n, n) and
     ``A_blocks`` is (m, blocks, n, n), real symmetric float64 on a real
     program and complex Hermitian otherwise, with one block in standard form
     and one per PSD block in the null-space form.  In standard form
-    ``A_blocks``, ``C_blocks``, ``gmat`` and ``plan`` are the structure
-    cache's read-only arrays, shared by every problem of the structure.
+    ``A_blocks``, ``C_blocks``, ``S0``, ``gmat`` and ``plan`` are the
+    structure cache's read-only arrays, shared by every problem of the
+    structure.
     """
 
     problem: SdpProblem
@@ -403,6 +405,7 @@ class CompiledSdp:
     b: np.ndarray
     C_blocks: np.ndarray
     A_blocks: np.ndarray
+    S0: np.ndarray
     Z0: np.ndarray
     removed_redundant: int
     dropped_directions: int
@@ -468,29 +471,27 @@ class _SchurPlan:
     matrix product of two permuted views of V,
     V[(a', t), (b, s)] V[(b', s), (a, t)] summed over the traced factors
     t of a and s of b, and its entry at (a', b, b', a) is the coefficient
-    of E_p[a, a'] E_q[b, b'] in M[p, q].  ``gram`` writes those products
-    into one buffer, complex or, for a real V, float, and gathers M from
-    its float view by ``index``, four entries per (p, q) since every
-    basis element has at most two.  Each basis coefficient is real or
-    purely imaginary, so ``coef`` reads one real or imaginary part.  Each
-    pair of constraints is multiplied once; the mirrored pair reads it
-    transposed.
+    of E_p[a, a'] E_q[b, b'] in M[p, q].  Each pair of constraints is
+    multiplied once; the mirrored pair reads it transposed.  The pairs
+    whose products have one shape (all of them when every constraint
+    keeps a space of one side) form a ``group``: two gathers from V's
+    entries, by precomputed flat indices, stack their views, and one
+    batched product multiplies them.  ``gram`` lays the groups' products
+    end to end in one buffer, complex or, for a real V, float, and
+    gathers M from its float view by ``index``, four entries per (p, q)
+    since every basis element has at most two.  Each basis coefficient is
+    real or purely imaginary, so ``coef`` reads one real or imaginary part.
     """
 
-    shape: tuple  # V's shape as a tensor over (row, column) factors
-    products: tuple  # (left axes, left shape, right axes, right shape, buffer slice)
-    size: int  # entries in the buffer
+    groups: tuple  # (left indices (pairs, r, t), right indices (pairs, t, r')) into V.ravel()
     index: np.ndarray  # (4, rows, rows) into the buffer's float view
     coef: np.ndarray  # (4, rows, rows)
 
     def gram(self, rinv: np.ndarray) -> np.ndarray:
         """M(V) over all constraint rows, V = Rinv^H Rinv."""
-        v = (_ct(rinv) @ rinv).reshape(self.shape)
-        buf = np.empty(self.size, dtype=v.dtype)
-        for laxes, lshape, raxes, rshape, sl in self.products:
-            buf[sl] = (v.transpose(laxes).reshape(lshape)
-                       @ v.transpose(raxes).reshape(rshape)).ravel()
-        return (self.coef * buf.view(np.float64)[self.index]).sum(axis=0)
+        v = (_ct(rinv) @ rinv).ravel()
+        buf = np.concatenate([(v[left] @ v[right]).ravel() for left, right in self.groups])
+        return np.einsum("kpq,kpq->pq", self.coef, buf.view(np.float64)[self.index])
 
 
 def _basis(r: int, real: bool) -> np.ndarray:
@@ -537,25 +538,31 @@ def _schur_plan(factors: tuple, traceds: tuple, real: bool) -> _SchurPlan:
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(int)
     nrows = starts[-1]
     width = 1 if real else 2  # float64 slots per buffer entry
+    flat = np.arange(math.prod(factors) ** 2).reshape(tuple(factors) * 2)
+    # the pairs of constraints, grouped by the shape of their product
+    groups = {}
+    for c1 in range(len(traceds)):
+        for c2 in range(c1, len(traceds)):
+            laxes, lshape, raxes, rshape = _pair_axes(factors, traceds[c1], traceds[c2])
+            groups.setdefault((lshape, rshape), []).append(
+                (c1, c2, flat.transpose(laxes).reshape(lshape),
+                 flat.transpose(raxes).reshape(rshape)))
     index = np.zeros((4, nrows, nrows), dtype=np.intp)
     coef = np.zeros((4, nrows, nrows))
-    products = []
     size = 0
-    for c1, (r1, ta) in enumerate(zip(sides, traceds)):
-        for c2 in range(c1, len(traceds)):
-            r2, tb = sides[c2], traceds[c2]
-            sl = slice(size, size + r1 * r1 * r2 * r2)
-            products.append((*_pair_axes(factors, ta, tb), sl))
-            # entry (a', b, b', a) of the slot, for E_p = sum_s c_s |i_s><j_s|
-            # and E_q = sum_t c_t |k_t><l_t|
+    for pairs in groups.values():
+        for c1, c2, _left, _right in pairs:
+            r1, r2 = sides[c1], sides[c2]
+            # entry (a', b, b', a) of the pair's product, for
+            # E_p = sum_s c_s |i_s><j_s| and E_q = sum_t c_t |k_t><l_t|
             i, j, ce = entries[r1]
             k, l, cf = entries[r2]
-            flat = (size + (j * r2 * r2 * r1 + i)[:, :, None, None]
-                    + (k * r2 * r1 + l * r1)[None, None])
+            at = (size + (j * r2 * r2 * r1 + i)[:, :, None, None]
+                  + (k * r2 * r1 + l * r1)[None, None])
             cc = ce[:, :, None, None] * cf[None, None]
             real_c = cc.imag == 0
             # Re(c x) reads Re x for a real c and -Im(c) Im x for an imaginary one
-            ridx = np.where(real_c, width * flat, width * flat + 1)
+            ridx = np.where(real_c, width * at, width * at + 1)
             rcoef = np.where(real_c, cc.real, -cc.imag)
             p_sl = slice(starts[c1], starts[c1 + 1])
             q_sl = slice(starts[c2], starts[c2 + 1])
@@ -565,8 +572,10 @@ def _schur_plan(factors: tuple, traceds: tuple, real: bool) -> _SchurPlan:
             if c2 != c1:
                 index[:, q_sl, p_sl] = index[:, p_sl, q_sl].transpose(0, 2, 1)
                 coef[:, q_sl, p_sl] = coef[:, p_sl, q_sl].transpose(0, 2, 1)
-            size = sl.stop
-    return _SchurPlan(tuple(factors) * 2, tuple(products), size, index, coef)
+            size += r1 * r1 * r2 * r2
+    gathers = tuple((np.stack([left for *_, left, _r in pairs]),
+                     np.stack([right for *_, right in pairs])) for pairs in groups.values())
+    return _SchurPlan(gathers, index, coef)
 
 
 def _constraint_matrix(factors: tuple, traceds: tuple, real: bool) -> np.ndarray:
@@ -620,6 +629,7 @@ class _StandardForm:
     gmat: np.ndarray  # Q^T coords: A_i = sum_p G_ip Tr*(E_p)
     A_blocks: np.ndarray  # the one block: (rank - 1, 1, n, n), in the field
     C_blocks: np.ndarray  # (1, n, n)
+    S0: np.ndarray  # the solver's starting S, from C alone
     plan: _SchurPlan
 
 
@@ -664,8 +674,10 @@ class _Structure:
         c_block = vec_to_herm((e_hat @ rows) / e_norm, n, self.real)
         gmat = q.T @ self.coords
         plan = _schur_plan(*self.key)
-        _read_only(e_hat, q, gmat, a_block, c_block, plan.index, plan.coef)
-        return _StandardForm(e_hat, e_norm, q, gmat, a_block[:, None], c_block[None], plan)
+        s0 = start_slack(c_block[None])
+        _read_only(e_hat, q, gmat, a_block, c_block, s0, plan.index, plan.coef,
+                   *(i for group in plan.groups for i in group))
+        return _StandardForm(e_hat, e_norm, q, gmat, a_block[:, None], c_block[None], s0, plan)
 
 
 @functools.lru_cache(maxsize=64)
@@ -710,7 +722,8 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     t = t0 - <C, W>; the components orthogonal to it, Q^T R w = Q^T c,
     are the rows A_i = mat(R^T q_i).  Maximizing t minimizes <C, W>.
     Only x0, c, b = Q^T c, t0 and Z0 depend on the right-hand sides; the
-    rest comes from the structure cache.
+    rest, the objective block and with it S0 too, comes from the
+    structure cache.
     """
     st, x0 = _eliminate(problem)
     std = st.standard
@@ -728,6 +741,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
         b=std.q.T @ c,
         C_blocks=std.C_blocks,
         A_blocks=std.A_blocks,
+        S0=std.S0,
         Z0=(x + shift * np.eye(x.shape[0]))[None],
         removed_redundant=st.removed,
         dropped_directions=0,
@@ -783,6 +797,7 @@ def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
         b=b,
         C_blocks=img_consts,
         A_blocks=a_blocks,
+        S0=start_slack(img_consts),
         Z0=z0,
         removed_redundant=st.removed,
         dropped_directions=m0 - rank2,

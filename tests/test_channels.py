@@ -6,6 +6,7 @@ import pytest
 from qcc import channels, reference
 from qcc.channels import (
     Channel,
+    LinearMapRep,
     MeasurePrepare,
     Povm,
     SingularMapError,
@@ -177,6 +178,43 @@ class TestApplyValidate:
     def test_validate_identity(self):
         rep = validate(identity_channel(2).rep)
         assert rep.cp and rep.tp and rep.unital
+
+    def test_validate_report_fields(self):
+        # every field of the report, on maps that pass or fail each check
+        from qcc.jordan import jordan_channel
+
+        amp = LinearMapRep.from_choi(np.diag([1.0, 0.0, 0.0, 0.0]) + 0.0j, 2)  # |0><0|(x)|0><0|
+        cases = [
+            (identity_channel(2).rep, (True, True, True, False, 0.0, 0.0)),
+            (depolarizing_channel(2).rep, (True, True, True, True, 0.5, 0.0)),
+            (jordan_channel(identity_channel(2).rep, dephasing_channel(2).rep),
+             (False, True, False, None, (1 - np.sqrt(2)) / 2, 0.0)),
+            (amp, (True, False, False, True, 0.0, 1.0)),
+            (random_channel(np.random.default_rng(3), 2, 3).rep, (True, True, False, None, None, None)),
+        ]
+        for rep, (cp, tp, unital, eb, min_eig, tp_dev) in cases:
+            report = validate(rep)
+            assert (report.cp, report.tp, report.unital, report.eb_2x2) == (cp, tp, unital, eb)
+            assert report.min_eig == float(np.linalg.eigvalsh(rep.choi.array).min())
+            marg = ptrace_array(rep.choi.array, rep.dims, range(1, len(rep.dims)))
+            assert report.tp_dev == float(np.abs(marg - np.eye(rep.d_in)).max())
+            if min_eig is not None:
+                assert abs(report.min_eig - min_eig) <= 1e-12
+                assert abs(report.tp_dev - tp_dev) <= 1e-12
+
+    def test_constructor_checks_only_cp_and_tp(self, monkeypatch):
+        # Channel refuses a map with validate's messages, and never runs
+        # the full report (unital, and at 2 x 2 the PPT test)
+        from qcc.jordan import jordan_channel
+
+        monkeypatch.setattr(channels, "validate", None)
+        assert Channel(depolarizing_channel(2).rep).d_out == 2
+        not_cp = jordan_channel(identity_channel(2).rep, dephasing_channel(2).rep)
+        with pytest.raises(ValueError, match=r"^map is not completely positive \(min eig -2\.071e-01\)$"):
+            Channel(not_cp)
+        not_tp = LinearMapRep.from_choi(np.diag([1.0, 0.0, 0.0, 0.0]) + 0.0j, 2)
+        with pytest.raises(ValueError, match=r"^map is not trace preserving \(marginal dev 1\.000e\+00\)$"):
+            Channel(not_tp)
 
     def test_identity_dephasing_product_not_cp(self):
         from qcc.jordan import jordan_channel

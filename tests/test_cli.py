@@ -34,6 +34,10 @@ def identity_file(tmp_path):
     return str(p)
 
 
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def _negate_matrices(node):
     """A copy of a certificate's JSON with every matrix (rows of [re, im]) negated."""
     if isinstance(node, dict):
@@ -142,7 +146,7 @@ class TestCheck:
 
     def test_step_collapse_exit_2_without_certificate(self, identity_file, monkeypatch,
                                                       tmp_path, capsys):
-        monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda lam, gs, gz: (0.0, 0.0))
+        monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda scale, g: (0.0, 0.0))
         cert = tmp_path / "cert.json"
         assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 2
         assert "note: step collapse" in capsys.readouterr().out
@@ -260,6 +264,12 @@ class TestCheck:
         assert main(["check", identity_file, identity_file]) == 2
         assert "iteration cap exceeded" in capsys.readouterr().out
 
+    def test_lapack_failure_exit_2(self, identity_file, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which main maps to exit 65
+        monkeypatch.setattr(sdp, "solve_ipm", _lapack_failure)
+        assert main(["check", identity_file, identity_file]) == 2
+        assert "note: LAPACK failure: SVD did not converge" in capsys.readouterr().out
+
 
 class TestSelfCompat:
     def test_dephasing_k4(self, tmp_path):
@@ -271,6 +281,12 @@ class TestSelfCompat:
 
     def test_identity_k2(self, identity_file):
         assert main(["self-compat", identity_file, "--k", "2"]) == 1
+
+    def test_lapack_failure_exit_2(self, identity_file, monkeypatch, capsys):
+        monkeypatch.setattr(sdp, "solve_ipm", _lapack_failure)
+        assert main(["self-compat", identity_file, "--k", "2"]) == 2
+        assert capsys.readouterr().out == ("k=2 self-compatibility: Inconclusive\n"
+                                           "note: LAPACK failure: SVD did not converge\n")
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_k_below_two_exits_64(self, identity_file, capsys, k):
@@ -443,6 +459,31 @@ class TestSweep:
         monkeypatch.setattr(sdp, "certify", lambda problem, outcome: failed)
         assert main(argv) == 0
         assert {row[2] for row in read_sections(out)[0][1:]} == {"?", "x"}
+
+    @pytest.mark.parametrize("name", ["solve_dykstra", "compile_ipm", "solve_ipm", "certify"])
+    def test_lapack_failure_at_one_point_writes_question_mark(self, tmp_path, monkeypatch, capsys,
+                                                               name):
+        # the first call of ``name`` raises, inside one grid point's solve;
+        # that point reads "?" and every other row is the golden one
+        real, calls = getattr(sdp, name), []
+
+        def failing_once(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == 1:
+                _lapack_failure()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, name, failing_once)
+        out = tmp_path / "k4.csv"
+        argv = ["sweep", "xi_self_k", "--grid", "6", "--k", "4", "--jobs", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert "warning: 1 grid points were inconclusive" in capsys.readouterr().err
+        golden = read_sections(Path(__file__).parent / "data" / "sweep_golden" / "xi_self_k_k4.csv")
+        rows, golden_rows = read_sections(out)[0], golden[0]
+        changed = [(row, was) for row, was in zip(rows, golden_rows) if row != was]
+        assert len(rows) == len(golden_rows) and len(changed) == 1
+        (row, was), = changed
+        assert row[2] == "?" and was[2] in "01" and row[:2] + row[3:] == was[:2] + was[3:]
 
     def test_first_flip_of_a_column_without_feasible_point_is_empty(self):
         col = [["0.5", "0", "0", "?"], ["0.5", "0.5", "?", "1"], ["0.5", "1", "0", "1"]]

@@ -37,7 +37,8 @@ from qcc.rand import (random_channel, random_density, random_hermitian, random_i
                       random_povm, random_pvm)
 import qcc.sdp.decide as decide_mod
 from qcc.sdp.decide import decide
-from qcc.sdp.ipm import _block_inverses, _chol_pd, _chol_solve, _ct, _nt_scaling
+from qcc.sdp.ipm import (_block_inverses, _chol_pd, _chol_solve, _corrector_rhs, _ct, _herm,
+                         _nt_scaling, _steps_to_boundary, start_slack)
 from qcc.sdp.problem import (
     IPM_SIDE_CAP,
     Block,
@@ -455,7 +456,7 @@ class TestStructureCache:
         comp = compile_ipm(problem)
         st = _structure_of(_plan_key(problem))
         for arr in (st.kmat, st.coords, st.vh, comp.gmat, comp.A_blocks[0], comp.C_blocks[0],
-                    comp.plan.index, comp.plan.coef):
+                    comp.S0[0], comp.plan.index, comp.plan.coef, *comp.plan.groups[0]):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 1.0
 
@@ -475,7 +476,7 @@ class TestStructureCache:
         problem = _standard_program(kind)
         _structure_of.cache_clear()
         cold = compile_ipm(problem)
-        cold_res = solve_ipm(cold.C_blocks, cold.A_blocks, cold.b, cold.Z0, cold.schur)
+        cold_res = solve_ipm(cold.C_blocks, cold.A_blocks, cold.b, cold.S0, cold.Z0, cold.schur)
         # warm the cache with another right-hand side of the same structure
         _structure_of.cache_clear()
         compile_ipm(SdpProblem(
@@ -487,10 +488,10 @@ class TestStructureCache:
         assert warm.A_blocks is not cold.A_blocks
         for name in ("x0", "b", "t0", "gmat"):
             assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
-        for name in ("Z0", "A_blocks", "C_blocks"):
+        for name in ("S0", "Z0", "A_blocks", "C_blocks"):
             assert all(np.array_equal(c, w) for c, w in zip(getattr(cold, name),
                                                             getattr(warm, name))), name
-        warm_res = solve_ipm(warm.C_blocks, warm.A_blocks, warm.b, warm.Z0, warm.schur)
+        warm_res = solve_ipm(warm.C_blocks, warm.A_blocks, warm.b, warm.S0, warm.Z0, warm.schur)
         assert warm_res.iterations == cold_res.iterations
         assert np.array_equal(warm_res.y, cold_res.y)
         assert all(np.array_equal(c, w) for c, w in zip(cold_res.Z_blocks, warm_res.Z_blocks))
@@ -686,6 +687,101 @@ class TestCholSolve:
         self._assert_matches_two_solves(l, rng.normal(size=m))
 
 
+    @pytest.mark.parametrize("m", [20, 64, 65, 152])
+    def test_matches_solve_on_spd_systems(self, rng, m):
+        # one diagonal block up to 64, two and three beyond
+        g = rng.normal(size=(m, m))
+        h = g @ g.T + m * np.eye(m)
+        l = np.linalg.cholesky(h)
+        linvs = _block_inverses(l)
+        assert len(linvs) == -(-m // 64)
+        for rhs in rng.normal(size=(3, m)):
+            ref = np.linalg.solve(h, rhs)
+            assert np.linalg.norm(_chol_solve(l, linvs, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestStepsToBoundary:
+    """The step lengths read off the NT factors equal the largest alpha <= 1
+    keeping S + alpha dS and Z + alpha dZ PSD, computed from the
+    eigenvalues of the explicitly scaled stacks L^-1 dS L^-H, L L^H = S."""
+
+    @staticmethod
+    def _stack(rng, shape, cplx, shift):
+        g = rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0.0)
+        return g @ _ct(g) + shift * np.eye(shape[-1])
+
+    @staticmethod
+    def _explicit(x, dx):
+        l = np.linalg.cholesky(x)
+        linv = np.linalg.inv(l)
+        wmin = np.linalg.eigvalsh(linv @ dx @ _ct(linv)).min()
+        return 1.0 if wmin >= -1e-14 else min(1.0, -1.0 / wmin)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("size", [0.05, 3.0], ids=["full_step", "to_boundary"])
+    def test_matches_scaled_eigenvalues(self, rng, cplx, size):
+        shape = (2, 5, 5)
+        s, z = self._stack(rng, shape, cplx, 1.0), self._stack(rng, shape, cplx, 1.0)
+        ds, dz = (size * _herm(self._stack(rng, shape, cplx, 0.0) - self._stack(rng, shape, cplx, 0.0))
+                  for _ in range(2))
+        r, rinv, lam, _fell = _nt_scaling(np.stack([s, z]))
+        isq = 1.0 / np.sqrt(lam)
+        g = np.stack([rinv @ ds @ _ct(rinv), _ct(r) @ dz @ r])
+        steps = _steps_to_boundary(isq[..., :, None] * isq[..., None, :], g)
+        assert np.allclose(steps, [self._explicit(s, ds), self._explicit(z, dz)], rtol=1e-10, atol=0)
+        if size < 1:
+            assert steps == [1.0, 1.0]
+        else:
+            assert max(steps) < 1.0
+            for x, dx, alpha in ((s, ds, steps[0]), (z, dz, steps[1])):
+                # alpha reaches the boundary: the least eigenvalue is ~0 there
+                assert abs(np.linalg.eigvalsh(x + alpha * dx).min()) <= 1e-9
+
+
+class TestCorrectorRhs:
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_matches_two_g_over_lambda_sums(self, rng, cplx):
+        # gamma = 2 g / (lam_i + lam_j), g = sigma mu I - diag(lam)^2 - herm(gz gs)
+        shape = (2, 6, 6)
+        gs, gz = (_herm(rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0.0))
+                  for _ in range(2))
+        lam = rng.uniform(0.1, 2.0, size=shape[:2])
+        eye, sigma_mu = np.eye(6), 0.3
+        gamma = _corrector_rhs(lam, gs, gz, sigma_mu, eye)
+        g = sigma_mu * eye - (lam * lam)[:, :, None] * eye - _herm(gz @ gs)
+        assert np.array_equal(gamma, 2.0 * g / (lam[:, :, None] + lam[:, None, :]))
+        assert np.array_equal(gamma, _ct(gamma))
+        for k in range(2):
+            ref = np.array([[2.0 * g[k, i, j] / (lam[k, i] + lam[k, j]) for j in range(6)]
+                            for i in range(6)])
+            assert np.abs(gamma[k] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestStartPoint:
+    """The compile supplies S0, the objective shifted into the cone, which
+    the solver computed from C before each solve."""
+
+    @staticmethod
+    def _in_solver_start(c):
+        c_scale = max(1.0, np.abs(c).max())
+        wmin = np.linalg.eigvalsh(c).min(axis=-1)
+        return c + (np.maximum(0.0, -wmin) + 0.1 * c_scale + 1.0)[:, None, None] * np.eye(c.shape[-1])
+
+    @pytest.mark.parametrize("kind", STANDARD_KINDS + list(NULL_SPACE_KINDS))
+    def test_equals_the_in_solver_start(self, kind):
+        null_space = kind in NULL_SPACE_KINDS
+        comp = compile_ipm(_null_space_program(kind) if null_space else _standard_program(kind))
+        assert np.array_equal(comp.S0, self._in_solver_start(comp.C_blocks))
+        assert np.array_equal(comp.S0, start_slack(comp.C_blocks))
+        assert comp.S0.dtype == comp.C_blocks.dtype
+
+    def test_standard_form_start_is_cached_per_structure(self):
+        rng = np.random.default_rng(6)
+        first, second = (compile_ipm(sdp.build_compat(random_channel(rng, 2), random_channel(rng, 2)))
+                         for _ in range(2))
+        assert first.S0 is second.S0 and not first.S0.flags.writeable
+
+
 class TestCholPd:
     def test_positive_definite_takes_plain_factor(self, rng):
         g = rng.normal(size=(6, 6))
@@ -743,9 +839,9 @@ class TestNtScaling:
         pd = [g @ g.T + 3 * np.eye(3) for g in rng.normal(size=(3, 3, 3))]
         s = np.stack([pd[0], np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])])
         z = np.stack([pd[1], pd[2]])
-        r, rinv, lam, fell = _nt_scaling(s, z)
+        r, rinv, lam, fell = _nt_scaling(np.stack([s, z]))
         assert fell == 1
-        r0, rinv0, lam0, fell0 = _nt_scaling(s[:1], z[:1])
+        r0, rinv0, lam0, fell0 = _nt_scaling(np.stack([s[:1], z[:1]]))
         assert fell0 == 0
         for full, alone in ((r, r0), (rinv, rinv0), (lam, lam0)):
             np.testing.assert_array_equal(full[0], alone[0])
@@ -765,7 +861,7 @@ class TestNtScaling:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing_first)
-        r, rinv, lam, fell = _nt_scaling(s, z)
+        r, rinv, lam, fell = _nt_scaling(np.stack([s, z]))
         assert len(calls) == 2 and fell == 0
         for i in range(2):
             diag = np.diag(lam[i])
@@ -1016,7 +1112,7 @@ class TestKExtension:
         stops = []
 
         def spied(*args):
-            stops.append(args[5:])
+            stops.append(args[6:])
             return solve_ipm(*args)
 
         monkeypatch.setattr(sdp, "solve_ipm", spied)
@@ -1024,7 +1120,7 @@ class TestKExtension:
         assert stops == [(None,)]
         assert out.iterations == 7 and abs(out.value + 5e-3) <= 1e-9
         comp = compile_ipm(problem)
-        args = (comp.C_blocks, comp.A_blocks, comp.b, comp.Z0, comp.schur)
+        args = (comp.C_blocks, comp.A_blocks, comp.b, comp.S0, comp.Z0, comp.schur)
         plain, never = solve_ipm(*args), solve_ipm(*args, stop=lambda res: False)
         for f in dataclasses.fields(plain):
             a, b = getattr(plain, f.name), getattr(never, f.name)
@@ -1556,12 +1652,46 @@ class TestHonestInconclusive:
 
     @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
     def test_step_collapse(self, monkeypatch, mode):
-        monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda lam, gs, gz: (0.0, 0.0))
+        monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda scale, g: (0.0, 0.0))
         ident = identity_channel(2)
         out = sdp.solve(sdp.build_compat(ident, ident))
         assert out.status == "Inconclusive" and out.note == "step collapse"
         assert out.iterations == 1 and out.primal is None and out.dual is None
         _assert_inconclusive(decide(ident, ident, mode), "step collapse")
+
+
+def _lapack_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+class TestLapackFailureIsInconclusive:
+    """numpy's LinAlgError subclasses ValueError; raised inside sdp.solve
+    (forced here through monkeypatch) it makes the solve Inconclusive with
+    a note naming it, instead of reaching the caller."""
+
+    @pytest.mark.parametrize("name, mode", [
+        ("solve_dykstra", "projection"),
+        ("compile_ipm", "interior_point"),
+        ("solve_ipm", "interior_point"),
+        ("certify", "interior_point"),
+        ("certify", "projection"),  # the check of an iterate candidate
+    ])
+    def test_solve(self, monkeypatch, name, mode):
+        # xi(0.4, 0.2) at k = 4: the round trip settles nothing, so
+        # projection mode reaches the early-stopped interior point
+        problem = sdp.build_k_extension(xi_channel(0.4, 0.2), 4)
+        assert sdp.solve(problem, mode=mode).status == "Infeasible"
+        monkeypatch.setattr(sdp, name, _lapack_failure)
+        out = sdp.solve(problem, mode=mode)
+        assert out.status == "Inconclusive"
+        assert out.note == "LAPACK failure: SVD did not converge"
+        assert out.primal is None and out.dual is None
+
+    @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
+    def test_decide(self, monkeypatch, mode):
+        monkeypatch.setattr(sdp, "solve_ipm", _lapack_failure)
+        _assert_inconclusive(decide(identity_channel(2), identity_channel(2), mode),
+                             "LAPACK failure: SVD did not converge")
 
 
 class TestConvexityProperties:
