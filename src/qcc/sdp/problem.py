@@ -391,7 +391,7 @@ class CompiledSdp:
     constraint adjoints, and ``S0`` and ``Z0`` are where the solver starts
     S and Z, ``S0`` the ``ipm.start_slack`` of ``C_blocks``.  ``schur``
     forms the solver's Schur matrix at each NT scaling point.  The blocks are
-    an array axis: ``C_blocks`` and ``Z0`` are (blocks, n, n) and
+    an array axis: ``C_blocks``, ``S0`` and ``Z0`` are (blocks, n, n) and
     ``A_blocks`` is (m, blocks, n, n), real symmetric float64 on a real
     program and complex Hermitian otherwise, with one block in standard form
     and one per PSD block in the null-space form.  In standard form
