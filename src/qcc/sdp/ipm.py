@@ -38,13 +38,13 @@ directions plus one otherwise (see ``problem``).  Sizes up to a few
 hundred are the design point, so it is formed explicitly, by the
 ``schur`` callable the compile supplies, and factored at m^3 / 3 per
 iteration.  For standard-form programs it is formed from the
-partial-trace structure of the constraints as G M(V) G^T: one batched
-product of gathered views of the NT-scaled block per shape of
-constraint pair, a gather into the constraint rows and two products
-with G.  At complex qutrit compat (m = 152) that costs about a sixth of
-the dense Gram form (0.57 against 3.2 ms); at qubit size it costs
-15 us against the dense form's 10 us on a real program (m = 16) and
-27 against 34 us on a complex one (m = 27), at one BLAS thread.  For
+partial-trace structure of the constraints as G M(V) G^T: one product
+of two permuted copies of the NT-scaled block per pair of constraints,
+a gather into the constraint rows and two products with G.  At complex
+qutrit compat (m = 152) that costs about a sixth of the dense Gram form
+(0.55 against 3.1 ms at one BLAS thread); at qubit size its fixed
+overhead makes it costlier than the dense form: 23 against 9 us on a
+real program (m = 16), 37 against 32 us on a complex one (m = 27).  For
 null-space programs it is the Gram matrix of the scaled constraint
 blocks, m n^3 to form.  The NT factors of each iteration also give its
 step lengths.  Each iteration takes one Newton step and nothing repairs

@@ -471,26 +471,28 @@ class _SchurPlan:
     matrix product of two permuted views of V,
     V[(a', t), (b, s)] V[(b', s), (a, t)] summed over the traced factors
     t of a and s of b, and its entry at (a', b, b', a) is the coefficient
-    of E_p[a, a'] E_q[b, b'] in M[p, q].  Each pair of constraints is
-    multiplied once; the mirrored pair reads it transposed.  The pairs
-    whose products have one shape (all of them when every constraint
-    keeps a space of one side) form a ``group``: two gathers from V's
-    entries, by precomputed flat indices, stack their views, and one
-    batched product multiplies them.  ``gram`` lays the groups' products
+    of E_p[a, a'] E_q[b, b'] in M[p, q].  ``gram`` lays those products
     end to end in one buffer, complex or, for a real V, float, and
     gathers M from its float view by ``index``, four entries per (p, q)
-    since every basis element has at most two.  Each basis coefficient is
-    real or purely imaginary, so ``coef`` reads one real or imaginary part.
+    since every basis element has at most two, in one ``einsum`` with
+    ``coef``.  Each basis coefficient is real or purely imaginary, so
+    ``coef`` reads one real or imaginary part.  Each pair of constraints
+    is multiplied once; the mirrored pair reads it transposed.  The pairs
+    are multiplied one at a time, so the permuted copies of V held at
+    once are two, whatever the number of constraints.
     """
 
-    groups: tuple  # (left indices (pairs, r, t), right indices (pairs, t, r')) into V.ravel()
+    shape: tuple  # V's shape as a tensor over (row, column) factors
+    products: tuple  # (left axes, left shape, right axes, right shape) per pair
     index: np.ndarray  # (4, rows, rows) into the buffer's float view
     coef: np.ndarray  # (4, rows, rows)
 
     def gram(self, rinv: np.ndarray) -> np.ndarray:
         """M(V) over all constraint rows, V = Rinv^H Rinv."""
-        v = (_ct(rinv) @ rinv).ravel()
-        buf = np.concatenate([(v[left] @ v[right]).ravel() for left, right in self.groups])
+        v = (_ct(rinv) @ rinv).reshape(self.shape)
+        buf = np.concatenate([(v.transpose(laxes).reshape(lshape)
+                               @ v.transpose(raxes).reshape(rshape)).ravel()
+                              for laxes, lshape, raxes, rshape in self.products])
         return np.einsum("kpq,kpq->pq", self.coef, buf.view(np.float64)[self.index])
 
 
@@ -538,31 +540,24 @@ def _schur_plan(factors: tuple, traceds: tuple, real: bool) -> _SchurPlan:
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(int)
     nrows = starts[-1]
     width = 1 if real else 2  # float64 slots per buffer entry
-    flat = np.arange(math.prod(factors) ** 2).reshape(tuple(factors) * 2)
-    # the pairs of constraints, grouped by the shape of their product
-    groups = {}
-    for c1 in range(len(traceds)):
-        for c2 in range(c1, len(traceds)):
-            laxes, lshape, raxes, rshape = _pair_axes(factors, traceds[c1], traceds[c2])
-            groups.setdefault((lshape, rshape), []).append(
-                (c1, c2, flat.transpose(laxes).reshape(lshape),
-                 flat.transpose(raxes).reshape(rshape)))
     index = np.zeros((4, nrows, nrows), dtype=np.intp)
     coef = np.zeros((4, nrows, nrows))
+    products = []
     size = 0
-    for pairs in groups.values():
-        for c1, c2, _left, _right in pairs:
-            r1, r2 = sides[c1], sides[c2]
+    for c1, (r1, ta) in enumerate(zip(sides, traceds)):
+        for c2 in range(c1, len(traceds)):
+            r2, tb = sides[c2], traceds[c2]
+            products.append(_pair_axes(factors, ta, tb))
             # entry (a', b, b', a) of the pair's product, for
             # E_p = sum_s c_s |i_s><j_s| and E_q = sum_t c_t |k_t><l_t|
             i, j, ce = entries[r1]
             k, l, cf = entries[r2]
-            at = (size + (j * r2 * r2 * r1 + i)[:, :, None, None]
-                  + (k * r2 * r1 + l * r1)[None, None])
+            flat = (size + (j * r2 * r2 * r1 + i)[:, :, None, None]
+                    + (k * r2 * r1 + l * r1)[None, None])
             cc = ce[:, :, None, None] * cf[None, None]
             real_c = cc.imag == 0
             # Re(c x) reads Re x for a real c and -Im(c) Im x for an imaginary one
-            ridx = np.where(real_c, width * at, width * at + 1)
+            ridx = np.where(real_c, width * flat, width * flat + 1)
             rcoef = np.where(real_c, cc.real, -cc.imag)
             p_sl = slice(starts[c1], starts[c1 + 1])
             q_sl = slice(starts[c2], starts[c2 + 1])
@@ -573,9 +568,7 @@ def _schur_plan(factors: tuple, traceds: tuple, real: bool) -> _SchurPlan:
                 index[:, q_sl, p_sl] = index[:, p_sl, q_sl].transpose(0, 2, 1)
                 coef[:, q_sl, p_sl] = coef[:, p_sl, q_sl].transpose(0, 2, 1)
             size += r1 * r1 * r2 * r2
-    gathers = tuple((np.stack([left for *_, left, _r in pairs]),
-                     np.stack([right for *_, right in pairs])) for pairs in groups.values())
-    return _SchurPlan(gathers, index, coef)
+    return _SchurPlan(tuple(factors) * 2, tuple(products), index, coef)
 
 
 def _constraint_matrix(factors: tuple, traceds: tuple, real: bool) -> np.ndarray:
@@ -675,8 +668,7 @@ class _Structure:
         gmat = q.T @ self.coords
         plan = _schur_plan(*self.key)
         s0 = start_slack(c_block[None])
-        _read_only(e_hat, q, gmat, a_block, c_block, s0, plan.index, plan.coef,
-                   *(i for group in plan.groups for i in group))
+        _read_only(e_hat, q, gmat, a_block, c_block, s0, plan.index, plan.coef)
         return _StandardForm(e_hat, e_norm, q, gmat, a_block[:, None], c_block[None], s0, plan)
 
 

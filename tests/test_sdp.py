@@ -456,7 +456,7 @@ class TestStructureCache:
         comp = compile_ipm(problem)
         st = _structure_of(_plan_key(problem))
         for arr in (st.kmat, st.coords, st.vh, comp.gmat, comp.A_blocks[0], comp.C_blocks[0],
-                    comp.S0[0], comp.plan.index, comp.plan.coef, *comp.plan.groups[0]):
+                    comp.S0[0], comp.plan.index, comp.plan.coef):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 1.0
 
