@@ -18,15 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (
-    HermitianMatrix,
-    TensorShape,
-    herm_to_vec,
-    hermitian_basis,
-    ptrace_array,
-    ptranspose_array,
-    vec_to_herm,
-)
+from .linalg import HermitianMatrix, TensorShape, hermitian_basis, ptrace_array, ptranspose_array
 from .tolerances import CHANNEL_TOL, DOMAIN_SLACK, INVERT_MAX_COND, MARGINAL_TOL, OPERATOR_TOL
 
 
@@ -415,35 +407,26 @@ def mix_channels(f: Channel, g: Channel, lam: float) -> Channel:
     return Channel(mix(f.rep, g.rep, lam))
 
 
-def map_matrix(rep: LinearMapRep) -> np.ndarray:
-    """Real matrix of the map on the orthonormal Hermitian basis."""
-    basis = hermitian_basis(rep.d_in)
-    t = rep.transfer_tensor()
-    images = np.einsum("nxy,xyab->nab", basis, t)
-    cols = [herm_to_vec(images[k]) for k in range(basis.shape[0])]
-    return np.array(cols).T
-
-
 def invert_map(rep: LinearMapRep) -> LinearMapRep:
     """Inverse of the map as a linear map on operators.
 
     The inverse of a trace-preserving map is trace preserving, but it is
     generally not completely positive, so the result is a plain
-    ``LinearMapRep``.
+    ``LinearMapRep``.  K[b, a] = Tr(B_b Phi(B_a)) is the map's real matrix
+    on the orthonormal Hermitian basis B, and the inverse's Choi matrix is
+    sum_a B_a^T (x) K^-1(B_a).
     """
     if rep.d_in != rep.d_out:
         raise SingularMapError("map between spaces of different dimension", 0.0)
-    k = map_matrix(rep)
+    d = rep.d_in
+    basis = hermitian_basis(d)
+    images = np.einsum("nxy,xyab->nab", basis, rep.transfer_tensor())
+    k = np.einsum("mba,nab->mn", basis, images).real
     svals = np.linalg.svd(k, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > INVERT_MAX_COND:
         raise SingularMapError("map is singular or near-singular", float(svals[-1]))
-    kinv = np.linalg.inv(k)
-    d = rep.d_in
-    basis = hermitian_basis(d)
-    j = np.zeros((d * d, d * d), dtype=np.complex128)
-    for alpha in range(d * d):
-        img = vec_to_herm(kinv[:, alpha], d)
-        j += np.kron(basis[alpha].T, img)
+    inv_images = np.einsum("mn,mab->nab", np.linalg.inv(k), basis)
+    j = np.einsum("nyx,nab->xayb", basis, inv_images).reshape(d * d, d * d)
     return LinearMapRep.from_choi(j, d)
 
 

@@ -39,10 +39,6 @@ EXIT_PARSE = 64
 EXIT_DIMENSION = 65
 EXIT_SIZE_CAP = 66
 
-# the sdp.solve mode a xi_self_k grid task names: the sweep's tasks name
-# projection, which settles a sign; "ipm" converges to the optimum
-_SOLVER_MODES = {"ipm": "interior_point", "projection": "projection"}
-
 
 def _load_channel(path: str) -> Channel:
     try:
@@ -74,11 +70,21 @@ def _verify_certificate(mode: str, cert, a: Channel, b: Channel) -> WitnessRepor
     return verify_compatibilizer(cert.array, a, b, ppt=mode == "ppt-compat")
 
 
+def _value_text(dec) -> str:
+    """A decision's value named for what its solve makes it: the optimum
+    of a converged solve, or the bound of its one certificate."""
+    out = dec.outcome
+    if out.primal is not None and out.dual is not None:
+        return f"optimum {dec.value:.3e}"
+    bound = {"Feasible": ", a lower bound on the optimum", "Infeasible": ", an upper bound on the optimum"}
+    return f"value {dec.value:.3e}{bound.get(out.status, '')}"
+
+
 def cmd_check(args) -> int:
     a = _load_channel(args.channel_a)
     b = _load_channel(args.channel_b)
-    dec = decide(a, b, args.mode.replace("-", "_"))
-    print(f"verdict: {dec.verdict} (optimum {dec.value:.3e})")
+    dec = decide(a, b, args.mode.replace("-", "_"), optimum=args.optimum)
+    print(f"verdict: {dec.verdict} ({_value_text(dec)})")
     if dec.note:
         print(f"note: {dec.note}")
     if args.cert:
@@ -117,11 +123,12 @@ def cmd_self_compat(args) -> int:
 
 
 def _point_xi_self_k(task):
+    # the sweep's tasks name "projection", which settles a sign; "ipm" converges
     p, q, k, solver = task
     if not in_xi_domain(p, q):
         return "x"
     return _verdict_char(sdp.solve(sdp.build_k_extension(xi_channel(p, q), k),
-                                   mode=_SOLVER_MODES[solver]).status)
+                                   optimum=solver == "ipm").status)
 
 
 def _jordan_std_char(f: Channel, g: Channel) -> str:
@@ -271,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", default="compat",
                          choices=["compat", "jordan", "ppt-compat"])
     p_check.add_argument("--cert", help="write the certificate JSON here")
+    p_check.add_argument("--optimum", action="store_true",
+                         help="converge each solve and print the optimum")
     p_check.set_defaults(func=cmd_check)
 
     p_self = sub.add_parser("self-compat", help="k-fold self-compatibility")

@@ -39,59 +39,57 @@ def _iterate_candidate(comp, res) -> Optional[SdpOutcome]:
     return None
 
 
-def solve(problem: SdpProblem, mode: str = "interior_point") -> SdpOutcome:
+def solve(problem: SdpProblem, optimum: bool = True) -> SdpOutcome:
     """Solve a compatibility program, and report Feasible or Infeasible only
     with a certificate that passes ``problem.certify`` on ``problem``.
 
-    interior_point maximizes t and reports Feasible/Infeasible by the sign
-    of the optimum (within ``DECISION_TOL``), with the point X and the dual
-    multipliers, or Inconclusive with the solver's note when it did not
-    converge.  projection first runs one alternating-projection round trip
-    (``projection.solve_dykstra``) and reports Feasible with its point, or
-    Infeasible with the Farkas dual read from the iterates' displacement.
-    When the round trip settles neither, the interior point checks the
-    candidate of each iterate (``_iterate_candidate``) and stops at the
-    first that passes; with none, it is the interior point's solve.  An outcome with both X and a dual is
-    a converged interior-point solve, and its value is the optimum.  One
-    settled by a single certificate carries only that: a point's value is
-    a lower bound on the optimum (t at an early-stopped iterate, 0 from the
-    round trip), and a refutation's value is the check's Farkas pairing,
-    an upper bound.  An outcome whose residuals hold ``psd_violation`` came
-    from the round trip.  Each certificate is checked once; one that fails
-    makes the solve Inconclusive, with the check's note and neither point
-    nor dual.  A program whose variable side exceeds ``IPM_SIDE_CAP``
-    raises ``SizeCapError`` in either mode.  Real programs
+    With ``optimum`` (the default) the interior point maximizes t and
+    reports Feasible/Infeasible by the sign of the optimum (within
+    ``DECISION_TOL``), with the point X and the dual multipliers, or
+    Inconclusive with the solver's note when it did not converge.  Without
+    it the solve stops at its first certificate: a program whose one block
+    is X first runs one alternating-projection round trip
+    (``projection.solve_dykstra``), Feasible with its point or Infeasible
+    with the Farkas dual read from the iterates' displacement; where that
+    settles neither, and on every other program, the interior point checks
+    the candidate of each iterate (``_iterate_candidate``) and stops at
+    the first that passes, or else converges.  An outcome with both X and
+    a dual is a converged solve, and its value is the optimum.  One settled
+    by a single certificate carries only that, and its note names its
+    value: a point's is a lower bound on the optimum (t at an early-stopped
+    iterate, 0 from the round trip), and a refutation's is the check's
+    Farkas pairing, an upper bound.  An outcome whose residuals hold
+    ``psd_violation`` came from the round trip.  Each certificate is
+    checked once; one that fails makes the solve Inconclusive, with the
+    check's note and neither point nor dual.  A program whose variable side
+    exceeds ``IPM_SIDE_CAP`` raises ``SizeCapError``.  Real programs
     (``SdpProblem.real``) are solved over real symmetric matrices; the
     outcome's matrices are complex128 either way.  A LAPACK routine that
     fails inside the solve (numpy's ``LinAlgError``, in the round trip,
     the compile, the interior point or a check) makes it Inconclusive,
     with a note that names the failure.
     """
-    if mode not in ("interior_point", "projection"):
-        raise ValueError(f"unknown mode {mode!r}")
     if problem.side > IPM_SIDE_CAP:
         raise SizeCapError(f"the size cap is a variable side of {IPM_SIDE_CAP}, "
                            f"got {side_text(problem.side)}")
     try:
-        return _solve(problem, mode)
+        return _solve(problem, optimum)
     except np.linalg.LinAlgError as exc:
         return SdpOutcome("Inconclusive", float("nan"), note=f"LAPACK failure: {exc}")
 
 
-def _solve(problem: SdpProblem, mode: str) -> SdpOutcome:
+def _solve(problem: SdpProblem, optimum: bool) -> SdpOutcome:
     """``solve`` on a program within the size cap."""
     out = report = None
-    if mode == "projection":
+    if not optimum and [block.kind for block in problem.blocks] == ["identity"]:
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
         if res.certificate is not None:  # its value is the check's pairing, set below
             out = SdpOutcome("Infeasible", float("nan"), dual=_complex(res.certificate[None]),
-                             residuals=residuals, iterations=res.iterations,
-                             note="projection mode: the value is a Farkas pairing, "
-                                  "an upper bound on the optimum")
+                             residuals=residuals, iterations=res.iterations, note="round trip")
         elif res.feasible:
             out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
-                             iterations=res.iterations, note="projection mode: feasibility only")
+                             iterations=res.iterations, note="round trip")
     if out is None:  # also where the round trip settles nothing
         comp = compile_ipm(problem)
         passed = []  # the iterate candidate that passed its check, with the report
@@ -106,7 +104,7 @@ def _solve(problem: SdpProblem, mode: str) -> SdpOutcome:
             return check.valid
 
         res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.S0, comp.Z0, comp.schur,
-                        certified if mode == "projection" else None)
+                        None if optimum else certified)
         alpha = comp.value(res)
         residuals = {
             "primal": res.res_primal,
@@ -119,10 +117,7 @@ def _solve(problem: SdpProblem, mode: str) -> SdpOutcome:
         }
         if passed:
             out, report = passed[0]
-            bound = ("t there, a lower bound" if out.status == "Feasible"
-                     else "a Farkas pairing, an upper bound")
-            out.residuals, out.iterations = residuals, res.iterations
-            out.note = f"{res.note}: the value is {bound} on the optimum"
+            out.residuals, out.iterations, out.note = residuals, res.iterations, res.note
         elif not res.converged:
             return SdpOutcome("Inconclusive", alpha, residuals=residuals,
                               iterations=res.iterations, note=res.note)
@@ -139,8 +134,11 @@ def _solve(problem: SdpProblem, mode: str) -> SdpOutcome:
         bounded = out.primal is None or out.dual is None
         return SdpOutcome("Inconclusive", float("nan") if bounded else out.value,
                           residuals=out.residuals, iterations=out.iterations, note=report.note)
-    if out.primal is None:  # a refutation's value is its pairing
+    if out.dual is None:
+        out.note += ": the value is a lower bound on the optimum"
+    elif out.primal is None:  # a refutation's value is its pairing
         out.value = report.margin
+        out.note += ": the value is a Farkas pairing, an upper bound on the optimum"
     return out
 
 

@@ -14,6 +14,11 @@ checked on that program: A by ``primal_check``, a witness by
 hands out.  When the solver or a check fails the verdict is Inconclusive,
 with the reason in ``note``.
 
+A verdict needs one certificate, not the optimum, so each solve stops at
+its first (``sdp.solve(problem, optimum=False)``): ``Decision.value`` is
+then the bound that certificate gives, named in ``outcome.note``.  With
+``optimum=True`` every solve converges and the value is the optimum.
+
 Jordan mode solves the compat program when both channels are invertible
 as linear maps: the substitution X = (id (x) f (x) g)(A) maps the Jordan
 program onto it with the same t, since the trace-preserving maps carry
@@ -84,21 +89,21 @@ def _refute(out: SdpOutcome, problem: SdpProblem, f: Channel, g: Channel, mode: 
                     note="dual certificate failed verification")
 
 
-def _decide_compat(f: Channel, g: Channel) -> Decision:
+def _decide_compat(f: Channel, g: Channel, optimum: bool) -> Decision:
     problem = build_compat(f, g)
-    out = solve(problem)
+    out = solve(problem, optimum=optimum)
     if out.status == "Feasible":
         return _compatible(out, f, g)
     return _refute(out, problem, f, g, "plain")
 
 
-def _decide_jordan(f: Channel, g: Channel) -> Decision:
+def _decide_jordan(f: Channel, g: Channel, optimum: bool) -> Decision:
     """Jordan compatibility, by the compat program when f and g are
     invertible and by the Jordan program otherwise (see the module
     docstring); A and the witness are read out over the Jordan program."""
     inverses = inverse_pair(f, g)
     jordan = build_jordan_compat(f, g)
-    out = solve(jordan if inverses is None else build_compat(f, g))
+    out = solve(jordan if inverses is None else build_compat(f, g), optimum=optimum)
     if out.status == "Feasible":
         a = read_out_operator(out.primal, jordan, inverses)
         report = primal_check(jordan, a.array, GEN_JORDAN_TOL, DECISION_TOL)
@@ -113,7 +118,7 @@ def _decide_jordan(f: Channel, g: Channel) -> Decision:
     return _refute(out, jordan, f, g, "jordan")
 
 
-def _decide_ppt(f: Channel, g: Channel) -> Decision:
+def _decide_ppt(f: Channel, g: Channel, optimum: bool) -> Decision:
     """Two stages: a transposed-marginal relaxation whose dual is the ppt
     witness, then (if that is feasible) the full program with both the
     variable and its partial transpose PSD.  A refutation of the full
@@ -122,33 +127,36 @@ def _decide_ppt(f: Channel, g: Channel) -> Decision:
     j1t = ptranspose_array(f.choi.array, (dx, d1), 0)
     j2t = ptranspose_array(g.choi.array, (dx, d2), 0)
     relax = two_marginal_problem(j1t, j2t, (dx, d1, d2), name="ppt_relaxation")
-    out_a = solve(relax)
+    out_a = solve(relax, optimum=optimum)
     if out_a.status != "Feasible":
         return _refute(out_a, relax, f, g, "ppt")
 
-    out_b = solve(build_compat(f, g, ppt=True))
+    out_b = solve(build_compat(f, g, ppt=True), optimum=optimum)
     if out_b.status == "Feasible":
         return _compatible(out_b, f, g)
-    # the dual objective is the pairing of the certificate's multipliers
+    # a refutation's value: its checked pairing, or the optimum its dual meets
     note = out_b.note if out_b.status == "Inconclusive" else (
         "transposed-marginal relaxation is feasible but the full PPT program is refuted by a "
-        f"checked Farkas certificate with pairing {out_b.residuals['dual_objective']:.3e}, "
+        f"checked Farkas certificate with pairing {out_b.value:.3e}, "
         "which has no witness in the ppt certificate format yet")
     return Decision("Inconclusive", out_b.value, outcome=out_b, note=note)
 
 
-def decide(f: Channel, g: Channel, mode: str = "compat") -> Decision:
+def decide(f: Channel, g: Channel, mode: str = "compat", optimum: bool = False) -> Decision:
     """Decide compatibility of a channel pair in the requested sense.
 
     Verdicts are Compatible, Incompatible or Inconclusive; the first two
-    always carry a certificate that was checked after the solve.
+    always carry a certificate that was checked after the solve.  Each
+    solve stops at its first certificate, and ``value`` is the bound it
+    gives (see ``sdp.solve``); with ``optimum`` each converges, and
+    ``value`` is the optimum.
     """
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")
     if mode == "compat":
-        return _decide_compat(f, g)
+        return _decide_compat(f, g, optimum)
     if mode == "jordan":
-        return _decide_jordan(f, g)
+        return _decide_jordan(f, g, optimum)
     if mode == "ppt_compat":
-        return _decide_ppt(f, g)
+        return _decide_ppt(f, g, optimum)
     raise ValueError(f"unknown decision mode {mode!r}")

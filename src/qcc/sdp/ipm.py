@@ -281,7 +281,7 @@ def solve_ipm(C_blocks, A_blocks, b, S0, Z0, schur, stop=None) -> IpmResult:
     that misses ``TOL``, as an unconverged result, before the step; the
     first iterate for which it returns true ends the solve, and is
     returned with ``converged`` false and the note "stopped at a
-    certified iterate".  ``sdp.solve`` passes one in projection mode.
+    certified iterate".  ``sdp.solve`` passes one without ``optimum``.
     """
     m = b.shape[0]
     nblocks, n = C_blocks.shape[:2]

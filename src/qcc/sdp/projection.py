@@ -6,8 +6,9 @@ least-norm point x0 it clips to the PSD cone, y = P_PSD(x0) (Higham
 1988), and projects back, x = P_A(y).  The iterate is kept as a matrix
 in the program's field: real symmetric float64 when the program's data
 is real (``SdpProblem.real``), complex Hermitian otherwise.  The one
-block must be the variable itself; only the k-extension programs of the
-``xi_self_k`` sweep come here.  The affine step reads y's coordinates
+block must be the variable itself: ``sdp.solve`` without ``optimum``
+sends the k-extension, compat and two-marginal programs here, not the
+full PPT or the Jordan program.  The affine step reads y's coordinates
 (``linalg.herm_to_vec``), applies the orthonormal constraint-row basis
 from the elimination the interior-point compile also uses
 (``problem._eliminate``, from an eigendecomposition of the constraint
@@ -64,7 +65,7 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     x, feasible when its PSD violation is at most ``PSD_TOL``, or else with
     the Farkas dual read from y - x, when one refutes."""
     if [block.kind for block in problem.blocks] != ["identity"]:
-        raise ValueError("projection mode supports one PSD block, the variable itself")
+        raise ValueError("the round trip supports one PSD block, the variable itself")
 
     side = problem.side
     st, x0 = _eliminate(problem)

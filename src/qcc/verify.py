@@ -74,7 +74,7 @@ def run_checks() -> list[Check]:
         out.append((f"measure-and-prepare decomposition reproduces the {name} channel",
                     dev <= 1e-10, f"roundtrip dev {dev:.2e}"))
 
-    dec = decide(f, g, "compat")
+    dec = decide(f, g, "compat", optimum=True)
     out.append(("pair is compatible (optimum > 0)", dec.verdict == "Compatible" and dec.value > 0,
                 f"verdict {dec.verdict}, optimum {dec.value:.6f}"))
     out.append(("printed compatibilizer is a strictly feasible point", comp_report.min_eig > 0,
@@ -91,7 +91,7 @@ def run_checks() -> list[Check]:
                 f"margin {rep.margin:.15f}, min eig {rep.min_eig:.2e}"))
 
     ident = channels.identity_channel(2)
-    dec = decide(ident, ident)
+    dec = decide(ident, ident, optimum=True)
     ok = dec.verdict == "Incompatible" and dec.witness is not None
     out.append(("identity pair is incompatible with a verified witness", ok,
                 f"verdict {dec.verdict}, optimum {dec.value:.6f}"))

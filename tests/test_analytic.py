@@ -95,13 +95,13 @@ class TestXiKThreshold:
         assert xi_k_threshold(2, 2) == pytest.approx(xi_self_threshold(0.0), abs=1e-15)
 
     @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
-    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
-    def test_both_modes_bracket_the_threshold(self, d, k, mode):
+    @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
+    def test_both_modes_bracket_the_threshold(self, d, k, optimum):
         # Werner's cloner bound is exact: 1e-4 either side of it decides
         q = xi_k_threshold(d, k)
         for dq, status in ((-1e-4, "Infeasible"), (1e-4, "Feasible")):
             problem = sdp.build_k_extension(xi_channel(0.0, q + dq, d), k)
-            assert sdp.solve(problem, mode=mode).status == status, dq
+            assert sdp.solve(problem, optimum=optimum).status == status, dq
 
 
 class TestDepolPair:

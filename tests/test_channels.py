@@ -34,9 +34,9 @@ from qcc.channels import (
     validate,
     xi_channel,
 )
-from qcc.linalg import HermitianMatrix, ptrace_array
-from qcc.rand import (haar_unitary, random_channel, random_density, random_hermitian, random_mp_channel,
-                      random_pvm)
+from qcc.linalg import HermitianMatrix, herm_to_vec, hermitian_basis, ptrace_array, vec_to_herm
+from qcc.rand import (haar_unitary, random_channel, random_density, random_hermitian,
+                      random_invertible_channel, random_mp_channel, random_pvm)
 
 E00 = np.diag([1.0, 0.0])
 E11 = np.diag([0.0, 1.0])
@@ -297,6 +297,38 @@ class TestInvertMap:
         inv = invert_map(xi_channel(0.25, 0.25).rep)
         closed = xi_inverse(XiParams(0.25, 0.25))
         assert np.abs(inv.choi.array - closed.choi.array).max() < 1e-12
+
+    @staticmethod
+    def _loop_form(rep):
+        """The map's matrix K on the Hermitian basis B, one basis image's
+        coordinates per column, and the inverse's Choi matrix as a loop of
+        Kronecker products, sum_a B_a^T (x) K^-1(B_a)."""
+        d = rep.d_in
+        basis = hermitian_basis(d)
+        images = np.einsum("nxy,xyab->nab", basis, rep.transfer_tensor())
+        k = np.array([herm_to_vec(img) for img in images]).T
+        if np.linalg.svd(k, compute_uv=False)[-1] == 0:
+            return k, None
+        kinv = np.linalg.inv(k)
+        return k, sum(np.kron(basis[a].T, vec_to_herm(kinv[:, a], d)) for a in range(d * d))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_loop_form(self, d):
+        rng = np.random.default_rng(30 + d)
+        for _ in range(5):
+            f = random_invertible_channel(rng, d)
+            choi = self._loop_form(f.rep)[1]
+            assert np.abs(invert_map(f.rep).choi.array - choi).max() <= 1e-13
+
+    @pytest.mark.parametrize("channel", [dephasing_channel(2), partial_depolarizing_channel(1 - 5e-13, 3)],
+                             ids=["dephasing", "near_singular"])
+    def test_singular_error_names_the_smallest_singular_value(self, channel):
+        smallest = np.linalg.svd(self._loop_form(channel.rep)[0], compute_uv=False)[-1]
+        with pytest.raises(SingularMapError) as err:
+            invert_map(channel.rep)
+        assert abs(err.value.smallest_sv - smallest) <= 1e-15
+        assert str(err.value) == ("map is singular or near-singular "
+                                  f"(smallest singular value {err.value.smallest_sv:.3e})")
 
     def test_dephasing_is_singular(self):
         with pytest.raises(SingularMapError) as err:

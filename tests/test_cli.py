@@ -71,6 +71,18 @@ class TestCheck:
                      "--cert", cert]) == 1
         assert main(["witness", "verify", cert, identity_file, identity_file]) == 0
 
+    def test_value_is_named_as_a_bound_or_the_optimum(self, ref_files, capsys):
+        # a verdict needs one certificate, whose value bounds the optimum;
+        # --optimum converges and prints the optimum, with the same exit code
+        a, b = ref_files
+        for argv, code, line in (
+                ([], 0, "Compatible (value 0.000e+00, a lower bound on the optimum)"),
+                (["--optimum"], 0, "Compatible (optimum 6.988e-02)"),
+                (["--mode", "ppt-compat"], 1, "Incompatible (value -2.726e-03, an upper bound on the optimum)"),
+                (["--mode", "ppt-compat", "--optimum"], 1, "Incompatible (optimum -4.455e-03)")):
+            assert main(["check", a, b] + argv) == code
+            assert capsys.readouterr().out == f"verdict: {line}\n"
+
     def test_compatible_certificate_roundtrips(self, ref_files, tmp_path):
         a, b = ref_files
         cert = str(tmp_path / "cert.json")
@@ -145,7 +157,7 @@ class TestCheck:
         assert f"missing key '{key}'" in capsys.readouterr().err
 
     def test_step_collapse_exit_2_without_certificate(self, identity_file, monkeypatch,
-                                                      tmp_path, capsys):
+                                                      tmp_path, capsys, no_round_trip):
         monkeypatch.setattr(sdp.ipm, "_steps_to_boundary", lambda scale, g: (0.0, 0.0))
         cert = tmp_path / "cert.json"
         assert main(["check", identity_file, identity_file, "--cert", str(cert)]) == 2
@@ -259,12 +271,12 @@ class TestCheck:
         assert main(["check", "--help"]) == 0
         assert "--mode" in capsys.readouterr().out
 
-    def test_iteration_cap_exit_2(self, identity_file, monkeypatch, capsys):
+    def test_iteration_cap_exit_2(self, identity_file, monkeypatch, capsys, no_round_trip):
         monkeypatch.setattr(sdp.ipm, "MAX_ITER", 2)
         assert main(["check", identity_file, identity_file]) == 2
         assert "iteration cap exceeded" in capsys.readouterr().out
 
-    def test_lapack_failure_exit_2(self, identity_file, monkeypatch, capsys):
+    def test_lapack_failure_exit_2(self, identity_file, monkeypatch, capsys, no_round_trip):
         # LinAlgError subclasses ValueError, which main maps to exit 65
         monkeypatch.setattr(sdp, "solve_ipm", _lapack_failure)
         assert main(["check", identity_file, identity_file]) == 2
@@ -507,16 +519,18 @@ class TestSweep:
         assert not out.exists()
 
     def test_sweep_tasks_solve_by_projection_and_ipm_converges(self, tmp_path, monkeypatch):
-        # the sweep's tasks name projection mode; a task naming "ipm", as
-        # the benchmark's warm-up does, runs the converged interior point
-        modes = []
+        # the sweep's tasks name projection, a solve without optimum; a task
+        # naming "ipm", as the benchmark's warm-up does, runs the converged
+        # interior point
+        optima = []
         solve = sdp.solve
-        monkeypatch.setattr(sdp, "solve", lambda problem, mode: modes.append(mode) or solve(problem, mode))
+        monkeypatch.setattr(sdp, "solve",
+                            lambda problem, optimum: optima.append(optimum) or solve(problem, optimum))
         assert cli._point_xi_self_k((0.4, 0.4, 3, "ipm")) == "1"
-        assert modes == ["interior_point"]
-        modes.clear()
+        assert optima == [True]
+        optima.clear()
         assert main(["sweep", "xi_self_k", "--grid", "2", "--out", str(tmp_path / "k2.csv")]) == 0
-        assert modes == ["projection"] * 3  # three of the four grid points lie in the domain
+        assert optima == [False] * 3  # three of the four grid points lie in the domain
 
     def test_unknown_family_exits_64(self, tmp_path, capsys):
         out = tmp_path / "bogus.csv"

@@ -2,10 +2,12 @@
 
 ``tests/data/decide_golden.json`` holds the verdict, note and optimum of
 35 fixed cases (random qubit and qutrit pairs and the reference pair in
-each mode they are checked in).  A solver change that keeps the
-decisions keeps this file; one that moves an optimum by more than
-``VALUE_TOL`` or changes a verdict or note fails here.  Regenerate the
-file only on purpose, with
+each mode they are checked in), decided with ``optimum=True``.  A solver
+change that keeps the decisions keeps this file; one that moves an
+optimum by more than ``VALUE_TOL`` or changes a verdict or note fails
+here.  ``decide``'s default, which stops each solve at its first
+certificate, must give the same verdicts and notes, with certificates
+that pass the public checks.  Regenerate the file only on purpose, with
 
     PYTHONPATH=src python tests/test_decide_golden.py
 
@@ -23,10 +25,12 @@ import pytest
 
 from qcc import reference, sdp
 from qcc.channels import depolarizing_channel, identity_channel, partial_depolarizing_channel
+from qcc.jordan import verify_gen_jordan_operator
 from qcc.linalg import ptrace_array
 from qcc.rand import random_channel, random_invertible_channel
 from qcc.sdp import decide as decide_mod
 from qcc.sdp.decide import decide
+from qcc.witness import verify_compatibilizer, verify_jordan_witness, verify_witness
 
 GOLDEN = Path(__file__).parent / "data" / "decide_golden.json"
 VALUE_TOL = 1e-8
@@ -73,7 +77,7 @@ def _label(family: str, pair: int, mode: str) -> str:
 @lru_cache(maxsize=None)
 def _decide_case(family: str, pair: int, mode: str):
     f, g = _pairs(family)[pair]
-    return decide(f, g, mode)
+    return decide(f, g, mode, optimum=True)
 
 
 def _golden() -> dict:
@@ -87,6 +91,21 @@ def test_decision_matches_golden(family, pair, mode):
     assert dec.verdict == want["verdict"]
     assert dec.note == want["note"]
     assert abs(dec.value - want["value"]) <= VALUE_TOL
+
+
+@pytest.mark.parametrize("family, pair, mode", _cases(), ids=lambda v: str(v))
+def test_default_decision_matches_golden_verdict(family, pair, mode):
+    want = _golden()[_label(family, pair, mode)]
+    f, g = _pairs(family)[pair]
+    dec = decide(f, g, mode)
+    assert (dec.verdict, dec.note) == (want["verdict"], want["note"])
+    if dec.verdict == "Compatible" and mode == "jordan":
+        assert verify_gen_jordan_operator(dec.gen_jordan_op.matrix, f, g).valid
+    elif dec.verdict == "Compatible":
+        assert verify_compatibilizer(dec.compatibilizer.array, f, g, ppt=mode == "ppt_compat").valid
+    elif dec.verdict == "Incompatible":
+        check = verify_jordan_witness if mode == "jordan" else verify_witness
+        assert check(dec.witness, f, g).valid
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +135,7 @@ def test_jordan_decide_matches_jordan_program(family, pair, monkeypatch):
 
     monkeypatch.setattr(decide_mod, "solve", recording_solve)
     f, g = _pairs(family)[pair]
-    dec = decide(f, g, "jordan")
+    dec = decide(f, g, "jordan", optimum=True)
     want = _jordan_program(family, pair)
     assert dec.outcome.status == want.status
     if family == "singular":

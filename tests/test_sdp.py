@@ -126,16 +126,16 @@ class TestSolveCompat:
                      for a in range(1, k + 1))
         problem = SdpProblem((2,) * (k + 1), cons, (Block("identity"),))
         assert problem.side == TensorShape(problem.factors).dim == 2 ** (k + 1)
-        for mode in ("interior_point", "projection"):
+        for optimum in (True, False):
             with pytest.raises(sdp.SizeCapError, match=str(2 ** (k + 1))):
-                sdp.solve(problem, mode=mode)
+                sdp.solve(problem, optimum=optimum)
 
-    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
-    def test_solver_cap_names_a_side_str_refuses(self, mode):
+    @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
+    def test_solver_cap_names_a_side_str_refuses(self, optimum):
         # a side of 4516 digits, above what str() converts
         problem = SdpProblem((2,) * 15000, (), (Block("identity"),))
         with pytest.raises(sdp.SizeCapError, match="got a 15001-bit number"):
-            sdp.solve(problem, mode=mode)
+            sdp.solve(problem, optimum=optimum)
 
     @pytest.mark.parametrize("k", [300, 10 ** 6])
     def test_k_extension_over_cap_refused_before_building(self, k):
@@ -207,21 +207,21 @@ class TestConstraintMatrix:
         kmat = _constraint_matrix(*_plan_key(problem))
         assert np.abs(kmat - brute_force_constraint_matrix(problem)).max() <= 1e-15
 
-    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
-    def test_inconsistent_equalities_rejected(self, mode):
+    @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
+    def test_inconsistent_equalities_rejected(self, optimum):
         # the two marginals imply different traces of X
         problem = sdp.two_marginal_problem(np.eye(4), 2 * np.eye(4), (2, 2, 2))
         with pytest.raises(ValueError, match="equality constraints are inconsistent"):
-            sdp.solve(problem, mode=mode)
+            sdp.solve(problem, optimum=optimum)
 
-    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
-    def test_term_side_mismatch_rejected(self, mode):
+    @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
+    def test_term_side_mismatch_rejected(self, optimum):
         con = Constraint((1,), np.eye(3, dtype=np.complex128))
         with pytest.raises(ValueError, match=r"constraint tracing \(1,\) leaves side 2, "
                                              r"rhs has shape \(3, 3\)"):
-            sdp.solve(SdpProblem((2, 2), (con,), (Block(),)), mode=mode)
+            sdp.solve(SdpProblem((2, 2), (con,), (Block(),)), optimum=optimum)
 
-    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
+    @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
     @pytest.mark.parametrize("traced, side, blocks, message", [
         ((5,), 4, (Block(),), "traced index 5 out of range for 2 factors"),
         ((-1,), 4, (Block(),), "traced index -1 out of range for 2 factors"),
@@ -230,12 +230,12 @@ class TestConstraintMatrix:
          "ptranspose factor 2 out of range for 2 factors"),
         ((1,), 2, (Block(), Block("ptranspose")), "ptranspose factor None out of range"),
     ], ids=["past_end", "negative", "repeated", "ptranspose_past_end", "ptranspose_unset"])
-    def test_bad_index_rejected_when_built(self, mode, traced, side, blocks, message):
+    def test_bad_index_rejected_when_built(self, optimum, traced, side, blocks, message):
         # a bad index used to be dropped (projection found the program
         # feasible) or to fail inside numpy; the problem now refuses it
         con = Constraint(traced, np.eye(side) / side)
         with pytest.raises(ValueError, match=message):
-            sdp.solve(SdpProblem((2, 2), (con,), blocks), mode=mode)
+            sdp.solve(SdpProblem((2, 2), (con,), blocks), optimum=optimum)
 
     @pytest.mark.parametrize("maps, count", [((None, "f"), 2), ((None, "f", "f", None), 4),
                                              (None, 0)], ids=["short", "long", "unset"])
@@ -466,9 +466,9 @@ class TestStructureCache:
         assert _plan_key(consistent) == _plan_key(inconsistent)
         compile_ipm(consistent)
         misses = _structure_of.cache_info().misses
-        for mode in ("interior_point", "projection"):
+        for optimum in (True, False):
             with pytest.raises(ValueError, match="equality constraints are inconsistent"):
-                sdp.solve(inconsistent, mode=mode)
+                sdp.solve(inconsistent, optimum=optimum)
         assert _structure_of.cache_info().misses == misses
 
     @pytest.mark.parametrize("kind", ["compat222", "compat333", "k3"])
@@ -505,7 +505,7 @@ class TestStructureCache:
                for _ in range(2)]
         compile_ipm(ppt[0])
         misses = _structure_of.cache_info().misses
-        assert sdp.solve(xi, mode="projection").status == "Feasible"
+        assert sdp.solve(xi, optimum=False).status == "Feasible"
         assert compile_ipm(ppt[1]).nullbasis is not None
         assert _structure_of.cache_info().misses == misses
 
@@ -620,7 +620,7 @@ class TestRealComplexTwins:
     @pytest.mark.parametrize("q", [0.5, 0.3], ids=["feasible", "not_settled"])
     def test_projection(self, q):
         problem = sdp.build_k_extension(xi_channel(0.4 if q == 0.5 else 0.1, q), 4)
-        real, cplx = (sdp.solve(p, mode="projection") for p in (problem, phase_twin(problem)))
+        real, cplx = (sdp.solve(p, optimum=False) for p in (problem, phase_twin(problem)))
         assert real.status == cplx.status
         assert (real.status == "Feasible") == (q == 0.5)
 
@@ -957,8 +957,8 @@ class TestKExtension:
     def test_mp_boundary_extends(self):
         p = 0.4
         xi = xi_channel(p, 2 * (1 - p) / 3)
-        for k, mode in ((2, "interior_point"), (3, "interior_point"), (4, "projection")):
-            out = sdp.solve(sdp.build_k_extension(xi, k), mode=mode)
+        for k, optimum in ((2, True), (3, True), (4, False)):
+            out = sdp.solve(sdp.build_k_extension(xi, k), optimum=optimum)
             assert out.status == "Feasible", (k, out.status)
 
     def test_k_must_be_at_least_two(self):
@@ -969,7 +969,7 @@ class TestKExtension:
         for q in (0.4, 0.6, 0.8):
             f = partial_depolarizing_channel(q, 2)
             a = sdp.solve(sdp.build_k_extension(f, 2))
-            b = sdp.solve(sdp.build_k_extension(f, 2), mode="projection")
+            b = sdp.solve(sdp.build_k_extension(f, 2), optimum=False)
             assert a.status == "Feasible" and b.status == "Feasible"
             x = b.primal
             assert np.linalg.eigvalsh(x).min() >= -1e-8
@@ -979,7 +979,7 @@ class TestKExtension:
         # the identity has no k = 4 extension; the displacement between the
         # iterates is a trace-1 Farkas dual whose pairing bounds the optimum
         problem = sdp.build_k_extension(identity_channel(2), 4)
-        out = sdp.solve(problem, mode="projection")
+        out = sdp.solve(problem, optimum=False)
         assert out.status == "Infeasible" and out.primal is None
         assert out.iterations == 1
         report = certify(problem, out)
@@ -1000,12 +1000,12 @@ class TestKExtension:
         for con in problem.constraints:
             assert np.abs(ptrace_array(res.x, problem.factors, con.traced) - con.rhs).max() <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["interior_point", "projection"])
-    def test_xi_k6_point_where_gesdd_failed(self, mode):
+    @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
+    def test_xi_k6_point_where_gesdd_failed(self, optimum):
         # xi(0.8, 0.2) at k = 6 (side 128): LAPACK's gesdd failed on an NT
         # scaling product of this solve, which crashed the k = 6 sweep
         problem = sdp.build_k_extension(xi_channel(0.8, 0.2), 6)
-        out = sdp.solve(problem, mode=mode)
+        out = sdp.solve(problem, optimum=optimum)
         assert out.status == "Feasible", out.note
         assert certify(problem, out).valid
 
@@ -1033,7 +1033,7 @@ class TestKExtension:
         problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
         res = projection_mod.solve_dykstra(problem)
         assert not res.feasible and res.certificate is None
-        out, ipm = sdp.solve(problem, mode="projection"), sdp.solve(problem)
+        out, ipm = sdp.solve(problem, optimum=False), sdp.solve(problem)
         assert out.status == ipm.status == "Infeasible"
         report = certify(problem, out)
         assert report.valid, report.note
@@ -1054,7 +1054,7 @@ class TestKExtension:
             if p + q > 1 + 1e-12:
                 continue
             problem = sdp.build_k_extension(xi_channel(p, q), k)
-            ipm, proj = sdp.solve(problem), sdp.solve(problem, mode="projection")
+            ipm, proj = sdp.solve(problem), sdp.solve(problem, optimum=False)
             assert proj.status == ipm.status, (p, q)
             if "psd_violation" in proj.residuals:
                 continue
@@ -1082,7 +1082,7 @@ class TestKExtension:
             return report
 
         monkeypatch.setattr(sdp, "certify", refusing)
-        out = sdp.solve(problem, mode="projection")
+        out = sdp.solve(problem, optimum=False)
         assert checked
         assert (out.status, out.value, out.iterations, out.note) == (
             ipm.status, ipm.value, ipm.iterations, ipm.note)
@@ -1091,7 +1091,7 @@ class TestKExtension:
 
     def test_a_refused_first_candidate_stops_later(self, monkeypatch):
         problem = sdp.build_k_extension(xi_channel(0.8, 0.0), 2)
-        first = sdp.solve(problem, mode="projection")
+        first = sdp.solve(problem, optimum=False)
         calls = []
 
         def refusing_first(prob, out):
@@ -1100,7 +1100,7 @@ class TestKExtension:
             return dataclasses.replace(report, valid=False) if len(calls) == 1 else report
 
         monkeypatch.setattr(sdp, "certify", refusing_first)
-        out = sdp.solve(problem, mode="projection")
+        out = sdp.solve(problem, optimum=False)
         assert len(calls) == 2  # the passing candidate is checked once, and only there
         assert out.status == first.status and out.iterations == first.iterations + 1
         assert out.note.startswith("stopped at a certified iterate")
@@ -1137,7 +1137,7 @@ class TestKExtension:
         assert res.certificate is not None
         bad = ProjectionResult(False, res.x, res.violation, res.iterations, doctor(res.certificate))
         monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: bad)
-        out = sdp.solve(problem, mode="projection")
+        out = sdp.solve(problem, optimum=False)
         assert out.status == "Inconclusive" and out.dual is None
         assert out.iterations == res.iterations
         assert re.match(note, out.note), out.note
@@ -1153,7 +1153,7 @@ class TestKExtension:
             if p + q > 1 + 1e-12:
                 continue
             problem = sdp.build_k_extension(xi_channel(p, q), k)
-            ipm, proj = sdp.solve(problem), sdp.solve(problem, mode="projection")
+            ipm, proj = sdp.solve(problem), sdp.solve(problem, optimum=False)
             assert proj.status == ipm.status, (p, q)
             if proj.status == "Infeasible":
                 refuted += 1
@@ -1188,11 +1188,11 @@ class TestKExtension:
         # a Feasible verdict from projection must survive a check that
         # reads only the problem and X, not the solver's elimination
         problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 4)
-        x = sdp.solve(problem, mode="projection").primal
+        x = sdp.solve(problem, optimum=False).primal
         assert primal_check(problem, x, DECISION_TOL, PSD_TOL).valid
         bad = getattr(self, doctor)(problem, x)
         monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 1))
-        out = sdp.solve(problem, mode="projection")
+        out = sdp.solve(problem, optimum=False)
         assert out.status == "Inconclusive" and out.primal is None
         assert out.iterations == 1
         assert re.match(note, out.note), out.note
@@ -1433,6 +1433,28 @@ class TestDecide:
         assert dec.verdict == "Incompatible"
         assert verify_witness(dec.witness, ident, ident).valid
 
+    @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
+    def test_identity_pair_runs_no_interior_point(self, monkeypatch, mode):
+        # the round trip refutes the program, so no solve reaches the interior point
+        calls = []
+        monkeypatch.setattr(sdp, "solve_ipm", lambda *args: calls.append(args) or solve_ipm(*args))
+        ident = identity_channel(2)
+        dec = decide(ident, ident, mode)
+        assert dec.verdict == "Incompatible" and "psd_violation" in dec.outcome.residuals
+        assert calls == []
+
+    def test_ppt_stage_b_runs_no_round_trip(self, monkeypatch):
+        # the full PPT program has two blocks, X and its partial transpose,
+        # so its solve goes straight to the early-stopped interior point
+        solved = []
+        real = sdp.solve_dykstra
+        monkeypatch.setattr(sdp, "solve_dykstra", lambda problem: solved.append(problem.name) or real(problem))
+        noisy = partial_depolarizing_channel(0.8, 2)
+        dec = decide(noisy, noisy, "ppt_compat")
+        assert dec.verdict == "Compatible"
+        assert dec.outcome.note.startswith("stopped at a certified iterate")
+        assert solved == ["ppt_relaxation"]
+
     def test_reference_pair_modes(self):
         f, g = reference.channel_pair()
         assert decide(f, g, "compat").verdict == "Compatible"
@@ -1493,13 +1515,14 @@ class TestDecide:
 
     @pytest.mark.parametrize("mode, margin", [("compat", -0.0917517), ("ppt_compat", -0.5)])
     def test_unequal_output_sizes(self, mode, margin):
+        # the margins are the optima, so each solve converges
         v = np.zeros((3, 2))
         v[0, 0] = v[1, 1] = 1.0
         omega = v.T.reshape(-1)
         iso = Channel.from_choi(np.outer(omega, omega), 2)
         ident = identity_channel(2)
         for f, g in ((ident, iso), (iso, ident)):
-            dec = decide(f, g, mode)
+            dec = decide(f, g, mode, optimum=True)
             assert dec.verdict == "Incompatible"
             assert abs(dec.witness_margin - margin) < 1e-6
             report = verify_witness(dec.witness, f, g)
@@ -1519,7 +1542,7 @@ class TestIterationCap:
     verdict; the cap is read when the solver runs."""
 
     @pytest.fixture(autouse=True)
-    def cap_at_two(self, monkeypatch):
+    def cap_at_two(self, monkeypatch, no_round_trip):
         monkeypatch.setattr(sdp.ipm, "MAX_ITER", 2)
 
     def test_solve_reports_cap(self):
@@ -1550,11 +1573,21 @@ def _assert_inconclusive(dec, note):
 class TestUnconvergedIsInconclusive:
     """A solve that misses ipm.TOL is Inconclusive however small its
     residuals are: after five iterations the gap is 3.5e-8 and 6.8e-8 on
-    these pairs, inside DECISION_TOL, and that is still no verdict."""
+    these pairs, inside DECISION_TOL, and that is still no verdict.
+    decide()'s solves would stop at the second iterate, whose certificate
+    passes, so every single certificate's check is refused here."""
 
     @pytest.fixture(autouse=True)
-    def cap_at_five(self, monkeypatch):
+    def cap_at_five(self, monkeypatch, no_round_trip):
         monkeypatch.setattr(sdp.ipm, "MAX_ITER", 5)
+        real = sdp.certify
+
+        def refusing(problem, out):
+            report = real(problem, out)
+            single = out.primal is None or out.dual is None
+            return dataclasses.replace(report, valid=False, note="refused") if single else report
+
+        monkeypatch.setattr(sdp, "certify", refusing)
 
     @pytest.mark.parametrize("channel", [identity_channel(2), partial_depolarizing_channel(0.6, 2)],
                              ids=["identity", "depol0.6"])
@@ -1566,6 +1599,7 @@ class TestUnconvergedIsInconclusive:
         _assert_inconclusive(decide(channel, channel), "iteration cap exceeded")
 
 
+@pytest.mark.usefixtures("no_round_trip")
 class TestHonestInconclusive:
     """Each exit where decide() or the check in sdp.solve finds the
     solver's answer unusable, forced by doctoring one solve's outcome or
@@ -1578,8 +1612,8 @@ class TestHonestInconclusive:
         through ``change`` before decide() sees it."""
         real = decide_mod.solve
 
-        def doctored(problem):
-            out = real(problem)
+        def doctored(problem, **kwargs):
+            out = real(problem, **kwargs)
             return change(out) if problem.name == name else out
 
         monkeypatch.setattr(decide_mod, "solve", doctored)
@@ -1595,8 +1629,12 @@ class TestHonestInconclusive:
         assert decide(noisy, noisy, mode).verdict == "Compatible"
 
         def doctored(C_blocks, *args):
-            res = solve_ipm(C_blocks, *args)
-            return _move_point(res) if len(C_blocks) == blocks else res
+            if len(C_blocks) != blocks:
+                return solve_ipm(C_blocks, *args)
+            # an early stop checks the iterates, so they are moved too
+            stop = args[5]
+            moved = None if stop is None else (lambda res: stop(_move_point(res)))
+            return _move_point(solve_ipm(C_blocks, *args[:5], moved))
 
         monkeypatch.setattr(sdp, "solve_ipm", doctored)
         dec = decide(noisy, noisy, mode)
@@ -1641,7 +1679,7 @@ class TestHonestInconclusive:
         assert dec.outcome.status == "Infeasible"
         _assert_inconclusive(dec, "transposed-marginal relaxation is feasible but the full PPT "
                                   "program is refuted by a checked Farkas certificate with "
-                                  "pairing -1.003e-02, which has no witness")
+                                  "pairing -7.181e-03, which has no witness")
 
     def test_inconclusive_ppt_program_keeps_its_note(self, monkeypatch):
         self._doctor(monkeypatch, "ppt_compat", lambda out: SdpOutcome(
@@ -1669,26 +1707,27 @@ class TestLapackFailureIsInconclusive:
     (forced here through monkeypatch) it makes the solve Inconclusive with
     a note naming it, instead of reaching the caller."""
 
-    @pytest.mark.parametrize("name, mode", [
-        ("solve_dykstra", "projection"),
-        ("compile_ipm", "interior_point"),
-        ("solve_ipm", "interior_point"),
-        ("certify", "interior_point"),
-        ("certify", "projection"),  # the check of an iterate candidate
-    ])
-    def test_solve(self, monkeypatch, name, mode):
-        # xi(0.4, 0.2) at k = 4: the round trip settles nothing, so
-        # projection mode reaches the early-stopped interior point
+    @pytest.mark.parametrize("name, optimum", [
+        ("solve_dykstra", False),
+        ("compile_ipm", True),
+        ("solve_ipm", True),
+        ("certify", True),
+        ("certify", False),  # the check of an iterate candidate
+    ], ids=["solve_dykstra-projection", "compile_ipm-interior_point", "solve_ipm-interior_point",
+            "certify-interior_point", "certify-projection"])
+    def test_solve(self, monkeypatch, name, optimum):
+        # xi(0.4, 0.2) at k = 4: the round trip settles nothing, so the
+        # solve without optimum reaches the early-stopped interior point
         problem = sdp.build_k_extension(xi_channel(0.4, 0.2), 4)
-        assert sdp.solve(problem, mode=mode).status == "Infeasible"
+        assert sdp.solve(problem, optimum=optimum).status == "Infeasible"
         monkeypatch.setattr(sdp, name, _lapack_failure)
-        out = sdp.solve(problem, mode=mode)
+        out = sdp.solve(problem, optimum=optimum)
         assert out.status == "Inconclusive"
         assert out.note == "LAPACK failure: SVD did not converge"
         assert out.primal is None and out.dual is None
 
     @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
-    def test_decide(self, monkeypatch, mode):
+    def test_decide(self, monkeypatch, no_round_trip, mode):
         monkeypatch.setattr(sdp, "solve_ipm", _lapack_failure)
         _assert_inconclusive(decide(identity_channel(2), identity_channel(2), mode),
                              "LAPACK failure: SVD did not converge")

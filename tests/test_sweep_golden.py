@@ -1,9 +1,9 @@
 """Golden sweeps: grid-6 ``qcc sweep`` CSVs against stored files.
 
 ``tests/data/sweep_golden`` holds the CSV of each sweep below at
-``--grid 6 --jobs 1``.  An ``xi_self_k`` sweep solves each point in
-``sdp.solve``'s projection mode (one alternating-projection round trip,
-then the interior point stopped at its first certified iterate), and
+``--grid 6 --jobs 1``.  An ``xi_self_k`` sweep solves each point with
+``sdp.solve(problem, optimum=False)`` (one alternating-projection round
+trip, then the interior point stopped at its first certified iterate), and
 each of its files also equals the sweep of converged interior-point
 solves byte for byte.  A solver change that keeps
 every grid verdict keeps these files byte for byte.  The ``depol_pair``
