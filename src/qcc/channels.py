@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import HermitianMatrix, TensorShape, hermitian_basis, ptrace_array, ptranspose_array
+from .linalg import (HermitianMatrix, TensorShape, hermitian_basis, ptrace_array, ptranspose_array,
+                     swap_operator)
 from .tolerances import CHANNEL_TOL, DOMAIN_SLACK, INVERT_MAX_COND, MARGINAL_TOL, OPERATOR_TOL
 
 
@@ -252,6 +253,12 @@ def pinching_channel(pvm: Povm) -> Channel:
         m = e.T.reshape(-1)
         j += np.outer(m, m.conj())
     return Channel.from_choi(j, d)
+
+
+def transpose_map(d: int) -> LinearMapRep:
+    """The transpose on C^d, whose Choi matrix is the swap: factor-wise,
+    the partial transpose on that factor (its own adjoint)."""
+    return LinearMapRep.from_choi(swap_operator(d).array, d)
 
 
 def measurement_channel(povm: Povm) -> Channel:

@@ -81,7 +81,7 @@ def solve(problem: SdpProblem, optimum: bool = True) -> SdpOutcome:
 def _solve(problem: SdpProblem, optimum: bool) -> SdpOutcome:
     """``solve`` on a program within the size cap."""
     out = report = None
-    if not optimum and [block.kind for block in problem.blocks] == ["identity"]:
+    if not optimum and problem.one_block_is_x:
         res = solve_dykstra(problem)
         residuals = {"psd_violation": res.violation}
         if res.certificate is not None:  # its value is the check's pairing, set below

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import Channel, Povm, _choi_identity, measurement_channel
+from ..channels import Channel, Povm, _choi_identity, measurement_channel, transpose_map
 from ..linalg import HermitianMatrix
 from .problem import IPM_SIDE_CAP, Block, Constraint, SdpProblem, SizeCapError, side_text
 
@@ -21,10 +21,8 @@ def two_marginal_problem(rhs1: np.ndarray, rhs2: np.ndarray, factors: tuple[int,
         Constraint((2,), np.asarray(rhs1, dtype=np.complex128)),
         Constraint((1,), np.asarray(rhs2, dtype=np.complex128)),
     )
-    blocks = [Block("identity")]
-    if ppt:
-        blocks.append(Block("ptranspose", factor=0))
-    return SdpProblem(factors, cons, tuple(blocks), name=name)
+    blocks = (Block(), Block((transpose_map(factors[0]), None, None))) if ppt else (Block(),)
+    return SdpProblem(factors, cons, blocks, name=name)
 
 
 def build_compat(f: Channel, g: Channel, ppt: bool = False) -> SdpProblem:
@@ -58,7 +56,7 @@ def build_jordan_compat(f: Channel, g: Channel) -> SdpProblem:
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")
     d = f.d_in
-    blocks = (Block("map_image", maps=(None, f.rep, g.rep)),)
+    blocks = (Block((None, f.rep, g.rep)),)
     return SdpProblem((d, d, d), jordan_constraints(d), blocks, name="jordan_compat")
 
 
@@ -76,7 +74,7 @@ def build_k_extension(f: Channel, k: int) -> SdpProblem:
     factors = (dx,) + (dy,) * k
     cons = tuple(Constraint(tuple(i for i in range(1, k + 1) if i != a), f.choi.array)
                  for a in range(1, k + 1))
-    return SdpProblem(factors, cons, (Block("identity"),), name="k_extension")
+    return SdpProblem(factors, cons, (Block(),), name="k_extension")
 
 
 def build_povm_compat(m_povm: Povm, n_povm: Povm) -> SdpProblem:

@@ -30,8 +30,9 @@ a real program.  ``certify`` checks a solve's point or reads and checks its
 Farkas certificate, on any program; ``sdp.solve`` runs it on every
 Feasible or Infeasible outcome, of either solver.
 
-Compilation for the interior-point solver takes one of two forms,
-chosen from the block kinds:
+Each PSD block is X's image under one map (or None) per factor
+(``Block``).  Compilation for the interior-point solver takes one of two
+forms, chosen from the blocks:
 
 - standard form, when the one PSD block is X itself (compat, the PPT
   relaxation, state compat, the k-extension and POVM compat).  The
@@ -40,7 +41,7 @@ chosen from the block kinds:
   compat).  Its rows are A_i = sum_p G_ip Tr*(E_p) over the constraint
   rows p, so the Schur matrix is G M(V) G^T with M(V) read off a few
   products of the NT-scaled block V with itself (``_SchurPlan``).
-- null-space form, when a block is a partial transpose or a map image:
+- null-space form, when a block applies a map (a partial transpose too):
   the full PPT program and the Jordan program (which ``decide`` runs
   only when a channel map is singular).  Standard form would need a W
   per block, linked to X by n^2 more rows each (881 for qutrit PPT) or
@@ -51,15 +52,15 @@ chosen from the block kinds:
   NT-scaled constraint blocks.
 
 The field is part of a program's structure.  A program is real
-(``SdpProblem.real``) when every right-hand side and every map of a
-``map_image`` block has imaginary part exactly 0; complex conjugation
-then maps its feasible points to feasible points, so it has a real
-optimum and a real certificate (Gatermann-Parrilo 2004), and it is
-compiled over the real symmetric matrices (``linalg.symmetric_basis``,
-n(n+1)/2 coordinates, float64 throughout).  Either way the Schur system
-is real, and the blocks are an array axis: every block's image has one
-side n, so the objective and the starting point are (blocks, n, n)
-stacks and the constraints one (m, blocks, n, n) array.
+(``SdpProblem.real``) when every right-hand side and every block's map
+has imaginary part exactly 0; complex conjugation then maps its feasible
+points to feasible points, so it has a real optimum and a real
+certificate (Gatermann-Parrilo 2004), and it is compiled over the real
+symmetric matrices (``linalg.symmetric_basis``, n(n+1)/2 coordinates,
+float64 throughout).  Either way the Schur system is real, and the
+blocks are an array axis: every block's image has one side n, so the
+objective and the starting point are (blocks, n, n) stacks and the
+constraints one (m, blocks, n, n) array.
 
 Programs of one structure (``_plan_key``: the factors of X, the factors
 each constraint traces out and the field) differ only in their
@@ -87,7 +88,6 @@ from ..linalg import (
     herm_to_vec,
     hermitian_basis,
     ptrace_array,
-    ptranspose_array,
     symmetric_basis,
     vec_to_herm,
 )
@@ -119,15 +119,11 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Block:
-    """A PSD block: a structured linear image of X.
+    """A PSD block: the image of X under ``maps`` applied factor-wise, one
+    map per factor of X (None leaves a factor alone).  Without maps, or
+    with every map None, the block is X itself; ``channels.transpose_map``
+    on a factor makes it the partial transpose there."""
 
-    kind "identity": X itself.
-    kind "ptranspose": partial transpose on one factor.
-    kind "map_image": maps applied factor-wise (None leaves a factor alone).
-    """
-
-    kind: str = "identity"
-    factor: Optional[int] = None
     maps: Optional[tuple[Optional[LinearMapRep], ...]] = None
 
 
@@ -140,8 +136,8 @@ class SdpProblem:
     """Maximize t over one Hermitian X on the product of ``factors``,
     subject to ``constraints`` and every block minus tI PSD.
 
-    The indices a constraint traces out, a partial transpose's factor and
-    the number of a map image's maps are checked when the problem is built,
+    The indices a constraint traces out, the number of a block's maps and
+    each map's input dimension are checked when the problem is built,
     and so are each right-hand side's shape and its Hermiticity (to
     ``tolerances.HERMITICITY_TOL``, scaled as ``HermitianMatrix`` scales it): a
     bad one raises a ``ValueError`` that names it.  Every block's image must
@@ -173,16 +169,15 @@ class SdpProblem:
                 raise ValueError(f"constraint tracing {con.traced} has a rhs that is not "
                                  f"Hermitian: max |M - M^dag| = {dev:.3e}")
         for b, block in enumerate(self.blocks):
-            if block.kind == "ptranspose" and not (block.factor is not None
-                                                   and 0 <= block.factor < nf):
-                raise ValueError(f"ptranspose factor {block.factor} out of range "
-                                 f"for {nf} factors")
-            n_maps = len(block.maps or ())
-            if block.kind == "map_image" and n_maps != nf:
-                raise ValueError(f"map_image block {b} has {n_maps} maps for {nf} factors")
+            if block.maps is not None and len(block.maps) != nf:
+                raise ValueError(f"block {b} has {len(block.maps)} maps for {nf} factors")
+            for i, (d, rep) in enumerate(zip(self.factors, block.maps or ())):
+                if rep is not None and rep.d_in != d:
+                    raise ValueError(f"block {b} has a map from dim {rep.d_in} "
+                                     f"on factor {i} of dim {d}")
         sides = [math.prod(d if rep is None else rep.d_out
-                           for d, rep in zip(self.factors, block.maps))
-                 if block.kind == "map_image" else self.side for block in self.blocks]
+                           for d, rep in zip(self.factors, block.maps or (None,) * nf))
+                 for block in self.blocks]
         for b, side in enumerate(sides):
             if side != sides[0]:
                 raise ValueError(f"block {b} has image side {side}, block 0 has {sides[0]}")
@@ -191,10 +186,15 @@ class SdpProblem:
     def side(self) -> int:
         return math.prod(self.factors)
 
+    @property
+    def one_block_is_x(self) -> bool:
+        """Whether the one PSD block is X itself: it has no maps, or all None."""
+        return len(self.blocks) == 1 and all(rep is None for rep in self.blocks[0].maps or ())
+
     @functools.cached_property
     def real(self) -> bool:
         """The program's field: real when every right-hand side and every
-        map of a ``map_image`` block has imaginary part exactly 0.
+        block's map has imaginary part exactly 0.
 
         Complex conjugation then maps feasible points to feasible points,
         so Re X of a feasible X is feasible, and the optimum and its
@@ -202,8 +202,7 @@ class SdpProblem:
         compiled and solved over them, in float64.
         """
         arrays = [con.rhs for con in self.constraints] + [
-            rep.choi.array for block in self.blocks if block.kind == "map_image"
-            for rep in block.maps if rep is not None]
+            rep.choi.array for block in self.blocks for rep in block.maps or () if rep is not None]
         return not any(np.iscomplexobj(arr) and arr.imag.any() for arr in arrays)
 
 
@@ -241,13 +240,7 @@ class SdpOutcome:
 def _block_map(problem: SdpProblem, block: Block, arrs: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """A block's image of a matrix or a stack of them or, with ``adjoint``,
     the image's adjoint, from the image's factors to the problem's."""
-    if block.kind == "identity":
-        return arrs
-    if block.kind == "ptranspose":  # its own adjoint
-        return ptranspose_array(arrs, problem.factors, block.factor)
-    if block.kind == "map_image":
-        return apply_to_factors(arrs, problem.factors, block.maps, adjoint)
-    raise ValueError(f"unknown block kind {block.kind!r}")
+    return arrs if block.maps is None else apply_to_factors(arrs, problem.factors, block.maps, adjoint)
 
 
 def block_images(problem: SdpProblem, arrs: np.ndarray) -> np.ndarray:
@@ -298,8 +291,8 @@ def primal_check(problem: SdpProblem, x: np.ndarray, constraint_bound: float,
     lows = np.linalg.eigvalsh(block_images(problem, x)).min(axis=-1)
     fails = [f"constraint tracing {con.traced} is off its rhs by {dev:.3g}, above {constraint_bound:g}"
              for con, dev in zip(problem.constraints, devs) if not dev <= constraint_bound]
-    fails += [f"{block.kind} block {b} has least eigenvalue {low:.3g}, below {-psd_bound:g}"
-              for b, (block, low) in enumerate(zip(problem.blocks, lows)) if not low >= -psd_bound]
+    fails += [f"block {b} has least eigenvalue {low:.3g}, below {-psd_bound:g}"
+              for b, low in enumerate(lows) if not low >= -psd_bound]
     return WitnessReport(not fails, 0.0, float(lows.min()), max(devs, default=0.0),
                          fails[0] if fails else "")
 
@@ -321,7 +314,7 @@ def farkas_check(problem: SdpProblem, ys, zs: Optional[np.ndarray] = None) -> Wi
     compatible ones too: pairing -1.8e-9, least eigenvalue -9e-10."""
     adj = constraints_adjoint(problem, ys)
     if zs is None:
-        if [block.kind for block in problem.blocks] != ["identity"]:
+        if not problem.one_block_is_x:
             raise ValueError("a program with blocks other than X needs one dual per block")
         zs, residual = adj[None], 0.0
     else:
@@ -345,7 +338,7 @@ def certify(problem: SdpProblem, out: SdpOutcome) -> WitnessReport:
     block; when the one block is X, the multipliers of its one dual alone."""
     if out.status == "Feasible":
         return primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL)
-    if [block.kind for block in problem.blocks] == ["identity"]:
+    if problem.one_block_is_x:
         return farkas_check(problem, multipliers(problem, out.dual[0]))
     return farkas_check(problem, multipliers(problem, blocks_adjoint(problem, out.dual)), out.dual)
 
@@ -697,7 +690,7 @@ def compile_ipm(problem: SdpProblem) -> CompiledSdp:
     one PSD block is X itself and in null-space form otherwise: float64
     real symmetric on a real program (``SdpProblem.real``), complex
     Hermitian otherwise."""
-    if [block.kind for block in problem.blocks] == ["identity"]:
+    if problem.one_block_is_x:
         comp = _compile_standard(problem)
         # a one-dimensional constraint space fixes t and leaves standard
         # form no rows; the null-space form keeps t as its row

@@ -64,7 +64,7 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
     """Run one round trip x0 -> PSD clip y -> affine projection x and report
     x, feasible when its PSD violation is at most ``PSD_TOL``, or else with
     the Farkas dual read from y - x, when one refutes."""
-    if [block.kind for block in problem.blocks] != ["identity"]:
+    if not problem.one_block_is_x:
         raise ValueError("the round trip supports one PSD block, the variable itself")
 
     side = problem.side

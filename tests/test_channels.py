@@ -15,6 +15,7 @@ from qcc.channels import (
     apply,
     apply_array,
     apply_adjoint_array,
+    apply_to_factors,
     channel_from_json,
     channel_marginal,
     channel_to_json,
@@ -30,11 +31,13 @@ from qcc.channels import (
     partial_depolarizing_channel,
     pinching_channel,
     tensor,
+    transpose_map,
     unitary_channel,
     validate,
     xi_channel,
 )
-from qcc.linalg import HermitianMatrix, herm_to_vec, hermitian_basis, ptrace_array, vec_to_herm
+from qcc.linalg import (HermitianMatrix, herm_to_vec, hermitian_basis, ptrace_array, ptranspose_array,
+                        vec_to_herm)
 from qcc.rand import (haar_unitary, random_channel, random_density, random_hermitian,
                       random_invertible_channel, random_mp_channel, random_pvm)
 
@@ -221,6 +224,25 @@ class TestApplyValidate:
 
         prod = jordan_channel(identity_channel(2).rep, dephasing_channel(2).rep)
         assert not validate(prod).cp
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("factor", [0, 1], ids=["first", "middle"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_transpose_map_is_the_partial_transpose(self, rng, d, factor, field):
+        # the same entries, and so for its adjoint: the swap's transfer
+        # tensor holds only 0s and 1s, so each entry is one term plus exact
+        # zeros (which can turn a -0.0 entry into 0.0, equal to it)
+        dims = (d, d, 2)
+        n = 2 * d * d
+        stack = rng.normal(size=(4, n, n))
+        if field == "complex":
+            stack = stack + 1j * rng.normal(size=(4, n, n))
+        maps = [None, None, None]
+        maps[factor] = transpose_map(d)
+        want = ptranspose_array(stack, dims, factor)
+        for adjoint in (False, True):
+            got = apply_to_factors(stack, dims, maps, adjoint)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_apply_trace_preserving(self, rng):
         for _ in range(50):

@@ -124,7 +124,7 @@ class TestSolveCompat:
         jid = identity_channel(2).choi.array
         cons = tuple(Constraint(tuple(i for i in range(1, k + 1) if i != a), jid)
                      for a in range(1, k + 1))
-        problem = SdpProblem((2,) * (k + 1), cons, (Block("identity"),))
+        problem = SdpProblem((2,) * (k + 1), cons, (Block(),))
         assert problem.side == TensorShape(problem.factors).dim == 2 ** (k + 1)
         for optimum in (True, False):
             with pytest.raises(sdp.SizeCapError, match=str(2 ** (k + 1))):
@@ -133,7 +133,7 @@ class TestSolveCompat:
     @pytest.mark.parametrize("optimum", [True, False], ids=["interior_point", "projection"])
     def test_solver_cap_names_a_side_str_refuses(self, optimum):
         # a side of 4516 digits, above what str() converts
-        problem = SdpProblem((2,) * 15000, (), (Block("identity"),))
+        problem = SdpProblem((2,) * 15000, (), (Block(),))
         with pytest.raises(sdp.SizeCapError, match="got a 15001-bit number"):
             sdp.solve(problem, optimum=optimum)
 
@@ -226,10 +226,7 @@ class TestConstraintMatrix:
         ((5,), 4, (Block(),), "traced index 5 out of range for 2 factors"),
         ((-1,), 4, (Block(),), "traced index -1 out of range for 2 factors"),
         ((1, 1), 2, (Block(),), r"traced indices \(1, 1\) repeat a factor"),
-        ((1,), 2, (Block(), Block("ptranspose", factor=2)),
-         "ptranspose factor 2 out of range for 2 factors"),
-        ((1,), 2, (Block(), Block("ptranspose")), "ptranspose factor None out of range"),
-    ], ids=["past_end", "negative", "repeated", "ptranspose_past_end", "ptranspose_unset"])
+    ], ids=["past_end", "negative", "repeated"])
     def test_bad_index_rejected_when_built(self, optimum, traced, side, blocks, message):
         # a bad index used to be dropped (projection found the program
         # feasible) or to fail inside numpy; the problem now refuses it
@@ -238,23 +235,31 @@ class TestConstraintMatrix:
             sdp.solve(SdpProblem((2, 2), (con,), blocks), optimum=optimum)
 
     @pytest.mark.parametrize("maps, count", [((None, "f"), 2), ((None, "f", "f", None), 4),
-                                             (None, 0)], ids=["short", "long", "unset"])
+                                             ((), 0)], ids=["short", "long", "unset"])
     def test_map_image_needs_one_map_per_factor(self, maps, count):
         # a short tuple used to leave the last factors alone, and the
-        # program solved to Infeasible
+        # program solved to Infeasible; "unset" is an empty tuple, since a
+        # block without maps (None) is X
         rep = identity_channel(2).rep
-        maps = None if maps is None else tuple(rep if m == "f" else None for m in maps)
+        block = Block(tuple(rep if m == "f" else None for m in maps))
         con = Constraint((1, 2), np.eye(2) / 2)
-        block = Block("map_image", maps=maps)
-        with pytest.raises(ValueError, match=f"map_image block 1 has {count} maps for 3 factors"):
+        with pytest.raises(ValueError, match=f"block 1 has {count} maps for 3 factors"):
             SdpProblem((2, 2, 2), (con,), (Block(), block))
+
+    def test_map_input_dimension_checked_when_built(self):
+        # a map from a dimension other than its factor's used to be built
+        # and to fail only inside the compile
+        narrow = random_channel(np.random.default_rng(9), 3, 2).rep
+        con = Constraint((1, 2), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="block 0 has a map from dim 3 on factor 1 of dim 2"):
+            SdpProblem((2, 2, 2), (con,), (Block((None, narrow, None)),))
 
     def test_blocks_of_different_sides_rejected(self):
         # the solver stacks the blocks on one array axis, so every image
         # has the side of the first
         widen = random_channel(np.random.default_rng(9), 2, 3).rep
         con = Constraint((1, 2), np.eye(2) / 2)
-        block = Block("map_image", maps=(None, widen, None))
+        block = Block((None, widen, None))
         with pytest.raises(ValueError, match="block 1 has image side 12, block 0 has 8"):
             SdpProblem((2, 2, 2), (con,), (Block(), block))
         assert SdpProblem((2, 2, 2), (con,), (block,)).blocks == (block,)
@@ -278,6 +283,17 @@ class TestStandardForm:
         else:
             problem = sdp.build_compat(f, g, ppt=kind == "ppt3")
         assert compile_ipm(problem).m == m
+
+    def test_block_with_every_map_none_is_x(self):
+        # such a block is X itself, so the program compiles to standard
+        # form as the one whose block has no maps
+        f, g = random_invertible_channel(np.random.default_rng(3), 2), identity_channel(2)
+        plain = sdp.build_compat(f, g)
+        none_maps = SdpProblem(plain.factors, plain.constraints, (Block((None, None, None)),))
+        assert none_maps.one_block_is_x
+        comp = compile_ipm(none_maps)
+        assert comp.nullbasis is None and comp.m == compile_ipm(plain).m == 27
+        assert sdp.solve(none_maps).status == sdp.solve(plain).status
 
     def test_trace_only_program_keeps_its_t_row(self):
         con = Constraint((0,), np.eye(1, dtype=np.complex128))
@@ -1182,7 +1198,7 @@ class TestKExtension:
 
     @pytest.mark.parametrize("doctor, note", [
         ("_off_affine", r"constraint tracing \(2, 3, 4\) is off its rhs by"),
-        ("_off_psd", r"identity block 0 has least eigenvalue -"),
+        ("_off_psd", r"block 0 has least eigenvalue -"),
     ], ids=["off_affine", "not_psd"])
     def test_projection_feasible_is_rechecked(self, monkeypatch, doctor, note):
         # a Feasible verdict from projection must survive a check that
@@ -1321,11 +1337,11 @@ class TestSolveCertifies:
         pytest.param(lambda: sdp.build_compat(*_rng7_ppt_pair(9), ppt=True),
                      "Infeasible", _shift_duals, "Farkas certificate fails", id="ppt-stage-b-dual"),
         pytest.param(lambda: sdp.build_compat(*(partial_depolarizing_channel(0.8, 2),) * 2, ppt=True),
-                     "Feasible", _move_point, "(identity|ptranspose) block", id="ppt-stage-b-point"),
+                     "Feasible", _move_point, "block [01] has least eigenvalue", id="ppt-stage-b-point"),
         pytest.param(lambda: sdp.build_jordan_compat(identity_channel(2), identity_channel(2)),
                      "Infeasible", _shift_duals, "Farkas certificate fails", id="jordan-dual"),
         pytest.param(lambda: sdp.build_jordan_compat(dephasing_channel(2), dephasing_channel(2)),
-                     "Feasible", _move_point, "map_image block 0", id="jordan-point"),
+                     "Feasible", _move_point, "block 0 has least eigenvalue", id="jordan-point"),
         pytest.param(lambda: sdp.build_k_extension(identity_channel(2), 3),
                      "Infeasible", _shift_duals, "Farkas certificate fails", id="k3-dual"),
         pytest.param(lambda: sdp.build_k_extension(xi_channel(0.4, 0.4), 3),
@@ -1620,7 +1636,7 @@ class TestHonestInconclusive:
 
     @pytest.mark.parametrize("mode, blocks, note", [
         ("compat", 1, "constraint tracing"),
-        ("ppt_compat", 2, "(identity|ptranspose) block"),
+        ("ppt_compat", 2, "block [01] has least eigenvalue"),
     ], ids=["compat", "ppt_compat"])
     def test_primal_check_fails(self, monkeypatch, mode, blocks, note):
         # the point of the solve of the program with ``blocks`` blocks is
