@@ -151,7 +151,10 @@ def embed_identity_array(
 
     This is the adjoint of the partial trace over the complementary
     factors, with the factor ordering of ``full_dims`` preserved.  Leading
-    axes of ``arr`` are batch axes.
+    axes of ``arr`` are batch axes.  One broadcast product: ``arr`` viewed
+    on the row and column factors of ``full_dims`` (length 1 on the free
+    ones) times the identity of the free factors viewed the same way
+    (length 1 on the occupied ones).
     """
     full_dims = list(full_dims)
     positions = list(positions)
@@ -161,23 +164,29 @@ def embed_identity_array(
         if full_dims[pos] != d:
             raise ValueError("occupied factor dimension mismatch")
     n = len(full_dims)
-    free = [i for i in range(n) if i not in positions]
     batch = arr.shape[:-2]
-    nb = len(batch)
-    tens = arr.reshape(*batch, *occ_dims, *occ_dims)
-    for i in free:
-        eye = np.eye(full_dims[i])
-        tens = np.tensordot(tens, eye, axes=0)
-    # current order: batch, occupied rows, occupied cols, then (row, col) per free factor
-    k = len(positions)
-    row_axes = {p: nb + i for i, p in enumerate(positions)}
-    col_axes = {p: nb + k + i for i, p in enumerate(positions)}
-    for i, f in enumerate(free):
-        row_axes[f] = nb + 2 * k + 2 * i
-        col_axes[f] = nb + 2 * k + 2 * i + 1
-    perm = list(range(nb)) + [row_axes[i] for i in range(n)] + [col_axes[i] for i in range(n)]
+    nb, k = len(batch), len(positions)
+    order = sorted(range(k), key=positions.__getitem__)  # occupied factors in full order
+    shape = [1] * (2 * n)
+    for p, dim in zip(positions, occ_dims):
+        shape[p] = shape[n + p] = dim
+    tens = arr.reshape((*batch, *occ_dims, *occ_dims))
+    tens = tens.transpose(*range(nb), *(nb + i for i in order), *(nb + k + i for i in order))
     d = math.prod(full_dims)
-    return np.ascontiguousarray(tens.transpose(perm)).reshape(*batch, d, d)
+    return (tens.reshape((*batch, *shape)) * _free_identity(tuple(full_dims), tuple(sorted(positions)))
+            ).reshape(*batch, d, d)
+
+
+@lru_cache(maxsize=64)
+def _free_identity(full_dims: tuple, positions: tuple) -> np.ndarray:
+    """The identity of the factors of ``full_dims`` not at ``positions``,
+    on the row and column factors of ``full_dims`` with length 1 at
+    ``positions``; read-only."""
+    free_dims = [d for i, d in enumerate(full_dims) if i not in positions]
+    shape = [1 if i in positions else d for i, d in enumerate(full_dims)]
+    eye = np.eye(math.prod(free_dims)).reshape(shape * 2)
+    eye.setflags(write=False)
+    return eye
 
 
 def hermitian_basis(n: int) -> np.ndarray:

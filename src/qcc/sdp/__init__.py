@@ -16,8 +16,9 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import IPM_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError, certify, compile_ipm, side_text
-from .projection import solve_dykstra
+from .problem import (IPM_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError, _eliminate, certify, compile_ipm,
+                      side_text)
+from .projection import product_point, solve_dykstra
 
 
 def _complex(arr: np.ndarray) -> np.ndarray:
@@ -47,22 +48,27 @@ def solve(problem: SdpProblem, optimum: bool = True) -> SdpOutcome:
     reports Feasible/Infeasible by the sign of the optimum (within
     ``DECISION_TOL``), with the point X and the dual multipliers, or
     Inconclusive with the solver's note when it did not converge.  Without
-    it the solve stops at its first certificate: a program whose one block
-    is X first runs one alternating-projection round trip
+    it the solve stops at its first certificate.  A program whose one
+    block is X first tries its product point (``projection.product_point``,
+    the paper's Jordan product of the right-hand sides), Feasible where it
+    is PSD, and then one alternating-projection round trip
     (``projection.solve_dykstra``), Feasible with its point or Infeasible
-    with the Farkas dual read from the iterates' displacement; where that
-    settles neither, and on every other program, the interior point checks
+    with the Farkas dual read from the iterates' displacement; where these
+    settle neither, and on every other program, the interior point checks
     the candidate of each iterate (``_iterate_candidate``) and stops at
-    the first that passes, or else converges.  An outcome with both X and
-    a dual is a converged solve, and its value is the optimum.  One settled
-    by a single certificate carries only that, and its note names its
-    value: a point's is a lower bound on the optimum (t at an early-stopped
-    iterate, 0 from the round trip), and a refutation's is the check's
-    Farkas pairing, an upper bound.  An outcome whose residuals hold
-    ``psd_violation`` came from the round trip.  Each certificate is
-    checked once; one that fails makes the solve Inconclusive, with the
-    check's note and neither point nor dual.  A program whose variable side
-    exceeds ``IPM_SIDE_CAP`` raises ``SizeCapError``.  Real programs
+    the first that passes, or else converges.  Every candidate is checked
+    once, and one that fails is dropped: the solve goes on to the next.
+    An outcome with both X and a dual is a converged solve, and its value
+    is the optimum; its check failing makes the solve Inconclusive, with
+    the check's note and neither point nor dual.  One settled by a single
+    certificate carries only that, and its note names its value: a
+    point's is a lower bound on the optimum (t at an early-stopped
+    iterate, 0 from the product point, with 0 iterations, or from the
+    round trip), and a refutation's is the check's Farkas pairing, an
+    upper bound.  An outcome whose residuals hold ``psd_violation`` came
+    from the round trip.  Inconsistent right-hand sides raise a
+    ``ValueError`` before any candidate is taken.  A program whose variable
+    side exceeds ``IPM_SIDE_CAP`` raises ``SizeCapError``.  Real programs
     (``SdpProblem.real``) are solved over real symmetric matrices; the
     outcome's matrices are complex128 either way.  A LAPACK routine that
     fails inside the solve (numpy's ``LinAlgError``, in the round trip,
@@ -78,67 +84,91 @@ def solve(problem: SdpProblem, optimum: bool = True) -> SdpOutcome:
         return SdpOutcome("Inconclusive", float("nan"), note=f"LAPACK failure: {exc}")
 
 
-def _solve(problem: SdpProblem, optimum: bool) -> SdpOutcome:
-    """``solve`` on a program within the size cap."""
-    out = report = None
-    if not optimum and problem.one_block_is_x:
-        res = solve_dykstra(problem)
-        residuals = {"psd_violation": res.violation}
-        if res.certificate is not None:  # its value is the check's pairing, set below
-            out = SdpOutcome("Infeasible", float("nan"), dual=_complex(res.certificate[None]),
-                             residuals=residuals, iterations=res.iterations, note="round trip")
-        elif res.feasible:
-            out = SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
-                             iterations=res.iterations, note="round trip")
-    if out is None:  # also where the round trip settles nothing
-        comp = compile_ipm(problem)
-        passed = []  # the iterate candidate that passed its check, with the report
+def _product_candidate(problem: SdpProblem) -> Optional[SdpOutcome]:
+    """The product point as a Feasible outcome, or None where it is not PSD;
+    the right-hand sides' consistency is checked first where it is."""
+    x = product_point(problem)
+    if x is None:
+        return None
+    _eliminate(problem)  # raises on inconsistent right-hand sides
+    return SdpOutcome("Feasible", 0.0, primal=_complex(x), note="product point")
 
-        def certified(iterate) -> bool:
-            cand = _iterate_candidate(comp, iterate)
-            if cand is None:
-                return False
-            check = certify(problem, cand)
-            if check.valid:
-                passed.append((cand, check))
-            return check.valid
 
-        res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.S0, comp.Z0, comp.schur,
-                        None if optimum else certified)
-        alpha = comp.value(res)
-        residuals = {
-            "primal": res.res_primal,
-            "dual": res.res_dual,
-            "gap": res.rel_gap,
-            "dual_objective": comp.dual_objective(res),
-            "removed_redundant_rows": comp.removed_redundant,
-            "dropped_directions": comp.dropped_directions,
-            "chol_fallbacks": res.chol_fallbacks,
-        }
-        if passed:
-            out, report = passed[0]
-            out.residuals, out.iterations, out.note = residuals, res.iterations, res.note
-        elif not res.converged:
-            return SdpOutcome("Inconclusive", alpha, residuals=residuals,
-                              iterations=res.iterations, note=res.note)
-        else:
-            note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
-            status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
-            out = SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
-                             dual=_complex(comp.certificate(res)), residuals=residuals,
-                             iterations=res.iterations, note=note)
+def _round_trip_candidate(problem: SdpProblem) -> Optional[SdpOutcome]:
+    """The round trip's point or refutation, or None where it has neither;
+    a refutation's value is set from its check."""
+    res = solve_dykstra(problem)
+    residuals = {"psd_violation": res.violation}
+    if res.certificate is not None:
+        return SdpOutcome("Infeasible", float("nan"), dual=_complex(res.certificate[None]),
+                          residuals=residuals, iterations=res.iterations, note="round trip")
+    if res.feasible:
+        return SdpOutcome("Feasible", 0.0, primal=_complex(res.x), residuals=residuals,
+                          iterations=res.iterations, note="round trip")
+    return None
 
-    if report is None:
-        report = certify(problem, out)
-    if not report.valid:
-        bounded = out.primal is None or out.dual is None
-        return SdpOutcome("Inconclusive", float("nan") if bounded else out.value,
-                          residuals=out.residuals, iterations=out.iterations, note=report.note)
-    if out.dual is None:
+
+def _settled(out: SdpOutcome, report) -> SdpOutcome:
+    """A single certificate's outcome that passed its check, with its value
+    named: a point's is a lower bound, a refutation's is its pairing."""
+    if out.primal is not None:
         out.note += ": the value is a lower bound on the optimum"
-    elif out.primal is None:  # a refutation's value is its pairing
+    else:
         out.value = report.margin
         out.note += ": the value is a Farkas pairing, an upper bound on the optimum"
+    return out
+
+
+def _solve(problem: SdpProblem, optimum: bool) -> SdpOutcome:
+    """``solve`` on a program within the size cap."""
+    if not optimum and problem.one_block_is_x:
+        for candidate in (_product_candidate, _round_trip_candidate):
+            out = candidate(problem)
+            if out is not None:
+                report = certify(problem, out)
+                if report.valid:
+                    return _settled(out, report)
+
+    comp = compile_ipm(problem)
+    passed = []  # the iterate candidate that passed its check, with the report
+
+    def certified(iterate) -> bool:
+        cand = _iterate_candidate(comp, iterate)
+        if cand is None:
+            return False
+        check = certify(problem, cand)
+        if check.valid:
+            passed.append((cand, check))
+        return check.valid
+
+    res = solve_ipm(comp.C_blocks, comp.A_blocks, comp.b, comp.S0, comp.Z0, comp.schur,
+                    None if optimum else certified)
+    alpha = comp.value(res)
+    residuals = {
+        "primal": res.res_primal,
+        "dual": res.res_dual,
+        "gap": res.rel_gap,
+        "dual_objective": comp.dual_objective(res),
+        "removed_redundant_rows": comp.removed_redundant,
+        "dropped_directions": comp.dropped_directions,
+        "chol_fallbacks": res.chol_fallbacks,
+    }
+    if passed:
+        out, report = passed[0]
+        out.residuals, out.iterations, out.note = residuals, res.iterations, res.note
+        return _settled(out, report)
+    if not res.converged:
+        return SdpOutcome("Inconclusive", alpha, residuals=residuals,
+                          iterations=res.iterations, note=res.note)
+    note = "optimum inside the decision band" if abs(alpha) < DECISION_TOL else ""
+    status = "Feasible" if alpha >= -DECISION_TOL else "Infeasible"
+    out = SdpOutcome(status, alpha, primal=_complex(comp.primal(res)),
+                     dual=_complex(comp.certificate(res)), residuals=residuals,
+                     iterations=res.iterations, note=note)
+    report = certify(problem, out)
+    if not report.valid:
+        return SdpOutcome("Inconclusive", alpha, residuals=residuals,
+                          iterations=res.iterations, note=report.note)
     return out
 
 
@@ -154,6 +184,7 @@ __all__ = [
     "build_state_compat",
     "two_marginal_problem",
     "solve",
+    "product_point",
     "solve_dykstra",
     "solve_ipm",
 ]

@@ -16,8 +16,13 @@ with the reason in ``note``.
 
 A verdict needs one certificate, not the optimum, so each solve stops at
 its first (``sdp.solve(problem, optimum=False)``): ``Decision.value`` is
-then the bound that certificate gives, named in ``outcome.note``.  With
-``optimum=True`` every solve converges and the value is the optimum.
+then the bound that certificate gives, named in ``outcome.note``.  The
+first candidate of a compat solve is its product point, the Choi matrix
+of the pair's standard Jordan product (the paper's Jordan-product
+compatibilizer): Compatible at value 0 where it is CP and passes the
+check.  The PPT relaxation's solve tries its own product point first.
+With ``optimum=True`` every solve converges and the value is the
+optimum.
 
 Jordan mode solves the compat program when both channels are invertible
 as linear maps: the substitution X = (id (x) f (x) g)(A) maps the Jordan
@@ -147,9 +152,10 @@ def decide(f: Channel, g: Channel, mode: str = "compat", optimum: bool = False) 
 
     Verdicts are Compatible, Incompatible or Inconclusive; the first two
     always carry a certificate that was checked after the solve.  Each
-    solve stops at its first certificate, and ``value`` is the bound it
-    gives (see ``sdp.solve``); with ``optimum`` each converges, and
-    ``value`` is the optimum.
+    solve stops at its first certificate, the product point (the pair's
+    standard Jordan product) first where the one block is X, and ``value``
+    is the bound it gives (see ``sdp.solve``); with ``optimum`` each
+    converges, and ``value`` is the optimum.
     """
     if f.d_in != g.d_in:
         raise ValueError(f"input dimensions differ: {f.d_in} vs {g.d_in}")

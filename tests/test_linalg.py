@@ -318,6 +318,27 @@ class TestBasisAndEmbedding:
             rhs = np.tensordot(big.conj(), x, axes=2).real
             assert abs(lhs - rhs) < 1e-12
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("positions", [(0,), (2,), (0, 2), (2, 0), (3, 1), (1, 3, 0), (2, 0, 3, 1)])
+    def test_embed_identity_is_kron_permuted(self, rng, field, positions):
+        # arr (x) I on the factors in ``positions`` order then the free ones,
+        # its factors permuted into place: equal entry for entry
+        dims = (2, 3, 2, 3)
+        free = [i for i in range(4) if i not in positions]
+        occ = [dims[i] for i in positions]
+        side = int(np.prod(occ))
+        stack = rng.normal(size=(3, side, side))
+        if field == "complex":
+            stack = stack + 1j * rng.normal(size=(3, side, side))
+        big = embed_identity_array(stack, occ, dims, positions)
+        order = list(positions) + free
+        inverse = list(np.argsort(order))
+        ref_dims = [dims[i] for i in order]
+        for arr, got in zip(stack, big):
+            ref = np.kron(arr, np.eye(int(np.prod([dims[i] for i in free]))))
+            ref = ref.reshape(ref_dims * 2).transpose(inverse + [4 + i for i in inverse]).reshape(36, 36)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 def test_partial_trace_of_kron_is_scaled_factor(rng):
     for _ in range(50):

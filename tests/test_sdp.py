@@ -21,7 +21,7 @@ from qcc.channels import (
     validate,
     xi_channel,
 )
-from qcc.jordan import a_jp, gen_jordan, jordan_matrix
+from qcc.jordan import a_jp, gen_jordan, jordan_channel, jordan_matrix
 from qcc.linalg import (
     HermitianMatrix,
     TensorShape,
@@ -60,7 +60,7 @@ from qcc.sdp.problem import (
 )
 from qcc.sdp.ipm import solve_ipm
 import qcc.sdp.projection as projection_mod
-from qcc.sdp.projection import ProjectionResult
+from qcc.sdp.projection import ProjectionResult, product_point
 from qcc.tolerances import DECISION_TOL, PSD_TOL, RANK_CUTOFF
 from qcc.witness import no_broadcast_witness, verify_jordan_witness, verify_witness, witness_from_dual
 
@@ -1063,8 +1063,9 @@ class TestKExtension:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_projection_early_stop_on_the_xi_grid(self, k):
         # grid 6: every projection verdict is the converged interior point's,
-        # and where the sweeps settle nothing the interior point stops early,
-        # with its value on the certificate's side of the optimum
+        # and where the product point and the round trip settle nothing the
+        # interior point stops early, with its value on the certificate's
+        # side of the optimum
         stopped = converged = 0
         for p, q in itertools.product(np.linspace(0, 1, 6), repeat=2):
             if p + q > 1 + 1e-12:
@@ -1072,6 +1073,9 @@ class TestKExtension:
             problem = sdp.build_k_extension(xi_channel(p, q), k)
             ipm, proj = sdp.solve(problem), sdp.solve(problem, optimum=False)
             assert proj.status == ipm.status, (p, q)
+            if proj.note.startswith("product point"):
+                assert proj.status == "Feasible" and proj.value <= ipm.value + 1e-9, (p, q)
+                continue
             if "psd_violation" in proj.residuals:
                 continue
             assert proj.note.startswith("stopped at a certified iterate"), (p, q)
@@ -1147,16 +1151,20 @@ class TestKExtension:
         (lambda w: w - 0.1 * np.eye(len(w)), r"Farkas certificate fails: pairing -.*least eigenvalue -0\.1,"),
     ], ids=["pairs_positive", "not_psd"])
     def test_projection_refutation_is_rechecked(self, monkeypatch, doctor, note):
-        # an Infeasible verdict from projection must survive farkas_check
+        # a round-trip refutation must survive farkas_check; one that fails
+        # it is dropped, and the early-stopped interior point refutes
         problem = sdp.build_k_extension(xi_channel(0.1, 0.3), 4)
         res = projection_mod.solve_dykstra(problem)
         assert res.certificate is not None
-        bad = ProjectionResult(False, res.x, res.violation, res.iterations, doctor(res.certificate))
+        w = doctor(res.certificate)
+        report = certify(problem, SdpOutcome("Infeasible", float("nan"), dual=w[None]))
+        assert not report.valid and re.match(note, report.note), report.note
+        bad = ProjectionResult(False, res.x, res.violation, res.iterations, w)
         monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: bad)
         out = sdp.solve(problem, optimum=False)
-        assert out.status == "Inconclusive" and out.dual is None
-        assert out.iterations == res.iterations
-        assert re.match(note, out.note), out.note
+        assert out.status == "Infeasible" and not np.array_equal(out.dual[0], w)
+        assert out.note.startswith("stopped at a certified iterate"), out.note
+        assert certify(problem, out).valid
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_projection_refutations_on_the_xi_grid(self, k):
@@ -1185,7 +1193,7 @@ class TestKExtension:
 
     @staticmethod
     def _off_affine(problem, x):
-        # the identity is PSD, and its marginals are far from J(f)
+        # the identity is PSD, and its marginals are far from the states'
         return np.eye(problem.side, dtype=np.complex128)
 
     @staticmethod
@@ -1197,21 +1205,137 @@ class TestKExtension:
         return x + 10 * kernel / np.abs(kernel).max()
 
     @pytest.mark.parametrize("doctor, note", [
-        ("_off_affine", r"constraint tracing \(2, 3, 4\) is off its rhs by"),
+        ("_off_affine", r"constraint tracing \(2,\) is off its rhs by"),
         ("_off_psd", r"block 0 has least eigenvalue -"),
     ], ids=["off_affine", "not_psd"])
     def test_projection_feasible_is_rechecked(self, monkeypatch, doctor, note):
-        # a Feasible verdict from projection must survive a check that
-        # reads only the problem and X, not the solver's elimination
-        problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 4)
-        x = sdp.solve(problem, optimum=False).primal
-        assert primal_check(problem, x, DECISION_TOL, PSD_TOL).valid
-        bad = getattr(self, doctor)(problem, x)
+        # a round-trip point must survive a check that reads only the
+        # problem and X, not the solver's elimination; one that fails it is
+        # dropped, and the early-stopped interior point finds a point.  The
+        # marginals of a real joint state: their input marginal is not I,
+        # so the product point misses them and the round trip settles it
+        a = np.random.default_rng(2).normal(size=(8, 8))
+        rho = a @ a.T / np.trace(a @ a.T)
+        problem = sdp.build_state_compat(HermitianMatrix(ptrace_array(rho, (2, 2, 2), [2]), (2, 2)),
+                                         HermitianMatrix(ptrace_array(rho, (2, 2, 2), [1]), (2, 2)))
+        assert problem.real
+        first = sdp.solve(problem, optimum=False)
+        assert first.note.startswith("round trip"), first.note
+        bad = getattr(self, doctor)(problem, first.primal)
+        report = primal_check(problem, bad, DECISION_TOL, DECISION_TOL)
+        assert not report.valid and re.match(note, report.note), report.note
         monkeypatch.setattr(sdp, "solve_dykstra", lambda prob: ProjectionResult(True, bad, 0.0, 1))
         out = sdp.solve(problem, optimum=False)
-        assert out.status == "Inconclusive" and out.primal is None
-        assert out.iterations == 1
-        assert re.match(note, out.note), out.note
+        assert out.status == "Feasible" and not np.array_equal(out.primal, bad)
+        assert out.note.startswith("stopped at a certified iterate"), out.note
+        assert primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL).valid
+
+
+class TestProductPoint:
+    """A solve without ``optimum`` of a program whose one block is X first
+    tries the product point: the average over orderings of the product of
+    the embedded right-hand sides, kept only where ``certify`` passes it."""
+
+    @staticmethod
+    def _noisy(rng, d):
+        # half depolarized, so that the pair's Jordan product is CP
+        return mix_channels(random_channel(rng, d), depolarizing_channel(d), 0.5)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_is_the_jordan_product(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            f, g = self._noisy(rng, d), self._noisy(rng, d)
+            x = product_point(sdp.build_compat(f, g))
+            assert x is not None
+            assert np.abs(x - jordan_channel(f.rep, g.rep).choi.array).max() <= 1e-15
+
+    def test_is_the_average_over_orderings(self):
+        # three different channels on copies 1..3 of a k = 3 structure
+        rng = np.random.default_rng(5)
+        chans = [self._noisy(rng, 2) for _ in range(3)]
+        factors = (2, 2, 2, 2)
+        cons = tuple(Constraint(tuple(i for i in (1, 2, 3) if i != a), c.choi.array)
+                     for a, c in zip((1, 2, 3), chans))
+        problem = SdpProblem(factors, cons, (Block(),))
+        embedded = [embed_identity_array(c.choi.array, (2, 2), factors, (0, a))
+                    for a, c in zip((1, 2, 3), chans)]
+        orders = list(itertools.permutations(embedded))
+        avg = sum(functools.reduce(np.matmul, order) for order in orders) / len(orders)
+        x = product_point(problem)
+        assert x is not None and np.abs(x - (avg + avg.conj().T) / 2).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_k_fold_point_meets_every_marginal(self, k):
+        problem = sdp.build_k_extension(xi_channel(0.4, 0.5), k)
+        x = product_point(problem)
+        assert x is not None and x.dtype == np.float64
+        for con in problem.constraints:
+            assert np.abs(ptrace_array(x, problem.factors, con.traced) - con.rhs).max() <= 1e-13
+        out = sdp.solve(problem, optimum=False)
+        assert (out.status, out.value, out.iterations) == ("Feasible", 0.0, 0)
+        assert out.note == "product point: the value is a lower bound on the optimum"
+        assert np.array_equal(out.primal, x) and out.dual is None
+        assert primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL).valid
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_not_psd_is_none(self, k):
+        # xi(0.2, 0.3) has a k = 2 product point, and none from k = 3 on
+        assert product_point(sdp.build_k_extension(xi_channel(0.2, 0.3), 2)) is not None
+        assert product_point(sdp.build_k_extension(xi_channel(0.2, 0.3), k)) is None
+
+    @pytest.mark.parametrize("doctor", [lambda x: np.eye(len(x)), lambda x: x - 0.1 * np.eye(len(x))],
+                             ids=["off_affine", "not_psd"])
+    def test_doctored_product_falls_through(self, monkeypatch, doctor):
+        # a product point that fails its check is dropped, and the solve
+        # goes on to the round trip and the interior point as before
+        problem = sdp.build_k_extension(xi_channel(0.4, 0.5), 4)
+        bad = doctor(product_point(problem))
+        assert not primal_check(problem, bad, DECISION_TOL, DECISION_TOL).valid
+        monkeypatch.setattr(sdp, "product_point", lambda prob: bad)
+        out = sdp.solve(problem, optimum=False)
+        assert out.status == sdp.solve(problem).status == "Feasible"
+        assert not out.note.startswith("product point") and not np.array_equal(out.primal, bad)
+        assert primal_check(problem, out.primal, DECISION_TOL, DECISION_TOL).valid
+
+    def test_state_marginals_are_decided(self):
+        # a joint state's marginals: their input marginal is not I, so the
+        # product point is PSD but misses them, and the solve goes on
+        rho = random_density(np.random.default_rng(6), 8)
+        problem = sdp.build_state_compat(HermitianMatrix(ptrace_array(rho, (2, 2, 2), [2]), (2, 2)),
+                                         HermitianMatrix(ptrace_array(rho, (2, 2, 2), [1]), (2, 2)))
+        x = product_point(problem)
+        assert x is not None
+        assert re.match("constraint tracing", primal_check(problem, x, DECISION_TOL, DECISION_TOL).note)
+        out = sdp.solve(problem, optimum=False)
+        assert out.status == sdp.solve(problem).status == "Feasible"
+        assert not out.note.startswith("product point")
+        assert certify(problem, out).valid
+
+    def test_inconsistent_rhs_raise_before_the_product_is_taken(self):
+        # rhs 2 is off trace preservation by 1e-8: within the point check's
+        # DECISION_TOL, so the product point passes it, but not within the
+        # consistency check's MARGINAL_TOL
+        noisy = partial_depolarizing_channel(0.8, 2)
+        problem = sdp.two_marginal_problem(noisy.choi.array, (1 + 1e-8) * noisy.choi.array, (2, 2, 2))
+        x = product_point(problem)
+        assert x is not None and primal_check(problem, x, DECISION_TOL, DECISION_TOL).valid
+        with pytest.raises(ValueError, match="equality constraints are inconsistent"):
+            sdp.solve(problem, optimum=False)
+
+    def test_many_constraints_take_no_product(self):
+        # the trace map's k = 20 extension has side 2 and 20 constraints,
+        # whose 20 * (2^19 - 1) products the attempt does not take
+        trace_map = Channel.from_choi(np.eye(2), 2)
+        problem = sdp.build_k_extension(trace_map, 20)
+        assert product_point(problem) is None
+        out = sdp.solve(problem, optimum=False)
+        assert out.status == "Feasible" and certify(problem, out).valid
+
+    def test_optimum_solves_take_no_product(self, monkeypatch):
+        monkeypatch.setattr(sdp, "product_point", lambda prob: pytest.fail("product point taken"))
+        out = sdp.solve(sdp.build_k_extension(xi_channel(0.4, 0.5), 3))
+        assert out.status == "Feasible" and out.dual is not None
 
 
 def _adjoint_range_projection(problem, m):
@@ -1461,11 +1585,13 @@ class TestDecide:
 
     def test_ppt_stage_b_runs_no_round_trip(self, monkeypatch):
         # the full PPT program has two blocks, X and its partial transpose,
-        # so its solve goes straight to the early-stopped interior point
+        # so its solve goes straight to the early-stopped interior point;
+        # the relaxation's product point is not PSD here, so it reaches
+        # the round trip
         solved = []
         real = sdp.solve_dykstra
         monkeypatch.setattr(sdp, "solve_dykstra", lambda problem: solved.append(problem.name) or real(problem))
-        noisy = partial_depolarizing_channel(0.8, 2)
+        noisy = partial_depolarizing_channel(0.7, 2)
         dec = decide(noisy, noisy, "ppt_compat")
         assert dec.verdict == "Compatible"
         assert dec.outcome.note.startswith("stopped at a certified iterate")
@@ -1634,14 +1760,16 @@ class TestHonestInconclusive:
 
         monkeypatch.setattr(decide_mod, "solve", doctored)
 
-    @pytest.mark.parametrize("mode, blocks, note", [
-        ("compat", 1, "constraint tracing"),
-        ("ppt_compat", 2, "block [01] has least eigenvalue"),
+    @pytest.mark.parametrize("mode, blocks, note, q", [
+        ("compat", 1, "constraint tracing", 0.4),
+        ("ppt_compat", 2, "block [01] has least eigenvalue", 0.8),
     ], ids=["compat", "ppt_compat"])
-    def test_primal_check_fails(self, monkeypatch, mode, blocks, note):
+    def test_primal_check_fails(self, monkeypatch, mode, blocks, note, q):
         # the point of the solve of the program with ``blocks`` blocks is
-        # moved; the check in sdp.solve refuses it and decide hands on its note
-        noisy = partial_depolarizing_channel(0.8, 2)
+        # moved; the check in sdp.solve refuses it and decide hands on its
+        # note.  The compat program's product point is not PSD at q = 0.4,
+        # so that solve reaches the interior point
+        noisy = partial_depolarizing_channel(q, 2)
         assert decide(noisy, noisy, mode).verdict == "Compatible"
 
         def doctored(C_blocks, *args):
