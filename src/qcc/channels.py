@@ -12,6 +12,7 @@ partial trace of J over the output factors is the identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -255,9 +256,11 @@ def pinching_channel(pvm: Povm) -> Channel:
     return Channel.from_choi(j, d)
 
 
+@functools.lru_cache(maxsize=16)
 def transpose_map(d: int) -> LinearMapRep:
     """The transpose on C^d, whose Choi matrix is the swap: factor-wise,
-    the partial transpose on that factor (its own adjoint)."""
+    the partial transpose on that factor (its own adjoint).  One immutable
+    map per d, shared by every PPT program built on it."""
     return LinearMapRep.from_choi(swap_operator(d).array, d)
 
 

@@ -382,7 +382,8 @@ class CompiledSdp:
 
     Either way the certificate has trace 1 and lies in the range of the
     constraint adjoints, and ``S0`` and ``Z0`` are where the solver starts
-    S and Z, ``S0`` the ``ipm.start_slack`` of ``C_blocks``.  ``schur``
+    S and Z, ``S0`` the ``ipm.start_slack`` of ``C_blocks`` and, in
+    standard form, ``Z0`` that of the particular solution.  ``schur``
     forms the solver's Schur matrix at each NT scaling point.  The blocks are
     an array axis: ``C_blocks``, ``S0`` and ``Z0`` are (blocks, n, n) and
     ``A_blocks`` is (m, blocks, n, n), real symmetric float64 on a real
@@ -714,11 +715,12 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     std = st.standard
     c = st.vh @ x0
 
-    # start W at the particular solution, shifted into the cone by a
-    # multiple of the identity
-    x = vec_to_herm(x0, problem.side, st.real)
-    x_scale = max(1.0, np.abs(x).max())
-    shift = max(0.0, -np.linalg.eigvalsh(x).min()) + 0.1 * x_scale + 1.0
+    # start W at the particular solution shifted into the cone by the
+    # solver's start rule (ipm.start_slack): W0 = x + shift I stays primal
+    # feasible, since the rows are orthogonal to the identity direction,
+    # and t starts at -shift, -START_MARGIN where x is PSD with entries
+    # at most 1
+    z0 = start_slack(vec_to_herm(x0, problem.side, st.real)[None])
 
     return CompiledSdp(
         problem=problem,
@@ -727,7 +729,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
         C_blocks=std.C_blocks,
         A_blocks=std.A_blocks,
         S0=std.S0,
-        Z0=(x + shift * np.eye(x.shape[0]))[None],
+        Z0=z0,
         removed_redundant=st.removed,
         dropped_directions=0,
         t0=float(std.e_hat @ c) / std.e_norm,

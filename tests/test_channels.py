@@ -244,6 +244,15 @@ class TestApplyValidate:
             got = apply_to_factors(stack, dims, maps, adjoint)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_transpose_map_is_built_once_per_dimension(self, rng):
+        # every PPT build shares one read-only map, which still transposes
+        first = transpose_map(3)
+        assert transpose_map(3) is first and transpose_map(2) is not first
+        assert not first.choi.array.flags.writeable
+        stack = rng.normal(size=(3, 12, 12)) + 1j * rng.normal(size=(3, 12, 12))
+        got = apply_to_factors(stack, (3, 2, 2), [first, None, None], False)
+        assert np.array_equal(got, ptranspose_array(stack, (3, 2, 2), 0))
+
     def test_apply_trace_preserving(self, rng):
         for _ in range(50):
             c = random_channel(rng, 2, 3)

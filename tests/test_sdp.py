@@ -774,22 +774,46 @@ class TestCorrectorRhs:
 
 
 class TestStartPoint:
-    """The compile supplies S0, the objective shifted into the cone, which
-    the solver computed from C before each solve."""
+    """The compile supplies S0, the objective shifted into the cone by the
+    solver's one start rule, and in standard form a Z0 that is the same
+    rule on the particular solution: each block M becomes
+    M + (max(0, -lmin(M)) + START_MARGIN max(1, max |M|)) I."""
 
     @staticmethod
-    def _in_solver_start(c):
-        c_scale = max(1.0, np.abs(c).max())
-        wmin = np.linalg.eigvalsh(c).min(axis=-1)
-        return c + (np.maximum(0.0, -wmin) + 0.1 * c_scale + 1.0)[:, None, None] * np.eye(c.shape[-1])
+    def _assert_rule(start, data):
+        # the least eigenvalue of each shifted block is START_MARGIN times
+        # the block's scale past the cone's edge or past the data's own
+        assert start.dtype == data.dtype and start.shape == data.shape
+        for got, m in zip(start, data):
+            want = max(0.0, np.linalg.eigvalsh(m)[0]) + sdp.ipm.START_MARGIN * max(1.0, np.abs(m).max())
+            assert abs(np.linalg.eigvalsh(got)[0] - want) <= 1e-12
+            assert np.allclose(got - m, (got - m)[0, 0] * np.eye(len(m)), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", STANDARD_KINDS + list(NULL_SPACE_KINDS))
     def test_equals_the_in_solver_start(self, kind):
         null_space = kind in NULL_SPACE_KINDS
         comp = compile_ipm(_null_space_program(kind) if null_space else _standard_program(kind))
-        assert np.array_equal(comp.S0, self._in_solver_start(comp.C_blocks))
         assert np.array_equal(comp.S0, start_slack(comp.C_blocks))
-        assert comp.S0.dtype == comp.C_blocks.dtype
+        self._assert_rule(comp.S0, comp.C_blocks)
+        if null_space:
+            nblocks, n = comp.C_blocks.shape[:2]
+            assert np.array_equal(comp.Z0, np.broadcast_to(np.eye(n) / (nblocks * n), comp.Z0.shape))
+            return
+        # Z0 is the particular solution shifted by the rule, and stays
+        # primal feasible: A^*(Z0) = b
+        x = vec_to_herm(comp.x0, comp.problem.side, comp.Z0.dtype.kind == "f")[None]
+        self._assert_rule(comp.Z0, x)
+        assert np.array_equal(comp.Z0, start_slack(x))
+        a_star_z0 = np.einsum("mbij,bij->m", comp.A_blocks.conj(), comp.Z0).real
+        assert np.abs(a_star_z0 - comp.b).max() <= 1e-12
+
+    def test_data_not_in_the_cone_starts_at_the_margin(self):
+        # an indefinite block and a PSD one with entries above 1, side by side
+        data = np.array([[[0.5, 2.0], [2.0, 0.5]], [[3.0, 0.0], [0.0, 1.0]]])
+        start = start_slack(data)
+        self._assert_rule(start, data)
+        margin = sdp.ipm.START_MARGIN
+        assert np.allclose(np.linalg.eigvalsh(start)[:, 0], [2.0 * margin, 1.0 + 3.0 * margin], rtol=0.0, atol=1e-15)
 
     def test_standard_form_start_is_cached_per_structure(self):
         rng = np.random.default_rng(6)
@@ -1138,7 +1162,7 @@ class TestKExtension:
         monkeypatch.setattr(sdp, "solve_ipm", spied)
         out = sdp.solve(problem)
         assert stops == [(None,)]
-        assert out.iterations == 7 and abs(out.value + 5e-3) <= 1e-9
+        assert out.iterations == 6 and abs(out.value + 5e-3) <= 1e-9
         comp = compile_ipm(problem)
         args = (comp.C_blocks, comp.A_blocks, comp.b, comp.S0, comp.Z0, comp.schur)
         plain, never = solve_ipm(*args), solve_ipm(*args, stop=lambda res: False)
@@ -1684,15 +1708,17 @@ class TestIterationCap:
     verdict; the cap is read when the solver runs."""
 
     @pytest.fixture(autouse=True)
-    def cap_at_two(self, monkeypatch, no_round_trip):
-        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 2)
+    def cap_at_one(self, monkeypatch, no_round_trip):
+        # decide()'s solves on the identity pair stop at their first
+        # iterate after the start, so only a cap of one reaches them
+        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 1)
 
     def test_solve_reports_cap(self):
         ident = identity_channel(2)
         out = sdp.solve(sdp.build_compat(ident, ident))
         assert out.status == "Inconclusive"
         assert out.note == "iteration cap exceeded"
-        assert out.iterations == 2
+        assert out.iterations == 1
         assert out.primal is None and out.dual is None
 
     @pytest.mark.parametrize("mode", ["compat", "jordan", "ppt_compat"])
@@ -1714,14 +1740,14 @@ def _assert_inconclusive(dec, note):
 
 class TestUnconvergedIsInconclusive:
     """A solve that misses ipm.TOL is Inconclusive however small its
-    residuals are: after five iterations the gap is 3.5e-8 and 6.8e-8 on
+    residuals are: after four iterations the gap is 6.9e-9 and 7.3e-9 on
     these pairs, inside DECISION_TOL, and that is still no verdict.
-    decide()'s solves would stop at the second iterate, whose certificate
+    decide()'s solves would stop at the first iterate, whose certificate
     passes, so every single certificate's check is refused here."""
 
     @pytest.fixture(autouse=True)
-    def cap_at_five(self, monkeypatch, no_round_trip):
-        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 5)
+    def cap_at_four(self, monkeypatch, no_round_trip):
+        monkeypatch.setattr(sdp.ipm, "MAX_ITER", 4)
         real = sdp.certify
 
         def refusing(problem, out):
@@ -1823,7 +1849,7 @@ class TestHonestInconclusive:
         assert dec.outcome.status == "Infeasible"
         _assert_inconclusive(dec, "transposed-marginal relaxation is feasible but the full PPT "
                                   "program is refuted by a checked Farkas certificate with "
-                                  "pairing -7.181e-03, which has no witness")
+                                  "pairing -1.624e-03, which has no witness")
 
     def test_inconclusive_ppt_program_keeps_its_note(self, monkeypatch):
         self._doctor(monkeypatch, "ppt_compat", lambda out: SdpOutcome(

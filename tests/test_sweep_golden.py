@@ -27,6 +27,7 @@ SWEEPS = {
     "xi_self_k_k2.csv": ["xi_self_k", "--k", "2"],
     "xi_self_k_k3.csv": ["xi_self_k", "--k", "3"],
     "xi_self_k_k4.csv": ["xi_self_k", "--k", "4"],
+    "xi_self_k_k5.csv": ["xi_self_k", "--k", "5"],
     "xi_jordan_vs_self.csv": ["xi_jordan_vs_self"],
     "depol_pair.csv": ["depol_pair"],
 }
