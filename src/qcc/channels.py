@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linalg import (HermitianMatrix, TensorShape, hermitian_basis, ptrace_array, ptranspose_array,
-                     swap_operator)
+                     require_hermitian, swap_operator)
 from .tolerances import CHANNEL_TOL, DOMAIN_SLACK, INVERT_MAX_COND, MARGINAL_TOL, OPERATOR_TOL
 
 
@@ -66,7 +66,8 @@ class LinearMapRep:
         return (self.d_in,) + self.output_factors
 
     def transfer_tensor(self) -> np.ndarray:
-        """T[x, x', a, b] = Phi(E_xx')[a, b]; the action in tensor form."""
+        """T[x, x', a, b] = Phi(E_xx')[a, b]; the action in tensor form,
+        which ``apply_to_factors`` alone contracts."""
         d, o = self.d_in, self.d_out
         return self.choi.array.reshape(d, o, d, o).transpose(0, 2, 1, 3)
 
@@ -116,7 +117,8 @@ class Povm:
         for e in effects:
             if e.shape != (d, d):
                 raise ValueError("POVM effects must share one space")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -OPERATOR_TOL:
+            require_hermitian(e, "POVM effect")
+            if np.linalg.eigvalsh(e).min() < -OPERATOR_TOL:
                 raise ValueError("POVM effect is not PSD")
             total += e
         if np.abs(total - np.eye(d)).max() > OPERATOR_TOL:
@@ -148,10 +150,12 @@ class MeasurePrepare:
 
 
 def require_density(rho: np.ndarray, what: str, tol: float = OPERATOR_TOL) -> None:
-    """Refuse a matrix whose trace is off 1 or whose least eigenvalue is below -``tol``."""
+    """Refuse a matrix that is not Hermitian (``linalg.require_hermitian``),
+    whose trace is off 1 or whose least eigenvalue is below -``tol``."""
+    require_hermitian(rho, what)
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"{what} must have unit trace")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -tol:
         raise ValueError(f"{what} must be PSD")
 
 
@@ -295,7 +299,7 @@ def apply_array(rep: LinearMapRep, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (rep.d_in, rep.d_in):
         raise ValueError(f"input must be {rep.d_in} x {rep.d_in}, got {x.shape}")
-    return np.einsum("xy,xyab->ab", x, rep.transfer_tensor())
+    return apply_to_factors(x, (rep.d_in,), (rep,))
 
 
 def apply(rep: LinearMapRep, x: HermitianMatrix) -> HermitianMatrix:
@@ -309,7 +313,7 @@ def apply_adjoint_array(rep: LinearMapRep, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (rep.d_out, rep.d_out):
         raise ValueError(f"input must be {rep.d_out} x {rep.d_out}, got {y.shape}")
-    return np.einsum("ab,xyab->xy", y, rep.transfer_tensor().conj())
+    return apply_to_factors(y, (rep.d_in,), (rep,), adjoint=True)
 
 
 def apply_to_factors(arr: np.ndarray, dims: Sequence[int], maps: Sequence[Optional[LinearMapRep]],
@@ -372,14 +376,11 @@ def validate(rep: LinearMapRep) -> ValidationReport:
 
 
 def compose(g: LinearMapRep, f: LinearMapRep) -> LinearMapRep:
-    """The map g after f."""
+    """The map g after f: J(g f) = (id (x) g)(J(f))."""
     if g.d_in != f.d_out:
         raise ValueError(f"inner dimensions differ: {g.d_in} vs {f.d_out}")
-    jf = f.choi.array.reshape(f.d_in, f.d_out, f.d_in, f.d_out)
-    tg = g.transfer_tensor()
-    out = np.einsum("xayb,abcd->xcyd", jf, tg)
-    side = f.d_in * g.d_out
-    return LinearMapRep.from_choi(out.reshape(side, side), f.d_in, g.output_factors)
+    out = apply_to_factors(f.choi.array, (f.d_in, f.d_out), (None, g))
+    return LinearMapRep.from_choi(out, f.d_in, g.output_factors)
 
 
 def tensor(f: LinearMapRep, g: LinearMapRep) -> LinearMapRep:
@@ -430,7 +431,7 @@ def invert_map(rep: LinearMapRep) -> LinearMapRep:
         raise SingularMapError("map between spaces of different dimension", 0.0)
     d = rep.d_in
     basis = hermitian_basis(d)
-    images = np.einsum("nxy,xyab->nab", basis, rep.transfer_tensor())
+    images = apply_to_factors(basis, (d,), (rep,))
     k = np.einsum("mba,nab->mn", basis, images).real
     svals = np.linalg.svd(k, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > INVERT_MAX_COND:

@@ -64,11 +64,23 @@ def _as_shape(shape, side: int) -> TensorShape:
     return out
 
 
+def require_hermitian(arr: np.ndarray, what: str) -> None:
+    """Refuse a square matrix M unless max |M - M^dag| is at most
+    ``HERMITICITY_TOL`` max(1, max |M|): the one rule by which a matrix is
+    taken as Hermitian.  The ``ValueError`` reads "``what`` is not
+    Hermitian" and gives the deviation."""
+    if not arr.size:
+        return
+    dev = np.abs(arr - arr.conj().T).max()
+    if dev > HERMITICITY_TOL * max(1.0, np.abs(arr).max()):
+        raise ValueError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e}")
+
+
 class HermitianMatrix:
     """A dense complex Hermitian matrix with a tensor-factor shape.
 
-    Construction symmetrizes (M + M†)/2 when the deviation is within
-    ``HERMITICITY_TOL`` (max-norm) and rejects the input otherwise.
+    Construction symmetrizes (M + M†)/2 when ``require_hermitian`` accepts
+    the input and rejects it otherwise.
     """
 
     __slots__ = ("array", "shape")
@@ -77,10 +89,7 @@ class HermitianMatrix:
         arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        dev = np.abs(arr - arr.conj().T).max() if arr.size else 0.0
-        scale = max(1.0, np.abs(arr).max()) if arr.size else 1.0
-        if dev > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}")
+        require_hermitian(arr, "matrix")
         arr = (arr + arr.conj().T) / 2
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)

@@ -16,8 +16,7 @@ from .builders import (
     two_marginal_problem,
 )
 from .ipm import solve_ipm
-from .problem import (IPM_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError, _eliminate, certify, compile_ipm,
-                      side_text)
+from .problem import IPM_SIDE_CAP, SdpOutcome, SdpProblem, SizeCapError, certify, compile_ipm, side_text
 from .projection import product_point, solve_dykstra
 
 
@@ -66,8 +65,11 @@ def solve(problem: SdpProblem, optimum: bool = True) -> SdpOutcome:
     iterate, 0 from the product point, with 0 iterations, or from the
     round trip), and a refutation's is the check's Farkas pairing, an
     upper bound.  An outcome whose residuals hold ``psd_violation`` came
-    from the round trip.  Inconsistent right-hand sides raise a
-    ``ValueError`` before any candidate is taken.  A program whose variable
+    from the round trip.  The program's elimination
+    (``SdpProblem.elimination``) is read first and computed once for the
+    round trip, the compile and any later point read-out; inconsistent
+    right-hand sides raise a ``ValueError`` there, before any candidate
+    is taken.  A program whose variable
     side exceeds ``IPM_SIDE_CAP`` raises ``SizeCapError``.  Real programs
     (``SdpProblem.real``) are solved over real symmetric matrices; the
     outcome's matrices are complex128 either way.  A LAPACK routine that
@@ -85,13 +87,9 @@ def solve(problem: SdpProblem, optimum: bool = True) -> SdpOutcome:
 
 
 def _product_candidate(problem: SdpProblem) -> Optional[SdpOutcome]:
-    """The product point as a Feasible outcome, or None where it is not PSD;
-    the right-hand sides' consistency is checked first where it is."""
+    """The product point as a Feasible outcome, or None where it is not PSD."""
     x = product_point(problem)
-    if x is None:
-        return None
-    _eliminate(problem)  # raises on inconsistent right-hand sides
-    return SdpOutcome("Feasible", 0.0, primal=_complex(x), note="product point")
+    return None if x is None else SdpOutcome("Feasible", 0.0, primal=_complex(x), note="product point")
 
 
 def _round_trip_candidate(problem: SdpProblem) -> Optional[SdpOutcome]:
@@ -121,6 +119,7 @@ def _settled(out: SdpOutcome, report) -> SdpOutcome:
 
 def _solve(problem: SdpProblem, optimum: bool) -> SdpOutcome:
     """``solve`` on a program within the size cap."""
+    problem.elimination  # inconsistent right-hand sides raise before any candidate
     if not optimum and problem.one_block_is_x:
         for candidate in (_product_candidate, _round_trip_candidate):
             out = candidate(problem)

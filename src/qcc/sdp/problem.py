@@ -16,7 +16,9 @@ of a partial-trace constraint are the identity embeddings of the
 constraint space's Hermitian basis, so no variable basis is ever traced.
 The elimination (``_eliminate``) yields a particular solution x0 and
 orthonormal constraint rows vh = coords K from an eigendecomposition of
-the Gram matrix K K^T.  Every solver form and both read-outs use it:
+the Gram matrix K K^T, and checks that the right-hand sides are
+consistent.  A program computes it once, in its own field, as
+``SdpProblem.elimination``; every solver form and both read-outs use it:
 
 - ``multipliers`` reads a Farkas certificate out of any program: one
   Y_c per constraint, whose adjoint sum is the projection of a solve's
@@ -67,10 +69,11 @@ each constraint traces out and the field) differ only in their
 right-hand sides and blocks.  One cache of 64 structures
 (``_structure_of``) holds, read-only, what the structure fixes: K,
 ``coords`` and ``vh`` and, for standard form, e, Q, G, the constraint
-and objective blocks and the Schur plan.  Each compile computes only its
-own x0, b and consistency residual K x0 - b (in standard form also c,
-t0 and Z0; the null-space form also its free directions and block
-images).  A cached compile is bit-identical to an uncached one.
+and objective blocks and the Schur plan.  A program's elimination adds
+only its own x0 and consistency residual K x0 - b, and its compile only
+b (in standard form also c, t0 and Z0; the null-space form also its
+free directions and block images).  A cached compile is bit-identical
+to an uncached one.
 """
 
 from __future__ import annotations
@@ -88,11 +91,11 @@ from ..linalg import (
     herm_to_vec,
     hermitian_basis,
     ptrace_array,
+    require_hermitian,
     symmetric_basis,
     vec_to_herm,
 )
-from ..tolerances import (DECISION_TOL, FARKAS_RESIDUAL_TOL, HERMITICITY_TOL, MARGINAL_TOL,
-                          PAIRING_TOL, PSD_TOL, RANK_CUTOFF)
+from ..tolerances import DECISION_TOL, FARKAS_RESIDUAL_TOL, MARGINAL_TOL, PAIRING_TOL, PSD_TOL, RANK_CUTOFF
 from .ipm import _as_real, _ct, start_slack
 
 # the cap on the side of the variable, checked before a program is solved
@@ -138,8 +141,8 @@ class SdpProblem:
 
     The indices a constraint traces out, the number of a block's maps and
     each map's input dimension are checked when the problem is built,
-    and so are each right-hand side's shape and its Hermiticity (to
-    ``tolerances.HERMITICITY_TOL``, scaled as ``HermitianMatrix`` scales it): a
+    and so are each right-hand side's shape and its Hermiticity (by
+    ``linalg.require_hermitian``, the rule ``HermitianMatrix`` applies): a
     bad one raises a ``ValueError`` that names it.  Every block's image must
     have the same side, so the blocks stack on one array axis; blocks that
     differ raise a ``ValueError`` that names them.
@@ -164,10 +167,7 @@ class SdpProblem:
                                  f"rhs has shape {con.rhs.shape}")
             # the coordinates read only the upper triangle, so a rhs that is
             # not Hermitian would be solved as a different one
-            dev = np.abs(con.rhs - con.rhs.conj().T).max()
-            if dev > HERMITICITY_TOL * max(1.0, np.abs(con.rhs).max()):
-                raise ValueError(f"constraint tracing {con.traced} has a rhs that is not "
-                                 f"Hermitian: max |M - M^dag| = {dev:.3e}")
+            require_hermitian(con.rhs, f"constraint tracing {con.traced} has a rhs that")
         for b, block in enumerate(self.blocks):
             if block.maps is not None and len(block.maps) != nf:
                 raise ValueError(f"block {b} has {len(block.maps)} maps for {nf} factors")
@@ -204,6 +204,14 @@ class SdpProblem:
         arrays = [con.rhs for con in self.constraints] + [
             rep.choi.array for block in self.blocks for rep in block.maps or () if rep is not None]
         return not any(np.iscomplexobj(arr) and arr.imag.any() for arr in arrays)
+
+    @functools.cached_property
+    def elimination(self) -> tuple["_Structure", np.ndarray]:
+        """The program's elimination in its own field (``_eliminate``): its
+        cached structure and its least-norm point x0.  Computed once and
+        read by the compile, the round trip and the point read-out;
+        inconsistent right-hand sides raise on every read."""
+        return _eliminate(self)
 
 
 def _in_field(arr: np.ndarray, real: bool) -> np.ndarray:
@@ -356,8 +364,10 @@ def multipliers(problem: SdpProblem, m: np.ndarray) -> list[np.ndarray]:
 
 def project_point(problem: SdpProblem, x: np.ndarray) -> np.ndarray:
     """The projection of X onto the constraints' affine set (in ``_plan_key``'s
-    field), X - mat(vh^T (vh vec(X) - vh x0))."""
-    st, x0 = _eliminate(problem, x)
+    field), X - mat(vh^T (vh vec(X) - vh x0)).  In the program's own field
+    it reads ``SdpProblem.elimination``; X with an imaginary part on a real
+    program is projected over the complex field, eliminated afresh."""
+    st, x0 = problem.elimination if _plan_key(problem, x)[2] == problem.real else _eliminate(problem, x)
     v = herm_to_vec(_in_field(x, st.real), st.real)
     return vec_to_herm(v - st.vh.T @ (st.vh @ (v - x0)), problem.side, st.real)
 
@@ -674,7 +684,9 @@ def _structure_of(key: tuple) -> _Structure:
 def _eliminate(problem: SdpProblem, read: Optional[np.ndarray] = None) -> tuple[_Structure, np.ndarray]:
     """Solve the equality constraints: the problem's cached structure (in
     ``_plan_key``'s field) and its minimum-norm particular solution
-    x0 = vh^T (coords @ b).  Inconsistent right-hand sides raise."""
+    x0 = vh^T (coords @ b).  Inconsistent right-hand sides raise.  Read a
+    program's own field through ``SdpProblem.elimination``, which computes
+    this once."""
     st = _structure_of(_plan_key(problem, read))
     bvec = np.concatenate([herm_to_vec(_in_field(con.rhs, st.real), st.real)
                            for con in problem.constraints])
@@ -711,7 +723,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
     rest, the objective block and with it S0 too, comes from the
     structure cache.
     """
-    st, x0 = _eliminate(problem)
+    st, x0 = problem.elimination
     std = st.standard
     c = st.vh @ x0
 
@@ -740,7 +752,7 @@ def _compile_standard(problem: SdpProblem) -> CompiledSdp:
 
 def _compile_null_space(problem: SdpProblem) -> CompiledSdp:
     """y = (free coordinates, t), the PSD blocks affine in them."""
-    st, x0 = _eliminate(problem)
+    st, x0 = problem.elimination
     # the free directions complete the orthonormal constraint rows
     nullb = np.linalg.qr(st.vh.T, mode="complete")[0][:, st.rank :]  # (P, m0) orthonormal
     m0 = nullb.shape[1]

@@ -18,13 +18,13 @@ in the program's field: real symmetric float64 when the program's data
 is real (``SdpProblem.real``), complex Hermitian otherwise.  The one
 block must be the variable itself: ``sdp.solve`` without ``optimum``
 sends the k-extension, compat and two-marginal programs here, not the
-full PPT or the Jordan program.  The affine step reads y's coordinates
-(``linalg.herm_to_vec``), applies the orthonormal constraint-row basis
-from the elimination the interior-point compile also uses
-(``problem._eliminate``, from an eigendecomposition of the constraint
-Gram matrix K K^T, cached per problem structure) as two matvecs, and
-subtracts the correction as a matrix (``vec_to_herm``).  One ``eigh``
-makes most of its cost.
+full PPT or the Jordan program.  Both steps read the program's one
+elimination (``SdpProblem.elimination``), which the interior-point
+compile reads too: x0 is its least-norm point, and the affine step is
+``problem.project_point`` of y, two matvecs with its orthonormal
+constraint rows (from an eigendecomposition of the constraint Gram
+matrix K K^T, cached per problem structure).  One ``eigh`` makes most
+of its cost.
 
 x is a point when its least eigenvalue is at least ``-PSD_TOL``.
 Otherwise W = y - x is the clip's displacement from the affine set: it
@@ -60,9 +60,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..linalg import embed_identity_array, herm_to_vec, vec_to_herm
+from ..linalg import embed_identity_array, vec_to_herm
 from ..tolerances import DECISION_TOL, PSD_TOL
-from .problem import SdpProblem, _eliminate, _in_field
+from .problem import SdpProblem, _in_field, project_point
 
 
 @dataclass
@@ -82,17 +82,14 @@ def solve_dykstra(problem: SdpProblem) -> ProjectionResult:
         raise ValueError("the round trip supports one PSD block, the variable itself")
 
     side = problem.side
-    st, x0 = _eliminate(problem)
-    real = st.real
-    rows = st.vh  # orthonormal row-space basis, (r, P), shared by the structure
-    c_rows = rows @ x0
+    st, x0 = problem.elimination
 
     def violation_of(x):
         return max(0.0, -float(np.linalg.eigvalsh(x).min()))
 
-    w, v = np.linalg.eigh(vec_to_herm(x0, side, real))
+    w, v = np.linalg.eigh(vec_to_herm(x0, side, st.real))
     y = (v * np.maximum(w, 0.0)) @ v.conj().T
-    x = y - vec_to_herm(rows.T @ (rows @ herm_to_vec(y, real) - c_rows), side, real)
+    x = project_point(problem, y)
     viol = violation_of(x)
     if viol <= PSD_TOL:
         return ProjectionResult(True, x, viol, 1)

@@ -92,10 +92,12 @@ DOMAIN_SLACK = 1e-12
 
 # --- numerics ----------------------------------------------------------------
 
-# Hermiticity, relative to max(1, max |M|), of every linalg.HermitianMatrix
-# (within it the matrix is symmetrized, beyond it refused) and of every
-# constraint right-hand side (sdp.problem.SdpProblem), whose coordinates
-# read only the upper triangle.
+# Hermiticity, relative to max(1, max |M|), by the one rule
+# linalg.require_hermitian: of every linalg.HermitianMatrix (within it the
+# matrix is symmetrized, beyond it refused), of every constraint
+# right-hand side (sdp.problem.SdpProblem), whose coordinates read only
+# the upper triangle, and of POVM effects, preparations and density
+# matrices (channels.Povm, channels.require_density).
 HERMITICITY_TOL = 1e-12
 
 # Relative cut of every rank decision.  Eigenvalues: support projectors

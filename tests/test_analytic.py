@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from qcc.channels import (
     xi_channel,
 )
 from qcc.jordan import jordan_channel
+from qcc.linalg import HermitianMatrix, TensorShape
 from qcc.rand import random_channel
 from qcc.sdp.decide import decide
 
@@ -189,3 +192,23 @@ class TestRegionNesting:
                 assert (dec.verdict == "Compatible") == expected, (p, q)
                 checked += 1
         assert checked > 150
+
+
+def _bell_mixture(weights) -> HermitianMatrix:
+    """sum_i w_i |B_i><B_i| over the Bell basis of C^2 (x) C^2, a qubit
+    Choi matrix that is trace preserving when the weights sum to 2."""
+    s = 1 / np.sqrt(2)
+    bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]])
+    return HermitianMatrix((bell.T * np.asarray(weights)) @ bell, TensorShape((2, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qubit_self_compatible(HermitianMatrix(np.eye(9) / 3, TensorShape((3, 3)))),
+     "expected a qubit-channel Choi matrix with factors (2, 2)"),
+    # least eigenvalue -1e-9 passes the channel check; det = 0.288 * -1e-9
+    (lambda: qubit_self_compatible(_bell_mixture([0.8, 0.6, 0.6, -1e-9])),
+     "determinant -2.880e-10 below the clamping window"),
+], ids=["factors", "determinant"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

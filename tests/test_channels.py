@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -430,3 +431,73 @@ class TestChannelJson:
         data["choi"][0][1] = [0.5, 0.0]
         with pytest.raises(ValueError, match="Hermitian"):
             channel_from_json(data)
+
+
+def _two_factor_constant(d: int = 2) -> Channel:
+    """X -> Tr(X) I/4 on C^2 (x) C^2, a channel with a two-factor output."""
+    return Channel.from_choi(np.kron(np.eye(d), np.eye(4) / 4), d, (2, 2))
+
+
+# Not listed: measure_prepare_decomposition's "Choi matrix is entangled" and
+# "non-product term" refusals and _takagi's incomplete basis are defensive.
+# Every input that passes the eb_2x2 test (PSD and PPT, hence separable at
+# 2 (x) 2) has a closable spin-flip polygon and product terms, and the
+# kernel fill always completes the basis of a symmetric matrix.
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: LinearMapRep.from_choi(np.eye(5), 2), ValueError, "Choi side 5 not divisible by d_in=2"),
+    (lambda: LinearMapRep.from_choi(np.eye(4), 2, (3,)), ValueError,
+     "output factors (3,) do not multiply to 2"),
+    (lambda: Povm(()), ValueError, "POVM needs at least one effect"),
+    (lambda: Povm((np.eye(2), np.eye(3))), ValueError, "POVM effects must share one space"),
+    (lambda: Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0]))), ValueError, "POVM effect is not PSD"),
+    (lambda: Povm((np.eye(2) / 2,)), ValueError, "POVM effects do not sum to the identity"),
+    (lambda: MeasurePrepare(Povm((np.eye(2),)), ()), ValueError, "need one preparation per POVM effect"),
+    (lambda: channels.require_density(np.diag([1.5, -0.5]), "state"), ValueError, "state must be PSD"),
+    (lambda: channels.check_projectors([E00, E00]), ValueError, "projections are not pairwise orthogonal"),
+    (lambda: partial_depolarizing_channel(1.5), ValueError, "q must be in [0, 1], got 1.5"),
+    (lambda: apply_array(identity_channel(2).rep, np.eye(3)), ValueError, "input must be 2 x 2, got (3, 3)"),
+    (lambda: apply_adjoint_array(constant_channel(np.eye(3) / 3, 2).rep, np.eye(2)), ValueError,
+     "input must be 3 x 3, got (2, 2)"),
+    (lambda: apply_to_factors(np.eye(6), (3, 2), (identity_channel(2).rep, None)), ValueError,
+     "factor 0 has dim 3, map expects 2"),
+    (lambda: compose(identity_channel(3).rep, identity_channel(2).rep), ValueError,
+     "inner dimensions differ: 3 vs 2"),
+    (lambda: channel_marginal(identity_channel(2), 1), ValueError,
+     "channel must declare a two-factor output space"),
+    (lambda: channel_marginal(_two_factor_constant(), 3), ValueError, "keep must be 1 or 2"),
+    (lambda: channels.mix(identity_channel(2).rep, identity_channel(3).rep, 0.5), ValueError,
+     "maps must share input and output spaces"),
+    (lambda: invert_map(constant_channel(np.eye(3) / 3, 2).rep), SingularMapError,
+     "map between spaces of different dimension (smallest singular value 0.000e+00)"),
+    (lambda: measure_prepare_decomposition(identity_channel(3).rep), ValueError,
+     "decomposition implemented for qubit-to-qubit maps only"),
+    (lambda: channel_from_json({"d_in": 1, "d_out": 2, "choi": [[[1, 0], [0, 0]]]}), ValueError,
+     "matrix payload must be square"),
+    (lambda: channel_from_json({"d_in": 2, "d_out": 2, "choi": _matrix_to_json(np.eye(2))}), ValueError,
+     "Choi side does not match d_in * d_out"),
+], ids=["choi_side", "output_factors", "povm_empty", "povm_spaces", "povm_psd", "povm_sum",
+        "preparations", "density_psd", "projectors_orthogonal", "depolarizing_q", "apply_shape",
+        "adjoint_shape", "factor_dim", "compose_dims", "marginal_factors", "marginal_keep", "mix_spaces",
+        "invert_rectangular", "decomposition_dims", "json_square", "json_choi_side"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
+
+
+# a deviation of 2e-12 against the one rule's bound of 1e-12 max(1, max |M|)
+_SKEW = np.array([[0.0, 2e-12], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda skew: Povm((np.eye(2) / 2 + skew, np.eye(2) / 2 - skew)), "POVM effect is not Hermitian"),
+    (lambda skew: MeasurePrepare(Povm((np.eye(2),)), (np.eye(2) / 2 + skew,)),
+     "preparation state is not Hermitian"),
+    (lambda skew: constant_channel(np.eye(2) / 2 + skew, 2), "output is not Hermitian"),
+    (lambda skew: HermitianMatrix(np.eye(2) / 2 + skew), "matrix is not Hermitian"),
+], ids=["povm", "preparation", "density", "hermitian_matrix"])
+def test_one_hermiticity_rule(call, message):
+    # these used to symmetrize before their PSD test and accept any skew
+    with pytest.raises(ValueError, match=re.escape(message + ": max |M - M^dag| = 2.000e-12")):
+        call(_SKEW)
+    call(_SKEW / 4)  # within the bound, as HermitianMatrix allows
+

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from qcc.jordan import (
     gen_jordan_from_compatibilizer,
     jordan_channel,
     jordan_matrix,
+    verify_gen_jordan_operator,
 )
 from qcc.channels import SingularMapError
 from qcc.linalg import HermitianMatrix, TensorShape, ptrace_array
@@ -343,3 +346,29 @@ class TestPvmEquivalence:
             assert prod_cp == compat == invariant
             hits[prod_cp] += 1
         assert hits[True] >= 10 and hits[False] >= 10
+
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GenJordanOperator(HermitianMatrix(np.eye(8), TensorShape((2, 4)))),
+     "expected shape [d, d, d], got (2, 4)"),
+    (lambda: verify_gen_jordan_operator(a_jp(2).matrix, identity_channel(2), identity_channel(3)),
+     "operator shape (2, 2, 2) does not match inputs (2, 3)"),
+    (lambda: jordan_matrix(np.eye(2), np.eye(3)), "operands must have the same side"),
+    (lambda: a_jp(0), "dimension must be >= 1"),
+    (lambda: gen_jordan(identity_channel(3).rep, identity_channel(3).rep, a_jp(2)),
+     "map input dimensions must match the operator"),
+    (lambda: jordan_channel(identity_channel(2).rep, identity_channel(3).rep),
+     "maps must share the input space"),
+    (lambda: gen_jordan_from_compatibilizer(identity_channel(2), identity_channel(2), identity_channel(2)),
+     "dimension mismatch between channels and compatibilizer"),
+    # the constant channel I/4 on two qubits has marginals I/2, not the identity
+    (lambda: gen_jordan_from_compatibilizer(
+        identity_channel(2), identity_channel(2),
+        Channel.from_choi(np.kron(np.eye(2), np.eye(4) / 4), 2, (2, 2))),
+     "channel is not a compatibilizer of the pair (deviation 1.000e+00)"),
+], ids=["operator_shape", "verify_shape", "operand_sides", "a_jp_dim", "map_dims", "input_spaces",
+        "compatibilizer_dims", "not_a_compatibilizer"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -347,3 +348,23 @@ def test_partial_trace_of_kron_is_scaled_factor(rng):
         prod = kron(herm(a), herm(b))
         out = partial_trace(prod, {1}).array
         assert np.abs(out - np.trace(b) * a).max() < 1e-12
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: TensorShape(()), ValueError, "TensorShape needs at least one factor"),
+    (lambda: TensorShape((2, 0)), ValueError, "factor dimensions must be positive, got (2, 0)"),
+    (lambda: HermitianMatrix(np.zeros((2, 3))), ValueError, "expected a square matrix, got shape (2, 3)"),
+    (lambda: linalg.ptranspose_array(np.eye(4), (2, 2), 2), IndexError,
+     "factor index 2 out of range for [2, 2]"),
+    (lambda: embed_identity_array(np.eye(2), (2,), (2, 2), (0, 1)), ValueError,
+     "positions and occupied dims must align"),
+    (lambda: embed_identity_array(np.eye(3), (3,), (2, 2), (0,)), ValueError,
+     "occupied factor dimension mismatch"),
+    (lambda: swap_operator(0), ValueError, "dimension must be >= 1"),
+    (lambda: support_projection_absorbs(HermitianMatrix(np.eye(2))), ValueError,
+     "need at least two tensor factors"),
+], ids=["no_factors", "zero_factor", "not_square", "transpose_factor", "embed_positions",
+        "embed_dims", "swap_dim", "absorbs_factors"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,26 @@ class TestInstrument:
         comp = Channel.from_choi(np.eye(8) / 4, 2, (2, 2))
         with pytest.raises(ValueError, match="register"):
             instrument_from_compatibilizer(comp, 3)
+
+
+_QUBIT_PAIR = HermitianMatrix(np.eye(4) / 4, TensorShape((2, 2)))
+_HALF = HermitianMatrix(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: StatePair(HermitianMatrix(np.eye(4) / 4), _QUBIT_PAIR, _HALF),
+     "states must live on X (x) Y1 and X (x) Y2"),
+    (lambda: StatePair(_QUBIT_PAIR, _QUBIT_PAIR, HermitianMatrix(np.eye(3) / 3)),
+     "sigma must live on the overlap factor"),
+    (lambda: joint_state_from_compatibilizer(dephasing_channel(2), _HALF),
+     "compatibilizer must declare a two-factor output"),
+    (lambda: compatibilizer_from_joint_state(_QUBIT_PAIR, _HALF), "joint state must live on X (x) Y1 (x) Y2"),
+    (lambda: lift_povm_compatibilizer([[np.eye(2)]], [], [np.eye(2)]),
+     "need one preparation per outcome on each side"),
+    (lambda: extract_povm_compatibilizer(dephasing_channel(2), [E00], [E00]),
+     "compatibilizer must declare a two-factor output"),
+], ids=["pair_factors", "sigma_side", "joint_state_output", "joint_state_factors", "preparations",
+        "extract_output"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

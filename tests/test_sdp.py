@@ -36,6 +36,7 @@ from qcc.linalg import (
 from qcc.rand import (random_channel, random_density, random_hermitian, random_invertible_channel,
                       random_povm, random_pvm)
 import qcc.sdp.decide as decide_mod
+import qcc.sdp.problem as problem_mod
 from qcc.sdp.decide import decide
 from qcc.sdp.ipm import (_block_inverses, _chol_pd, _chol_solve, _corrector_rhs, _ct, _herm,
                          _nt_scaling, _steps_to_boundary, start_slack)
@@ -500,7 +501,8 @@ class TestStructureCache:
             tuple(dataclasses.replace(con, rhs=np.eye(con.rhs.shape[0]) / con.rhs.shape[0])
                   for con in problem.constraints),
             problem.blocks))
-        warm = compile_ipm(problem)
+        # a fresh object: the problem itself holds its first elimination
+        warm = compile_ipm(dataclasses.replace(problem))
         assert warm.A_blocks is not cold.A_blocks
         for name in ("x0", "b", "t0", "gmat"):
             assert np.array_equal(getattr(cold, name), getattr(warm, name)), name
@@ -511,6 +513,32 @@ class TestStructureCache:
         assert warm_res.iterations == cold_res.iterations
         assert np.array_equal(warm_res.y, cold_res.y)
         assert all(np.array_equal(c, w) for c, w in zip(cold_res.Z_blocks, warm_res.Z_blocks))
+
+    def test_a_solve_eliminates_once(self, monkeypatch):
+        calls = []
+        eliminate = problem_mod._eliminate
+
+        def counted(problem, read=None):
+            calls.append(problem)
+            return eliminate(problem, read)
+
+        for module in (problem_mod, projection_mod, sdp):  # wherever the name is bound
+            if hasattr(module, "_eliminate"):
+                monkeypatch.setattr(module, "_eliminate", counted)
+        # the product point and the round trip settle neither, so the solve
+        # reads the elimination for the round trip and for the compile
+        problem = sdp.build_k_extension(xi_channel(0.4, 0.2), 3)
+        out = sdp.solve(problem, optimum=False)
+        assert out.status == "Feasible" and out.note.startswith("stopped at a certified iterate")
+        assert calls == [problem]
+        # read-outs in the program's own field compute none
+        project_point(problem, out.primal)
+        multipliers(problem, np.eye(problem.side))
+        assert len(calls) == 1
+        # a read with an imaginary part is over the complex field, eliminated afresh
+        skew = 1e-3j * (np.eye(problem.side, k=1) - np.eye(problem.side, k=-1))
+        project_point(problem, out.primal + skew)
+        assert len(calls) == 2
 
     def test_projection_and_null_space_reuse_the_elimination(self):
         rng = np.random.default_rng(8)
@@ -1289,6 +1317,23 @@ class TestProductPoint:
         x = product_point(problem)
         assert x is not None and np.abs(x - (avg + avg.conj().T) / 2).max() <= 1e-15
 
+    def test_embeds_a_point_held_on_fewer_factors(self):
+        # every constraint also traces out factor 4, so the sums are held
+        # on factors 0..3 and the point is embedded with I on factor 4
+        rng = np.random.default_rng(5)
+        chans = [self._noisy(rng, 2) for _ in range(3)]
+        factors = (2, 2, 2, 2, 3)
+        cons = tuple(Constraint(tuple(i for i in (1, 2, 3, 4) if i != a), c.choi.array)
+                     for a, c in zip((1, 2, 3), chans))
+        problem = SdpProblem(factors, cons, (Block(),))
+        embedded = [embed_identity_array(c.choi.array, (2, 2), factors, (0, a))
+                    for a, c in zip((1, 2, 3), chans)]
+        orders = list(itertools.permutations(embedded))
+        avg = sum(functools.reduce(np.matmul, order) for order in orders) / len(orders)
+        x = product_point(problem)
+        assert x is not None and x.shape == (48, 48)
+        assert np.abs(x - (avg + avg.conj().T) / 2).max() <= 1e-15
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_k_fold_point_meets_every_marginal(self, k):
         problem = sdp.build_k_extension(xi_channel(0.4, 0.5), k)
@@ -1981,3 +2026,26 @@ def _equal(a, b) -> bool:
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(_equal, a, b))
     return a == b
+
+
+_QUBIT_STATE = HermitianMatrix(np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sdp.build_state_compat(_QUBIT_STATE, _QUBIT_STATE),
+     "states must live on X (x) Y1 and X (x) Y2"),
+    (lambda: sdp.build_jordan_compat(identity_channel(2), identity_channel(3)),
+     "input dimensions differ: 2 vs 3"),
+    (lambda: sdp.build_povm_compat(Povm((np.eye(2),)), Povm((np.eye(3),))),
+     "POVMs must act on the same space"),
+    (lambda: decide(identity_channel(2), identity_channel(2), mode="bogus"), "unknown decision mode 'bogus'"),
+    (lambda: farkas_check(sdp.build_compat(identity_channel(2), identity_channel(2), ppt=True),
+                          (np.eye(4), np.eye(4))),
+     "a program with blocks other than X needs one dual per block"),
+    (lambda: sdp.solve_dykstra(sdp.build_compat(identity_channel(2), identity_channel(2), ppt=True)),
+     "the round trip supports one PSD block, the variable itself"),
+], ids=["builders-state_factors", "builders-jordan_inputs", "builders-povm_spaces", "decide-mode",
+        "problem-farkas_duals", "projection-blocks"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

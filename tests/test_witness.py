@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,30 @@ def test_each_bound_of_each_certificate_check(case, inside):
     rep, measure, target = BOUND_CASES[case](inside)
     assert measure == pytest.approx(target, rel=1e-3)
     assert rep.valid == inside
+
+
+_Z = HermitianMatrix(np.eye(4), TensorShape((2, 2)))
+_RHO = HermitianMatrix(np.eye(8) / 8, TensorShape((2, 2, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Witness(_Z, _Z, mode="bogus"), "unknown witness mode 'bogus'"),
+    (lambda: Witness(HermitianMatrix(np.eye(4)), HermitianMatrix(np.eye(4))),
+     "witness parts must carry two-factor shapes"),
+    (lambda: verify_witness(no_broadcast_witness(2), identity_channel(2), identity_channel(3)),
+     "channels must share the input space"),
+    (lambda: verify_jordan_witness(JordanWitness(_Z, _Z, _RHO), identity_channel(2), identity_channel(3)),
+     "channels must share the input space"),
+    (lambda: verify_jordan_witness(JordanWitness(HermitianMatrix(np.eye(4)), _Z, _RHO),
+                                   identity_channel(2), identity_channel(2)),
+     "multiplier shapes must be (d, d) factors"),
+    (lambda: verify_jordan_witness(JordanWitness(_Z, _Z, HermitianMatrix(np.eye(8) / 8, TensorShape((2, 4)))),
+                                   identity_channel(2), identity_channel(2)),
+     "rho must live on X (x) Y1 (x) Y2"),
+    (lambda: no_broadcast_witness(1), "dimension must be >= 2"),
+    (lambda: certificate_from_json({"mode": "bogus"}), "unknown certificate mode 'bogus'"),
+], ids=["witness_mode", "witness_factors", "witness_inputs", "jordan_inputs", "jordan_multipliers",
+        "jordan_rho", "broadcast_dim", "json_mode"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
